@@ -1,28 +1,16 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled campaign kernel is optional: without Cython (or with
-# CONFOUND_KIT_NO_EXT=1) the package installs pure-Python only and selects
-# the reference kernel at import time.
-ext_modules = []
-if os.environ.get("CONFOUND_KIT_NO_EXT", "0") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "confound_kit._ckernel",
-                    ["src/confound_kit/_ckernel.pyx"],
-                    # -ffp-contract=off: no FMA contraction, so the compiled
-                    # kernel stays bit-identical to the pure-Python one.
-                    extra_compile_args=["-O3", "-ffp-contract=off"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# The compiled campaign kernel is optional: without a C compiler the package
+# installs pure-Python only and selects the reference kernel at import time.
+# -ffp-contract=off: no FMA contraction, so the compiled kernel stays
+# bit-identical to the pure-Python one.
+setup(
+    ext_modules=[
+        Extension(
+            "confound_kit._ckernel",
+            ["src/confound_kit/_ckernel.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

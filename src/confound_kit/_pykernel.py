@@ -1,6 +1,6 @@
 """Pure-Python campaign kernel: the reference float-mode sampler.
 
-The compiled kernel in _ckernel.pyx is a line-by-line transliteration of
+The compiled kernel in _ckernel.c is a line-by-line transliteration of
 ``run_campaign``.  Both must produce bit-identical results, so any change to
 an arithmetic expression here has to be mirrored there, keeping operand
 order; the extension is compiled with FMA contraction disabled for the same
@@ -32,7 +32,10 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     Returns (max_violation, failures, exhausted), where failures counts
     samples with violation > tol and exhausted counts samples whose
     equational solve never landed in [0, 1] within the redraw budget.
+    Raises ValueError unless rep is 7 slot indices in 0..6.
     """
+    if len(rep) != 7 or not all(0 <= r <= 6 for r in rep):
+        raise ValueError("rep must be 7 slot indices in 0..6")
     rep1, rep2, rep3, rep4, rep5, rep6 = rep[1], rep[2], rep[3], rep[4], rep[5], rep[6]
     draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
     q = [0.0] * 7

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clause", required=True, metavar="C", help="a..e")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None, help="default 1e-10 (0 when --exact)")
+    p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10 (0 when --exact)")
     p.add_argument("--exact", action="store_true", help="rational arithmetic campaign")
     p.add_argument("--threads", type=int, default=None)
     _add_format(p)
@@ -80,6 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(text: str) -> float:
+    """--tol parser: a finite float, so a NaN or infinite tolerance is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text!r}")
+    return value
+
+
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -89,7 +101,7 @@ def _add_model_params(p: argparse.ArgumentParser, params_required: bool = True) 
     for name in _ALL_PARAM_FLAGS:
         p.add_argument(f"--{name}", metavar="P", default=None)
     p.add_argument(
-        "--tol", type=float, default=None, help="default 1e-9 (0 when --exact)"
+        "--tol", type=_tolerance, default=None, help="default 1e-9 (0 when --exact)"
     )
     p.add_argument("--exact", action="store_true", help="parse parameters as exact rationals")
 

@@ -46,6 +46,7 @@ from .joint import (
     Model2Params,
     Model3Params,
     ModelParams,
+    _check_tolerance,
     model_number,
 )
 
@@ -108,8 +109,7 @@ def holds_numeric(joint: JointDistribution, hypothesis: Hypothesis, tol=0) -> bo
 
     Raises DegenerateEventError when the conditioning slice has zero mass.
     """
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
+    _check_tolerance(tol)
     x, y, cond = _NUMERIC_FORM[hypothesis]
     given = {} if cond is None else {cond[0]: cond[1]}
     kw = _joint_kwargs(given)
@@ -130,8 +130,7 @@ def _joint_kwargs(assignment: dict) -> dict:
 
 def holds_algebraic(params: ModelParams, hypothesis: Hypothesis, tol=0) -> bool:
     """Closed-form test for a hypothesis on model parameters, within ``tol``."""
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
+    _check_tolerance(tol)
     lhs, rhs = _algebraic_sides(params, hypothesis)
     return abs(lhs - rhs) <= tol
 

@@ -34,6 +34,7 @@ rational parameters yield a rational joint and exact downstream comparisons.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -83,6 +84,18 @@ def _check_open_unit(name: str, value: Numeric) -> None:
     _check_unit(name, value)
     if value == 0 or value == 1:
         raise ParameterError(f"parameter {name} = {value!r} must lie strictly inside (0, 1)")
+
+
+def _check_tolerance(tol) -> None:
+    """Reject a tolerance that is NaN, infinite or negative.
+
+    Against a NaN or infinite tolerance every comparison comes out the same
+    whatever the data, so a false claim could pass unnoticed.
+    """
+    if isinstance(tol, float) and not math.isfinite(tol):
+        raise ParameterError(f"tolerance must be finite, got {tol!r}")
+    if tol < 0:
+        raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
 
 
 def _num_to_json(value: Numeric) -> object:

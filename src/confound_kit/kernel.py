@@ -1,6 +1,7 @@
 """Campaign kernel backend selection.
 
-The compiled extension is preferred when importable; setting
+The compiled extension (_ckernel.c, built by setup.py when a C compiler is
+available) is preferred when importable; setting
 CONFOUND_KIT_PURE=1 forces the pure-Python reference kernel instead.  Both
 backends implement the same stream and arithmetic, so campaign reports do
 not depend on which one ran.

@@ -48,6 +48,7 @@ from .joint import (
     Model3Params,
     ModelParams,
     Numeric,
+    _check_tolerance,
     _num_to_json,
 )
 
@@ -230,8 +231,7 @@ def classify_covariate(
     exact = joint.is_exact
     if tol is None:
         tol = 0 if exact else DEFAULT_FLOAT_TOL
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
+    _check_tolerance(tol)
     if exact and tol != 0:
         raise ParameterError("exact-rational classification requires tol = 0")
     return _classify(summary_from_joint(joint), tol)
@@ -243,6 +243,7 @@ def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0)
     Evaluates the irrelevance and confounder conditions independently (not
     through verdict precedence) and checks they do not both hold.
     """
+    _check_tolerance(tol)
     summary = summary_from_joint(joint)
     irrelevant = abs(summary.standardized - summary.observed) <= tol
     confounder = abs(summary.hypothetical - summary.standardized) < abs(summary.bias) - tol

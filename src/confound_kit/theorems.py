@@ -42,7 +42,7 @@ from .hypotheses import (
     random_params,
     substitution_reps,
 )
-from .joint import ModelParams, _num_to_json, build_joint
+from .joint import ModelParams, _check_tolerance, _num_to_json, build_joint
 from .measures import summary_from_joint
 
 THREADS_ENV = "CONFOUND_KIT_THREADS"
@@ -161,7 +161,9 @@ def _thread_count(requested: Optional[int]) -> int:
         raise ParameterError(f"thread count must be at least 1, got {threads}")
     if cap is not None:
         threads = min(threads, cap)
-    return threads
+    # more threads than CPUs cannot speed up the GIL-free kernel, and each
+    # one is a real OS thread; reports do not depend on the count
+    return min(threads, os.cpu_count() or 1)
 
 
 def _campaign_codes(clause: TheoremClause) -> tuple:
@@ -239,14 +241,14 @@ def verify_clause(
     ``tol`` defaults to 1e-10 in float mode and must be 0 in exact mode; a
     sample fails when its violation exceeds it.  Float campaigns may be chunked
     over ``threads`` workers (the CONFOUND_KIT_THREADS environment variable
-    supplies the default and caps the value) without changing the report.
+    supplies the default and caps the value, as does the CPU count) without
+    changing the report.
     """
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples!r}")
     if tol is None:
         tol = 0 if exact else DEFAULT_FLOAT_TOL
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
+    _check_tolerance(tol)
     if exact and tol != 0:
         raise ParameterError("exact campaigns compare exactly; tol must be 0")
     if exact:

@@ -191,6 +191,16 @@ def test_verify_zero_tolerance_fails_campaign(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("verb", ["verify", "classify", "hypotheses"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_usage_error(capsys, verb, tol):
+    args = ["--theorem", "T2", "--clause", "e", "--samples", "10"] if verb == "verify" else MODEL1_FLAGS
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, *args, f"--tol={tol}"])
+    assert exit_info.value.code == 2
+    assert "tolerance must be finite" in capsys.readouterr().err
+
+
 def test_verify_unknown_clause_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--theorem", "T1", "--clause", "z"])

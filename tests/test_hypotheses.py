@@ -81,6 +81,15 @@ def test_example_violates_h6():
     assert not holds_numeric(joint, H.H6, tol=1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tolerance_rejected(tol):
+    # an infinite tolerance would accept H6 here, a NaN one reject anything
+    with pytest.raises(ParameterError, match="finite"):
+        holds_numeric(joint_from_model1(EXAMPLE_M1), H.H6, tol=tol)
+    with pytest.raises(ParameterError, match="finite"):
+        holds_algebraic(EXAMPLE_M1, H.H6, tol=tol)
+
+
 def test_numeric_degenerate_slice_raises():
     params = Model1Params(t=1.0, a0=0.3, a1=0.6, b0=0.1, b1=0.7, u0=0.3, u1=0.9)
     with pytest.raises(DegenerateEventError):

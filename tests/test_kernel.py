@@ -1,4 +1,18 @@
-"""Bit-level parity tests between the pure and compiled campaign kernels."""
+"""Bit-level parity tests between the pure and compiled campaign kernels.
+
+When the compiled kernel is not installed (a source checkout on PYTHONPATH),
+the ``backends`` fixture builds _ckernel.c with setup.py into a temporary
+directory, so the parity tests run wherever a C compiler exists.
+"""
+
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +30,37 @@ from confound_kit.kernel import (
 from confound_kit.theorems import _campaign_codes
 
 
-def backends_or_skip():
-    backends = available_backends()
-    if "compiled" not in backends:
-        pytest.skip("compiled kernel not built")
-    return backends
+ROOT = Path(__file__).resolve().parent.parent
+UNIT_REP = (0, 1, 2, 3, 4, 5, 6)
+
+
+def _build_ckernel(out: Path):
+    """Build the extension the way setup.py does and load it from ``out``."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out / "tmp")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    built = out / "confound_kit" / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert proc.returncode == 0 and built.is_file(), proc.stdout + proc.stderr
+    spec = importlib.util.spec_from_file_location("confound_kit._ckernel", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def backends(tmp_path_factory):
+    """The pure and compiled kernel modules by name."""
+    found = available_backends()
+    if "compiled" not in found:
+        found["compiled"] = _build_ckernel(tmp_path_factory.mktemp("ckernel"))
+    return found
 
 
 def test_backend_selection_reports_something_sane():
@@ -33,8 +73,7 @@ def test_code_constants():
     assert (IRRELEVANT, NO_CONFOUNDING) == (0, 1)
 
 
-def test_parity_across_full_catalog():
-    backends = backends_or_skip()
+def test_parity_across_full_catalog(backends):
     for clause in CLAUSES:
         model, rep, eq, conclusion = _campaign_codes(clause)
         args = (model, rep, eq, conclusion, 0, 500, 12345, 1e-10, 1000)
@@ -45,13 +84,31 @@ def test_parity_across_full_catalog():
         assert pure[0].hex() == compiled[0].hex()
 
 
-def test_parity_on_equational_paths():
-    backends = backends_or_skip()
-    rep = (0, 1, 2, 3, 4, 5, 6)
+def test_parity_on_equational_paths(backends):
     for model in (1, 2, 3):
         for eq in (EQ_NONE, EQ_H1, EQ_H5):
-            args = (model, rep, eq, NO_CONFOUNDING, 0, 300, 777, 1e-10, 1000)
+            args = (model, UNIT_REP, eq, NO_CONFOUNDING, 0, 300, 777, 1e-10, 1000)
             assert backends["pure"].run_campaign(*args) == backends["compiled"].run_campaign(*args)
+
+
+def test_parity_on_wrapping_seeds_and_indices(backends):
+    # the compiled kernel reduces seed and sample index modulo 2**64 as the
+    # pure one does with & _MASK64; a budget of 0 exhausts on failed solves
+    for args in (
+        (1, UNIT_REP, EQ_H1, NO_CONFOUNDING, 0, 200, -5, 1e-10, 1000),
+        (2, UNIT_REP, EQ_H5, IRRELEVANT, 2**62, 200, 2**64 - 1, 0.0, 0),
+        (1, UNIT_REP, EQ_NONE, NO_CONFOUNDING, -50, 100, 9, 1e-10, 1000),
+    ):
+        assert backends["pure"].run_campaign(*args) == backends["compiled"].run_campaign(*args)
+
+
+@pytest.mark.parametrize(
+    "rep", [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6, 0), (0, 1, 2, 3, 4, 5, 7), (0, 1, 2, -1, 4, 5, 6)]
+)
+def test_bad_rep_raises_in_both_backends(backends, rep):
+    for impl in backends.values():
+        with pytest.raises(ValueError, match="rep must be 7 slot indices"):
+            impl.run_campaign(1, rep, EQ_NONE, IRRELEVANT, 0, 10, 0, 1e-10, 1000)
 
 
 def test_chunks_merge_to_whole():

@@ -184,6 +184,15 @@ def test_negative_tolerance_rejected():
         classify_covariate(joint_from_model1(EXAMPLE_M1), tol=-1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tolerance_rejected(tol):
+    joint = joint_from_model1(EXAMPLE_M1)
+    with pytest.raises(ParameterError, match="finite"):
+        classify_covariate(joint, tol=tol)
+    with pytest.raises(ParameterError, match="finite"):
+        check_lemma1(joint, tol=tol)
+
+
 def test_irrelevant_checked_before_confounder():
     # an irrelevant covariate has gap == |bias|, never strictly less, so the
     # two verdicts cannot collide; the report must say Irrelevant

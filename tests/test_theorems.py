@@ -23,7 +23,9 @@ from confound_kit import (
     standardized_proportion,
     verify_clause,
 )
+from confound_kit import theorems
 from confound_kit.hypotheses import hypothesis_set
+from confound_kit.theorems import THREADS_ENV, TheoremClause
 from confound_kit._rng import SplitMix64
 
 H = Hypothesis
@@ -131,6 +133,40 @@ def test_thread_count_does_not_change_results():
     assert one.failures == four.failures
 
 
+def _recording_executor(created):
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    class Recorder:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return Recorder
+
+
+def test_thread_count_clamped_to_cpu_count(monkeypatch):
+    # no thread starts: the executor is replaced by a serial recorder
+    created = []
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    monkeypatch.setattr(theorems, "ThreadPoolExecutor", _recording_executor(created))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    clause = clause_lookup("T4", "a")
+    many = verify_clause(clause, samples=1000, seed=21, threads=10**6)
+    assert created == [3]
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)  # unknown: one thread
+    assert verify_clause(clause, samples=1000, seed=21, threads=10**6) == many
+    assert created == [3]
+    assert verify_clause(clause, samples=1000, seed=21, threads=1) == many
+
+
 def test_single_sample_report():
     report = verify_clause(clause_lookup("T2", "e"), samples=1, seed=1)
     assert report.samples == 1
@@ -146,6 +182,16 @@ def test_verify_rejects_bad_arguments():
         verify_clause(clause, samples=10, tol=-1.0)
     with pytest.raises(ParameterError):
         verify_clause(clause, samples=10, threads=0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tolerance_rejected(tol):
+    # no conditions at all: standardizing changes the observed risk on
+    # practically every draw, so every sample must fail at 1e-10
+    false_clause = TheoremClause("T0", "z", 1, frozenset(), Conclusion.IRRELEVANT_FACTOR)
+    assert verify_clause(false_clause, samples=1000, seed=1).failures == 1000
+    with pytest.raises(ParameterError, match="finite"):
+        verify_clause(false_clause, samples=1000, seed=1, tol=tol)
 
 
 # --- exact campaigns ------------------------------------------------------
