@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import FrozenSet, Iterable, Optional
 
 from ._rng import SplitMix64
@@ -224,13 +225,20 @@ def _equality_pairs(model: int, hypotheses: Iterable[Hypothesis]):
     return pairs
 
 
-def substitution_reps(model: int, hypotheses: HypothesisSet) -> tuple:
+def substitution_reps(model: int, hypotheses: Iterable[Hypothesis]) -> tuple:
     """rep[j] = slot whose value slot j must copy under the equality constraints.
 
     Identity for unconstrained slots.  Classes among the outcome slots take
     the lowest member as representative; the exposure/covariate pair (1, 2)
     keeps slot 2 as representative, so H4 rewrites the C=0 side.
     """
+    return _substitution_reps(model, frozenset(hypotheses))
+
+
+@lru_cache(maxsize=None)
+def _substitution_reps(model: int, hypotheses: HypothesisSet) -> tuple:
+    # memoised: impose calls this for every sample it constrains, and there are
+    # only 3 models x 2**7 hypothesis sets
     parent = list(range(7))
 
     def find(i: int) -> int:
@@ -351,14 +359,7 @@ def impose(
     rep = substitution_reps(model, hypotheses)
     eq = equational_member(hypotheses)
     if eq is not None:
-        solved_slot = _U1 if eq is Hypothesis.H1 else _U0
-        if rep[solved_slot] != solved_slot or any(
-            j != solved_slot and rep[j] == solved_slot for j in range(7)
-        ):
-            raise ConstraintError(
-                f"cannot solve {eq.value} for slot "
-                f"{_SLOT_FIELDS[model][solved_slot]}: an equality constraint already ties it"
-            )
+        solved_slot = _solved_slot(model, rep, eq)
     exact = base.is_exact
     values = _slot_values(base)
     for attempt in range(budget + 1):
@@ -374,8 +375,24 @@ def impose(
         if isinstance(solved, float) and solved != solved:
             continue
         if 0 <= solved <= 1:
-            candidate[_U1 if eq is Hypothesis.H1 else _U0] = solved
+            candidate[solved_slot] = solved
             return _params_from_slots(model, candidate)
-    raise ConstraintError(
-        f"no parameters satisfying {eq.value} found within {budget} redraws"
-    )
+    raise _exhausted(eq, budget)
+
+
+def _solved_slot(model: int, rep: tuple, eq: Hypothesis) -> int:
+    """The slot ``eq`` is solved for (u1 for H1, u0 for H5).
+
+    Raises ConstraintError when an equality constraint already ties that slot.
+    """
+    slot = _U1 if eq is Hypothesis.H1 else _U0
+    if rep[slot] != slot or any(j != slot and rep[j] == slot for j in range(7)):
+        raise ConstraintError(
+            f"cannot solve {eq.value} for slot "
+            f"{_SLOT_FIELDS[model][slot]}: an equality constraint already ties it"
+        )
+    return slot
+
+
+def _exhausted(eq: Hypothesis, budget: int) -> ConstraintError:
+    return ConstraintError(f"no parameters satisfying {eq.value} found within {budget} redraws")

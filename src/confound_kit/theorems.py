@@ -11,9 +11,11 @@ draws interior parameters, imposes the clause's hypothesis set exactly (see
 ``hypotheses.impose``), expands the joint, and evaluates the conclusion's
 defining quantity, whose magnitude is the sample's violation.  Float
 campaigns run on the selected kernel backend and are reproducible bit for
-bit from (seed, samples) alone, independent of chunking or thread count;
-exact campaigns rerun the same algorithm in rational arithmetic, where a
-sound clause yields violations of exactly zero.
+bit from (seed, samples) alone, independent of chunking or thread count.
+Exact campaigns rerun the same algorithm on the thousandths grid in integer
+arithmetic over a common denominator, where a sound clause yields
+violations of exactly zero; tests check them against the Fraction route
+through ``build_joint`` and ``summary_from_joint``.
 
 ``falsify_converse`` probes the other direction, searching for parameters
 where a conclusion holds but none of the catalog's condition sets for it
@@ -28,6 +30,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import kernel
@@ -36,17 +39,19 @@ from .errors import ConstraintError, ParameterError
 from .hypotheses import (
     Hypothesis,
     HypothesisSet,
+    _exhausted,
+    _solved_slot,
     equational_member,
     holds_algebraic,
     impose,
     random_params,
     substitution_reps,
 )
-from .joint import ModelParams, _check_tolerance, _num_to_json, build_joint
+from .joint import ModelParams, _check_tolerance, _num_to_json, build_joint, params_type
 from .measures import summary_from_joint
 
 THREADS_ENV = "CONFOUND_KIT_THREADS"
-DEFAULT_FLOAT_TOL = 1e-10
+CAMPAIGN_FLOAT_TOL = 1e-10
 _REDRAW_BUDGET = 1000
 _CONCLUSION_TOL = 1e-12
 
@@ -208,23 +213,121 @@ def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
     return max_violation, failures, exhausted
 
 
-def _exact_campaign(clause: TheoremClause, samples, seed, tol):
-    max_violation = 0
+_GRID = 1000  # exact draws are numerators over this denominator
+
+
+def _solve_exact(model: int, eq: int, x: list) -> tuple:
+    """(num, den) of the H1 solve for u1 or the H5 solve for u0.
+
+    ``x`` holds slot numerators over _GRID.  The expressions are those of
+    ``hypotheses._solve_h1``/``_solve_h5`` cleared of denominators, so den is
+    zero exactly where the rational solve divides by zero; it is a product of
+    slot values and their complements, so it is never negative.
+    """
+    d = _GRID
+    if eq == kernel.EQ_H1:
+        if model == 1:
+            t, a0, a1, b0, b1, u0 = x[0], x[1], x[2], x[3], x[4], x[5]
+            exposed0, exposed1 = a0 * (d - t), a1 * t
+            unexposed0, unexposed1 = (d - a0) * (d - t), (d - a1) * t
+            unexposed = unexposed0 + unexposed1
+            return (
+                (b0 * unexposed0 + b1 * unexposed1) * (exposed0 + exposed1)
+                - u0 * exposed0 * unexposed,
+                d * unexposed * exposed1,
+            )
+        if model == 2:
+            c0, c1, b0, b1, u0 = x[1], x[2], x[3], x[4], x[5]
+            return b0 * (d - c0) + b1 * c0 - u0 * (d - c1), d * c1
+        t, b0, b1, u0 = x[1], x[3], x[4], x[5]
+        return b0 * (d - t) + b1 * t - u0 * (d - t), d * t
+    if model == 1:
+        a0, a1, b0, b1, u1 = x[1], x[2], x[3], x[4], x[6]
+        return u1 * a1 + b1 * (d - a1) - b0 * (d - a0), d * a0
+    if model == 2:
+        a, c0, c1, b0, b1, u1 = x[0], x[1], x[2], x[3], x[4], x[6]
+        target = u1 * c1 * a + b1 * c0 * (d - a)
+        mass1 = c1 * a + c0 * (d - a)
+        mass0 = (d - c1) * a + (d - c0) * (d - a)
+        return target * mass0 - b0 * (d - c0) * (d - a) * mass1, d * mass1 * (d - c1) * a
+    a, b0, b1, u1 = x[0], x[3], x[4], x[6]
+    return u1 * a + (b1 - b0) * (d - a), d * a
+
+
+def _exact_campaign(clause: TheoremClause, samples, seed):
+    """(max_violation, failures) of an exact campaign, in integer arithmetic.
+
+    Draws match ``random_params(exact=True)`` and ``impose`` draw for draw.
+    Slot values are numerators over _GRID; an H1/H5 solve gives its slot as
+    num/den, and every slot is then scaled to the common denominator
+    q = _GRID * den.  Joint cells are integers over q**3 and each violation
+    is an unreduced pair |num|/den, so the only Fraction built is the
+    reported maximum (int 0 when every violation is zero).
+    """
+    params_type(clause.model)  # an unknown model fails as random_params does
+    model, rep, eq, conclusion = _campaign_codes(clause)
+    if eq != kernel.EQ_NONE:
+        eq_member = Hypothesis.H1 if eq == kernel.EQ_H1 else Hypothesis.H5
+        solved = _solved_slot(model, rep, eq_member)
+    draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
+    irrelevant = conclusion == kernel.IRRELEVANT
+    n = [0] * 7
+    max_num, max_den = 0, 1
     failures = 0
     for i in range(samples):
         rng = sample_stream(seed, i)
-        base = random_params(clause.model, rng, exact=True)
-        params = impose(base, clause.conditions, rng, budget=_REDRAW_BUDGET)
-        summary = summary_from_joint(build_joint(params))
-        if clause.conclusion is Conclusion.NO_CONFOUNDING:
-            violation = abs(summary.bias)
+        for _ in range(_REDRAW_BUDGET + 1):
+            for j in draw_slots:
+                n[j] = 10 + rng.next_u64() % 981
+            x = [n[r] for r in rep]
+            if eq == kernel.EQ_NONE:
+                q = _GRID
+                break
+            num, den = _solve_exact(model, eq, x)
+            if den and 0 <= num <= den:
+                x = [v * den for v in x]
+                x[solved] = num * _GRID
+                q = _GRID * den
+                break
         else:
-            violation = abs(summary.standardized - summary.observed)
-        if violation > tol:
-            failures += 1
-        if violation > max_violation:
-            max_violation = violation
-    return max_violation, failures
+            raise _exhausted(eq_member, _REDRAW_BUDGET)
+        x0, x1, x2, x3, x4, x5, x6 = x
+        if model == 1:
+            exposed0, exposed1 = x1 * (q - x0), x2 * x0
+            unexposed0, unexposed1 = (q - x1) * (q - x0), (q - x2) * x0
+        elif model == 2:
+            exposed0, exposed1 = x0 * (q - x2), x0 * x2
+            unexposed0, unexposed1 = (q - x0) * (q - x1), (q - x0) * x1
+        else:
+            exposed0, exposed1 = x0 * (q - x1), x0 * x1
+            unexposed0, unexposed1 = (q - x0) * (q - x1), (q - x0) * x1
+        p0, p1 = exposed0 * (q - x5), exposed0 * x5
+        p2, p3 = exposed1 * (q - x6), exposed1 * x6
+        p4, p5 = unexposed0 * (q - x3), unexposed0 * x3
+        p6, p7 = unexposed1 * (q - x4), unexposed1 * x4
+        pe = p0 + p1 + p2 + p3
+        pu = p4 + p5 + p6 + p7
+        if pe + pu != q * q * q:
+            raise ParameterError(f"exact cell weights sum to {Fraction(pe + pu, q**3)}, not 1")
+        # Every drawn slot lies strictly inside (0, 1) and the solved slot
+        # enters no margin, so P(E=e), P(E=ebar) and all four (E, C) strata
+        # are positive: no measure is undefined and no stratum is skipped.
+        if irrelevant:
+            stratum0, stratum1 = p4 + p5, p6 + p7
+            num = (p5 * (p0 + p1) * stratum1 + p7 * (p2 + p3) * stratum0) * pu - (
+                p5 + p7
+            ) * pe * stratum0 * stratum1
+            den = pe * pu * stratum0 * stratum1
+        else:
+            num = (p1 + p3) * pu - (p5 + p7) * pe
+            den = pe * pu
+        if num:
+            failures += 1  # exact mode compares at tol = 0
+            if num < 0:
+                num = -num
+            if num * max_den > max_num * den:
+                max_num, max_den = num, den
+    return (Fraction(max_num, max_den) if max_num else 0), failures
 
 
 def verify_clause(
@@ -247,12 +350,12 @@ def verify_clause(
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples!r}")
     if tol is None:
-        tol = 0 if exact else DEFAULT_FLOAT_TOL
+        tol = 0 if exact else CAMPAIGN_FLOAT_TOL
     _check_tolerance(tol)
     if exact and tol != 0:
         raise ParameterError("exact campaigns compare exactly; tol must be 0")
     if exact:
-        max_violation, failures = _exact_campaign(clause, samples, seed, tol)
+        max_violation, failures = _exact_campaign(clause, samples, seed)
     else:
         threads = _thread_count(threads)
         max_violation, failures, exhausted = _float_campaign(

@@ -8,6 +8,7 @@ import pytest
 from confound_kit import (
     CLAUSES,
     Conclusion,
+    ConstraintError,
     Hypothesis,
     Model1Params,
     Model3Params,
@@ -21,12 +22,13 @@ from confound_kit import (
     observed_proportion,
     random_params,
     standardized_proportion,
+    summary_from_joint,
     verify_clause,
 )
-from confound_kit import theorems
+from confound_kit import kernel, theorems
 from confound_kit.hypotheses import hypothesis_set
-from confound_kit.theorems import THREADS_ENV, TheoremClause
-from confound_kit._rng import SplitMix64
+from confound_kit.theorems import THREADS_ENV, TheoremClause, VerificationReport, _campaign_codes
+from confound_kit._rng import SplitMix64, sample_stream
 
 H = Hypothesis
 
@@ -203,6 +205,101 @@ def test_exact_campaigns_have_zero_violation():
         assert report.failures == 0
         assert report.max_violation == 0
         assert isinstance(report.max_violation, (int, Fraction))
+
+
+def _violation(clause, params):
+    summary = summary_from_joint(build_joint(params))
+    if clause.conclusion is Conclusion.NO_CONFOUNDING:
+        return abs(summary.bias)
+    return abs(summary.standardized - summary.observed)
+
+
+def _fraction_campaign(clause, samples, seed):
+    """The exact campaign on the joint -> measures route, in Fractions.
+
+    The reference the integer campaign in ``theorems`` must reproduce."""
+    max_violation = 0
+    failures = 0
+    for i in range(samples):
+        rng = sample_stream(seed, i)
+        base = random_params(clause.model, rng, exact=True)
+        params = impose(base, clause.conditions, rng, budget=theorems._REDRAW_BUDGET)
+        violation = _violation(clause, params)
+        if violation > 0:
+            failures += 1
+        if violation > max_violation:
+            max_violation = violation
+    return max_violation, failures
+
+
+def _false_clauses():
+    # condition sets outside the catalog; apart from irrelevance in model 3,
+    # which holds by structure, none implies its conclusion in general
+    clauses = []
+    for model in (1, 2, 3):
+        for conclusion in Conclusion:
+            clauses.append(TheoremClause("X", "none", model, frozenset(), conclusion))
+            clauses.append(TheoremClause("X", "h5", model, hypothesis_set(H.H5), conclusion))
+        clauses.append(TheoremClause("X", "h1", model, hypothesis_set(H.H1), Conclusion.IRRELEVANT_FACTOR))
+    return clauses
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 3])
+def test_exact_campaign_matches_fraction_route(seed):
+    for clause in CLAUSES + tuple(_false_clauses()):
+        expected, failures = _fraction_campaign(clause, 30, seed)
+        report = verify_clause(clause, samples=30, seed=seed, exact=True)
+        assert (report.max_violation, report.failures) == (expected, failures), clause
+        assert type(report.max_violation) is type(expected), clause
+        oracle = VerificationReport(clause, 30, expected, failures, seed)
+        assert json.dumps(report.to_dict()) == json.dumps(oracle.to_dict())
+        if not clause.conditions and (clause.model, clause.conclusion) != (3, Conclusion.IRRELEVANT_FACTOR):
+            # no conditions (and no structural irrelevance, as in model 3):
+            # the campaign must see nonzero Fraction violations
+            assert failures > 0 and isinstance(report.max_violation, Fraction), clause
+
+
+def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch):
+    monkeypatch.setattr(theorems, "_REDRAW_BUDGET", 0)
+    clause = clause_lookup("T2", "a")
+    for seed in range(100):
+        try:
+            _fraction_campaign(clause, 1, seed)
+        except ConstraintError as exc:
+            expected = str(exc)
+            break
+    else:
+        pytest.fail("no seed in 0..99 rejects the first H1 draw")
+    assert expected == "no parameters satisfying H1 found within 0 redraws"
+    with pytest.raises(ConstraintError) as raised:
+        verify_clause(clause, samples=1, seed=seed, exact=True)
+    assert str(raised.value) == expected
+
+
+def test_exact_campaign_rejects_tied_solved_slot():
+    # H3 ties u1 to b1, so H1 cannot be solved for u1
+    clause = TheoremClause("X", "tied", 1, hypothesis_set(H.H1, H.H3), Conclusion.NO_CONFOUNDING)
+    with pytest.raises(ConstraintError) as expected:
+        _fraction_campaign(clause, 1, 0)
+    with pytest.raises(ConstraintError) as raised:
+        verify_clause(clause, samples=1, exact=True)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("seed", [11, -1])
+def test_float_kernel_replays_library_route(seed):
+    # sample i of a kernel campaign against the same stream run through
+    # random_params -> impose -> build_joint -> summary_from_joint
+    for clause in CLAUSES:
+        codes = _campaign_codes(clause)
+        for i in (0, 1, 57, 1000):
+            violation = kernel.run_campaign(
+                *codes, i, 1, seed, theorems.CAMPAIGN_FLOAT_TOL, theorems._REDRAW_BUDGET
+            )[0]
+            rng = sample_stream(seed, i)
+            base = random_params(clause.model, rng)
+            params = impose(base, clause.conditions, rng, budget=theorems._REDRAW_BUDGET)
+            assert abs(violation - _violation(clause, params)) <= 1e-12, (clause, i)
 
 
 def test_exact_mode_rejects_nonzero_tolerance():
