@@ -1,17 +1,33 @@
 /* Compiled campaign kernel.
  *
- * Line-by-line transliteration of _pykernel.run_campaign; keep the two in
- * lockstep (same expressions, same operand order) so both backends return
- * bit-identical results.  setup.py compiles this file with
- * -ffp-contract=off: a fused multiply-add would round differently from
- * Python's separate multiply and add.
+ * Returns what _pykernel.run_campaign returns, bit for bit: every sample goes
+ * through the same expressions with the same operand order.  setup.py
+ * compiles this file with -ffp-contract=off, because a fused multiply-add
+ * would round differently from Python's separate multiply and add.
+ *
+ * Samples are taken BATCH at a time, one stage per loop over the batch:
+ * seed the streams, draw the slots, solve the equational member, evaluate
+ * the conclusion, tally.  Model and codes are fixed for a campaign, so the
+ * solve and conclusion stages compile to branch-free loops that the
+ * compiler vectorizes, and no sample waits on the previous one's chain of
+ * divisions.  Samples whose solve leaves [0, 1] are redrawn together, one
+ * round per attempt, each continuing its own stream as the reference loop
+ * does.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define DOUBLE_SCALE (1.0 / 9007199254740992.0) /* 2**-53 */
+#define BATCH 64
+
+#if defined(__GNUC__)
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE static inline
+#endif
 
 /* equational-constraint and conclusion codes, as in _pykernel */
 enum { EQ_NONE = 0, EQ_H1 = 1, EQ_H5 = 2 };
@@ -23,6 +39,15 @@ mix(uint64_t z)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
+}
+
+/* One draw of a sample's stream: advance the state, map it into (0.01, 0.99). */
+static inline double
+draw(uint64_t *state)
+{
+    *state = *state + GOLDEN;
+    uint64_t z = mix(*state);
+    return 0.01 + ((double)(z >> 11) * DOUBLE_SCALE) * 0.98;
 }
 
 /* Read rep into out[7]; raise ValueError unless it is 7 slot indices in 0..6. */
@@ -54,6 +79,119 @@ read_rep(PyObject *rep, int out[7])
     return 0;
 }
 
+/* The slot the equational member solves for: v6 under H1, else v5 (H5).
+   Models other than 1 and 2 take model 3's formulas, as in _pykernel. */
+ALWAYS_INLINE double
+solve(int model, int h1, double v0, double v1, double v2, double v3,
+      double v4, double v5, double v6)
+{
+    if (h1) {
+        double obs;
+        if (model == 1) {
+            double e0 = v1 * (1.0 - v0);
+            double e1 = v2 * v0;
+            double n0 = (1.0 - v1) * (1.0 - v0);
+            double n1 = (1.0 - v2) * v0;
+            obs = (v3 * n0 + v4 * n1) / (n0 + n1);
+            return (obs * (e0 + e1) - v5 * e0) / e1;
+        } else if (model == 2) {
+            obs = v3 * (1.0 - v1) + v4 * v1;
+            return (obs - v5 * (1.0 - v2)) / v2;
+        } else {
+            obs = v3 * (1.0 - v1) + v4 * v1;
+            return (obs - v5 * (1.0 - v1)) / v1;
+        }
+    }
+    if (model == 1) {
+        return (v6 * v2 + v4 * (1.0 - v2) - v3 * (1.0 - v1)) / v1;
+    } else if (model == 2) {
+        double target = (v6 * v2 * v0 + v4 * v1 * (1.0 - v0)) /
+                        (v2 * v0 + v1 * (1.0 - v0));
+        double mass0 = (1.0 - v2) * v0 + (1.0 - v1) * (1.0 - v0);
+        return (target * mass0 - v3 * (1.0 - v1) * (1.0 - v0)) /
+               ((1.0 - v2) * v0);
+    } else {
+        return v6 + (v4 - v3) * (1.0 - v0) / v0;
+    }
+}
+
+/* The signed violation of the conclusion (no confounding, else irrelevance). */
+ALWAYS_INLINE double
+violation_at(int model, int no_confounding, double v0, double v1, double v2,
+             double v3, double v4, double v5, double v6)
+{
+    double p0, p1, p2, p3, p4, p5, p6, p7;
+    if (model == 1) {
+        double tb = 1.0 - v0;
+        p0 = tb * v1 * (1.0 - v5);
+        p1 = tb * v1 * v5;
+        p2 = v0 * v2 * (1.0 - v6);
+        p3 = v0 * v2 * v6;
+        p4 = tb * (1.0 - v1) * (1.0 - v3);
+        p5 = tb * (1.0 - v1) * v3;
+        p6 = v0 * (1.0 - v2) * (1.0 - v4);
+        p7 = v0 * (1.0 - v2) * v4;
+    } else if (model == 2) {
+        double ab = 1.0 - v0;
+        p0 = v0 * (1.0 - v2) * (1.0 - v5);
+        p1 = v0 * (1.0 - v2) * v5;
+        p2 = v0 * v2 * (1.0 - v6);
+        p3 = v0 * v2 * v6;
+        p4 = ab * (1.0 - v1) * (1.0 - v3);
+        p5 = ab * (1.0 - v1) * v3;
+        p6 = ab * v1 * (1.0 - v4);
+        p7 = ab * v1 * v4;
+    } else {
+        double ab = 1.0 - v0;
+        double tb = 1.0 - v1;
+        p0 = v0 * tb * (1.0 - v5);
+        p1 = v0 * tb * v5;
+        p2 = v0 * v1 * (1.0 - v6);
+        p3 = v0 * v1 * v6;
+        p4 = ab * tb * (1.0 - v3);
+        p5 = ab * tb * v3;
+        p6 = ab * v1 * (1.0 - v4);
+        p7 = ab * v1 * v4;
+    }
+    double pe = p0 + p1 + p2 + p3;
+    double pu = p4 + p5 + p6 + p7;
+    double obs = (p5 + p7) / pu;
+    if (no_confounding)
+        return (p1 + p3) / pe - obs;
+    return (p5 / (p4 + p5)) * ((p0 + p1) / pe)
+           + (p7 / (p6 + p7)) * ((p2 + p3) / pe)
+           - obs;
+}
+
+ALWAYS_INLINE void
+solve_batch(int model, int h1, int nb, const double *const v[7], double *out)
+{
+    for (int j = 0; j < nb; j++)
+        out[j] = solve(model, h1, v[0][j], v[1][j], v[2][j], v[3][j], v[4][j],
+                       v[5][j], v[6][j]);
+}
+
+ALWAYS_INLINE void
+violation_batch(int model, int no_confounding, int nb, const double *const v[7],
+                double *out)
+{
+    for (int j = 0; j < nb; j++)
+        out[j] = violation_at(model, no_confounding, v[0][j], v[1][j], v[2][j],
+                              v[3][j], v[4][j], v[5][j], v[6][j]);
+}
+
+/* f(model, flag, ...) with model and flag as constants, so that the inlined
+   loop keeps no branch on them. */
+#define DISPATCH(f, model, flag, ...)                                          \
+    do {                                                                       \
+        if ((model) == 1)                                                      \
+            (flag) ? f(1, 1, __VA_ARGS__) : f(1, 0, __VA_ARGS__);              \
+        else if ((model) == 2)                                                 \
+            (flag) ? f(2, 1, __VA_ARGS__) : f(2, 0, __VA_ARGS__);              \
+        else                                                                   \
+            (flag) ? f(3, 1, __VA_ARGS__) : f(3, 0, __VA_ARGS__);              \
+    } while (0)
+
 PyDoc_STRVAR(run_campaign_doc,
 "run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)\n\n"
 "See _pykernel.run_campaign; identical contract and results.");
@@ -77,125 +215,83 @@ run_campaign(PyObject *self, PyObject *args)
     static const int slots6[6] = {0, 1, 3, 4, 5, 6};
     const int *draw_slots = model == 3 ? slots6 : slots7;
     int nslots = model == 3 ? 6 : 7;
-    double q[7] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    int solves = eq == EQ_H1 || eq == EQ_H5;
+    int no_confounding = conclusion == NO_CONFOUNDING;
     double max_violation = 0.0;
     long long failures = 0;
     long long exhausted = 0;
 
     Py_BEGIN_ALLOW_THREADS
-    for (long long n = 0; n < count; n++) {
-        /* sample index i = start + n; unsigned, so it wraps like & _MASK64 */
-        uint64_t state = mix((uint64_t)seed + ((uint64_t)start + (uint64_t)n + 1) * GOLDEN);
-        int accepted = 0;
-        double v0 = 0.0, v1 = 0.0, v2 = 0.0, v3 = 0.0, v4 = 0.0, v5 = 0.0, v6 = 0.0;
-        for (int attempt = 0; attempt <= budget; attempt++) {
-            for (int k = 0; k < nslots; k++) {
-                state = state + GOLDEN;
-                uint64_t z = mix(state);
-                q[draw_slots[k]] = 0.01 + ((double)(z >> 11) * DOUBLE_SCALE) * 0.98;
+    /* q[s][j]: slot s of sample j (model 3 draws no slot 2, which stays 0.0) */
+    double q[7][BATCH] = {{0.0}};
+    uint64_t state[BATCH];
+    double solved[BATCH], violation[BATCH];
+    int accepted[BATCH];
+    /* drawn[k]: the row slot k takes its value from; v: the same, with the
+       solved slot's row in place of its drawn one */
+    const double *drawn[7], *v[7];
+    drawn[0] = q[0];
+    for (int k = 1; k < 7; k++)
+        drawn[k] = q[rep[k]];
+    memcpy(v, drawn, sizeof v);
+    if (eq == EQ_H1)
+        v[6] = solved;
+    else if (eq == EQ_H5)
+        v[5] = solved;
+    for (long long base = 0; base < count; base += BATCH) {
+        int nb = count - base < BATCH ? (int)(count - base) : BATCH;
+        /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
+        uint64_t first = (uint64_t)start + (uint64_t)base;
+        for (int j = 0; j < nb; j++)
+            state[j] = mix((uint64_t)seed + (first + (uint64_t)j + 1) * GOLDEN);
+        for (int k = 0; k < nslots; k++)
+            for (int j = 0; j < nb; j++)
+                q[draw_slots[k]][j] = draw(&state[j]);
+        for (int j = 0; j < nb; j++)
+            accepted[j] = 1;
+        if (solves) {
+            DISPATCH(solve_batch, model, eq == EQ_H1, nb, drawn, solved);
+            /* pending: the samples whose last solve left [0, 1]; each round
+               redraws all of them, as many rounds as the budget allows */
+            int pending[BATCH], npending = 0;
+            for (int j = 0; j < nb; j++) {
+                pending[npending] = j;
+                npending += !(0.0 <= solved[j] && solved[j] <= 1.0);
             }
-            v0 = q[0];
-            v1 = q[rep[1]];
-            v2 = q[rep[2]];
-            v3 = q[rep[3]];
-            v4 = q[rep[4]];
-            v5 = q[rep[5]];
-            v6 = q[rep[6]];
-            if (eq == EQ_H1) {
-                double obs;
-                if (model == 1) {
-                    double e0 = v1 * (1.0 - v0);
-                    double e1 = v2 * v0;
-                    double n0 = (1.0 - v1) * (1.0 - v0);
-                    double n1 = (1.0 - v2) * v0;
-                    obs = (v3 * n0 + v4 * n1) / (n0 + n1);
-                    v6 = (obs * (e0 + e1) - v5 * e0) / e1;
-                } else if (model == 2) {
-                    obs = v3 * (1.0 - v1) + v4 * v1;
-                    v6 = (obs - v5 * (1.0 - v2)) / v2;
-                } else {
-                    obs = v3 * (1.0 - v1) + v4 * v1;
-                    v6 = (obs - v5 * (1.0 - v1)) / v1;
+            for (int attempt = 1; attempt <= budget && npending > 0; attempt++) {
+                for (int k = 0; k < nslots; k++) {
+                    double *row = q[draw_slots[k]];
+                    for (int p = 0; p < npending; p++)
+                        row[pending[p]] = draw(&state[pending[p]]);
                 }
-                if (0.0 <= v6 && v6 <= 1.0) {
-                    accepted = 1;
-                    break;
+                int left = 0;
+                for (int p = 0; p < npending; p++) {
+                    int j = pending[p];
+                    double x = solve(model, eq == EQ_H1, drawn[0][j], drawn[1][j], drawn[2][j],
+                                     drawn[3][j], drawn[4][j], drawn[5][j], drawn[6][j]);
+                    solved[j] = x;
+                    pending[left] = j;
+                    left += !(0.0 <= x && x <= 1.0);
                 }
-            } else if (eq == EQ_H5) {
-                if (model == 1) {
-                    v5 = (v6 * v2 + v4 * (1.0 - v2) - v3 * (1.0 - v1)) / v1;
-                } else if (model == 2) {
-                    double target = (v6 * v2 * v0 + v4 * v1 * (1.0 - v0)) /
-                                    (v2 * v0 + v1 * (1.0 - v0));
-                    double mass0 = (1.0 - v2) * v0 + (1.0 - v1) * (1.0 - v0);
-                    v5 = (target * mass0 - v3 * (1.0 - v1) * (1.0 - v0)) /
-                         ((1.0 - v2) * v0);
-                } else {
-                    v5 = v6 + (v4 - v3) * (1.0 - v0) / v0;
-                }
-                if (0.0 <= v5 && v5 <= 1.0) {
-                    accepted = 1;
-                    break;
-                }
-            } else {
-                accepted = 1;
-                break;
+                npending = left;
             }
+            for (int p = 0; p < npending; p++)
+                accepted[pending[p]] = 0;
         }
-        if (!accepted) {
-            exhausted += 1;
-            continue;
+        DISPATCH(violation_batch, model, no_confounding, nb, v, violation);
+        for (int j = 0; j < nb; j++) {
+            if (!accepted[j]) {
+                exhausted += 1;
+                continue;
+            }
+            double x = violation[j];
+            if (x < 0.0)
+                x = -x;
+            if (x > tol)
+                failures += 1;
+            if (x > max_violation)
+                max_violation = x;
         }
-        double p0, p1, p2, p3, p4, p5, p6, p7;
-        if (model == 1) {
-            double tb = 1.0 - v0;
-            p0 = tb * v1 * (1.0 - v5);
-            p1 = tb * v1 * v5;
-            p2 = v0 * v2 * (1.0 - v6);
-            p3 = v0 * v2 * v6;
-            p4 = tb * (1.0 - v1) * (1.0 - v3);
-            p5 = tb * (1.0 - v1) * v3;
-            p6 = v0 * (1.0 - v2) * (1.0 - v4);
-            p7 = v0 * (1.0 - v2) * v4;
-        } else if (model == 2) {
-            double ab = 1.0 - v0;
-            p0 = v0 * (1.0 - v2) * (1.0 - v5);
-            p1 = v0 * (1.0 - v2) * v5;
-            p2 = v0 * v2 * (1.0 - v6);
-            p3 = v0 * v2 * v6;
-            p4 = ab * (1.0 - v1) * (1.0 - v3);
-            p5 = ab * (1.0 - v1) * v3;
-            p6 = ab * v1 * (1.0 - v4);
-            p7 = ab * v1 * v4;
-        } else {
-            double ab = 1.0 - v0;
-            double tb = 1.0 - v1;
-            p0 = v0 * tb * (1.0 - v5);
-            p1 = v0 * tb * v5;
-            p2 = v0 * v1 * (1.0 - v6);
-            p3 = v0 * v1 * v6;
-            p4 = ab * tb * (1.0 - v3);
-            p5 = ab * tb * v3;
-            p6 = ab * v1 * (1.0 - v4);
-            p7 = ab * v1 * v4;
-        }
-        double pe = p0 + p1 + p2 + p3;
-        double pu = p4 + p5 + p6 + p7;
-        double obs = (p5 + p7) / pu;
-        double violation;
-        if (conclusion == NO_CONFOUNDING) {
-            violation = (p1 + p3) / pe - obs;
-        } else {
-            violation = (p5 / (p4 + p5)) * ((p0 + p1) / pe)
-                        + (p7 / (p6 + p7)) * ((p2 + p3) / pe)
-                        - obs;
-        }
-        if (violation < 0.0)
-            violation = -violation;
-        if (violation > tol)
-            failures += 1;
-        if (violation > max_violation)
-            max_violation = violation;
     }
     Py_END_ALLOW_THREADS
 

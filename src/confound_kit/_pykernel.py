@@ -1,11 +1,11 @@
 """Pure-Python campaign kernel: the reference float-mode sampler.
 
-The compiled kernel in _ckernel.c is a line-by-line transliteration of
-``run_campaign``.  Both must produce bit-identical results, so any change to
-an arithmetic expression here has to be mirrored there, keeping operand
-order; the extension is compiled with FMA contraction disabled for the same
-reason.  This module stays self-contained (no package imports) so the two
-files can be compared side by side.
+The compiled kernel in _ckernel.c evaluates the same expressions, in the
+same operand order, over batches of samples.  Both must produce
+bit-identical results, so any change to an arithmetic expression here has to
+be mirrored there; the extension is compiled with FMA contraction disabled
+for the same reason.  This module stays self-contained (no package imports)
+so the two files can be compared side by side.
 """
 
 _MASK64 = (1 << 64) - 1

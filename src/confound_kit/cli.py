@@ -23,7 +23,7 @@ from .hypotheses import Hypothesis, holds_algebraic, holds_numeric
 from .joint import build_joint, params_type
 from .measures import DEFAULT_FLOAT_TOL, classify_covariate
 from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
-from .theorems import clause_lookup, verify_clause
+from .theorems import _MIN_CHUNK, clause_lookup, verify_clause
 
 _MODEL_FIELDS = {
     1: ("t", "a0", "a1", "b0", "b1", "u0", "u1"),
@@ -67,7 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10 (0 when --exact)")
     p.add_argument("--exact", action="store_true", help="rational arithmetic campaign")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="upper bound on campaign threads (default: $CONFOUND_KIT_THREADS or 1); "
+        f"a campaign splits only into chunks of at least {_MIN_CHUNK:,} samples",
+    )
     _add_format(p)
     p.set_defaults(func=_run_verify)
 

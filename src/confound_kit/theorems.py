@@ -27,7 +27,6 @@ vacuously impossible.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,6 +38,8 @@ from .errors import ConstraintError, ParameterError
 from .hypotheses import (
     Hypothesis,
     HypothesisSet,
+    _U0,
+    _U1,
     _exhausted,
     _solved_slot,
     equational_member,
@@ -53,6 +54,11 @@ from .measures import summary_from_joint
 THREADS_ENV = "CONFOUND_KIT_THREADS"
 CAMPAIGN_FLOAT_TOL = 1e-10
 _REDRAW_BUDGET = 1000
+# Fewest samples a thread must get before a float campaign splits: with the
+# compiled kernel, two threads broke even with one at 2 x 65,536 samples and
+# gained 1.2-1.5x at 2 x 131,072 (2-vCPU VM); a 10,000-sample campaign ran
+# 0.6x as fast on two.
+_MIN_CHUNK = 65_536
 _CONCLUSION_TOL = 1e-12
 
 
@@ -166,20 +172,30 @@ def _thread_count(requested: Optional[int]) -> int:
         raise ParameterError(f"thread count must be at least 1, got {threads}")
     if cap is not None:
         threads = min(threads, cap)
-    # more threads than CPUs cannot speed up the GIL-free kernel, and each
+    # more threads than usable CPUs cannot speed up the GIL-free kernel (under
+    # taskset or a cpuset they would time-slice the CPUs allowed), and each
     # one is a real OS thread; reports do not depend on the count
-    return min(threads, os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus)
 
 
 def _campaign_codes(clause: TheoremClause) -> tuple:
-    """(model, rep, eq, conclusion) kernel arguments for one clause."""
+    """(model, rep, eq, conclusion) kernel arguments for one clause.
+
+    Raises what ``random_params`` and ``impose`` raise for a clause no
+    campaign can run: an unknown model, H1 together with H5, or an H1/H5
+    solve for a slot an equality already ties.
+    """
+    params_type(clause.model)
     rep = substitution_reps(clause.model, clause.conditions)
     eq_member = equational_member(clause.conditions)
     eq = kernel.EQ_NONE
-    if eq_member is Hypothesis.H1:
-        eq = kernel.EQ_H1
-    elif eq_member is Hypothesis.H5:
-        eq = kernel.EQ_H5
+    if eq_member is not None:
+        _solved_slot(clause.model, rep, eq_member)
+        eq = kernel.EQ_H1 if eq_member is Hypothesis.H1 else kernel.EQ_H5
     conclusion = (
         kernel.NO_CONFOUNDING
         if clause.conclusion is Conclusion.NO_CONFOUNDING
@@ -196,16 +212,19 @@ def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
             model, rep, eq, conclusion, start, count, seed, tol, _REDRAW_BUDGET
         )
 
-    threads = min(threads, samples)
-    if threads == 1:
+    # the pure kernel holds the GIL, so threads there only add overhead
+    chunks = 1 if kernel.BACKEND == "pure" else max(1, min(threads, samples // _MIN_CHUNK))
+    if chunks == 1:
         results = [chunk(0, samples)]
     else:
-        size = samples // threads
+        from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
+
+        size = samples // chunks
         bounds = [
-            (t * size, size + (samples - threads * size if t == threads - 1 else 0))
-            for t in range(threads)
+            (t * size, size + (samples - chunks * size if t == chunks - 1 else 0))
+            for t in range(chunks)
         ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=chunks) as pool:
             results = list(pool.map(lambda se: chunk(*se), bounds))
     max_violation = max(r[0] for r in results)
     failures = sum(r[1] for r in results)
@@ -264,11 +283,8 @@ def _exact_campaign(clause: TheoremClause, samples, seed):
     is an unreduced pair |num|/den, so the only Fraction built is the
     reported maximum (int 0 when every violation is zero).
     """
-    params_type(clause.model)  # an unknown model fails as random_params does
     model, rep, eq, conclusion = _campaign_codes(clause)
-    if eq != kernel.EQ_NONE:
-        eq_member = Hypothesis.H1 if eq == kernel.EQ_H1 else Hypothesis.H5
-        solved = _solved_slot(model, rep, eq_member)
+    eq_member, solved = (Hypothesis.H1, _U1) if eq == kernel.EQ_H1 else (Hypothesis.H5, _U0)
     draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
     irrelevant = conclusion == kernel.IRRELEVANT
     n = [0] * 7
@@ -343,9 +359,12 @@ def verify_clause(
 
     ``tol`` defaults to 1e-10 in float mode and must be 0 in exact mode; a
     sample fails when its violation exceeds it.  Float campaigns may be chunked
-    over ``threads`` workers (the CONFOUND_KIT_THREADS environment variable
-    supplies the default and caps the value, as does the CPU count) without
-    changing the report.
+    over up to ``threads`` workers without changing the report.  The count is
+    an upper bound: the CONFOUND_KIT_THREADS environment variable supplies the
+    default and caps it, as does the number of CPUs this process may run on.
+    A campaign splits only into chunks of at least ``_MIN_CHUNK`` samples, so
+    smaller ones, and every campaign on the pure kernel, run on the calling
+    thread.
     """
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples!r}")

@@ -1,4 +1,50 @@
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
 import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+from confound_kit.kernel import available_backends
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _build_ckernel(out: Path):
+    """Build the extension the way setup.py does and load it from ``out``."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out / "tmp")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    built = out / "confound_kit" / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert proc.returncode == 0 and built.is_file(), proc.stdout + proc.stderr
+    spec = importlib.util.spec_from_file_location("confound_kit._ckernel", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def backends(tmp_path_factory):
+    """The pure and compiled kernel modules by name.
+
+    When the compiled kernel is not installed (a source checkout on
+    PYTHONPATH), _ckernel.c is built with setup.py into a temporary directory.
+    """
+    found = available_backends()
+    if "compiled" not in found:
+        found["compiled"] = _build_ckernel(tmp_path_factory.mktemp("ckernel"))
+    return found
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confound_kit
 from confound_kit import fixture_path
 from confound_kit.cli import build_parser, main
 
@@ -213,6 +218,15 @@ def test_verify_threads_flag_stable_output(capsys):
     _, one, _ = run(capsys, *base, "--threads", "1")
     _, four, _ = run(capsys, *base, "--threads", "4")
     assert one == four
+
+
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures pulls in logging; only a campaign that splits needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
+    code = "import sys, confound_kit.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --- hypotheses -------------------------------------------------------------

@@ -1,18 +1,9 @@
 """Bit-level parity tests between the pure and compiled campaign kernels.
 
 When the compiled kernel is not installed (a source checkout on PYTHONPATH),
-the ``backends`` fixture builds _ckernel.c with setup.py into a temporary
-directory, so the parity tests run wherever a C compiler exists.
+the ``backends`` fixture (conftest.py) builds _ckernel.c with setup.py into a
+temporary directory, so the parity tests run wherever a C compiler exists.
 """
-
-import importlib.util
-import os
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 
@@ -30,37 +21,7 @@ from confound_kit.kernel import (
 from confound_kit.theorems import _campaign_codes
 
 
-ROOT = Path(__file__).resolve().parent.parent
 UNIT_REP = (0, 1, 2, 3, 4, 5, 6)
-
-
-def _build_ckernel(out: Path):
-    """Build the extension the way setup.py does and load it from ``out``."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(shlex.split(cc)[0]) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out / "tmp")],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    built = out / "confound_kit" / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
-    assert proc.returncode == 0 and built.is_file(), proc.stdout + proc.stderr
-    spec = importlib.util.spec_from_file_location("confound_kit._ckernel", built)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def backends(tmp_path_factory):
-    """The pure and compiled kernel modules by name."""
-    found = available_backends()
-    if "compiled" not in found:
-        found["compiled"] = _build_ckernel(tmp_path_factory.mktemp("ckernel"))
-    return found
 
 
 def test_backend_selection_reports_something_sane():
@@ -100,6 +61,21 @@ def test_parity_on_wrapping_seeds_and_indices(backends):
         (1, UNIT_REP, EQ_NONE, NO_CONFOUNDING, -50, 100, 9, 1e-10, 1000),
     ):
         assert backends["pure"].run_campaign(*args) == backends["compiled"].run_campaign(*args)
+
+
+def test_parity_across_batch_boundaries(backends):
+    # the compiled kernel takes samples 64 at a time and redraws the samples
+    # whose solve fails together, one round per attempt; counts and starts
+    # that cut batches anywhere, and budgets that exhaust samples inside a
+    # batch, must still match the one-sample-at-a-time loop
+    for clause in CLAUSES:
+        model, rep, eq, conclusion = _campaign_codes(clause)
+        for start, count, budget in ((0, 1, 1000), (5, 63, 1000), (64, 65, 0), (100, 129, 1), (7, 640, 2)):
+            args = (model, rep, eq, conclusion, start, count, 2024, 1e-10, budget)
+            pure = backends["pure"].run_campaign(*args)
+            compiled = backends["compiled"].run_campaign(*args)
+            assert pure == compiled, (clause.theorem, clause.clause, start, count, budget)
+            assert pure[0].hex() == compiled[0].hex()
 
 
 @pytest.mark.parametrize(

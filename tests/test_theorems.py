@@ -1,5 +1,6 @@
 """Tests for the clause catalog, verification campaigns, and converse search."""
 
+import concurrent.futures
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from confound_kit import (
     CLAUSES,
     Conclusion,
+    ConfoundKitError,
     ConstraintError,
     Hypothesis,
     Model1Params,
@@ -128,11 +130,22 @@ def test_campaign_reports_are_deterministic():
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
-def test_thread_count_does_not_change_results():
-    one = verify_clause(clause_lookup("T4", "a"), samples=2000, seed=21, threads=1)
-    four = verify_clause(clause_lookup("T4", "a"), samples=2000, seed=21, threads=4)
-    assert one.max_violation == four.max_violation
-    assert one.failures == four.failures
+def _use_backend(monkeypatch, backends, name):
+    monkeypatch.setattr(kernel, "_impl", backends[name])
+    monkeypatch.setattr(kernel, "BACKEND", name)
+
+
+def _record_chunks(monkeypatch):
+    """(start, count) of every kernel call a campaign makes."""
+    chunks = []
+    run = kernel.run_campaign
+
+    def recording(*args):
+        chunks.append(args[4:6])
+        return run(*args)
+
+    monkeypatch.setattr(kernel, "run_campaign", recording)
+    return chunks
 
 
 def _recording_executor(created):
@@ -154,19 +167,66 @@ def _recording_executor(created):
     return Recorder
 
 
-def test_thread_count_clamped_to_cpu_count(monkeypatch):
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_thread_count_does_not_change_results(monkeypatch, backends):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    _usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(theorems, "_MIN_CHUNK", 500)
+    clause = clause_lookup("T4", "a")
+    expected_chunks = {
+        # four real threads, the remainder on the last chunk
+        "compiled": [(0, 500), (500, 500), (1000, 500), (1500, 503)],
+        # the pure kernel holds the GIL, so it never splits
+        "pure": [(0, 2003)],
+    }
+    chunks = _record_chunks(monkeypatch)
+    for backend, expected in expected_chunks.items():
+        _use_backend(monkeypatch, backends, backend)
+        one = verify_clause(clause, samples=2003, seed=21, threads=1)
+        chunks.clear()
+        four = verify_clause(clause, samples=2003, seed=21, threads=4)
+        assert one.max_violation == four.max_violation, backend
+        assert one.failures == four.failures, backend
+        assert sorted(chunks) == expected, backend
+
+
+def test_thread_count_clamped_to_cpu_count(monkeypatch, backends):
     # no thread starts: the executor is replaced by a serial recorder
     created = []
     monkeypatch.delenv(THREADS_ENV, raising=False)
-    monkeypatch.setattr(theorems, "ThreadPoolExecutor", _recording_executor(created))
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
+    monkeypatch.setattr(theorems, "_MIN_CHUNK", 100)
+    _use_backend(monkeypatch, backends, "compiled")
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)  # affinity wins, as under taskset
     clause = clause_lookup("T4", "a")
     many = verify_clause(clause, samples=1000, seed=21, threads=10**6)
     assert created == [3]
+    monkeypatch.delattr(theorems.os, "sched_getaffinity", raising=False)  # no affinity call
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    assert verify_clause(clause, samples=1000, seed=21, threads=10**6) == many
+    assert created == [3, 3]
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)  # unknown: one thread
     assert verify_clause(clause, samples=1000, seed=21, threads=10**6) == many
-    assert created == [3]
+    assert created == [3, 3]
     assert verify_clause(clause, samples=1000, seed=21, threads=1) == many
+
+
+def test_campaign_splits_only_when_chunks_repay_a_thread(monkeypatch, backends):
+    created = []
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
+    _use_backend(monkeypatch, backends, "compiled")
+    _usable_cpus(monkeypatch, 2)
+    clause = clause_lookup("T2", "e")
+    verify_clause(clause, samples=10_000, seed=7, threads=2)  # the CLI default size
+    verify_clause(clause, samples=2 * theorems._MIN_CHUNK - 1, seed=7, threads=2)
+    assert created == []
+    verify_clause(clause, samples=2 * theorems._MIN_CHUNK, seed=7, threads=2)
+    assert created == [2]
 
 
 def test_single_sample_report():
@@ -274,6 +334,25 @@ def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch):
     with pytest.raises(ConstraintError) as raised:
         verify_clause(clause, samples=1, seed=seed, exact=True)
     assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize(
+    "clause",
+    [
+        TheoremClause("X", "model4", 4, hypothesis_set(H.H4), Conclusion.IRRELEVANT_FACTOR),
+        # H3 ties u1 to b1, so H1 cannot be solved for u1
+        TheoremClause("X", "tied", 1, hypothesis_set(H.H1, H.H3), Conclusion.NO_CONFOUNDING),
+        TheoremClause("X", "h1h5", 2, hypothesis_set(H.H1, H.H5), Conclusion.NO_CONFOUNDING),
+    ],
+)
+def test_float_and_exact_reject_the_same_clauses(clause):
+    with pytest.raises(ConfoundKitError) as exact:
+        verify_clause(clause, samples=100, exact=True)
+    with pytest.raises(ConfoundKitError) as floating:
+        verify_clause(clause, samples=100)
+    assert type(floating.value) is type(exact.value)
+    assert str(floating.value) == str(exact.value)
+    assert isinstance(exact.value, ParameterError if clause.model == 4 else ConstraintError)
 
 
 def test_exact_campaign_rejects_tied_solved_slot():
