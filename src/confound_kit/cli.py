@@ -19,16 +19,14 @@ from typing import Optional
 
 from . import __version__
 from .errors import ConfoundKitError, DegenerateEventError, ParameterError
-from .hypotheses import Hypothesis, holds_algebraic, holds_numeric
+from .hypotheses import _SLOT_FIELDS, Hypothesis, holds_algebraic, holds_numeric
 from .joint import build_joint, params_type
 from .measures import DEFAULT_FLOAT_TOL, classify_covariate
 from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
 from .theorems import _MIN_CHUNK, clause_lookup, verify_clause
 
 _MODEL_FIELDS = {
-    1: ("t", "a0", "a1", "b0", "b1", "u0", "u1"),
-    2: ("a", "c0", "c1", "b0", "b1", "u0", "u1"),
-    3: ("a", "t", "b0", "b1", "u0", "u1"),
+    model: tuple(name for name in slots if name) for model, slots in _SLOT_FIELDS.items()
 }
 _ALL_PARAM_FLAGS = ("t", "a0", "a1", "a", "c0", "c1", "b0", "b1", "u0", "u1")
 
@@ -137,9 +135,9 @@ def _collect_params(parser, args, required: bool = True):
     for name in needed:
         try:
             value = Fraction(given[name])
-        except (ValueError, ZeroDivisionError):
+            values[name] = value if args.exact else float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
             parser.error(f"--{name} {given[name]!r} is not a number")
-        values[name] = value if args.exact else float(value)
     try:
         return params_type(args.model)(**values)
     except ConfoundKitError as exc:

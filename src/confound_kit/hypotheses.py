@@ -104,29 +104,81 @@ _NUMERIC_FORM = {
 
 _POSITIVE = {"E": "e", "C": 1, "D": 1}
 
+# The eight cells as assignments, in the joint's canonical order.
+_CELL_ASSIGNMENTS = tuple(
+    {"E": e, "C": c, "D": d} for e in ("e", "ebar") for c in (0, 1) for d in (0, 1)
+)
+
+
+def _cell_indices(assignment: dict) -> tuple:
+    """Ascending indices of the cells an assignment selects."""
+    return tuple(
+        i
+        for i, cell in enumerate(_CELL_ASSIGNMENTS)
+        if all(cell[var] == value for var, value in assignment.items())
+    )
+
+
+def _numeric_cells(hypothesis: Hypothesis) -> tuple:
+    """Cell indices of (S, X∧Y∧S, X∧S, Y∧S) and the degenerate-slice message."""
+    x, y, cond = _NUMERIC_FORM[hypothesis]
+    given = {} if cond is None else {cond[0]: cond[1]}
+    return (
+        _cell_indices(given),
+        _cell_indices({**given, x: _POSITIVE[x], y: _POSITIVE[y]}),
+        _cell_indices({**given, x: _POSITIVE[x]}),
+        _cell_indices({**given, y: _POSITIVE[y]}),
+        f"{hypothesis.value} conditions on {given!r}, which has probability zero",
+    )
+
+
+_NUMERIC_CELLS = {h: _numeric_cells(h) for h in Hypothesis}
+
+
+def _cell_sum(values, indices):
+    # left to right from 0, as JointDistribution.prob adds, so float sums
+    # round identically (builtin sum() may compensate float rounding)
+    total = 0
+    for i in indices:
+        total = total + values[i]
+    return total
+
 
 def holds_numeric(joint: JointDistribution, hypothesis: Hypothesis, tol=0) -> bool:
     """Product test for a hypothesis on a joint, within ``tol``.
 
+    The slice S and the events X∧Y, X, Y within it are fixed sets of cell
+    indices.  On a rational joint the test runs on the joint's integer
+    numerators N as |N_xy·N_s − N_x·N_y| <= tol·N_s², which is the product
+    test multiplied through by P(S)²; one ``Fraction`` is built only to
+    compare a nonzero difference with a nonzero tolerance.  On any other
+    joint the cells are added in ascending order as ``JointDistribution.prob``
+    adds them, so the result is the same bit for bit.
+
     Raises DegenerateEventError when the conditioning slice has zero mass.
     """
     _check_tolerance(tol)
-    x, y, cond = _NUMERIC_FORM[hypothesis]
-    given = {} if cond is None else {cond[0]: cond[1]}
-    kw = _joint_kwargs(given)
-    slice_mass = joint.prob(**kw)
-    if slice_mass == 0:
-        raise DegenerateEventError(
-            f"{hypothesis.value} conditions on {given!r}, which has probability zero"
+    s, xy, x, y, degenerate = _NUMERIC_CELLS[hypothesis]
+    numerators = joint._numerators
+    if numerators is not None:
+        n_s = _cell_sum(numerators, s)
+        if n_s == 0:
+            raise DegenerateEventError(degenerate)
+        diff = abs(
+            _cell_sum(numerators, xy) * n_s
+            - _cell_sum(numerators, x) * _cell_sum(numerators, y)
         )
-    q_xy = joint.prob(**_joint_kwargs({**given, x: _POSITIVE[x], y: _POSITIVE[y]})) / slice_mass
-    q_x = joint.prob(**_joint_kwargs({**given, x: _POSITIVE[x]})) / slice_mass
-    q_y = joint.prob(**_joint_kwargs({**given, y: _POSITIVE[y]})) / slice_mass
+        if diff == 0:
+            return True
+        return tol != 0 and Fraction(diff, n_s * n_s) <= tol
+    p = joint.p
+    slice_mass = _cell_sum(p, s)
+    if slice_mass == 0:
+        raise DegenerateEventError(degenerate)
+    q_xy = _cell_sum(p, xy) / slice_mass
+    q_x = _cell_sum(p, x) / slice_mass
+    q_y = _cell_sum(p, y) / slice_mass
     return abs(q_xy - q_x * q_y) <= tol
-
-
-def _joint_kwargs(assignment: dict) -> dict:
-    return {var.lower(): value for var, value in assignment.items()}
 
 
 def holds_algebraic(params: ModelParams, hypothesis: Hypothesis, tol=0) -> bool:

@@ -106,7 +106,10 @@ def _num_to_json(value: Numeric) -> object:
 
 def _num_from_json(value: object) -> Numeric:
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"invalid numeric value {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"invalid numeric value {value!r}")
     return value
@@ -237,6 +240,12 @@ class JointDistribution:
     ``p`` lists cell weights in the canonical order given in the module
     docstring.  Weights must be nonnegative and sum to one: exactly when all
     are rational, within 1e-12 otherwise.
+
+    A rational joint also keeps its cells as integer numerators over their
+    least common denominator in ``_numerators`` (None for any other joint),
+    so exact measures and hypothesis tests add integers instead of
+    ``Fraction``s.  It is a plain attribute, not a field: equality, hashing,
+    ``repr`` and ``to_dict`` see ``p`` alone.
     """
 
     p: tuple
@@ -251,12 +260,17 @@ class JointDistribution:
                 raise ParameterError(f"cell {i} weight is NaN")
             if w < 0:
                 raise ParameterError(f"cell {i} weight {w!r} is negative")
-        total = sum(weights)
+        numerators = None
         if _is_exact(weights):
-            if total != 1:
-                raise ParameterError(f"exact cell weights sum to {total}, not 1")
-        elif abs(total - 1) > _SUM_TOL:
-            raise ParameterError(f"cell weights sum to {total!r}, not 1 within {_SUM_TOL}")
+            denominator = math.lcm(*(w.denominator for w in weights))
+            numerators = tuple(w.numerator * (denominator // w.denominator) for w in weights)
+            if sum(numerators) != denominator:
+                raise ParameterError(f"exact cell weights sum to {sum(weights)}, not 1")
+        else:
+            total = sum(weights)
+            if abs(total - 1) > _SUM_TOL:
+                raise ParameterError(f"cell weights sum to {total!r}, not 1 within {_SUM_TOL}")
+        object.__setattr__(self, "_numerators", numerators)
 
     @staticmethod
     def index(e: object, c: object, d: object) -> int:
@@ -268,7 +282,7 @@ class JointDistribution:
 
     @property
     def is_exact(self) -> bool:
-        return _is_exact(self.p)
+        return self._numerators is not None
 
     def prob(self, e: object = None, c: object = None, d: object = None) -> Numeric:
         """Probability of the event fixing any subset of E, C, D_ebar."""

@@ -157,7 +157,17 @@ def confounding_bias(joint: JointDistribution) -> Numeric:
 
 
 def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
-    """All four measures by brute-force summation over the joint's cells."""
+    """All four measures by summation over the joint's cells.
+
+    A float joint goes through the per-measure functions above.  A rational
+    joint adds its integer numerators instead (see ``JointDistribution``),
+    and each measure is one ``Fraction`` of integer sums, with the bias
+    cross-multiplied; degenerate events raise the same errors in the same
+    order as the per-measure functions.
+    """
+    n = joint._numerators
+    if n is not None:
+        return _exact_summary(n)
     hypothetical = hypothetical_proportion(joint)
     observed = observed_proportion(joint)
     return MeasureSummary(
@@ -165,6 +175,40 @@ def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
         observed=observed,
         standardized=standardized_proportion(joint),
         bias=hypothetical - observed,
+    )
+
+
+def _exact_summary(n: tuple) -> MeasureSummary:
+    exposed = n[0] + n[1] + n[2] + n[3]
+    if exposed == 0:
+        raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
+    unexposed = n[4] + n[5] + n[6] + n[7]
+    if unexposed == 0:
+        raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
+    exposed_cases = n[1] + n[3]
+    unexposed_cases = n[5] + n[7]
+    # standardized = (sum_k cases_k * weight_k / stratum_k) / exposed over the
+    # strata with weight_k > 0, summed as numerator / denominator
+    numerator, denominator = 0, 1
+    for k, (cases, stratum, weight) in enumerate(
+        ((n[5], n[4] + n[5], n[0] + n[1]), (n[7], n[6] + n[7], n[2] + n[3]))
+    ):
+        if weight == 0:
+            continue
+        if stratum == 0:
+            raise DegenerateEventError(
+                f"P(E=ebar, C={k}) = 0 while P(C={k} | E=e) > 0; "
+                "the standardized proportion is undefined"
+            )
+        numerator = numerator * stratum + cases * weight * denominator
+        denominator *= stratum
+    return MeasureSummary(
+        hypothetical=Fraction(exposed_cases, exposed),
+        observed=Fraction(unexposed_cases, unexposed),
+        standardized=Fraction(numerator, denominator * exposed),
+        bias=Fraction(
+            exposed_cases * unexposed - unexposed_cases * exposed, exposed * unexposed
+        ),
     )
 
 

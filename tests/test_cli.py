@@ -157,6 +157,20 @@ def test_classify_usage_errors(capsys):
     assert exit_info.value.code == 2
 
 
+def test_classify_float_overflow_is_usage_error(capsys):
+    argv = ["classify", "--model", "3", "--a", "0.5", "--t", "1e400",
+            "--b0", "0.1", "--b1", "0.2", "--u0", "0.3", "--u1", "0.4"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--t '1e400' is not a number" in capsys.readouterr().err
+    # an exact rational of that size parses, and is then out of range
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--exact"])
+    assert exit_info.value.code == 2
+    assert "outside [0, 1]" in capsys.readouterr().err
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -285,6 +299,18 @@ def test_json_byte_identical_across_runs(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+PINNED_JSON = json.loads((Path(__file__).parent / "data" / "cli_json_bytes.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_JSON, ids=[c["args"] for c in PINNED_JSON])
+def test_json_bytes_pinned(capsys, case):
+    # recorded before classify and hypotheses moved onto cell-index sums; a
+    # changed summation order or rounding shows up as changed bytes
+    code, out, _ = run(capsys, *case["args"].split())
+    assert code == 0
+    assert out == case["stdout"]
 
 
 def test_parser_program_name():

@@ -278,6 +278,14 @@ def test_params_from_dict_rejects_unknown_shape():
         Model1Params.from_dict({**EXAMPLE_M1.to_dict(), "extra": 1.0})
 
 
+@pytest.mark.parametrize("text", ["abc", "nan", "inf", "1/0"])
+def test_from_dict_rejects_bad_number_strings(text):
+    with pytest.raises(ParameterError, match="invalid numeric value"):
+        params_from_dict({**EXAMPLE_M1.to_dict(), "b0": text})
+    with pytest.raises(ParameterError, match="invalid numeric value"):
+        JointDistribution.from_dict({"p": [text] + ["1/7"] * 7})
+
+
 def test_joint_dict_round_trip():
     joint = joint_from_model1(
         Model1Params(t=F(2, 5), a0=F(1, 5), a1=F(3, 5), b0=F(1, 10), b1=F(7, 10), u0=F(3, 10), u1=F(9, 10))
