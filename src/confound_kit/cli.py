@@ -61,13 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="campaign-check one catalog clause")
     p.add_argument("--theorem", required=True, metavar="T", help="T1..T5")
     p.add_argument("--clause", required=True, metavar="C", help="a..e")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10 (0 when --exact)")
     p.add_argument("--exact", action="store_true", help="rational arithmetic campaign")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_count,
         default=None,
         help="upper bound on campaign threads (default: $CONFOUND_KIT_THREADS or 1); "
         f"a campaign splits only into chunks of at least {_MIN_CHUNK:,} samples",
@@ -86,13 +86,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(text: str) -> float:
-    """--tol parser: a finite float, so a NaN or infinite tolerance is a usage error."""
+    """--tol parser: a finite float >= 0, so any other tolerance is a usage error."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be nonnegative, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """--samples/--threads parser: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 

@@ -48,6 +48,8 @@ from .joint import (
     Model3Params,
     ModelParams,
     _check_tolerance,
+    _masses,
+    _unit_values,
     model_number,
 )
 
@@ -182,67 +184,100 @@ def holds_numeric(joint: JointDistribution, hypothesis: Hypothesis, tol=0) -> bo
 
 
 def holds_algebraic(params: ModelParams, hypothesis: Hypothesis, tol=0) -> bool:
-    """Closed-form test for a hypothesis on model parameters, within ``tol``."""
+    """Closed-form test for a hypothesis on model parameters, within ``tol``.
+
+    Float and mixed parameters evaluate both sides of the defining equality
+    on their own values and compare |lhs − rhs| <= tol.  Rational parameters
+    evaluate the same expressions on their integer numerators over L (see
+    ``joint._unit_values``) and compare the sides by cross-multiplication;
+    one ``Fraction`` is built only to compare a nonzero difference with a
+    nonzero tolerance.  The tests hold the plain ``Fraction`` sides as the
+    oracle.
+
+    Raises DegenerateEventError for H5 in Model 2 when a covariate stratum
+    has zero mass.
+    """
     _check_tolerance(tol)
-    lhs, rhs = _algebraic_sides(params, hypothesis)
-    return abs(lhs - rhs) <= tol
+    model, one, values, exact = _unit_values(params)
+    lhs, lhs_den, rhs, rhs_den = _algebraic_sides(model, values, one, hypothesis)
+    if not exact:
+        if lhs_den is not None:
+            lhs, rhs = lhs / lhs_den, rhs / rhs_den
+        return abs(lhs - rhs) <= tol
+    if lhs_den is None:
+        diff, den = lhs - rhs, one * one
+    else:
+        diff, den = lhs * rhs_den - rhs * lhs_den, one * lhs_den * rhs_den
+    if diff == 0:
+        return True
+    return tol != 0 and Fraction(abs(diff), den) <= tol
 
 
-def _algebraic_sides(params: ModelParams, hypothesis: Hypothesis):
-    """(lhs, rhs) of the defining equality; (0, 0) for vacuous cases."""
+def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
+    """(lhs, lhs_den, rhs, rhs_den) of the defining equality, over ``one``.
+
+    ``v`` and ``one`` are as for ``joint._masses``.  Where the dens are None
+    each side is a polynomial over one**2; otherwise a side is the
+    conditional side / (one * side_den), a ratio of sums over the masses.
+    Vacuous cases give (0, None, 0, None).  With one = 1 every float side
+    and quotient is computed in the parameters' own operand order, and
+    ``x * 1`` is ``x`` bit for bit.
+    """
     H = Hypothesis
-    b0, b1, u0, u1 = params.b0, params.b1, params.u0, params.u1
+    b0, b1, u0, u1 = v[-4:]
     if hypothesis is H.H2:
-        return u0, b0
+        return u0 * one, None, b0 * one, None
     if hypothesis is H.H3:
-        return u1, b1
+        return u1 * one, None, b1 * one, None
     if hypothesis is H.H6:
-        return b0, b1
+        return b0 * one, None, b1 * one, None
     if hypothesis is H.H7:
-        return u0, u1
+        return u0 * one, None, u1 * one, None
 
-    if isinstance(params, Model1Params):
-        t, a0, a1 = params.t, params.a0, params.a1
+    if model == 1:
+        a0, a1 = v[1], v[2]
         if hypothesis is H.H4:
-            return a0, a1
+            return a0 * one, None, a1 * one, None
         if hypothesis is H.H1:
-            exposed0, exposed1 = a0 * (1 - t), a1 * t
-            unexposed0, unexposed1 = (1 - a0) * (1 - t), (1 - a1) * t
+            exposed0, exposed1, unexposed0, unexposed1 = _masses(1, v, one)
             return (
-                (u0 * exposed0 + u1 * exposed1) / (exposed0 + exposed1),
-                (b0 * unexposed0 + b1 * unexposed1) / (unexposed0 + unexposed1),
+                u0 * exposed0 + u1 * exposed1,
+                exposed0 + exposed1,
+                b0 * unexposed0 + b1 * unexposed1,
+                unexposed0 + unexposed1,
             )
         if hypothesis is H.H5:
             # P(D_ebar=1 | C=j) in parameter form; defined whatever t is.
-            return u0 * a0 + b0 * (1 - a0), u1 * a1 + b1 * (1 - a1)
-    elif isinstance(params, Model2Params):
-        a, c0, c1 = params.a, params.c0, params.c1
+            return u0 * a0 + b0 * (one - a0), None, u1 * a1 + b1 * (one - a1), None
+    elif model == 2:
+        a, c0, c1 = v[0], v[1], v[2]
         if hypothesis is H.H4:
-            return c0, c1
+            return c0 * one, None, c1 * one, None
         if hypothesis is H.H1:
-            return u0 * (1 - c1) + u1 * c1, b0 * (1 - c0) + b1 * c0
+            return u0 * (one - c1) + u1 * c1, None, b0 * (one - c0) + b1 * c0, None
         if hypothesis is H.H5:
-            mass0 = (1 - c1) * a + (1 - c0) * (1 - a)
-            mass1 = c1 * a + c0 * (1 - a)
+            mass0 = (one - c1) * a + (one - c0) * (one - a)
+            mass1 = c1 * a + c0 * (one - a)
             if mass0 == 0 or mass1 == 0:
                 k = 0 if mass0 == 0 else 1
                 raise DegenerateEventError(
                     f"H5 compares P(D_ebar=1 | C=k) across strata, but P(C={k}) = 0"
                 )
             return (
-                (u0 * (1 - c1) * a + b0 * (1 - c0) * (1 - a)) / mass0,
-                (u1 * c1 * a + b1 * c0 * (1 - a)) / mass1,
+                u0 * (one - c1) * a + b0 * (one - c0) * (one - a),
+                mass0,
+                u1 * c1 * a + b1 * c0 * (one - a),
+                mass1,
             )
-    elif isinstance(params, Model3Params):
-        a, t = params.a, params.t
-        if hypothesis is H.H4:
-            return 0, 0  # independent by structure
-        if hypothesis is H.H1:
-            return u0 * (1 - t) + u1 * t, b0 * (1 - t) + b1 * t
-        if hypothesis is H.H5:
-            return b0 * (1 - a) + u0 * a, b1 * (1 - a) + u1 * a
     else:
-        raise ParameterError(f"not a model parameter set: {params!r}")
+        if hypothesis is H.H4:
+            return 0, None, 0, None  # independent by structure
+        t = v[1]
+        if hypothesis is H.H1:
+            return u0 * (one - t) + u1 * t, None, b0 * (one - t) + b1 * t, None
+        a = v[0]
+        if hypothesis is H.H5:
+            return b0 * (one - a) + u0 * a, None, b1 * (one - a) + u1 * a, None
     raise ParameterError(f"unknown hypothesis {hypothesis!r}")
 
 

@@ -39,6 +39,7 @@ import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Union
 
 from .errors import DegenerateEventError, ParameterError
@@ -76,7 +77,11 @@ def _is_exact(values) -> bool:
 def _check_unit(name: str, value: Numeric) -> None:
     if isinstance(value, float) and value != value:
         raise ParameterError(f"parameter {name} is NaN")
-    if not 0 <= value <= 1:
+    try:
+        inside = 0 <= value <= 1
+    except TypeError:
+        raise ParameterError(f"parameter {name} = {value!r} is not a real number") from None
+    if not inside:
         raise ParameterError(f"parameter {name} = {value!r} outside [0, 1]")
 
 
@@ -94,7 +99,11 @@ def _check_tolerance(tol) -> None:
     """
     if isinstance(tol, float) and not math.isfinite(tol):
         raise ParameterError(f"tolerance must be finite, got {tol!r}")
-    if tol < 0:
+    try:
+        negative = tol < 0
+    except TypeError:
+        raise ParameterError(f"tolerance must be a real number, got {tol!r}") from None
+    if negative:
         raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
 
 
@@ -116,7 +125,28 @@ def _num_from_json(value: object) -> Numeric:
 
 
 class _ParamsBase:
-    """Shared serialization and exactness helpers for parameter sets."""
+    """Shared serialization and exactness helpers for parameter sets.
+
+    Each parameter set keeps ``_unit = (model, one, values, exact)`` for the
+    model algebra (see ``_masses``).  When every field holds a ``Fraction``,
+    ``values`` are the fields' integer numerators over one = L, the least
+    common multiple of their denominators, and exact is True.  Otherwise
+    ``values`` are the fields themselves over one = 1, so a bare int stays
+    an int.  Like ``JointDistribution._numerators`` it is a plain attribute,
+    not a field, so equality, hashing, ``repr`` and ``to_dict`` see the
+    fields alone.
+    """
+
+    def _keep_unit_values(self) -> None:
+        values = self._field_values(self)
+        if set(map(type, values)) == {Fraction}:
+            denominators = [v.denominator for v in values]
+            one = math.lcm(*denominators)
+            numerators = tuple([v.numerator * (one // d) for v, d in zip(values, denominators)])
+            unit = (self._model, one, numerators, True)
+        else:
+            unit = (self._model, 1, values, False)
+        object.__setattr__(self, "_unit", unit)
 
     @property
     def is_exact(self) -> bool:
@@ -159,6 +189,7 @@ class Model1Params(_ParamsBase):
             raise ParameterError("degenerate exposure marginal: P(E=e) = 0")
         if p_unexposed == 0:
             raise ParameterError("degenerate exposure marginal: P(E=ebar) = 0")
+        self._keep_unit_values()
 
 
 @dataclass(frozen=True)
@@ -178,6 +209,7 @@ class Model2Params(_ParamsBase):
         for f in fields(self):
             if f.name != "a":
                 _check_unit(f.name, getattr(self, f.name))
+        self._keep_unit_values()
 
 
 @dataclass(frozen=True)
@@ -196,12 +228,17 @@ class Model3Params(_ParamsBase):
         for f in fields(self):
             if f.name != "a":
                 _check_unit(f.name, getattr(self, f.name))
+        self._keep_unit_values()
 
 
 ModelParams = Union[Model1Params, Model2Params, Model3Params]
 
 _MODEL_NUMBERS = {Model1Params: 1, Model2Params: 2, Model3Params: 3}
 _PARAMS_TYPES = {1: Model1Params, 2: Model2Params, 3: Model3Params}
+for _cls, _model in _MODEL_NUMBERS.items():
+    _cls._model = _model
+    _cls._field_values = attrgetter(*(f.name for f in fields(_cls)))  # a tuple in field order
+del _cls, _model
 
 
 def model_number(params: ModelParams) -> int:
@@ -241,11 +278,15 @@ class JointDistribution:
     docstring.  Weights must be nonnegative and sum to one: exactly when all
     are rational, within 1e-12 otherwise.
 
-    A rational joint also keeps its cells as integer numerators over their
-    least common denominator in ``_numerators`` (None for any other joint),
-    so exact measures and hypothesis tests add integers instead of
-    ``Fraction``s.  It is a plain attribute, not a field: equality, hashing,
-    ``repr`` and ``to_dict`` see ``p`` alone.
+    A rational joint also keeps its cells as integer numerators over a
+    common denominator in ``_numerators`` (None for any other joint), so
+    exact measures and hypothesis tests add integers instead of
+    ``Fraction``s; those are scale-invariant, so any common denominator
+    serves.  Built from weights, the denominator is the cells' least common
+    one; ``build_joint`` on rational parameters passes its integer cells
+    over L**3 straight through ``_from_numerators``.  It is a plain
+    attribute, not a field: equality, hashing, ``repr`` and ``to_dict`` see
+    ``p`` alone.
     """
 
     p: tuple
@@ -258,7 +299,11 @@ class JointDistribution:
         for i, w in enumerate(weights):
             if isinstance(w, float) and w != w:
                 raise ParameterError(f"cell {i} weight is NaN")
-            if w < 0:
+            try:
+                negative = w < 0
+            except TypeError:
+                raise ParameterError(f"cell {i} weight {w!r} is not a real number") from None
+            if negative:
                 raise ParameterError(f"cell {i} weight {w!r} is negative")
         numerators = None
         if _is_exact(weights):
@@ -271,6 +316,26 @@ class JointDistribution:
             if abs(total - 1) > _SUM_TOL:
                 raise ParameterError(f"cell weights sum to {total!r}, not 1 within {_SUM_TOL}")
         object.__setattr__(self, "_numerators", numerators)
+
+    @classmethod
+    def _from_numerators(cls, numerators: tuple, denominator: int) -> "JointDistribution":
+        """The rational joint with cells ``numerators[i] / denominator``.
+
+        Runs the checks ``__post_init__`` runs on rational weights, with the
+        same messages, on the integers, and builds one ``Fraction`` per cell.
+        """
+        for i, n in enumerate(numerators):
+            if n < 0:
+                raise ParameterError(f"cell {i} weight {Fraction(n, denominator)!r} is negative")
+        total = sum(numerators)
+        if total != denominator:
+            raise ParameterError(
+                f"exact cell weights sum to {Fraction(total, denominator)}, not 1"
+            )
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "p", tuple(Fraction(n, denominator) for n in numerators))
+        object.__setattr__(joint, "_numerators", numerators)
+        return joint
 
     @staticmethod
     def index(e: object, c: object, d: object) -> int:
@@ -362,70 +427,77 @@ def conditional_prob(
     return joint.prob(**merged) / denominator
 
 
+def _masses(model: int, v, one) -> tuple:
+    """(exposed0, exposed1, unexposed0, unexposed1): P(E, C=j) over ``one``**2.
+
+    ``v`` holds the model's values in field order (t, a0, a1 / a, c0, c1 /
+    a, t first), over the unit ``one``: the values themselves with one = 1,
+    or integer numerators over one = L.  The campaign's seven-slot layout
+    starts the same way, so it passes its slots unchanged.
+    """
+    if model == 1:
+        t, a0, a1 = v[0], v[1], v[2]
+        return a0 * (one - t), a1 * t, (one - a0) * (one - t), (one - a1) * t
+    if model == 2:
+        a, c0, c1 = v[0], v[1], v[2]
+        return a * (one - c1), a * c1, (one - a) * (one - c0), (one - a) * c0
+    a, t = v[0], v[1]
+    return a * (one - t), a * t, (one - a) * (one - t), (one - a) * t
+
+
+def _unit_values(params: ModelParams) -> tuple:
+    """(model, one, values, exact) of a parameter set, for ``_masses``.
+
+    Rational parameters give their integer numerators over one = L and
+    exact = True; any other parameters give their own values over one = 1
+    (see ``_ParamsBase``).
+    """
+    try:
+        return params._unit
+    except AttributeError:
+        raise ParameterError(f"not a model parameter set: {params!r}") from None
+
+
 def joint_from_model1(params: Model1Params) -> JointDistribution:
     """Expand covariate-influences-exposure parameters to the joint."""
-    t, a0, a1 = params.t, params.a0, params.a1
-    b0, b1, u0, u1 = params.b0, params.b1, params.u0, params.u1
-    tb = 1 - t
-    return JointDistribution(
-        (
-            tb * a0 * (1 - u0),
-            tb * a0 * u0,
-            t * a1 * (1 - u1),
-            t * a1 * u1,
-            tb * (1 - a0) * (1 - b0),
-            tb * (1 - a0) * b0,
-            t * (1 - a1) * (1 - b1),
-            t * (1 - a1) * b1,
-        )
-    )
+    return build_joint(params)
 
 
 def joint_from_model2(params: Model2Params) -> JointDistribution:
     """Expand exposure-influences-covariate parameters to the joint."""
-    a, c0, c1 = params.a, params.c0, params.c1
-    b0, b1, u0, u1 = params.b0, params.b1, params.u0, params.u1
-    ab = 1 - a
-    return JointDistribution(
-        (
-            a * (1 - c1) * (1 - u0),
-            a * (1 - c1) * u0,
-            a * c1 * (1 - u1),
-            a * c1 * u1,
-            ab * (1 - c0) * (1 - b0),
-            ab * (1 - c0) * b0,
-            ab * c0 * (1 - b1),
-            ab * c0 * b1,
-        )
-    )
+    return build_joint(params)
 
 
 def joint_from_model3(params: Model3Params) -> JointDistribution:
     """Expand independent exposure/covariate parameters to the joint."""
-    a, t = params.a, params.t
-    b0, b1, u0, u1 = params.b0, params.b1, params.u0, params.u1
-    ab = 1 - a
-    tb = 1 - t
-    return JointDistribution(
-        (
-            a * tb * (1 - u0),
-            a * tb * u0,
-            a * t * (1 - u1),
-            a * t * u1,
-            ab * tb * (1 - b0),
-            ab * tb * b0,
-            ab * t * (1 - b1),
-            ab * t * b1,
-        )
-    )
+    return build_joint(params)
 
 
 def build_joint(params: ModelParams) -> JointDistribution:
-    """Expand any parameter set to its joint distribution."""
-    if isinstance(params, Model1Params):
-        return joint_from_model1(params)
-    if isinstance(params, Model2Params):
-        return joint_from_model2(params)
-    if isinstance(params, Model3Params):
-        return joint_from_model3(params)
-    raise ParameterError(f"not a model parameter set: {params!r}")
+    """Expand any parameter set to its joint distribution.
+
+    Each cell is one of the model's masses (``_masses``) times one outcome
+    factor.  Float and mixed parameters multiply their own values, in the
+    operand order of the model's factorization, so cells and their types
+    are those of the plain products bit for bit.  Rational parameters
+    multiply their integer numerators over L, the least common multiple of
+    their denominators; the joint keeps those integer cells over L**3 and
+    builds one ``Fraction`` per cell.  The tests hold the plain ``Fraction``
+    products as the oracle.
+    """
+    model, one, v, exact = _unit_values(params)
+    exposed0, exposed1, unexposed0, unexposed1 = _masses(model, v, one)
+    b0, b1, u0, u1 = v[-4:]
+    cells = (
+        exposed0 * (one - u0),
+        exposed0 * u0,
+        exposed1 * (one - u1),
+        exposed1 * u1,
+        unexposed0 * (one - b0),
+        unexposed0 * b0,
+        unexposed1 * (one - b1),
+        unexposed1 * b1,
+    )
+    if exact:
+        return JointDistribution._from_numerators(cells, one * one * one)
+    return JointDistribution(cells)

@@ -43,13 +43,12 @@ from typing import NamedTuple, Optional, Union
 from .errors import DegenerateEventError, ParameterError
 from .joint import (
     JointDistribution,
-    Model1Params,
-    Model2Params,
-    Model3Params,
     ModelParams,
     Numeric,
     _check_tolerance,
+    _masses,
     _num_to_json,
+    _unit_values,
 )
 
 DEFAULT_FLOAT_TOL = 1e-9
@@ -216,31 +215,37 @@ def closed_form_summary(params: ModelParams) -> MeasureSummary:
     """The same four measures straight from model parameters.
 
     Independent of the cell expansion; used to cross-check the joint route.
+    Each measure is a ratio of sums over the model's masses (see
+    ``joint._masses``).  Float and mixed parameters divide their own values.
+    Rational parameters take the masses over their integer numerators and
+    build one ``Fraction`` per measure, with the bias cross-multiplied.  The
+    tests hold the plain ``Fraction`` ratios as the oracle.
     """
-    b0, b1, u0, u1 = params.b0, params.b1, params.u0, params.u1
-    if isinstance(params, Model1Params):
-        t, a0, a1 = params.t, params.a0, params.a1
-        exposed0, exposed1 = a0 * (1 - t), a1 * t
-        unexposed0, unexposed1 = (1 - a0) * (1 - t), (1 - a1) * t
-    elif isinstance(params, Model2Params):
-        a, c0, c1 = params.a, params.c0, params.c1
-        exposed0, exposed1 = a * (1 - c1), a * c1
-        unexposed0, unexposed1 = (1 - a) * (1 - c0), (1 - a) * c0
-    elif isinstance(params, Model3Params):
-        a, t = params.a, params.t
-        exposed0, exposed1 = a * (1 - t), a * t
-        unexposed0, unexposed1 = (1 - a) * (1 - t), (1 - a) * t
-    else:
-        raise ParameterError(f"not a model parameter set: {params!r}")
+    model, one, v, exact = _unit_values(params)
+    exposed0, exposed1, unexposed0, unexposed1 = _masses(model, v, one)
+    b0, b1, u0, u1 = v[-4:]
     exposed = exposed0 + exposed1
     unexposed = unexposed0 + unexposed1
-    hypothetical = (u0 * exposed0 + u1 * exposed1) / exposed
-    observed = (b0 * unexposed0 + b1 * unexposed1) / unexposed
-    standardized = (b0 * exposed0 + b1 * exposed1) / exposed
+    exposed_cases = u0 * exposed0 + u1 * exposed1
+    unexposed_cases = b0 * unexposed0 + b1 * unexposed1
+    standardized_cases = b0 * exposed0 + b1 * exposed1
+    if exact:
+        exposed *= one
+        unexposed *= one
+        return MeasureSummary(
+            hypothetical=Fraction(exposed_cases, exposed),
+            observed=Fraction(unexposed_cases, unexposed),
+            standardized=Fraction(standardized_cases, exposed),
+            bias=Fraction(
+                exposed_cases * unexposed - unexposed_cases * exposed, exposed * unexposed
+            ),
+        )
+    hypothetical = exposed_cases / exposed
+    observed = unexposed_cases / unexposed
     return MeasureSummary(
         hypothetical=hypothetical,
         observed=observed,
-        standardized=standardized,
+        standardized=standardized_cases / exposed,
         bias=hypothetical - observed,
     )
 

@@ -14,8 +14,11 @@ campaigns run on the selected kernel backend and are reproducible bit for
 bit from (seed, samples) alone, independent of chunking or thread count.
 Exact campaigns rerun the same algorithm on the thousandths grid in integer
 arithmetic over a common denominator, where a sound clause yields
-violations of exactly zero; tests check them against the Fraction route
-through ``build_joint`` and ``summary_from_joint``.
+violations of exactly zero.  Their masses come from ``joint._masses``, the
+expansion ``build_joint`` runs on rational parameters, so the tests check
+them against an independent Fraction route: joints from the plain
+``Fraction`` products kept in the tests' oracle module, then
+``summary_from_joint``.
 
 ``falsify_converse`` probes the other direction, searching for parameters
 where a conclusion holds but none of the catalog's condition sets for it
@@ -26,6 +29,7 @@ vacuously impossible.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +52,7 @@ from .hypotheses import (
     random_params,
     substitution_reps,
 )
-from .joint import ModelParams, _check_tolerance, _num_to_json, build_joint, params_type
+from .joint import ModelParams, _check_tolerance, _masses, _num_to_json, build_joint, params_type
 from .measures import summary_from_joint
 
 THREADS_ENV = "CONFOUND_KIT_THREADS"
@@ -157,6 +161,14 @@ class VerificationReport:
         }
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count or seed that is not an integer (2.5, "3")."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _thread_count(requested: Optional[int]) -> int:
     env = os.environ.get(THREADS_ENV)
     cap = None
@@ -167,6 +179,8 @@ def _thread_count(requested: Optional[int]) -> int:
             raise ParameterError(f"{THREADS_ENV}={env!r} is not an integer") from None
         if cap < 1:
             raise ParameterError(f"{THREADS_ENV} must be at least 1, got {cap}")
+    if requested is not None:
+        _check_integer("thread count", requested)
     threads = requested if requested is not None else (cap or 1)
     if threads < 1:
         raise ParameterError(f"thread count must be at least 1, got {threads}")
@@ -307,16 +321,10 @@ def _exact_campaign(clause: TheoremClause, samples, seed):
                 break
         else:
             raise _exhausted(eq_member, _REDRAW_BUDGET)
-        x0, x1, x2, x3, x4, x5, x6 = x
-        if model == 1:
-            exposed0, exposed1 = x1 * (q - x0), x2 * x0
-            unexposed0, unexposed1 = (q - x1) * (q - x0), (q - x2) * x0
-        elif model == 2:
-            exposed0, exposed1 = x0 * (q - x2), x0 * x2
-            unexposed0, unexposed1 = (q - x0) * (q - x1), (q - x0) * x1
-        else:
-            exposed0, exposed1 = x0 * (q - x1), x0 * x1
-            unexposed0, unexposed1 = (q - x0) * (q - x1), (q - x0) * x1
+        exposed0, exposed1, unexposed0, unexposed1 = _masses(model, x, q)
+        # build_joint's eight cells, written out: a second call per sample
+        # cost another 2% of a four-sample campaign
+        x3, x4, x5, x6 = x[3], x[4], x[5], x[6]
         p0, p1 = exposed0 * (q - x5), exposed0 * x5
         p2, p3 = exposed1 * (q - x6), exposed1 * x6
         p4, p5 = unexposed0 * (q - x3), unexposed0 * x3
@@ -366,6 +374,9 @@ def verify_clause(
     smaller ones, and every campaign on the pure kernel, run on the calling
     thread.
     """
+    if type(samples) is not int or type(seed) is not int:
+        _check_integer("samples", samples)
+        _check_integer("seed", seed)
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples!r}")
     if tol is None:
@@ -414,6 +425,8 @@ def falsify_converse(
     constructed on the bias-zero surface directly; for irrelevant_factor
     unconstrained draws are screened for the conclusion instead.
     """
+    _check_integer("samples", samples)
+    _check_integer("seed", seed)
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples!r}")
     condition_sets = [

@@ -220,6 +220,24 @@ def test_non_finite_tolerance_is_usage_error(capsys, verb, tol):
     assert "tolerance must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["verify", "classify", "hypotheses"])
+def test_negative_tolerance_is_usage_error(capsys, verb):
+    args = ["--theorem", "T2", "--clause", "e", "--samples", "10"] if verb == "verify" else MODEL1_FLAGS
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, *args, "--tol=-1"])
+    assert exit_info.value.code == 2
+    assert "tolerance must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--threads"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_counts_below_one_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--theorem", "T2", "--clause", "e", f"{flag}={value}"])
+    assert exit_info.value.code == 2
+    assert f"{flag}: must be at least 1, got '{value}'" in capsys.readouterr().err
+
+
 def test_verify_unknown_clause_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--theorem", "T1", "--clause", "z"])
@@ -306,8 +324,10 @@ PINNED_JSON = json.loads((Path(__file__).parent / "data" / "cli_json_bytes.json"
 
 @pytest.mark.parametrize("case", PINNED_JSON, ids=[c["args"] for c in PINNED_JSON])
 def test_json_bytes_pinned(capsys, case):
-    # recorded before classify and hypotheses moved onto cell-index sums; a
-    # changed summation order or rounding shows up as changed bytes
+    # recorded before classify and hypotheses moved onto cell-index sums, and
+    # the exact points where H1 or H5 holds (and model 2 with C=1 empty)
+    # before the model algebra moved onto integer numerators; a changed
+    # summation order, rounding or equality test shows up as changed bytes
     code, out, _ = run(capsys, *case["args"].split())
     assert code == 0
     assert out == case["stdout"]

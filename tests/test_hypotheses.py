@@ -90,6 +90,15 @@ def test_non_finite_tolerance_rejected(tol):
         holds_algebraic(EXAMPLE_M1, H.H6, tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["0.1", None, 1e-9 + 0j])
+def test_non_real_tolerance_rejected(tol):
+    # each once escaped as a TypeError from the comparison with zero
+    with pytest.raises(ParameterError, match="real number"):
+        holds_numeric(joint_from_model1(EXAMPLE_M1), H.H1, tol)
+    with pytest.raises(ParameterError, match="real number"):
+        holds_algebraic(EXAMPLE_M1, H.H1, tol)
+
+
 def test_numeric_degenerate_slice_raises():
     params = Model1Params(t=1.0, a0=0.3, a1=0.6, b0=0.1, b1=0.7, u0=0.3, u1=0.9)
     with pytest.raises(DegenerateEventError):

@@ -181,6 +181,17 @@ def test_params_out_of_range_rejected():
         Model1Params(t=0.5, a0=-0.1, a1=0.5, b0=0.5, b1=0.5, u0=0.5, u1=0.5)
 
 
+def test_non_real_params_and_weights_rejected():
+    with pytest.raises(ParameterError, match="parameter a = '0.5' is not a real number"):
+        Model3Params(a="0.5", t=0.5, b0=0.5, b1=0.5, u0=0.5, u1=0.5)
+    with pytest.raises(ParameterError, match="parameter u1 = None is not a real number"):
+        Model1Params(t=0.5, a0=0.5, a1=0.5, b0=0.5, b1=0.5, u0=0.5, u1=None)
+    with pytest.raises(ParameterError, match="cell 0 weight '0.125' is not a real number"):
+        JointDistribution(("0.125",) * 8)
+    with pytest.raises(ParameterError, match="cell 7 weight"):
+        JointDistribution((0.125,) * 7 + (0.125j,))
+
+
 def test_model1_degenerate_exposure_marginal_rejected():
     with pytest.raises(ParameterError):
         Model1Params(t=0.5, a0=0.0, a1=0.0, b0=0.5, b1=0.5, u0=0.5, u1=0.5)
@@ -223,6 +234,22 @@ def test_exact_joint_sums_to_one_exactly():
     )
     assert sum(joint.p) == 1
     assert joint.is_exact
+
+
+def test_integer_cells_checked_as_weights_are():
+    # build_joint passes integer cells over L**3 straight in; the checks and
+    # their messages are those of the weights they stand for
+    for numerators, denominator in (
+        ((3, -1, 2, 0, 0, 0, 0, 0), 4),  # a negative cell
+        ((1, 1, 1, 1, 1, 1, 1, 1), 12),  # sums to 2/3
+    ):
+        with pytest.raises(ParameterError) as expected:
+            JointDistribution(tuple(F(n, denominator) for n in numerators))
+        with pytest.raises(ParameterError) as got:
+            JointDistribution._from_numerators(numerators, denominator)
+        assert str(got.value) == str(expected.value)
+    joint = JointDistribution._from_numerators((1, 1, 1, 1, 1, 1, 1, 1), 8)
+    assert joint == JointDistribution((F(1, 8),) * 8) and joint._numerators == (1,) * 8
 
 
 # --- swap and dispatch ---------------------------------------------------

@@ -193,6 +193,16 @@ def test_non_finite_tolerance_rejected(tol):
         check_lemma1(joint, tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["0", 1j, None])
+def test_non_real_tolerance_rejected(tol):
+    joint = joint_from_model1(EXAMPLE_M1)
+    with pytest.raises(ParameterError, match="real number"):
+        check_lemma1(joint, tol=tol)
+    if tol is not None:  # None asks classify_covariate for its default
+        with pytest.raises(ParameterError, match="real number"):
+            classify_covariate(joint, tol=tol)
+
+
 def test_irrelevant_checked_before_confounder():
     # an irrelevant covariate has gap == |bias|, never strictly less, so the
     # two verdicts cannot collide; the report must say Irrelevant

@@ -1,31 +1,49 @@
-"""Property tests tying the cell-index verdict path to brute-force summation.
+"""Property tests tying the fast verdict path to independent routes.
 
 ``holds_numeric`` and ``summary_from_joint`` add fixed cells (integer
-numerators on a rational joint).  The oracle here is the keyword route,
+numerators on a rational joint).  Their oracle is the keyword route,
 ``JointDistribution.prob`` and ``conditional_prob``, on random float and
 rational joints with zero cells and zero-mass slices.
+
+``build_joint``, ``holds_algebraic`` and ``closed_form_summary`` expand the
+model algebra once over a unit (integer numerators for rational
+parameters).  Their oracle is ``algebra_oracle``, the plain products and
+quotients, on random parameters: rational with any denominators, float,
+bare ints, boundary values and mixtures of these.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import algebra_oracle as oracle
 from confound_kit import (
+    ConstraintError,
     DegenerateEventError,
     Hypothesis,
     JointDistribution,
     MeasureSummary,
+    Model2Params,
+    ParameterError,
+    build_joint,
     check_lemma1,
     classify_covariate,
+    closed_form_summary,
     conditional_prob,
+    holds_algebraic,
     holds_numeric,
     hypothetical_proportion,
+    impose,
     observed_proportion,
+    params_type,
     standardized_proportion,
     summary_from_joint,
 )
+from confound_kit._rng import SplitMix64
 
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -161,3 +179,113 @@ def test_lemma1_exclusive_on_rational_joints(joint):
     assert not (irrelevant and confounder)
     if irrelevant:
         assert report.adjusted_gap == abs(report.bias)
+
+
+# --- the model algebra against the plain products -----------------------------
+
+fraction_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(0, 1, max_denominator=1000),
+    st.fractions(0, 1, max_denominator=10**9),
+)
+float_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+# bare ints take the value route, so their cells keep the products' types
+mixed_values = st.one_of(st.sampled_from([0, 1]), fraction_values, float_values)
+
+
+@st.composite
+def model_params(draw):
+    model = draw(st.sampled_from([1, 2, 3]))
+    values = draw(st.sampled_from([fraction_values, float_values, mixed_values]))
+    cls = params_type(model)
+    data = {f.name: draw(values) for f in dataclasses.fields(cls)}
+    try:
+        params = cls(**data)
+    except ParameterError:  # a degenerate exposure marginal, or a = 0 or 1
+        assume(False)
+    equation = draw(st.sampled_from([None, Hypothesis.H1, Hypothesis.H5]))
+    if equation is not None:
+        # solve H1 for u1 or H5 for u0, so that the equality branch runs; a
+        # redraw lands on the thousandths grid, in the parameters' arithmetic
+        try:
+            params = impose(params, {equation}, SplitMix64(draw(st.integers(0, 2**64 - 1))), budget=3)
+        except ConstraintError:
+            pass
+    return params
+
+
+algebra_tolerances = st.one_of(
+    tolerances, st.sampled_from([1e-9, 0.05, Fraction(1, 10**6)])
+)
+
+
+def outcome(check, *args):
+    """A check's result, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # the oracle's errors are the expected ones
+        return type(exc), str(exc)
+
+
+def typed(values):
+    # repr tells floats apart bit for bit (and -0.0 from 0.0)
+    return [(type(v), repr(v)) for v in values]
+
+
+@PROPERTY
+@given(model_params())
+def test_build_joint_matches_products(params):
+    expected = outcome(oracle.build_joint, params)
+    got = outcome(build_joint, params)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert typed(got.p) == typed(expected.p)
+    assert got == expected and hash(got) == hash(expected) and repr(got) == repr(expected)
+    assert got.to_dict() == expected.to_dict()
+    assert got.is_exact is expected.is_exact
+    # any common denominator serves the exact measures: same summary
+    assert typed(outcome(summary_from_joint, got)) == typed(outcome(summary_from_joint, expected))
+
+
+@PROPERTY
+@given(model_params())
+def test_closed_form_matches_quotients(params):
+    expected = outcome(oracle.closed_form_summary, params)
+    got = outcome(closed_form_summary, params)
+    if isinstance(expected, MeasureSummary):
+        assert typed(got) == typed(expected)
+    else:
+        assert got == expected
+
+
+@PROPERTY
+@given(model_params(), algebra_tolerances)
+def test_holds_algebraic_matches_sides(params, tol):
+    for hypothesis in Hypothesis:
+        sides = outcome(oracle._algebraic_sides, params, hypothesis)
+        if isinstance(sides[0], type):  # the oracle raised
+            assert outcome(holds_algebraic, params, hypothesis, tol) == sides
+            continue
+        gap = abs(sides[0] - sides[1])
+        # the drawn tolerance, and tolerances at the gap and just below it:
+        # a float gap one ulp off, or an exact one compared after rounding,
+        # flips one of them
+        below = math.nextafter(gap, 0) if isinstance(gap, float) else gap - Fraction(1, 10**30)
+        for t in (tol, gap, float(gap), below, 0):
+            if t >= 0:
+                expected = oracle.holds_algebraic(params, hypothesis, t)
+                assert holds_algebraic(params, hypothesis, t) is expected, (hypothesis, t)
+
+
+@pytest.mark.parametrize("c", [0, 1, Fraction(0), Fraction(1), 0.0, 1.0])
+def test_degenerate_model2_h5_matches_sides(c):
+    params = Model2Params(a=Fraction(3, 10), c0=c, c1=c, b0=Fraction(3, 20), b1=0.35, u0=Fraction(7, 20), u1=Fraction(9, 20))
+    exact = dataclasses.replace(params, b1=Fraction(7, 20))
+    for p in (params, exact):
+        with pytest.raises(DegenerateEventError) as expected:
+            oracle.holds_algebraic(p, Hypothesis.H5)
+        with pytest.raises(DegenerateEventError) as got:
+            holds_algebraic(p, Hypothesis.H5)
+        assert str(got.value) == str(expected.value)
+        assert typed(build_joint(p).p) == typed(oracle.build_joint(p).p)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import algebra_oracle as oracle
 from confound_kit import (
     CLAUSES,
     Conclusion,
@@ -246,6 +247,20 @@ def test_verify_rejects_bad_arguments():
         verify_clause(clause, samples=10, threads=0)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_rejects_non_integer_counts(exact):
+    clause = clause_lookup("T1", "a")
+    with pytest.raises(ParameterError, match="samples must be an integer, got 2.5"):
+        verify_clause(clause, 2.5, exact=exact)
+    with pytest.raises(ParameterError, match="seed must be an integer, got 'x'"):
+        verify_clause(clause, 3, "x", exact=exact)
+    if not exact:
+        with pytest.raises(ParameterError, match="thread count must be an integer, got '2'"):
+            verify_clause(clause, 3, threads="2")
+    with pytest.raises(ParameterError, match="samples must be an integer"):
+        falsify_converse(1, Conclusion.NO_CONFOUNDING, "3")
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_tolerance_rejected(tol):
     # no conditions at all: standardizing changes the observed risk on
@@ -268,7 +283,9 @@ def test_exact_campaigns_have_zero_violation():
 
 
 def _violation(clause, params):
-    summary = summary_from_joint(build_joint(params))
+    # the joint from the plain Fraction products, not the library's expansion
+    # that the campaign shares
+    summary = summary_from_joint(oracle.build_joint(params))
     if clause.conclusion is Conclusion.NO_CONFOUNDING:
         return abs(summary.bias)
     return abs(summary.standardized - summary.observed)
@@ -277,7 +294,8 @@ def _violation(clause, params):
 def _fraction_campaign(clause, samples, seed):
     """The exact campaign on the joint -> measures route, in Fractions.
 
-    The reference the integer campaign in ``theorems`` must reproduce."""
+    The reference the integer campaign in ``theorems`` must reproduce; its
+    joints come from ``algebra_oracle``'s products."""
     max_violation = 0
     failures = 0
     for i in range(samples):
@@ -368,7 +386,7 @@ def test_exact_campaign_rejects_tied_solved_slot():
 @pytest.mark.parametrize("seed", [11, -1])
 def test_float_kernel_replays_library_route(seed):
     # sample i of a kernel campaign against the same stream run through
-    # random_params -> impose -> build_joint -> summary_from_joint
+    # random_params -> impose -> the oracle's products -> summary_from_joint
     for clause in CLAUSES:
         codes = _campaign_codes(clause)
         for i in (0, 1, 57, 1000):
