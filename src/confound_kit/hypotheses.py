@@ -29,7 +29,8 @@ H5 in Model 1 with t = 0); interior parameters never hit that split.
 equality constraints are substituted through their equivalence classes, and
 an equational constraint (H1 or H5) is solved for one designated parameter
 (u1 for H1, u0 for H5), redrawing the remaining parameters when the solution
-leaves [0, 1].
+leaves [0, 1].  The solve is one (num, den) pair over a unit (``_solve``),
+which exact campaigns run on their integer grid.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from ._rng import SplitMix64
 from .errors import ConstraintError, DegenerateEventError, ParameterError
 from .joint import (
     JointDistribution,
-    Model1Params,
-    Model2Params,
-    Model3Params,
     ModelParams,
+    _check_integer,
     _check_tolerance,
     _masses,
     _unit_values,
     model_number,
+    params_type,
 )
 
 
@@ -88,7 +88,7 @@ def hypothesis_set(*hypotheses: Hypothesis) -> HypothesisSet:
 def parse_hypothesis(name: str) -> Hypothesis:
     try:
         return Hypothesis(name.upper())
-    except ValueError:
+    except (AttributeError, ValueError):
         raise ParameterError(f"unknown hypothesis {name!r}; expected H1..H7") from None
 
 
@@ -326,6 +326,11 @@ def substitution_reps(model: int, hypotheses: Iterable[Hypothesis]) -> tuple:
 def _substitution_reps(model: int, hypotheses: HypothesisSet) -> tuple:
     # memoised: impose calls this for every sample it constrains, and there are
     # only 3 models x 2**7 hypothesis sets
+    for h in hypotheses:
+        if not isinstance(h, Hypothesis):
+            raise ParameterError(
+                f"{h!r} is not a Hypothesis; parse_hypothesis turns a name into one"
+            )
     parent = list(range(7))
 
     def find(i: int) -> int:
@@ -361,37 +366,45 @@ def equational_member(hypotheses: HypothesisSet) -> Optional[Hypothesis]:
     return eqs[0] if eqs else None
 
 
-def _solve_h1(model: int, v) -> object:
-    """u1 making the exposed and unexposed risks equal, given the rest."""
-    if model == 1:
-        t, a0, a1, b0, b1, u0 = v[0], v[1], v[2], v[3], v[4], v[5]
-        exposed0 = a0 * (1 - t)
-        exposed1 = a1 * t
-        unexposed0 = (1 - a0) * (1 - t)
-        unexposed1 = (1 - a1) * t
-        observed = (b0 * unexposed0 + b1 * unexposed1) / (unexposed0 + unexposed1)
-        return (observed * (exposed0 + exposed1) - u0 * exposed0) / exposed1
-    if model == 2:
-        c0, c1, b0, b1, u0 = v[1], v[2], v[3], v[4], v[5]
-        observed = b0 * (1 - c0) + b1 * c0
-        return (observed - u0 * (1 - c1)) / c1
-    t, b0, b1, u0 = v[1], v[3], v[4], v[5]
-    observed = b0 * (1 - t) + b1 * t
-    return (observed - u0 * (1 - t)) / t
+def _solve(model: int, eq: Hypothesis, v, one) -> tuple:
+    """(num, den) of the H1 solve for u1 or the H5 solve for u0, given the rest.
 
-
-def _solve_h5(model: int, v) -> object:
-    """u0 making P(D_ebar=1 | C=0) equal P(D_ebar=1 | C=1), given the rest."""
+    ``v`` holds the seven slot values over the unit ``one``, as for
+    ``joint._masses``: the values themselves with one = 1, or integer
+    numerators over one = L.  The solved value is num / den; the quotients
+    of the defining equality are cleared into den, so den is zero exactly
+    where the plain solve divides by zero.  It is a product of slot values
+    and their complements, so it is never negative.
+    """
+    if eq is Hypothesis.H1:
+        if model == 1:
+            b0, b1, u0 = v[3], v[4], v[5]
+            exposed0, exposed1, unexposed0, unexposed1 = _masses(1, v, one)
+            unexposed = unexposed0 + unexposed1
+            return (
+                (b0 * unexposed0 + b1 * unexposed1) * (exposed0 + exposed1)
+                - u0 * exposed0 * unexposed,
+                one * unexposed * exposed1,
+            )
+        if model == 2:
+            c0, c1, b0, b1, u0 = v[1], v[2], v[3], v[4], v[5]
+            return b0 * (one - c0) + b1 * c0 - u0 * (one - c1), one * c1
+        t, b0, b1, u0 = v[1], v[3], v[4], v[5]
+        return b0 * (one - t) + b1 * t - u0 * (one - t), one * t
     if model == 1:
         a0, a1, b0, b1, u1 = v[1], v[2], v[3], v[4], v[6]
-        return (u1 * a1 + b1 * (1 - a1) - b0 * (1 - a0)) / a0
+        return u1 * a1 + b1 * (one - a1) - b0 * (one - a0), one * a0
     if model == 2:
         a, c0, c1, b0, b1, u1 = v[0], v[1], v[2], v[3], v[4], v[6]
-        target = (u1 * c1 * a + b1 * c0 * (1 - a)) / (c1 * a + c0 * (1 - a))
-        mass0 = (1 - c1) * a + (1 - c0) * (1 - a)
-        return (target * mass0 - b0 * (1 - c0) * (1 - a)) / ((1 - c1) * a)
+        target = u1 * c1 * a + b1 * c0 * (one - a)
+        mass1 = c1 * a + c0 * (one - a)
+        mass0 = (one - c1) * a + (one - c0) * (one - a)
+        return (
+            target * mass0 - b0 * (one - c0) * (one - a) * mass1,
+            one * mass1 * (one - c1) * a,
+        )
     a, b0, b1, u1 = v[0], v[3], v[4], v[6]
-    return u1 + (b1 - b0) * (1 - a) / a
+    return u1 * a + (b1 - b0) * (one - a), one * a
 
 
 def random_params(model: int, rng: SplitMix64, *, exact: bool = False) -> ModelParams:
@@ -402,14 +415,12 @@ def random_params(model: int, rng: SplitMix64, *, exact: bool = False) -> ModelP
     One variate per parameter, slots ascending, matching the campaign
     kernels' streams draw for draw.
     """
-    if model not in _SLOT_FIELDS:
-        raise ParameterError(f"unknown model number {model!r}; expected 1, 2, or 3")
+    cls = params_type(model)
     names = [name for name in _SLOT_FIELDS[model] if name]
     if exact:
         values = [Fraction(10 + rng.next_u64() % 981, 1000) for _ in names]
     else:
         values = [0.01 + rng.next_float() * 0.98 for _ in names]
-    cls = (Model1Params, Model2Params, Model3Params)[model - 1]
     return cls(**dict(zip(names, values)))
 
 
@@ -420,8 +431,7 @@ def _slot_values(params: ModelParams) -> list:
 
 def _params_from_slots(model: int, values) -> ModelParams:
     fields = _SLOT_FIELDS[model]
-    cls = (Model1Params, Model2Params, Model3Params)[model - 1]
-    return cls(**{name: values[j] for j, name in enumerate(fields) if name})
+    return params_type(model)(**{name: values[j] for j, name in enumerate(fields) if name})
 
 
 def impose(
@@ -439,9 +449,16 @@ def impose(
     vanishes) all parameters are redrawn from ``rng``, at most ``budget``
     times, after which ConstraintError is raised.  Exactness follows
     ``base``: rational parameters are redrawn on the rational grid and
-    solved exactly.
+    solved exactly.  Every parameter type solves through ``_solve`` as the
+    single quotient num / den.
+
+    Raises ParameterError for a member that is not a ``Hypothesis`` and for
+    a budget that is not a nonnegative integer.
     """
     model = model_number(base)
+    _check_integer("budget", budget)
+    if budget < 0:
+        raise ParameterError(f"budget must be nonnegative, got {budget!r}")
     hypotheses = frozenset(hypotheses)
     rep = substitution_reps(model, hypotheses)
     eq = equational_member(hypotheses)
@@ -455,12 +472,10 @@ def impose(
         candidate = [values[rep[j]] for j in range(7)]
         if eq is None:
             return _params_from_slots(model, candidate)
-        try:
-            solved = (_solve_h1 if eq is Hypothesis.H1 else _solve_h5)(model, candidate)
-        except ZeroDivisionError:
+        num, den = _solve(model, eq, candidate, 1)
+        if den == 0:
             continue
-        if isinstance(solved, float) and solved != solved:
-            continue
+        solved = num / den
         if 0 <= solved <= 1:
             candidate[solved_slot] = solved
             return _params_from_slots(model, candidate)

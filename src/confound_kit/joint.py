@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -105,6 +106,14 @@ def _check_tolerance(tol) -> None:
         raise ParameterError(f"tolerance must be a real number, got {tol!r}") from None
     if negative:
         raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a count, seed or budget that is not an integer (2.5, "3")."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _num_to_json(value: Numeric) -> object:
@@ -181,15 +190,15 @@ class Model1Params(_ParamsBase):
     def __post_init__(self) -> None:
         for f in fields(self):
             _check_unit(f.name, getattr(self, f.name))
+        self._keep_unit_values()
         # Both exposure arms must be reachable, or every conditional on E is
         # undefined downstream.
-        p_exposed = self.a0 * (1 - self.t) + self.a1 * self.t
-        p_unexposed = (1 - self.a0) * (1 - self.t) + (1 - self.a1) * self.t
-        if p_exposed == 0:
+        _, one, v, _ = self._unit
+        exposed0, exposed1, unexposed0, unexposed1 = _masses(1, v, one)
+        if exposed0 + exposed1 == 0:
             raise ParameterError("degenerate exposure marginal: P(E=e) = 0")
-        if p_unexposed == 0:
+        if unexposed0 + unexposed1 == 0:
             raise ParameterError("degenerate exposure marginal: P(E=ebar) = 0")
-        self._keep_unit_values()
 
 
 @dataclass(frozen=True)
@@ -445,6 +454,26 @@ def _masses(model: int, v, one) -> tuple:
     return a * (one - t), a * t, (one - a) * (one - t), (one - a) * t
 
 
+def _cells(model: int, v, one) -> tuple:
+    """The eight joint cells over ``one``**3, in canonical order.
+
+    ``v`` and ``one`` are as for ``_masses``; the outcome values b0, b1,
+    u0, u1 are the last four.  Each cell is a mass times one outcome factor.
+    """
+    exposed0, exposed1, unexposed0, unexposed1 = _masses(model, v, one)
+    b0, b1, u0, u1 = v[-4:]
+    return (
+        exposed0 * (one - u0),
+        exposed0 * u0,
+        exposed1 * (one - u1),
+        exposed1 * u1,
+        unexposed0 * (one - b0),
+        unexposed0 * b0,
+        unexposed1 * (one - b1),
+        unexposed1 * b1,
+    )
+
+
 def _unit_values(params: ModelParams) -> tuple:
     """(model, one, values, exact) of a parameter set, for ``_masses``.
 
@@ -476,28 +505,17 @@ def joint_from_model3(params: Model3Params) -> JointDistribution:
 def build_joint(params: ModelParams) -> JointDistribution:
     """Expand any parameter set to its joint distribution.
 
-    Each cell is one of the model's masses (``_masses``) times one outcome
-    factor.  Float and mixed parameters multiply their own values, in the
-    operand order of the model's factorization, so cells and their types
-    are those of the plain products bit for bit.  Rational parameters
-    multiply their integer numerators over L, the least common multiple of
-    their denominators; the joint keeps those integer cells over L**3 and
-    builds one ``Fraction`` per cell.  The tests hold the plain ``Fraction``
-    products as the oracle.
+    The cells are ``_cells``, shared with exact campaigns: one of the
+    model's masses times one outcome factor each.  Float and mixed
+    parameters multiply their own values, in the operand order of the
+    model's factorization, so cells and their types are those of the plain
+    products bit for bit.  Rational parameters multiply their integer
+    numerators over L, the least common multiple of their denominators; the
+    joint keeps those integer cells over L**3 and builds one ``Fraction``
+    per cell.  The tests hold the plain ``Fraction`` products as the oracle.
     """
     model, one, v, exact = _unit_values(params)
-    exposed0, exposed1, unexposed0, unexposed1 = _masses(model, v, one)
-    b0, b1, u0, u1 = v[-4:]
-    cells = (
-        exposed0 * (one - u0),
-        exposed0 * u0,
-        exposed1 * (one - u1),
-        exposed1 * u1,
-        unexposed0 * (one - b0),
-        unexposed0 * b0,
-        unexposed1 * (one - b1),
-        unexposed1 * b1,
-    )
+    cells = _cells(model, v, one)
     if exact:
         return JointDistribution._from_numerators(cells, one * one * one)
     return JointDistribution(cells)

@@ -1,29 +1,23 @@
 """Campaign kernel backend selection.
 
 The compiled extension (_ckernel.c, built by setup.py when a C compiler is
-available) is preferred when importable; setting
-CONFOUND_KIT_PURE=1 forces the pure-Python reference kernel instead.  Both
-backends implement the same stream and arithmetic, so campaign reports do
-not depend on which one ran.
+available) is used when it imports, and the pure-Python reference kernel
+otherwise.  Both backends implement the same stream and arithmetic, so
+campaign reports do not depend on which one ran; ``available_backends``
+reaches both for parity tests and benchmarks.
 """
-
-import os
 
 from . import _pykernel
 
 _MASK64 = (1 << 64) - 1
 
-if os.environ.get("CONFOUND_KIT_PURE") == "1":
+try:
+    from . import _ckernel as _impl
+
+    BACKEND = "compiled"
+except ImportError:
     _impl = _pykernel
     BACKEND = "pure"
-else:
-    try:
-        from . import _ckernel as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _pykernel
-        BACKEND = "pure"
 
 EQ_NONE = _pykernel.EQ_NONE
 EQ_H1 = _pykernel.EQ_H1

@@ -25,7 +25,6 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -33,7 +32,7 @@ from typing import Mapping, Tuple, Union
 
 from .errors import DegenerateEventError, ParameterError, TableFormatError
 from .joint import Exposure, JointDistribution
-from .measures import ClassificationReport, MeasureSummary, _classify
+from .measures import ClassificationReport, _classify, summary_from_joint
 
 
 class ResponseType(Enum):
@@ -174,50 +173,34 @@ def coarsen(counts: StratifiedCounts, mapping: CoarseningMap) -> StratifiedCount
 def analyze_counts(counts: StratifiedCounts) -> ClassificationReport:
     """Exact classification of a binary-stratum table.
 
-    All proportions are Fractions of integer counts; the verdict tolerance
-    is zero.  Requires both exposure arms nonempty (a type invariant) and,
-    for the standardized proportion, unexposed individuals in every stratum
-    that has exposed ones.
+    The table's joint (``counts_to_joint``) goes through the exact
+    ``summary_from_joint`` and the verdict at tolerance zero, so the
+    proportions are Fractions of integer counts and the report is that of
+    ``classify_covariate`` on the joint.  Requires both exposure arms
+    nonempty (a type invariant) and, for the standardized proportion,
+    unexposed individuals in every stratum that has exposed ones; that
+    error names the stratum's label.
     """
     if len(counts.strata) != 2:
         raise ParameterError(
             f"binary analysis needs exactly 2 strata, got {len(counts.strata)}; "
             "coarsen the table first"
         )
-    exposed = counts.exposure_total(Exposure.EXPOSED)
-    unexposed = counts.exposure_total(Exposure.UNEXPOSED)
-    hypothetical_cases = sum(
-        counts.potential_cases(Exposure.EXPOSED, s) for s in counts.strata
-    )
-    observed_cases = sum(
-        counts.potential_cases(Exposure.UNEXPOSED, s) for s in counts.strata
-    )
-    hypothetical = Fraction(hypothetical_cases, exposed)
-    observed = Fraction(observed_cases, unexposed)
-    standardized = Fraction(0)
     for stratum in counts.strata:
-        weight = counts.stratum_total(Exposure.EXPOSED, stratum)
-        if weight == 0:
-            continue
-        denominator = counts.stratum_total(Exposure.UNEXPOSED, stratum)
-        if denominator == 0:
+        exposed = counts.stratum_total(Exposure.EXPOSED, stratum)
+        if exposed and counts.stratum_total(Exposure.UNEXPOSED, stratum) == 0:
             raise DegenerateEventError(
                 f"stratum {stratum!r} has exposed individuals but no unexposed ones; "
                 "the standardized proportion is undefined"
             )
-        rate = Fraction(counts.potential_cases(Exposure.UNEXPOSED, stratum), denominator)
-        standardized += rate * Fraction(weight, exposed)
-    summary = MeasureSummary(
-        hypothetical=hypothetical,
-        observed=observed,
-        standardized=standardized,
-        bias=hypothetical - observed,
-    )
-    return _classify(summary, 0)
+    return _classify(summary_from_joint(counts_to_joint(counts)), 0)
 
 
 def counts_to_joint(counts: StratifiedCounts) -> JointDistribution:
-    """The empirical joint over (E, C, D_ebar) of a binary-stratum table."""
+    """The empirical joint over (E, C, D_ebar) of a binary-stratum table.
+
+    The cells are the integer counts over the table's total.
+    """
     if len(counts.strata) != 2:
         raise ParameterError(
             f"the joint over a binary covariate needs exactly 2 strata, "
@@ -226,13 +209,13 @@ def counts_to_joint(counts: StratifiedCounts) -> JointDistribution:
     total = counts.total()
     if total == 0:
         raise ParameterError("empty table has no joint distribution")
-    cells = [Fraction(0)] * 8
+    cells = [0] * 8
     for (rtype, exposure, stratum), n in counts.counts.items():
         index = JointDistribution.index(
             exposure, counts.strata.index(stratum), rtype.diseased_if_unexposed
         )
-        cells[index] += Fraction(n, total)
-    return JointDistribution(tuple(cells))
+        cells[index] += n
+    return JointDistribution._from_numerators(tuple(cells), total)
 
 
 def load_counts(source) -> StratifiedCounts:

@@ -14,10 +14,11 @@ campaigns run on the selected kernel backend and are reproducible bit for
 bit from (seed, samples) alone, independent of chunking or thread count.
 Exact campaigns rerun the same algorithm on the thousandths grid in integer
 arithmetic over a common denominator, where a sound clause yields
-violations of exactly zero.  Their masses come from ``joint._masses``, the
-expansion ``build_joint`` runs on rational parameters, so the tests check
-them against an independent Fraction route: joints from the plain
-``Fraction`` products kept in the tests' oracle module, then
+violations of exactly zero.  Their H1/H5 solve is ``hypotheses._solve`` and
+their cells are ``joint._cells``, the code ``impose`` and ``build_joint``
+run, so the tests check them against a Fraction route that shares neither:
+parameters imposed through the plain H1/H5 quotients and joints from the
+plain ``Fraction`` products, both kept in the tests' oracle module, then
 ``summary_from_joint``.
 
 ``falsify_converse`` probes the other direction, searching for parameters
@@ -29,7 +30,6 @@ vacuously impossible.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +45,7 @@ from .hypotheses import (
     _U0,
     _U1,
     _exhausted,
+    _solve,
     _solved_slot,
     equational_member,
     holds_algebraic,
@@ -52,7 +53,15 @@ from .hypotheses import (
     random_params,
     substitution_reps,
 )
-from .joint import ModelParams, _check_tolerance, _masses, _num_to_json, build_joint, params_type
+from .joint import (
+    ModelParams,
+    _cells,
+    _check_integer,
+    _check_tolerance,
+    _num_to_json,
+    build_joint,
+    params_type,
+)
 from .measures import summary_from_joint
 
 THREADS_ENV = "CONFOUND_KIT_THREADS"
@@ -130,7 +139,7 @@ _BY_ID = {(c.theorem, c.clause): c for c in CLAUSES}
 def clause_lookup(theorem: str, clause: str) -> TheoremClause:
     try:
         return _BY_ID[(theorem.upper(), clause.lower())]
-    except KeyError:
+    except (AttributeError, KeyError):
         raise ParameterError(
             f"no catalog entry {theorem!r} clause {clause!r}; "
             f"theorems are T1..T5 with clauses a..e"
@@ -161,14 +170,6 @@ class VerificationReport:
         }
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a count or seed that is not an integer (2.5, "3")."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _thread_count(requested: Optional[int]) -> int:
     env = os.environ.get(THREADS_ENV)
     cap = None
@@ -179,11 +180,7 @@ def _thread_count(requested: Optional[int]) -> int:
             raise ParameterError(f"{THREADS_ENV}={env!r} is not an integer") from None
         if cap < 1:
             raise ParameterError(f"{THREADS_ENV} must be at least 1, got {cap}")
-    if requested is not None:
-        _check_integer("thread count", requested)
     threads = requested if requested is not None else (cap or 1)
-    if threads < 1:
-        raise ParameterError(f"thread count must be at least 1, got {threads}")
     if cap is not None:
         threads = min(threads, cap)
     # more threads than usable CPUs cannot speed up the GIL-free kernel (under
@@ -249,53 +246,16 @@ def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
 _GRID = 1000  # exact draws are numerators over this denominator
 
 
-def _solve_exact(model: int, eq: int, x: list) -> tuple:
-    """(num, den) of the H1 solve for u1 or the H5 solve for u0.
-
-    ``x`` holds slot numerators over _GRID.  The expressions are those of
-    ``hypotheses._solve_h1``/``_solve_h5`` cleared of denominators, so den is
-    zero exactly where the rational solve divides by zero; it is a product of
-    slot values and their complements, so it is never negative.
-    """
-    d = _GRID
-    if eq == kernel.EQ_H1:
-        if model == 1:
-            t, a0, a1, b0, b1, u0 = x[0], x[1], x[2], x[3], x[4], x[5]
-            exposed0, exposed1 = a0 * (d - t), a1 * t
-            unexposed0, unexposed1 = (d - a0) * (d - t), (d - a1) * t
-            unexposed = unexposed0 + unexposed1
-            return (
-                (b0 * unexposed0 + b1 * unexposed1) * (exposed0 + exposed1)
-                - u0 * exposed0 * unexposed,
-                d * unexposed * exposed1,
-            )
-        if model == 2:
-            c0, c1, b0, b1, u0 = x[1], x[2], x[3], x[4], x[5]
-            return b0 * (d - c0) + b1 * c0 - u0 * (d - c1), d * c1
-        t, b0, b1, u0 = x[1], x[3], x[4], x[5]
-        return b0 * (d - t) + b1 * t - u0 * (d - t), d * t
-    if model == 1:
-        a0, a1, b0, b1, u1 = x[1], x[2], x[3], x[4], x[6]
-        return u1 * a1 + b1 * (d - a1) - b0 * (d - a0), d * a0
-    if model == 2:
-        a, c0, c1, b0, b1, u1 = x[0], x[1], x[2], x[3], x[4], x[6]
-        target = u1 * c1 * a + b1 * c0 * (d - a)
-        mass1 = c1 * a + c0 * (d - a)
-        mass0 = (d - c1) * a + (d - c0) * (d - a)
-        return target * mass0 - b0 * (d - c0) * (d - a) * mass1, d * mass1 * (d - c1) * a
-    a, b0, b1, u1 = x[0], x[3], x[4], x[6]
-    return u1 * a + (b1 - b0) * (d - a), d * a
-
-
 def _exact_campaign(clause: TheoremClause, samples, seed):
     """(max_violation, failures) of an exact campaign, in integer arithmetic.
 
-    Draws match ``random_params(exact=True)`` and ``impose`` draw for draw.
-    Slot values are numerators over _GRID; an H1/H5 solve gives its slot as
-    num/den, and every slot is then scaled to the common denominator
-    q = _GRID * den.  Joint cells are integers over q**3 and each violation
-    is an unreduced pair |num|/den, so the only Fraction built is the
-    reported maximum (int 0 when every violation is zero).
+    Draws match ``random_params(exact=True)`` and ``impose`` draw for draw,
+    and the solve and the cells are theirs (``hypotheses._solve``,
+    ``joint._cells``).  Slot values are numerators over _GRID; an H1/H5
+    solve gives its slot as num/den, and every slot is then scaled to the
+    common denominator q = _GRID * den.  Joint cells are integers over q**3
+    and each violation is an unreduced pair |num|/den, so the only Fraction
+    built is the reported maximum (int 0 when every violation is zero).
     """
     model, rep, eq, conclusion = _campaign_codes(clause)
     eq_member, solved = (Hypothesis.H1, _U1) if eq == kernel.EQ_H1 else (Hypothesis.H5, _U0)
@@ -313,7 +273,7 @@ def _exact_campaign(clause: TheoremClause, samples, seed):
             if eq == kernel.EQ_NONE:
                 q = _GRID
                 break
-            num, den = _solve_exact(model, eq, x)
+            num, den = _solve(model, eq_member, x, _GRID)
             if den and 0 <= num <= den:
                 x = [v * den for v in x]
                 x[solved] = num * _GRID
@@ -321,14 +281,7 @@ def _exact_campaign(clause: TheoremClause, samples, seed):
                 break
         else:
             raise _exhausted(eq_member, _REDRAW_BUDGET)
-        exposed0, exposed1, unexposed0, unexposed1 = _masses(model, x, q)
-        # build_joint's eight cells, written out: a second call per sample
-        # cost another 2% of a four-sample campaign
-        x3, x4, x5, x6 = x[3], x[4], x[5], x[6]
-        p0, p1 = exposed0 * (q - x5), exposed0 * x5
-        p2, p3 = exposed1 * (q - x6), exposed1 * x6
-        p4, p5 = unexposed0 * (q - x3), unexposed0 * x3
-        p6, p7 = unexposed1 * (q - x4), unexposed1 * x4
+        p0, p1, p2, p3, p4, p5, p6, p7 = _cells(model, x, q)
         pe = p0 + p1 + p2 + p3
         pu = p4 + p5 + p6 + p7
         if pe + pu != q * q * q:
@@ -384,6 +337,10 @@ def verify_clause(
     _check_tolerance(tol)
     if exact and tol != 0:
         raise ParameterError("exact campaigns compare exactly; tol must be 0")
+    if threads is not None:
+        _check_integer("thread count", threads)
+        if threads < 1:
+            raise ParameterError(f"thread count must be at least 1, got {threads}")
     if exact:
         max_violation, failures = _exact_campaign(clause, samples, seed)
     else:
@@ -429,6 +386,12 @@ def falsify_converse(
     _check_integer("seed", seed)
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples!r}")
+    try:
+        conclusion = Conclusion(conclusion)
+    except ValueError:
+        raise ParameterError(
+            f"unknown conclusion {conclusion!r}; expected 'irrelevant_factor' or 'no_confounding'"
+        ) from None
     condition_sets = [
         c.conditions
         for c in CLAUSES

@@ -7,6 +7,11 @@ divide the parameters themselves (``Fraction``s, floats or ints), so they
 share no code with the library's ``_masses`` expansion, and the property
 tests compare the library against them value for value, type for type and
 error for error.
+
+``_solve_h1`` and ``_solve_h5`` are the H1/H5 solves as plain quotients,
+kept verbatim from before the library cleared their divisions into one
+(num, den) pair (``hypotheses._solve``), and ``impose`` is the library's
+imposition solving through them.
 """
 
 from confound_kit import (
@@ -19,6 +24,16 @@ from confound_kit import (
     Model3Params,
     ModelParams,
     ParameterError,
+    model_number,
+    random_params,
+)
+from confound_kit.hypotheses import (
+    _exhausted,
+    _params_from_slots,
+    _slot_values,
+    _solved_slot,
+    equational_member,
+    substitution_reps,
 )
 
 
@@ -186,3 +201,68 @@ def closed_form_summary(params: ModelParams) -> MeasureSummary:
         standardized=standardized,
         bias=hypothetical - observed,
     )
+
+
+def _solve_h1(model: int, v) -> object:
+    """u1 making the exposed and unexposed risks equal, given the rest."""
+    if model == 1:
+        t, a0, a1, b0, b1, u0 = v[0], v[1], v[2], v[3], v[4], v[5]
+        exposed0 = a0 * (1 - t)
+        exposed1 = a1 * t
+        unexposed0 = (1 - a0) * (1 - t)
+        unexposed1 = (1 - a1) * t
+        observed = (b0 * unexposed0 + b1 * unexposed1) / (unexposed0 + unexposed1)
+        return (observed * (exposed0 + exposed1) - u0 * exposed0) / exposed1
+    if model == 2:
+        c0, c1, b0, b1, u0 = v[1], v[2], v[3], v[4], v[5]
+        observed = b0 * (1 - c0) + b1 * c0
+        return (observed - u0 * (1 - c1)) / c1
+    t, b0, b1, u0 = v[1], v[3], v[4], v[5]
+    observed = b0 * (1 - t) + b1 * t
+    return (observed - u0 * (1 - t)) / t
+
+
+def _solve_h5(model: int, v) -> object:
+    """u0 making P(D_ebar=1 | C=0) equal P(D_ebar=1 | C=1), given the rest."""
+    if model == 1:
+        a0, a1, b0, b1, u1 = v[1], v[2], v[3], v[4], v[6]
+        return (u1 * a1 + b1 * (1 - a1) - b0 * (1 - a0)) / a0
+    if model == 2:
+        a, c0, c1, b0, b1, u1 = v[0], v[1], v[2], v[3], v[4], v[6]
+        target = (u1 * c1 * a + b1 * c0 * (1 - a)) / (c1 * a + c0 * (1 - a))
+        mass0 = (1 - c1) * a + (1 - c0) * (1 - a)
+        return (target * mass0 - b0 * (1 - c0) * (1 - a)) / ((1 - c1) * a)
+    a, b0, b1, u1 = v[0], v[3], v[4], v[6]
+    return u1 + (b1 - b0) * (1 - a) / a
+
+
+def impose(base: ModelParams, hypotheses, rng, *, budget: int = 1000) -> ModelParams:
+    """``hypotheses.impose`` solving through the plain quotients above.
+
+    The same substitution and the same redraws from ``rng``, so a rational
+    ``base`` gives the library's result exactly.
+    """
+    model = model_number(base)
+    hypotheses = frozenset(hypotheses)
+    rep = substitution_reps(model, hypotheses)
+    eq = equational_member(hypotheses)
+    if eq is not None:
+        solved_slot = _solved_slot(model, rep, eq)
+    exact = base.is_exact
+    values = _slot_values(base)
+    for attempt in range(budget + 1):
+        if attempt:
+            values = _slot_values(random_params(model, rng, exact=exact))
+        candidate = [values[rep[j]] for j in range(7)]
+        if eq is None:
+            return _params_from_slots(model, candidate)
+        try:
+            solved = (_solve_h1 if eq is Hypothesis.H1 else _solve_h5)(model, candidate)
+        except ZeroDivisionError:
+            continue
+        if isinstance(solved, float) and solved != solved:
+            continue
+        if 0 <= solved <= 1:
+            candidate[solved_slot] = solved
+            return _params_from_slots(model, candidate)
+    raise _exhausted(eq, budget)

@@ -56,6 +56,8 @@ def test_parse_hypothesis():
     assert parse_hypothesis("H7") is H.H7
     with pytest.raises(ParameterError):
         parse_hypothesis("H8")
+    with pytest.raises(ParameterError, match="unknown hypothesis 1"):
+        parse_hypothesis(1)
 
 
 # --- numeric tests on joints ---------------------------------------------
@@ -316,3 +318,33 @@ def test_impose_preserves_model3_after_redraws():
         assert abs(standardized_proportion(joint) - observed_proportion(joint)) <= 1.0
         summary = summary_from_joint(joint)
         assert abs(summary.bias) <= 1e-12
+
+
+@pytest.mark.parametrize("members", [{"H1"}, {H.H2, "H1"}, {1}])
+def test_impose_rejects_members_that_are_not_hypotheses(members):
+    # a name instead of a member would otherwise impose nothing
+    bad = next(m for m in members if not isinstance(m, Hypothesis))
+    with pytest.raises(ParameterError, match=f"{bad!r} is not a Hypothesis"):
+        impose(EXAMPLE_M1, members, SplitMix64(3))
+    with pytest.raises(ParameterError, match=f"{bad!r} is not a Hypothesis"):
+        substitution_reps(1, members)
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (-1, "budget must be nonnegative, got -1"),
+        ("x", "budget must be an integer, got 'x'"),
+        (2.5, "budget must be an integer, got 2.5"),
+    ],
+)
+@pytest.mark.parametrize("hypotheses", [hypothesis_set(), hypothesis_set(H.H1), hypothesis_set(H.H6)])
+def test_impose_rejects_bad_budget(budget, message, hypotheses):
+    with pytest.raises(ParameterError, match=message):
+        impose(EXAMPLE_M1, hypotheses, SplitMix64(4), budget=budget)
+
+
+def test_impose_accepts_zero_budget():
+    # zero redraws is a valid budget: the base itself is imposed
+    out = impose(EXAMPLE_M1, hypothesis_set(H.H6), SplitMix64(5), budget=0)
+    assert out.b0 == out.b1

@@ -9,7 +9,9 @@ rational joints with zero cells and zero-mass slices.
 model algebra once over a unit (integer numerators for rational
 parameters).  Their oracle is ``algebra_oracle``, the plain products and
 quotients, on random parameters: rational with any denominators, float,
-bare ints, boundary values and mixtures of these.
+bare ints, boundary values and mixtures of these.  The H1/H5 solve
+``hypotheses._solve``, shared by ``impose`` and exact campaigns, is held to
+the oracle's plain quotients the same way.
 """
 
 import dataclasses
@@ -44,6 +46,7 @@ from confound_kit import (
     summary_from_joint,
 )
 from confound_kit._rng import SplitMix64
+from confound_kit.hypotheses import _solve
 
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -289,3 +292,64 @@ def test_degenerate_model2_h5_matches_sides(c):
             holds_algebraic(p, Hypothesis.H5)
         assert str(got.value) == str(expected.value)
         assert typed(build_joint(p).p) == typed(oracle.build_joint(p).p)
+
+
+# --- the H1/H5 solve against the plain quotients -------------------------------
+
+ORACLE_SOLVES = {Hypothesis.H1: oracle._solve_h1, Hypothesis.H5: oracle._solve_h5}
+solves = st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([Hypothesis.H1, Hypothesis.H5]))
+
+
+def seven(values):
+    return st.lists(values, min_size=7, max_size=7)
+
+
+@st.composite
+def integer_slots(draw):
+    """(L, seven integer numerators over L), boundary numerators included."""
+    one = draw(st.integers(1, 10**6))
+    return one, draw(seven(st.one_of(st.sampled_from([0, one]), st.integers(0, one))))
+
+
+@PROPERTY
+@given(solves, seven(st.one_of(st.sampled_from([0, 1]), fraction_values)))
+def test_solve_matches_quotients_on_rationals(solve, v):
+    model, eq = solve
+    num, den = _solve(model, eq, v, 1)
+    try:
+        expected = ORACLE_SOLVES[eq](model, v)
+    except ZeroDivisionError:
+        assert den == 0
+        return
+    assert den != 0
+    got = num / den
+    # bare ints alone divide to a float on both routes
+    assert type(got) is type(expected) and got == expected
+
+
+@PROPERTY
+@given(solves, integer_slots())
+def test_solve_on_integer_numerators(solve, slots):
+    model, eq = solve
+    one, n = slots
+    num, den = _solve(model, eq, n, one)
+    try:
+        expected = ORACLE_SOLVES[eq](model, [Fraction(x, one) for x in n])
+    except ZeroDivisionError:
+        assert den == 0
+        return
+    assert den != 0 and Fraction(num, den) == expected
+
+
+@PROPERTY
+@given(solves, seven(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))))
+def test_solve_matches_quotients_on_floats(solve, v):
+    model, eq = solve
+    num, den = _solve(model, eq, v, 1)
+    try:
+        expected = ORACLE_SOLVES[eq](model, v)
+    except ZeroDivisionError:
+        assert den == 0
+        return
+    # one quotient instead of the oracle's chain: the last bits may differ
+    assert abs(num / den - expected) <= 1e-12 * max(1.0, abs(expected))

@@ -214,6 +214,24 @@ def test_analyze_reports_vanished_stratum():
     assert "1" in str(err.value)
 
 
+def test_analyze_names_vanished_stratum_label():
+    # the label, not the covariate index the joint knows the stratum by
+    counts = StratifiedCounts(
+        ("young", "old"),
+        {
+            (RT.DOOMED, E.EXPOSED, "young"): 5,
+            (RT.IMMUNE, E.EXPOSED, "old"): 5,
+            (RT.DOOMED, E.UNEXPOSED, "young"): 5,
+        },
+    )
+    with pytest.raises(DegenerateEventError) as err:
+        analyze_counts(counts)
+    assert str(err.value) == (
+        "stratum 'old' has exposed individuals but no unexposed ones; "
+        "the standardized proportion is undefined"
+    )
+
+
 def test_no_effect_premise_on_fixtures():
     # doomed/immune-only populations show no exposure effect among the exposed
     for name in ("table1.csv", "table1_coarse.csv", "table2_base.csv", "table2_coarse.csv"):

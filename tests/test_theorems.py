@@ -81,6 +81,10 @@ def test_clause_lookup_normalizes_case():
         clause_lookup("T6", "a")
     with pytest.raises(ParameterError):
         clause_lookup("T1", "d")
+    with pytest.raises(ParameterError, match="no catalog entry 1 clause 'a'"):
+        clause_lookup(1, "a")
+    with pytest.raises(ParameterError, match="no catalog entry 'T1' clause 1"):
+        clause_lookup("T1", 1)
 
 
 def test_clause_to_dict_sorted_conditions():
@@ -248,6 +252,24 @@ def test_verify_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize(
+    "threads, message",
+    [(0, "thread count must be at least 1, got 0"), ("x", "thread count must be an integer, got 'x'")],
+)
+def test_verify_rejects_bad_thread_counts(exact, threads, message):
+    with pytest.raises(ParameterError, match=message):
+        verify_clause(clause_lookup("T1", "a"), 10, exact=exact, threads=threads)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_rejects_conditions_that_are_not_hypotheses(exact):
+    # string conditions would otherwise run an unconstrained campaign
+    clause = TheoremClause("X", "names", 1, frozenset({"H4"}), Conclusion.IRRELEVANT_FACTOR)
+    with pytest.raises(ParameterError, match="'H4' is not a Hypothesis"):
+        verify_clause(clause, 10, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
 def test_verify_rejects_non_integer_counts(exact):
     clause = clause_lookup("T1", "a")
     with pytest.raises(ParameterError, match="samples must be an integer, got 2.5"):
@@ -294,14 +316,16 @@ def _violation(clause, params):
 def _fraction_campaign(clause, samples, seed):
     """The exact campaign on the joint -> measures route, in Fractions.
 
-    The reference the integer campaign in ``theorems`` must reproduce; its
-    joints come from ``algebra_oracle``'s products."""
+    The reference the integer campaign in ``theorems`` must reproduce.  It
+    shares neither the solve nor the cells with the campaign: parameters are
+    imposed through ``algebra_oracle``'s plain H1/H5 quotients and joints
+    come from its products."""
     max_violation = 0
     failures = 0
     for i in range(samples):
         rng = sample_stream(seed, i)
         base = random_params(clause.model, rng, exact=True)
-        params = impose(base, clause.conditions, rng, budget=theorems._REDRAW_BUDGET)
+        params = oracle.impose(base, clause.conditions, rng, budget=theorems._REDRAW_BUDGET)
         violation = _violation(clause, params)
         if violation > 0:
             failures += 1
@@ -467,6 +491,15 @@ def test_falsify_converse_model3_irrelevance_is_universal():
 def test_falsify_converse_model1_irrelevance_has_no_witness():
     # for this structure irrelevance occurs only through a catalog condition
     assert falsify_converse(1, Conclusion.IRRELEVANT_FACTOR, samples=300, seed=4) is None
+
+
+def test_falsify_converse_coerces_conclusion():
+    by_value = falsify_converse(1, "no_confounding", samples=200, seed=6)
+    assert by_value is not None
+    assert by_value == falsify_converse(1, Conclusion.NO_CONFOUNDING, samples=200, seed=6)
+    for conclusion in ("no confounding", 1, None):
+        with pytest.raises(ParameterError, match="unknown conclusion"):
+            falsify_converse(1, conclusion, samples=10)
 
 
 def test_falsify_converse_determinism():
