@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_count,
         default=None,
-        help="upper bound on campaign threads (default: $CONFOUND_KIT_THREADS or 1); "
+        help="upper bound on campaign threads (default: every usable CPU); "
         f"a campaign splits only into chunks of at least {_MIN_CHUNK:,} samples",
     )
     _add_format(p)
@@ -157,10 +157,14 @@ def _collect_params(parser, args, required: bool = True):
         parser.error(str(exc))
 
 
+def _check_exact_tol(parser, args) -> None:
+    if args.exact and args.tol not in (None, 0):
+        parser.error(f"--exact requires --tol 0, got {args.tol}")
+
+
 def _resolved_tol(parser, args) -> object:
+    _check_exact_tol(parser, args)
     if args.exact:
-        if args.tol not in (None, 0):
-            parser.error(f"--exact requires --tol 0, got {args.tol}")
         return 0
     return DEFAULT_FLOAT_TOL if args.tol is None else args.tol
 
@@ -247,11 +251,12 @@ def _run_verify(parser, args) -> int:
         clause = clause_lookup(args.theorem, args.clause)
     except ParameterError as exc:
         parser.error(str(exc))
+    _check_exact_tol(parser, args)
     report = verify_clause(
         clause,
         samples=args.samples,
         seed=args.seed,
-        tol=0 if args.exact and args.tol is None else args.tol,
+        tol=args.tol,
         exact=args.exact,
         threads=args.threads,
     )

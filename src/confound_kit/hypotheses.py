@@ -291,25 +291,16 @@ _SLOT_FIELDS = {
     3: ("a", "t", None, "b0", "b1", "u0", "u1"),
 }
 
-# Equality constraints as slot pairs, per model number.  H4 ties the pair
-# (1, 2) where that pair exists and is vacuous for Model 3.
+# Equality constraints as slot pairs.  H4 ties the pair (1, 2) where that
+# pair exists and is vacuous for Model 3.
 _B0, _B1, _U0, _U1 = 3, 4, 5, 6
-
-
-def _equality_pairs(model: int, hypotheses: Iterable[Hypothesis]):
-    pairs = []
-    for h in hypotheses:
-        if h is Hypothesis.H2:
-            pairs.append((_U0, _B0))
-        elif h is Hypothesis.H3:
-            pairs.append((_U1, _B1))
-        elif h is Hypothesis.H6:
-            pairs.append((_B0, _B1))
-        elif h is Hypothesis.H7:
-            pairs.append((_U0, _U1))
-        elif h is Hypothesis.H4 and model != 3:
-            pairs.append((1, 2))
-    return pairs
+_EQUALITY_PAIRS = {
+    Hypothesis.H2: (_B0, _U0),
+    Hypothesis.H3: (_B1, _U1),
+    Hypothesis.H4: (1, 2),
+    Hypothesis.H6: (_B0, _B1),
+    Hypothesis.H7: (_U0, _U1),
+}
 
 
 def substitution_reps(model: int, hypotheses: Iterable[Hypothesis]) -> tuple:
@@ -331,26 +322,17 @@ def _substitution_reps(model: int, hypotheses: HypothesisSet) -> tuple:
             raise ParameterError(
                 f"{h!r} is not a Hypothesis; parse_hypothesis turns a name into one"
             )
-    parent = list(range(7))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in _equality_pairs(model, hypotheses):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    rep = [0] * 7
-    for j in range(7):
-        root = find(j)
-        members = [k for k in range(7) if find(k) == root]
-        # No constraint ties slots 1..2 to the outcome slots, so a nontrivial
-        # class is either {1, 2} (rewritten toward slot 2, the C=1 side) or a
-        # subset of {3..6} (rewritten toward its lowest slot).
-        rep[j] = 2 if members == [1, 2] else min(members)
+    # rep[j] labels slot j's class by its lowest slot; each pair merges two
+    # classes by relabeling the higher label to the lower
+    rep = list(range(7))
+    for h, (i, j) in _EQUALITY_PAIRS.items():
+        if h in hypotheses and not (h is Hypothesis.H4 and model == 3):
+            low, high = sorted((rep[i], rep[j]))
+            rep = [low if r == high else r for r in rep]
+    # No constraint ties slots 1..2 to the outcome slots, so the class
+    # {1, 2} stands alone; it is rewritten toward slot 2, the C=1 side.
+    if rep[2] == 1:
+        rep[1] = rep[2] = 2
     return tuple(rep)
 
 

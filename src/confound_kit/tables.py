@@ -206,16 +206,13 @@ def counts_to_joint(counts: StratifiedCounts) -> JointDistribution:
             f"the joint over a binary covariate needs exactly 2 strata, "
             f"got {len(counts.strata)}; coarsen the table first"
         )
-    total = counts.total()
-    if total == 0:
-        raise ParameterError("empty table has no joint distribution")
     cells = [0] * 8
     for (rtype, exposure, stratum), n in counts.counts.items():
         index = JointDistribution.index(
             exposure, counts.strata.index(stratum), rtype.diseased_if_unexposed
         )
         cells[index] += n
-    return JointDistribution._from_numerators(tuple(cells), total)
+    return JointDistribution._from_numerators(tuple(cells), counts.total())
 
 
 def load_counts(source) -> StratifiedCounts:

@@ -64,7 +64,6 @@ from .joint import (
 )
 from .measures import summary_from_joint
 
-THREADS_ENV = "CONFOUND_KIT_THREADS"
 CAMPAIGN_FLOAT_TOL = 1e-10
 _REDRAW_BUDGET = 1000
 # Fewest samples a thread must get before a float campaign splits: with the
@@ -170,27 +169,25 @@ class VerificationReport:
         }
 
 
-def _thread_count(requested: Optional[int]) -> int:
-    env = os.environ.get(THREADS_ENV)
-    cap = None
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ParameterError(f"{THREADS_ENV}={env!r} is not an integer") from None
-        if cap < 1:
-            raise ParameterError(f"{THREADS_ENV} must be at least 1, got {cap}")
-    threads = requested if requested is not None else (cap or 1)
-    if cap is not None:
-        threads = min(threads, cap)
-    # more threads than usable CPUs cannot speed up the GIL-free kernel (under
-    # taskset or a cpuset they would time-slice the CPUs allowed), and each
-    # one is a real OS thread; reports do not depend on the count
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask, else the CPU count.
+
+    More threads than this cannot speed up the GIL-free kernel (under taskset
+    or a cpuset they would time-slice the CPUs allowed), and each one is a
+    real OS thread.
+    """
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(threads, cpus)
+        return os.cpu_count() or 1
+
+
+def _check_samples_seed(samples, seed) -> None:
+    if type(samples) is not int or type(seed) is not int:
+        _check_integer("samples", samples)
+        _check_integer("seed", seed)
+    if samples < 1:
+        raise ParameterError(f"samples must be positive, got {samples!r}")
 
 
 def _campaign_codes(clause: TheoremClause) -> tuple:
@@ -320,18 +317,13 @@ def verify_clause(
 
     ``tol`` defaults to 1e-10 in float mode and must be 0 in exact mode; a
     sample fails when its violation exceeds it.  Float campaigns may be chunked
-    over up to ``threads`` workers without changing the report.  The count is
-    an upper bound: the CONFOUND_KIT_THREADS environment variable supplies the
-    default and caps it, as does the number of CPUs this process may run on.
-    A campaign splits only into chunks of at least ``_MIN_CHUNK`` samples, so
+    over worker threads without changing the report.  They use every CPU
+    this process may run on, at most ``threads`` when it is given.  A
+    campaign splits only into chunks of at least ``_MIN_CHUNK`` samples, so
     smaller ones, and every campaign on the pure kernel, run on the calling
     thread.
     """
-    if type(samples) is not int or type(seed) is not int:
-        _check_integer("samples", samples)
-        _check_integer("seed", seed)
-    if samples < 1:
-        raise ParameterError(f"samples must be positive, got {samples!r}")
+    _check_samples_seed(samples, seed)
     if tol is None:
         tol = 0 if exact else CAMPAIGN_FLOAT_TOL
     _check_tolerance(tol)
@@ -344,7 +336,8 @@ def verify_clause(
     if exact:
         max_violation, failures = _exact_campaign(clause, samples, seed)
     else:
-        threads = _thread_count(threads)
+        cpus = _usable_cpus()
+        threads = cpus if threads is None else min(threads, cpus)
         max_violation, failures, exhausted = _float_campaign(
             clause, samples, seed, float(tol), threads
         )
@@ -382,10 +375,8 @@ def falsify_converse(
     constructed on the bias-zero surface directly; for irrelevant_factor
     unconstrained draws are screened for the conclusion instead.
     """
-    _check_integer("samples", samples)
-    _check_integer("seed", seed)
-    if samples < 1:
-        raise ParameterError(f"samples must be positive, got {samples!r}")
+    _check_samples_seed(samples, seed)
+    _check_tolerance(tol)
     try:
         conclusion = Conclusion(conclusion)
     except ValueError:

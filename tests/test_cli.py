@@ -187,6 +187,8 @@ def test_verify_exact_campaign(capsys):
     assert code == 0
     assert "PASS" in out
     assert "max_violation  0" in out
+    assert run(capsys, "verify", "--theorem", "T4", "--clause", "d",
+               "--samples", "100", "--exact", "--tol", "0") == (code, out, "")
 
 
 def test_verify_single_sample_deterministic(capsys):
@@ -227,6 +229,15 @@ def test_negative_tolerance_is_usage_error(capsys, verb):
         main([verb, *args, "--tol=-1"])
     assert exit_info.value.code == 2
     assert "tolerance must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["verify", "classify", "hypotheses"])
+def test_exact_with_nonzero_tolerance_is_usage_error(capsys, verb):
+    args = ["--theorem", "T2", "--clause", "e", "--samples", "10"] if verb == "verify" else MODEL1_FLAGS
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, *args, "--exact", "--tol", "0.5"])
+    assert exit_info.value.code == 2
+    assert "--exact requires --tol 0, got 0.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--threads"])

@@ -195,6 +195,38 @@ def test_substitution_reps_h4():
     assert substitution_reps(3, hypothesis_set(H.H4)) == (0, 1, 2, 3, 4, 5, 6)
 
 
+def _brute_force_reps(model, hypotheses):
+    """Lowest slot of each connected class of the set's slot pairs; slot 2
+    for the class {1, 2}; H4 ties nothing in Model 3."""
+    pairs = {H.H2: (3, 5), H.H3: (4, 6), H.H6: (3, 4), H.H7: (5, 6)}
+    if model != 3:
+        pairs[H.H4] = (1, 2)
+    edges = [pairs[h] for h in hypotheses if h in pairs]
+    reps = []
+    for j in range(7):
+        reached, frontier = {j}, [j]
+        while frontier:
+            k = frontier.pop()
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == k and y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        reps.append(2 if reached == {1, 2} else min(reached))
+    return tuple(reps)
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_substitution_reps_match_connected_classes(model):
+    members = list(Hypothesis)
+    for mask in range(2 ** len(members)):
+        hypotheses = hypothesis_set(*(h for i, h in enumerate(members) if mask >> i & 1))
+        assert substitution_reps(model, hypotheses) == _brute_force_reps(model, hypotheses), (
+            model,
+            sorted(h.value for h in hypotheses),
+        )
+
+
 def test_equational_member():
     assert equational_member(hypothesis_set(H.H1, H.H6)) is H.H1
     assert equational_member(hypothesis_set(H.H5)) is H.H5

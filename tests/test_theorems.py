@@ -30,7 +30,7 @@ from confound_kit import (
 )
 from confound_kit import kernel, theorems
 from confound_kit.hypotheses import hypothesis_set
-from confound_kit.theorems import THREADS_ENV, TheoremClause, VerificationReport, _campaign_codes
+from confound_kit.theorems import TheoremClause, VerificationReport, _campaign_codes
 from confound_kit._rng import SplitMix64, sample_stream
 
 H = Hypothesis
@@ -177,7 +177,6 @@ def _usable_cpus(monkeypatch, count):
 
 
 def test_thread_count_does_not_change_results(monkeypatch, backends):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     _usable_cpus(monkeypatch, 4)
     monkeypatch.setattr(theorems, "_MIN_CHUNK", 500)
     clause = clause_lookup("T4", "a")
@@ -201,7 +200,6 @@ def test_thread_count_does_not_change_results(monkeypatch, backends):
 def test_thread_count_clamped_to_cpu_count(monkeypatch, backends):
     # no thread starts: the executor is replaced by a serial recorder
     created = []
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
     monkeypatch.setattr(theorems, "_MIN_CHUNK", 100)
     _use_backend(monkeypatch, backends, "compiled")
@@ -222,7 +220,6 @@ def test_thread_count_clamped_to_cpu_count(monkeypatch, backends):
 
 def test_campaign_splits_only_when_chunks_repay_a_thread(monkeypatch, backends):
     created = []
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
     _use_backend(monkeypatch, backends, "compiled")
     _usable_cpus(monkeypatch, 2)
@@ -231,6 +228,19 @@ def test_campaign_splits_only_when_chunks_repay_a_thread(monkeypatch, backends):
     verify_clause(clause, samples=2 * theorems._MIN_CHUNK - 1, seed=7, threads=2)
     assert created == []
     verify_clause(clause, samples=2 * theorems._MIN_CHUNK, seed=7, threads=2)
+    assert created == [2]
+
+
+def test_default_thread_count_is_the_usable_cpus(monkeypatch, backends):
+    # no thread starts: the executor is replaced by a serial recorder
+    created = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
+    _use_backend(monkeypatch, backends, "compiled")
+    _usable_cpus(monkeypatch, 2)
+    clause = clause_lookup("T2", "e")
+    verify_clause(clause, samples=10_000, seed=7)
+    assert created == []
+    verify_clause(clause, samples=2 * theorems._MIN_CHUNK, seed=7)
     assert created == [2]
 
 
@@ -500,6 +510,12 @@ def test_falsify_converse_coerces_conclusion():
     for conclusion in ("no confounding", 1, None):
         with pytest.raises(ParameterError, match="unknown conclusion"):
             falsify_converse(1, conclusion, samples=10)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1, "x"])
+def test_falsify_converse_rejects_bad_tolerance(tol):
+    with pytest.raises(ParameterError, match="tolerance must be"):
+        falsify_converse(1, Conclusion.IRRELEVANT_FACTOR, 50, tol=tol)
 
 
 def test_falsify_converse_determinism():
