@@ -68,6 +68,11 @@ class Hypothesis(Enum):
         return _STATEMENTS[self]
 
 
+# the members as plain module names: the per-call checks below compare a
+# hypothesis against several members, and a global name is several times
+# cheaper to look up than an enum attribute
+_H1, _H2, _H3, _H4, _H5, _H6, _H7 = Hypothesis
+
 _STATEMENTS = {
     Hypothesis.H1: "E ⊥ D_ebar",
     Hypothesis.H2: "E ⊥ D_ebar | C=0",
@@ -223,22 +228,21 @@ def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
     and quotient is computed in the parameters' own operand order, and
     ``x * 1`` is ``x`` bit for bit.
     """
-    H = Hypothesis
     b0, b1, u0, u1 = v[-4:]
-    if hypothesis is H.H2:
+    if hypothesis is _H2:
         return u0 * one, None, b0 * one, None
-    if hypothesis is H.H3:
+    if hypothesis is _H3:
         return u1 * one, None, b1 * one, None
-    if hypothesis is H.H6:
+    if hypothesis is _H6:
         return b0 * one, None, b1 * one, None
-    if hypothesis is H.H7:
+    if hypothesis is _H7:
         return u0 * one, None, u1 * one, None
 
     if model == 1:
         a0, a1 = v[1], v[2]
-        if hypothesis is H.H4:
+        if hypothesis is _H4:
             return a0 * one, None, a1 * one, None
-        if hypothesis is H.H1:
+        if hypothesis is _H1:
             exposed0, exposed1, unexposed0, unexposed1 = _masses(1, v, one)
             return (
                 u0 * exposed0 + u1 * exposed1,
@@ -246,16 +250,16 @@ def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
                 b0 * unexposed0 + b1 * unexposed1,
                 unexposed0 + unexposed1,
             )
-        if hypothesis is H.H5:
+        if hypothesis is _H5:
             # P(D_ebar=1 | C=j) in parameter form; defined whatever t is.
             return u0 * a0 + b0 * (one - a0), None, u1 * a1 + b1 * (one - a1), None
     elif model == 2:
         a, c0, c1 = v[0], v[1], v[2]
-        if hypothesis is H.H4:
+        if hypothesis is _H4:
             return c0 * one, None, c1 * one, None
-        if hypothesis is H.H1:
+        if hypothesis is _H1:
             return u0 * (one - c1) + u1 * c1, None, b0 * (one - c0) + b1 * c0, None
-        if hypothesis is H.H5:
+        if hypothesis is _H5:
             mass0 = (one - c1) * a + (one - c0) * (one - a)
             mass1 = c1 * a + c0 * (one - a)
             if mass0 == 0 or mass1 == 0:
@@ -270,13 +274,13 @@ def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
                 mass1,
             )
     else:
-        if hypothesis is H.H4:
+        if hypothesis is _H4:
             return 0, None, 0, None  # independent by structure
         t = v[1]
-        if hypothesis is H.H1:
+        if hypothesis is _H1:
             return u0 * (one - t) + u1 * t, None, b0 * (one - t) + b1 * t, None
         a = v[0]
-        if hypothesis is H.H5:
+        if hypothesis is _H5:
             return b0 * (one - a) + u0 * a, None, b1 * (one - a) + u1 * a, None
     raise ParameterError(f"unknown hypothesis {hypothesis!r}")
 
@@ -342,7 +346,7 @@ def equational_member(hypotheses: HypothesisSet) -> Optional[Hypothesis]:
     Raises ConstraintError when both are present: solving one for its
     designated parameter would in general break the other.
     """
-    eqs = [h for h in (Hypothesis.H1, Hypothesis.H5) if h in hypotheses]
+    eqs = [h for h in (_H1, _H5) if h in hypotheses]
     if len(eqs) == 2:
         raise ConstraintError("H1 and H5 cannot be imposed together")
     return eqs[0] if eqs else None
@@ -358,7 +362,7 @@ def _solve(model: int, eq: Hypothesis, v, one) -> tuple:
     where the plain solve divides by zero.  It is a product of slot values
     and their complements, so it is never negative.
     """
-    if eq is Hypothesis.H1:
+    if eq is _H1:
         if model == 1:
             b0, b1, u0 = v[3], v[4], v[5]
             exposed0, exposed1, unexposed0, unexposed1 = _masses(1, v, one)
@@ -469,7 +473,7 @@ def _solved_slot(model: int, rep: tuple, eq: Hypothesis) -> int:
 
     Raises ConstraintError when an equality constraint already ties that slot.
     """
-    slot = _U1 if eq is Hypothesis.H1 else _U0
+    slot = _U1 if eq is _H1 else _U0
     if rep[slot] != slot or any(j != slot and rep[j] == slot for j in range(7)):
         raise ConstraintError(
             f"cannot solve {eq.value} for slot "

@@ -31,6 +31,10 @@ strictly helping).
 
 All quantities follow the joint's arithmetic: rational joints give exact
 rational answers, and in that mode the classification tolerance must be 0.
+On a rational joint the three proportions are integer ratios of the
+joint's cell numerators (``_exact_pairs``); the verdict and Lemma 1 compare
+them by integer cross-multiplication, and ``Fraction``s are built only for
+the values a caller receives.
 """
 
 from __future__ import annotations
@@ -159,14 +163,15 @@ def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
     """All four measures by summation over the joint's cells.
 
     A float joint goes through the per-measure functions above.  A rational
-    joint adds its integer numerators instead (see ``JointDistribution``),
-    and each measure is one ``Fraction`` of integer sums, with the bias
-    cross-multiplied; degenerate events raise the same errors in the same
-    order as the per-measure functions.
+    joint adds its integer numerators instead (see ``JointDistribution``)
+    into one integer numerator and denominator per proportion
+    (``_exact_pairs``), and each measure is one ``Fraction`` of those, with
+    the bias cross-multiplied; degenerate events raise the same errors in
+    the same order as the per-measure functions.
     """
     n = joint._numerators
     if n is not None:
-        return _exact_summary(n)
+        return _pairs_summary(*_exact_pairs(n))
     hypothetical = hypothetical_proportion(joint)
     observed = observed_proportion(joint)
     return MeasureSummary(
@@ -177,15 +182,21 @@ def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
     )
 
 
-def _exact_summary(n: tuple) -> MeasureSummary:
+def _exact_pairs(n: tuple) -> tuple:
+    """(h, hd, o, od, s, sd): the hypothetical, observed and standardized
+    proportions of a rational joint as integer ratios h/hd, o/od and s/sd.
+
+    ``n`` is the joint's integer numerators over any common denominator.
+    Every denominator is positive, so comparisons of the proportions can be
+    cross-multiplied.  Raises the per-measure functions' errors in their
+    order.
+    """
     exposed = n[0] + n[1] + n[2] + n[3]
     if exposed == 0:
         raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
     unexposed = n[4] + n[5] + n[6] + n[7]
     if unexposed == 0:
         raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
-    exposed_cases = n[1] + n[3]
-    unexposed_cases = n[5] + n[7]
     # standardized = (sum_k cases_k * weight_k / stratum_k) / exposed over the
     # strata with weight_k > 0, summed as numerator / denominator
     numerator, denominator = 0, 1
@@ -201,13 +212,16 @@ def _exact_summary(n: tuple) -> MeasureSummary:
             )
         numerator = numerator * stratum + cases * weight * denominator
         denominator *= stratum
+    return n[1] + n[3], exposed, n[5] + n[7], unexposed, numerator, denominator * exposed
+
+
+def _pairs_summary(h: int, hd: int, o: int, od: int, s: int, sd: int) -> MeasureSummary:
+    """The four measures of integer ratios h/hd, o/od and s/sd."""
     return MeasureSummary(
-        hypothetical=Fraction(exposed_cases, exposed),
-        observed=Fraction(unexposed_cases, unexposed),
-        standardized=Fraction(numerator, denominator * exposed),
-        bias=Fraction(
-            exposed_cases * unexposed - unexposed_cases * exposed, exposed * unexposed
-        ),
+        hypothetical=Fraction(h, hd),
+        observed=Fraction(o, od),
+        standardized=Fraction(s, sd),
+        bias=Fraction(h * od - o * hd, hd * od),
     )
 
 
@@ -232,13 +246,8 @@ def closed_form_summary(params: ModelParams) -> MeasureSummary:
     if exact:
         exposed *= one
         unexposed *= one
-        return MeasureSummary(
-            hypothetical=Fraction(exposed_cases, exposed),
-            observed=Fraction(unexposed_cases, unexposed),
-            standardized=Fraction(standardized_cases, exposed),
-            bias=Fraction(
-                exposed_cases * unexposed - unexposed_cases * exposed, exposed * unexposed
-            ),
+        return _pairs_summary(
+            exposed_cases, exposed, unexposed_cases, unexposed, standardized_cases, exposed
         )
     hypothetical = exposed_cases / exposed
     observed = unexposed_cases / unexposed
@@ -276,24 +285,57 @@ def classify_covariate(
     ``tol`` defaults to 0 for exact-rational joints and 1e-9 otherwise.  In
     exact mode a nonzero tolerance is rejected: comparisons there are exact
     by construction and a loosened equality would silently change verdicts.
+
+    A float joint compares its four measures as ``_classify`` does.  A
+    rational joint decides the verdict on the integer ratios h/hd, o/od and
+    s/sd of ``_exact_pairs`` by cross-multiplication, with no ``Fraction``:
+    irrelevant when s·od = o·sd, confounder when
+    |h·sd − s·hd|·od < |h·od − o·hd|·sd.  Only the five reported values
+    are then built as ``Fraction``s.  The tests hold ``_classify`` on the
+    ``Fraction`` measures as the oracle.
     """
-    exact = joint.is_exact
+    n = joint._numerators
     if tol is None:
-        tol = 0 if exact else DEFAULT_FLOAT_TOL
+        tol = 0 if n is not None else DEFAULT_FLOAT_TOL
     _check_tolerance(tol)
-    if exact and tol != 0:
-        raise ParameterError("exact-rational classification requires tol = 0")
-    return _classify(summary_from_joint(joint), tol)
+    if n is None:
+        return _classify(summary_from_joint(joint), tol)
+    _check_exact_tolerance(tol)
+    pairs = h, hd, o, od, s, sd = _exact_pairs(n)
+    gap = abs(h * sd - s * hd)
+    if s * od == o * sd:
+        verdict = Verdict.IRRELEVANT
+    elif gap * od < abs(h * od - o * hd) * sd:
+        verdict = Verdict.CONFOUNDER
+    else:
+        verdict = Verdict.NEITHER
+    return ClassificationReport(*_pairs_summary(*pairs), Fraction(gap, hd * sd), verdict)
 
 
 def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0) -> bool:
     """True when the two positive verdicts are mutually exclusive on ``joint``.
 
     Evaluates the irrelevance and confounder conditions independently (not
-    through verdict precedence) and checks they do not both hold.
+    through verdict precedence) and checks they do not both hold.  A float
+    joint compares its four measures within ``tol``.  A rational joint
+    requires tol = 0, as ``classify_covariate`` does, and evaluates both
+    conditions on the integer ratios of ``_exact_pairs`` by
+    cross-multiplication.
     """
     _check_tolerance(tol)
-    summary = summary_from_joint(joint)
-    irrelevant = abs(summary.standardized - summary.observed) <= tol
-    confounder = abs(summary.hypothetical - summary.standardized) < abs(summary.bias) - tol
+    n = joint._numerators
+    if n is None:
+        summary = summary_from_joint(joint)
+        irrelevant = abs(summary.standardized - summary.observed) <= tol
+        confounder = abs(summary.hypothetical - summary.standardized) < abs(summary.bias) - tol
+    else:
+        _check_exact_tolerance(tol)
+        h, hd, o, od, s, sd = _exact_pairs(n)
+        irrelevant = s * od == o * sd
+        confounder = abs(h * sd - s * hd) * od < abs(h * od - o * hd) * sd
     return not (irrelevant and confounder)
+
+
+def _check_exact_tolerance(tol) -> None:
+    if tol != 0:
+        raise ParameterError("exact-rational classification requires tol = 0")

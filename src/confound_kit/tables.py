@@ -32,7 +32,7 @@ from typing import Mapping, Tuple, Union
 
 from .errors import DegenerateEventError, ParameterError, TableFormatError
 from .joint import Exposure, JointDistribution
-from .measures import ClassificationReport, _classify, summary_from_joint
+from .measures import ClassificationReport, classify_covariate
 
 
 class ResponseType(Enum):
@@ -173,10 +173,9 @@ def coarsen(counts: StratifiedCounts, mapping: CoarseningMap) -> StratifiedCount
 def analyze_counts(counts: StratifiedCounts) -> ClassificationReport:
     """Exact classification of a binary-stratum table.
 
-    The table's joint (``counts_to_joint``) goes through the exact
-    ``summary_from_joint`` and the verdict at tolerance zero, so the
-    proportions are Fractions of integer counts and the report is that of
-    ``classify_covariate`` on the joint.  Requires both exposure arms
+    The report is ``classify_covariate`` on the table's joint
+    (``counts_to_joint``): the verdict is decided on the integer counts and
+    the proportions are Fractions of them.  Requires both exposure arms
     nonempty (a type invariant) and, for the standardized proportion,
     unexposed individuals in every stratum that has exposed ones; that
     error names the stratum's label.
@@ -193,7 +192,7 @@ def analyze_counts(counts: StratifiedCounts) -> ClassificationReport:
                 f"stratum {stratum!r} has exposed individuals but no unexposed ones; "
                 "the standardized proportion is undefined"
             )
-    return _classify(summary_from_joint(counts_to_joint(counts)), 0)
+    return classify_covariate(counts_to_joint(counts))
 
 
 def counts_to_joint(counts: StratifiedCounts) -> JointDistribution:

@@ -179,6 +179,17 @@ def test_verdict_tolerance_defaults():
     assert DEFAULT_FLOAT_TOL == 1e-9
 
 
+@pytest.mark.parametrize("tol", [1e-9, F(1, 10**6), 1])
+def test_exact_lemma1_rejects_nonzero_tolerance(tol):
+    # as classify_covariate does: the exact lemma compares integers, and a
+    # tolerance would loosen its equality
+    exact = table1_joint()
+    for check in (classify_covariate, check_lemma1):
+        with pytest.raises(ParameterError, match="requires tol = 0"):
+            check(exact, tol=tol)
+    assert check_lemma1(exact, tol=0.0)
+
+
 def test_negative_tolerance_rejected():
     with pytest.raises(ParameterError):
         classify_covariate(joint_from_model1(EXAMPLE_M1), tol=-1e-9)

@@ -3,7 +3,9 @@
 ``holds_numeric`` and ``summary_from_joint`` add fixed cells (integer
 numerators on a rational joint).  Their oracle is the keyword route,
 ``JointDistribution.prob`` and ``conditional_prob``, on random float and
-rational joints with zero cells and zero-mass slices.
+rational joints with zero cells and zero-mass slices.  The exact verdict
+and Lemma 1 compare integer cross-products; their oracle is ``_classify``
+and the two conditions on the ``Fraction`` measures.
 
 ``build_joint``, ``holds_algebraic`` and ``closed_form_summary`` expand the
 model algebra once over a unit (integer numerators for rational
@@ -19,7 +21,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import algebra_oracle as oracle
@@ -47,6 +49,7 @@ from confound_kit import (
 )
 from confound_kit._rng import SplitMix64
 from confound_kit.hypotheses import _solve
+from confound_kit.measures import _classify
 
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -182,6 +185,39 @@ def test_lemma1_exclusive_on_rational_joints(joint):
     assert not (irrelevant and confounder)
     if irrelevant:
         assert report.adjusted_gap == abs(report.bias)
+
+
+def joint_of_counts(cells):
+    total = sum(cells)
+    return JointDistribution(tuple(Fraction(n, total) for n in cells))
+
+
+def fraction_classify(joint):
+    return _classify(summary_from_joint(joint), 0)
+
+
+# adjusted_gap == |bias| while standardized != observed: the edge of the
+# strict confounder test, which random counts seldom reach (8 of the 3**8
+# joints with cells 0..2); in the second |bias| = 1/5, which rounds up as a
+# float
+@PROPERTY
+@given(rational_joints())
+@example(joint_of_counts((0, 0, 1, 2, 2, 0, 0, 1)))
+@example(joint_of_counts((0, 1, 2, 2, 3, 0, 0, 2)))
+def test_exact_verdict_matches_fraction_route(joint):
+    expected = outcome(fraction_classify, joint)
+    # a float zero is a zero tolerance too: no measure may be rounded to a
+    # float on the way
+    for tol in (0, 0.0):
+        got = outcome(classify_covariate, joint, tol)
+        lemma = outcome(check_lemma1, joint, tol)
+        if isinstance(expected, tuple):  # a degenerate joint: same error
+            assert got == expected and lemma == expected
+            continue
+        assert typed(vars(got).values()) == typed(vars(expected).values())
+        irrelevant = expected.standardized == expected.observed
+        confounder = expected.adjusted_gap < abs(expected.bias)
+        assert lemma is (not (irrelevant and confounder))
 
 
 # --- the model algebra against the plain products -----------------------------
