@@ -1,7 +1,9 @@
 /* Compiled campaign kernel.
  *
- * Returns what _pykernel.run_campaign returns, bit for bit: every sample goes
- * through the same expressions with the same operand order.  setup.py
+ * Returns what _pykernel.run_campaign returns, bit for bit.  The pure kernel
+ * runs the library's helpers, so this file transliterates them with the same
+ * operand order: masses() is joint._masses, the cells in violation_at() are
+ * joint._cells, and solve() is hypotheses._solve, each at one = 1.  setup.py
  * compiles this file with -ffp-contract=off, because a fused multiply-add
  * would round differently from Python's separate multiply and add.
  *
@@ -79,80 +81,84 @@ read_rep(PyObject *rep, int out[7])
     return 0;
 }
 
-/* The slot the equational member solves for: v6 under H1, else v5 (H5).
-   Models other than 1 and 2 take model 3's formulas, as in _pykernel. */
+/* joint._masses at one = 1: m = (exposed0, exposed1, unexposed0, unexposed1),
+   P(E, C) from the model's first slots.  Models other than 1 and 2 take
+   model 3's masses, as there. */
+ALWAYS_INLINE void
+masses(int model, double v0, double v1, double v2, double m[4])
+{
+    if (model == 1) { /* t, a0, a1 */
+        m[0] = v1 * (1.0 - v0);
+        m[1] = v2 * v0;
+        m[2] = (1.0 - v1) * (1.0 - v0);
+        m[3] = (1.0 - v2) * v0;
+    } else if (model == 2) { /* a, c0, c1 */
+        m[0] = v0 * (1.0 - v2);
+        m[1] = v0 * v2;
+        m[2] = (1.0 - v0) * (1.0 - v1);
+        m[3] = (1.0 - v0) * v1;
+    } else { /* a, t */
+        m[0] = v0 * (1.0 - v1);
+        m[1] = v0 * v1;
+        m[2] = (1.0 - v0) * (1.0 - v1);
+        m[3] = (1.0 - v0) * v1;
+    }
+}
+
+/* hypotheses._solve at one = 1, divided once as impose divides it: u1 (v6)
+   under H1, else u0 (v5) under H5.  Its dens carry a leading factor one,
+   which is dropped here: 1.0 * x is x. */
 ALWAYS_INLINE double
 solve(int model, int h1, double v0, double v1, double v2, double v3,
       double v4, double v5, double v6)
 {
+    double num, den;
     if (h1) {
-        double obs;
         if (model == 1) {
-            double e0 = v1 * (1.0 - v0);
-            double e1 = v2 * v0;
-            double n0 = (1.0 - v1) * (1.0 - v0);
-            double n1 = (1.0 - v2) * v0;
-            obs = (v3 * n0 + v4 * n1) / (n0 + n1);
-            return (obs * (e0 + e1) - v5 * e0) / e1;
+            double m[4];
+            masses(1, v0, v1, v2, m);
+            double unexposed = m[2] + m[3];
+            num = (v3 * m[2] + v4 * m[3]) * (m[0] + m[1]) - v5 * m[0] * unexposed;
+            den = unexposed * m[1];
         } else if (model == 2) {
-            obs = v3 * (1.0 - v1) + v4 * v1;
-            return (obs - v5 * (1.0 - v2)) / v2;
+            num = v3 * (1.0 - v1) + v4 * v1 - v5 * (1.0 - v2);
+            den = v2;
         } else {
-            obs = v3 * (1.0 - v1) + v4 * v1;
-            return (obs - v5 * (1.0 - v1)) / v1;
+            num = v3 * (1.0 - v1) + v4 * v1 - v5 * (1.0 - v1);
+            den = v1;
         }
-    }
-    if (model == 1) {
-        return (v6 * v2 + v4 * (1.0 - v2) - v3 * (1.0 - v1)) / v1;
+    } else if (model == 1) {
+        num = v6 * v2 + v4 * (1.0 - v2) - v3 * (1.0 - v1);
+        den = v1;
     } else if (model == 2) {
-        double target = (v6 * v2 * v0 + v4 * v1 * (1.0 - v0)) /
-                        (v2 * v0 + v1 * (1.0 - v0));
+        double target = v6 * v2 * v0 + v4 * v1 * (1.0 - v0);
+        double mass1 = v2 * v0 + v1 * (1.0 - v0);
         double mass0 = (1.0 - v2) * v0 + (1.0 - v1) * (1.0 - v0);
-        return (target * mass0 - v3 * (1.0 - v1) * (1.0 - v0)) /
-               ((1.0 - v2) * v0);
+        num = target * mass0 - v3 * (1.0 - v1) * (1.0 - v0) * mass1;
+        den = mass1 * (1.0 - v2) * v0;
     } else {
-        return v6 + (v4 - v3) * (1.0 - v0) / v0;
+        num = v6 * v0 + (v4 - v3) * (1.0 - v0);
+        den = v0;
     }
+    return num / den;
 }
 
-/* The signed violation of the conclusion (no confounding, else irrelevance). */
+/* The signed violation of the conclusion (no confounding, else irrelevance)
+   on the cells of joint._cells. */
 ALWAYS_INLINE double
 violation_at(int model, int no_confounding, double v0, double v1, double v2,
              double v3, double v4, double v5, double v6)
 {
-    double p0, p1, p2, p3, p4, p5, p6, p7;
-    if (model == 1) {
-        double tb = 1.0 - v0;
-        p0 = tb * v1 * (1.0 - v5);
-        p1 = tb * v1 * v5;
-        p2 = v0 * v2 * (1.0 - v6);
-        p3 = v0 * v2 * v6;
-        p4 = tb * (1.0 - v1) * (1.0 - v3);
-        p5 = tb * (1.0 - v1) * v3;
-        p6 = v0 * (1.0 - v2) * (1.0 - v4);
-        p7 = v0 * (1.0 - v2) * v4;
-    } else if (model == 2) {
-        double ab = 1.0 - v0;
-        p0 = v0 * (1.0 - v2) * (1.0 - v5);
-        p1 = v0 * (1.0 - v2) * v5;
-        p2 = v0 * v2 * (1.0 - v6);
-        p3 = v0 * v2 * v6;
-        p4 = ab * (1.0 - v1) * (1.0 - v3);
-        p5 = ab * (1.0 - v1) * v3;
-        p6 = ab * v1 * (1.0 - v4);
-        p7 = ab * v1 * v4;
-    } else {
-        double ab = 1.0 - v0;
-        double tb = 1.0 - v1;
-        p0 = v0 * tb * (1.0 - v5);
-        p1 = v0 * tb * v5;
-        p2 = v0 * v1 * (1.0 - v6);
-        p3 = v0 * v1 * v6;
-        p4 = ab * tb * (1.0 - v3);
-        p5 = ab * tb * v3;
-        p6 = ab * v1 * (1.0 - v4);
-        p7 = ab * v1 * v4;
-    }
+    double m[4];
+    masses(model, v0, v1, v2, m);
+    double p0 = m[0] * (1.0 - v5);
+    double p1 = m[0] * v5;
+    double p2 = m[1] * (1.0 - v6);
+    double p3 = m[1] * v6;
+    double p4 = m[2] * (1.0 - v3);
+    double p5 = m[2] * v3;
+    double p6 = m[3] * (1.0 - v4);
+    double p7 = m[3] * v4;
     double pe = p0 + p1 + p2 + p3;
     double pu = p4 + p5 + p6 + p7;
     double obs = (p5 + p7) / pu;
@@ -230,8 +236,7 @@ run_campaign(PyObject *self, PyObject *args)
     /* drawn[k]: the row slot k takes its value from; v: the same, with the
        solved slot's row in place of its drawn one */
     const double *drawn[7], *v[7];
-    drawn[0] = q[0];
-    for (int k = 1; k < 7; k++)
+    for (int k = 0; k < 7; k++)
         drawn[k] = q[rep[k]];
     memcpy(v, drawn, sizeof v);
     if (eq == EQ_H1)

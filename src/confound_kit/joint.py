@@ -109,8 +109,10 @@ def _check_tolerance(tol) -> None:
 
 
 def _check_integer(name: str, value) -> None:
-    """Reject a count, seed or budget that is not an integer (2.5, "3")."""
+    """Reject a count, seed or budget that is not an integer (2.5, "3", True)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
@@ -134,7 +136,7 @@ def _num_from_json(value: object) -> Numeric:
 
 
 class _ParamsBase:
-    """Shared serialization and exactness helpers for parameter sets.
+    """Shared range checks, serialization and exactness helpers for parameter sets.
 
     Each parameter set keeps ``_unit = (model, one, values, exact)`` for the
     model algebra (see ``_masses``).  When every field holds a ``Fraction``,
@@ -145,6 +147,13 @@ class _ParamsBase:
     not a field, so equality, hashing, ``repr`` and ``to_dict`` see the
     fields alone.
     """
+
+    def __post_init__(self) -> None:
+        # a structural mixing weight named a must lie strictly inside (0, 1)
+        for f in fields(self):
+            check = _check_open_unit if f.name == "a" else _check_unit
+            check(f.name, getattr(self, f.name))
+        self._keep_unit_values()
 
     def _keep_unit_values(self) -> None:
         values = self._field_values(self)
@@ -188,9 +197,7 @@ class Model1Params(_ParamsBase):
     u1: Numeric
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _check_unit(f.name, getattr(self, f.name))
-        self._keep_unit_values()
+        super().__post_init__()
         # Both exposure arms must be reachable, or every conditional on E is
         # undefined downstream.
         _, one, v, _ = self._unit
@@ -213,13 +220,6 @@ class Model2Params(_ParamsBase):
     u0: Numeric
     u1: Numeric
 
-    def __post_init__(self) -> None:
-        _check_open_unit("a", self.a)
-        for f in fields(self):
-            if f.name != "a":
-                _check_unit(f.name, getattr(self, f.name))
-        self._keep_unit_values()
-
 
 @dataclass(frozen=True)
 class Model3Params(_ParamsBase):
@@ -231,13 +231,6 @@ class Model3Params(_ParamsBase):
     b1: Numeric
     u0: Numeric
     u1: Numeric
-
-    def __post_init__(self) -> None:
-        _check_open_unit("a", self.a)
-        for f in fields(self):
-            if f.name != "a":
-                _check_unit(f.name, getattr(self, f.name))
-        self._keep_unit_values()
 
 
 ModelParams = Union[Model1Params, Model2Params, Model3Params]

@@ -8,8 +8,7 @@ reaches both for parity tests and benchmarks.
 """
 
 from . import _pykernel
-
-_MASK64 = (1 << 64) - 1
+from ._rng import _MASK64
 
 try:
     from . import _ckernel as _impl

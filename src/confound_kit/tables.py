@@ -25,7 +25,6 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Tuple, Union
@@ -296,14 +295,13 @@ def dump_counts(counts: StratifiedCounts) -> str:
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of a bundled example table."""
-    path = resources.files("confound_kit").joinpath("data", name)
-    if not path.is_file():
-        available = sorted(
-            entry.name
-            for entry in resources.files("confound_kit").joinpath("data").iterdir()
-            if entry.name.endswith(".csv")
-        )
+    """Filesystem path of a bundled example table.
+
+    Only the bundled ``.csv`` names are accepted, so a name cannot reach
+    outside the package's data directory.
+    """
+    data = Path(__file__).parent / "data"
+    available = sorted(path.name for path in data.glob("*.csv"))
+    if name not in available:
         raise ParameterError(f"no bundled table {name!r}; available: {available}")
-    with resources.as_file(path) as concrete:
-        return Path(concrete)
+    return data / name

@@ -48,8 +48,10 @@ def test_parity_across_full_catalog(backends):
 def test_parity_on_equational_paths(backends):
     for model in (1, 2, 3):
         for eq in (EQ_NONE, EQ_H1, EQ_H5):
-            args = (model, UNIT_REP, eq, NO_CONFOUNDING, 0, 300, 777, 1e-10, 1000)
-            assert backends["pure"].run_campaign(*args) == backends["compiled"].run_campaign(*args)
+            for conclusion in (IRRELEVANT, NO_CONFOUNDING):
+                args = (model, UNIT_REP, eq, conclusion, 0, 300, 777, 1e-10, 1000)
+                pure = backends["pure"].run_campaign(*args)
+                assert pure == backends["compiled"].run_campaign(*args), args
 
 
 def test_parity_on_wrapping_seeds_and_indices(backends):

@@ -360,5 +360,6 @@ def test_dump_then_load_round_trip():
 def test_fixture_paths_exist():
     for name in ("table1.csv", "table1_coarse.csv", "table2_base.csv", "table2_coarse.csv"):
         assert fixture_path(name).is_file()
-    with pytest.raises(ParameterError):
-        fixture_path("missing.csv")
+    for name in ("missing.csv", "../__init__.py", "../joint.py"):
+        with pytest.raises(ParameterError, match="no bundled table"):
+            fixture_path(name)

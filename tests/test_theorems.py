@@ -293,6 +293,27 @@ def test_verify_rejects_non_integer_counts(exact):
         falsify_converse(1, Conclusion.NO_CONFOUNDING, "3")
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: verify_clause(clause_lookup("T1", "a"), True), "samples"),
+        (lambda: verify_clause(clause_lookup("T1", "a"), True, exact=True), "samples"),
+        (lambda: verify_clause(clause_lookup("T1", "a"), 3, seed=True), "seed"),
+        (lambda: verify_clause(clause_lookup("T1", "a"), 3, threads=True), "thread count"),
+        (
+            lambda: impose(random_params(1, SplitMix64(0)), hypothesis_set(H.H1), SplitMix64(1), budget=True),
+            "budget",
+        ),
+        (lambda: falsify_converse(1, Conclusion.NO_CONFOUNDING, True), "samples"),
+    ],
+    ids=["verify-samples", "exact-samples", "seed", "threads", "impose-budget", "falsify-samples"],
+)
+def test_bool_counts_rejected(call, name):
+    # operator.index(True) succeeds, so a bool would pass as the integer 1
+    with pytest.raises(ParameterError, match=f"{name} must be an integer, got True"):
+        call()
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_tolerance_rejected(tol):
     # no conditions at all: standardizing changes the observed risk on
@@ -417,20 +438,36 @@ def test_exact_campaign_rejects_tied_solved_slot():
     assert str(raised.value) == str(expected.value)
 
 
+# H1/H5 sets outside the catalog: the H5 solve in every model, and model 1's
+# H1 solve with an equality substituted, each under both conclusions
+_SOLVE_CLAUSES = tuple(
+    TheoremClause("X", "solve", model, conditions, conclusion)
+    for model, conditions in (
+        *((m, hypothesis_set(H.H5)) for m in (1, 2, 3)),
+        *((m, hypothesis_set(H.H5, H.H6)) for m in (1, 2, 3)),
+        (1, hypothesis_set(H.H1, H.H4)),
+    )
+    for conclusion in Conclusion
+)
+
+
 @pytest.mark.parametrize("seed", [11, -1])
-def test_float_kernel_replays_library_route(seed):
-    # sample i of a kernel campaign against the same stream run through
-    # random_params -> impose -> the oracle's products -> summary_from_joint
-    for clause in CLAUSES:
+def test_float_kernel_replays_library_route(backends, seed):
+    # sample i of a campaign on either kernel equals, bit for bit, the same
+    # stream run through random_params -> impose -> the oracle's products ->
+    # summary_from_joint
+    for clause in CLAUSES + _SOLVE_CLAUSES:
         codes = _campaign_codes(clause)
-        for i in (0, 1, 57, 1000):
-            violation = kernel.run_campaign(
-                *codes, i, 1, seed, theorems.CAMPAIGN_FLOAT_TOL, theorems._REDRAW_BUDGET
-            )[0]
+        for i in (*range(40), 1000):
             rng = sample_stream(seed, i)
             base = random_params(clause.model, rng)
             params = impose(base, clause.conditions, rng, budget=theorems._REDRAW_BUDGET)
-            assert abs(violation - _violation(clause, params)) <= 1e-12, (clause, i)
+            expected = _violation(clause, params)
+            for name, impl in backends.items():
+                violation = impl.run_campaign(
+                    *codes, i, 1, seed, theorems.CAMPAIGN_FLOAT_TOL, theorems._REDRAW_BUDGET
+                )[0]
+                assert violation == expected, (name, clause, i)
 
 
 def test_exact_mode_rejects_nonzero_tolerance():
