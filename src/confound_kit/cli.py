@@ -19,15 +19,12 @@ from typing import Optional
 
 from . import __version__
 from .errors import ConfoundKitError, DegenerateEventError, ParameterError
-from .hypotheses import _SLOT_FIELDS, Hypothesis, holds_algebraic, holds_numeric
+from .hypotheses import Hypothesis, holds_algebraic, holds_numeric
 from .joint import build_joint, params_type
 from .measures import DEFAULT_FLOAT_TOL, classify_covariate
 from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
 from .theorems import _MIN_CHUNK, clause_lookup, verify_clause
 
-_MODEL_FIELDS = {
-    model: tuple(name for name in slots if name) for model, slots in _SLOT_FIELDS.items()
-}
 _ALL_PARAM_FLAGS = ("t", "a0", "a1", "a", "c0", "c1", "b0", "b1", "u0", "u1")
 
 
@@ -133,7 +130,7 @@ def _collect_params(parser, args, required: bool = True):
         return None
     if args.model is None:
         parser.error("parameter flags need --model to be interpreted")
-    needed = _MODEL_FIELDS[args.model]
+    needed = params_type(args.model)._fields
     missing = [n for n in needed if n not in given]
     extra = sorted(set(given) - set(needed))
     if missing:

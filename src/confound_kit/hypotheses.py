@@ -44,6 +44,9 @@ from ._rng import SplitMix64
 from .errors import ConstraintError, DegenerateEventError, ParameterError
 from .joint import (
     JointDistribution,
+    Model1Params,
+    Model2Params,
+    Model3Params,
     ModelParams,
     _check_integer,
     _check_tolerance,
@@ -287,12 +290,13 @@ def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
 
 # Parameter slots, uniform across models so constraint bookkeeping is shared:
 # slot 0 is the structural mixing weight (t or a), slots 1..2 the exposure or
-# covariate response pair (a0/a1, c0/c1; unused in Model 3), slots 3..6 the
-# outcome parameters b0, b1, u0, u1.
+# covariate response pair (a0/a1, c0/c1; slot 2 unused in Model 3, where
+# slot 1 is t), slots 3..6 the outcome parameters b0, b1, u0, u1.  The names
+# are the parameter classes' fields in order.
 _SLOT_FIELDS = {
-    1: ("t", "a0", "a1", "b0", "b1", "u0", "u1"),
-    2: ("a", "c0", "c1", "b0", "b1", "u0", "u1"),
-    3: ("a", "t", None, "b0", "b1", "u0", "u1"),
+    1: Model1Params._fields,
+    2: Model2Params._fields,
+    3: Model3Params._fields[:2] + (None,) + Model3Params._fields[2:],
 }
 
 # Equality constraints as slot pairs.  H4 ties the pair (1, 2) where that
@@ -402,12 +406,9 @@ def random_params(model: int, rng: SplitMix64, *, exact: bool = False) -> ModelP
     kernels' streams draw for draw.
     """
     cls = params_type(model)
-    names = [name for name in _SLOT_FIELDS[model] if name]
     if exact:
-        values = [Fraction(10 + rng.next_u64() % 981, 1000) for _ in names]
-    else:
-        values = [0.01 + rng.next_float() * 0.98 for _ in names]
-    return cls(**dict(zip(names, values)))
+        return cls(*[Fraction(10 + rng.next_u64() % 981, 1000) for _ in cls._fields])
+    return cls(*[0.01 + rng.next_float() * 0.98 for _ in cls._fields])
 
 
 def _slot_values(params: ModelParams) -> list:
@@ -416,8 +417,7 @@ def _slot_values(params: ModelParams) -> list:
 
 
 def _params_from_slots(model: int, values) -> ModelParams:
-    fields = _SLOT_FIELDS[model]
-    return params_type(model)(**{name: values[j] for j, name in enumerate(fields) if name})
+    return params_type(model)(*[v for v, name in zip(values, _SLOT_FIELDS[model]) if name])
 
 
 def impose(

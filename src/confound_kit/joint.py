@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -135,7 +134,77 @@ def _num_from_json(value: object) -> Numeric:
     return value
 
 
-class _ParamsBase:
+class _Frozen:
+    """Value semantics of a frozen dataclass over the fields named in ``_fields``.
+
+    Instances are equal when their classes are identical and their field
+    tuples are equal, hash as that tuple, print as ``Name(field=value, ...)``
+    and refuse assignment and deletion.  Plain attributes outside
+    ``_fields`` (``_unit``, ``_numerators``) take no part in any of these.
+    The constructor binds the fields positionally or by keyword, with
+    Python's own messages for a bad call, then runs ``__post_init__``;
+    classes on hot paths define their own ``__init__`` instead.
+    """
+
+    _fields: tuple = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = _bind(type(self), args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> list:
+    """``cls._fields`` values from constructor arguments, or the TypeError
+    Python raises for a call that does not fit the signature."""
+    names = cls._fields
+    call = f"{cls.__qualname__}.__init__()"
+    bound = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+        if name in bound:
+            raise TypeError(f"{call} got multiple values for argument {name!r}")
+        bound[name] = value
+    if len(args) > len(names):
+        raise TypeError(
+            f"{call} takes {len(names) + 1} positional arguments but {len(args) + 1} were given"
+        )
+    missing = [repr(name) for name in names if name not in bound]
+    if len(missing) == 1:
+        raise TypeError(f"{call} missing 1 required positional argument: {missing[0]}")
+    if missing:
+        listed = ", ".join(missing[:-1]) + ("," if len(missing) > 2 else "") + " and " + missing[-1]
+        raise TypeError(f"{call} missing {len(missing)} required positional arguments: {listed}")
+    return [bound[name] for name in names]
+
+
+class _ParamsBase(_Frozen):
     """Shared range checks, serialization and exactness helpers for parameter sets.
 
     Each parameter set keeps ``_unit = (model, one, values, exact)`` for the
@@ -150,9 +219,9 @@ class _ParamsBase:
 
     def __post_init__(self) -> None:
         # a structural mixing weight named a must lie strictly inside (0, 1)
-        for f in fields(self):
-            check = _check_open_unit if f.name == "a" else _check_unit
-            check(f.name, getattr(self, f.name))
+        for name, value in zip(self._fields, self._field_values(self)):
+            check = _check_open_unit if name == "a" else _check_unit
+            check(name, value)
         self._keep_unit_values()
 
     def _keep_unit_values(self) -> None:
@@ -164,19 +233,19 @@ class _ParamsBase:
             unit = (self._model, one, numerators, True)
         else:
             unit = (self._model, 1, values, False)
-        object.__setattr__(self, "_unit", unit)
+        self.__dict__["_unit"] = unit
 
     @property
     def is_exact(self) -> bool:
-        return _is_exact(getattr(self, f.name) for f in fields(self))
+        return _is_exact(self._field_values(self))
 
     def to_dict(self) -> dict:
         """Serialize to plain JSON types; rationals become 'n/d' strings."""
-        return {f.name: _num_to_json(getattr(self, f.name)) for f in fields(self)}
+        return {name: _num_to_json(getattr(self, name)) for name in self._fields}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]):
-        names = [f.name for f in fields(cls)]
+        names = list(cls._fields)
         if set(data) != set(names):
             raise ParameterError(
                 f"expected exactly the fields {names}, got {sorted(data)}"
@@ -184,17 +253,10 @@ class _ParamsBase:
         return cls(**{n: _num_from_json(data[n]) for n in names})
 
 
-@dataclass(frozen=True)
 class Model1Params(_ParamsBase):
     """Covariate-influences-exposure structure (C -> E, C -> D, E -> D)."""
 
-    t: Numeric
-    a0: Numeric
-    a1: Numeric
-    b0: Numeric
-    b1: Numeric
-    u0: Numeric
-    u1: Numeric
+    _fields = ("t", "a0", "a1", "b0", "b1", "u0", "u1")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -208,29 +270,16 @@ class Model1Params(_ParamsBase):
             raise ParameterError("degenerate exposure marginal: P(E=ebar) = 0")
 
 
-@dataclass(frozen=True)
 class Model2Params(_ParamsBase):
     """Exposure-influences-covariate structure (E -> C, C -> D, E -> D)."""
 
-    a: Numeric
-    c0: Numeric
-    c1: Numeric
-    b0: Numeric
-    b1: Numeric
-    u0: Numeric
-    u1: Numeric
+    _fields = ("a", "c0", "c1", "b0", "b1", "u0", "u1")
 
 
-@dataclass(frozen=True)
 class Model3Params(_ParamsBase):
     """Independent exposure and covariate structure (C -> D, E -> D)."""
 
-    a: Numeric
-    t: Numeric
-    b0: Numeric
-    b1: Numeric
-    u0: Numeric
-    u1: Numeric
+    _fields = ("a", "t", "b0", "b1", "u0", "u1")
 
 
 ModelParams = Union[Model1Params, Model2Params, Model3Params]
@@ -239,7 +288,7 @@ _MODEL_NUMBERS = {Model1Params: 1, Model2Params: 2, Model3Params: 3}
 _PARAMS_TYPES = {1: Model1Params, 2: Model2Params, 3: Model3Params}
 for _cls, _model in _MODEL_NUMBERS.items():
     _cls._model = _model
-    _cls._field_values = attrgetter(*(f.name for f in fields(_cls)))  # a tuple in field order
+    _cls._field_values = attrgetter(*_cls._fields)  # a tuple in field order
 del _cls, _model
 
 
@@ -252,7 +301,7 @@ def model_number(params: ModelParams) -> int:
 
 
 def params_type(model: int):
-    """The parameter dataclass for a model number."""
+    """The parameter class for a model number."""
     try:
         return _PARAMS_TYPES[model]
     except KeyError:
@@ -267,13 +316,12 @@ def params_from_dict(data: Mapping[str, object]) -> ModelParams:
     """
     keys = set(data)
     for cls in (Model1Params, Model2Params, Model3Params):
-        if keys == {f.name for f in fields(cls)}:
+        if keys == set(cls._fields):
             return cls.from_dict(data)
     raise ParameterError(f"field set {sorted(keys)} matches no model parameterization")
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Frozen):
     """An explicit distribution over the eight (E, C, D_ebar) assignments.
 
     ``p`` lists cell weights in the canonical order given in the module
@@ -291,11 +339,10 @@ class JointDistribution:
     ``p`` alone.
     """
 
-    p: tuple
+    _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        weights = tuple(self.p)
-        object.__setattr__(self, "p", weights)
+    def __init__(self, p) -> None:
+        weights = tuple(p)
         if len(weights) != 8:
             raise ParameterError(f"joint needs exactly 8 cell weights, got {len(weights)}")
         for i, w in enumerate(weights):
@@ -317,13 +364,13 @@ class JointDistribution:
             total = sum(weights)
             if abs(total - 1) > _SUM_TOL:
                 raise ParameterError(f"cell weights sum to {total!r}, not 1 within {_SUM_TOL}")
-        object.__setattr__(self, "_numerators", numerators)
+        self.__dict__.update(p=weights, _numerators=numerators)
 
     @classmethod
     def _from_numerators(cls, numerators: tuple, denominator: int) -> "JointDistribution":
         """The rational joint with cells ``numerators[i] / denominator``.
 
-        Runs the checks ``__post_init__`` runs on rational weights, with the
+        Runs the checks ``__init__`` runs on rational weights, with the
         same messages, on the integers, and builds one ``Fraction`` per cell.
         """
         for i, n in enumerate(numerators):
@@ -335,8 +382,9 @@ class JointDistribution:
                 f"exact cell weights sum to {Fraction(total, denominator)}, not 1"
             )
         joint = object.__new__(cls)
-        object.__setattr__(joint, "p", tuple(Fraction(n, denominator) for n in numerators))
-        object.__setattr__(joint, "_numerators", numerators)
+        joint.__dict__.update(
+            p=tuple(Fraction(n, denominator) for n in numerators), _numerators=numerators
+        )
         return joint
 
     @staticmethod

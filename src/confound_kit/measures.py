@@ -39,7 +39,6 @@ the values a caller receives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -49,6 +48,7 @@ from .joint import (
     JointDistribution,
     ModelParams,
     Numeric,
+    _Frozen,
     _check_tolerance,
     _masses,
     _num_to_json,
@@ -73,16 +73,28 @@ class MeasureSummary(NamedTuple):
     bias: Numeric
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Frozen):
     """Measures plus verdict for one joint distribution."""
 
-    hypothetical: Numeric
-    observed: Numeric
-    standardized: Numeric
-    bias: Numeric
-    adjusted_gap: Numeric
-    verdict: Verdict
+    _fields = ("hypothetical", "observed", "standardized", "bias", "adjusted_gap", "verdict")
+
+    def __init__(
+        self,
+        hypothetical: Numeric,
+        observed: Numeric,
+        standardized: Numeric,
+        bias: Numeric,
+        adjusted_gap: Numeric,
+        verdict: Verdict,
+    ) -> None:
+        self.__dict__.update(
+            hypothetical=hypothetical,
+            observed=observed,
+            standardized=standardized,
+            bias=bias,
+            adjusted_gap=adjusted_gap,
+            verdict=verdict,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Tuple, Union
 
 from .errors import DegenerateEventError, ParameterError, TableFormatError
-from .joint import Exposure, JointDistribution
+from .joint import Exposure, JointDistribution, _Frozen
 from .measures import ClassificationReport, classify_covariate
 
 
@@ -52,20 +50,17 @@ class ResponseType(Enum):
 _TYPE_NAMES = {t.name.lower(): t for t in ResponseType}
 _EXPOSURE_NAMES = {"e": Exposure.EXPOSED, "ebar": Exposure.UNEXPOSED}
 
-CountKey = Tuple[ResponseType, Exposure, str]
 
-
-@dataclass(frozen=True)
-class StratifiedCounts:
+class StratifiedCounts(_Frozen):
     """Immutable counts indexed by (response type, exposure, stratum).
 
-    ``strata`` fixes the stratum labels and their order; missing cells count
-    as zero.  A table must contain at least one exposed and one unexposed
-    individual overall.
+    ``strata`` (a tuple of labels) fixes the stratum labels and their order;
+    ``counts`` maps (response type, exposure, stratum) keys to counts, and
+    missing cells count as zero.  A table must contain at least one exposed
+    and one unexposed individual overall.
     """
 
-    strata: Tuple[str, ...]
-    counts: Mapping[CountKey, int]
+    _fields = ("strata", "counts")
 
     def __post_init__(self) -> None:
         strata = tuple(self.strata)
@@ -84,13 +79,15 @@ class StratifiedCounts:
                 raise ParameterError(f"count for {key!r} must be a nonnegative int, got {value!r}")
             if value:
                 cleaned[key] = value
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "counts", MappingProxyType(cleaned))
+        self.__dict__.update(strata=strata, counts=MappingProxyType(cleaned))
         for exposure in Exposure:
             if self.exposure_total(exposure) == 0:
                 raise ParameterError(
                     f"table has no {exposure.value} individuals; both arms must be nonempty"
                 )
+
+    def __hash__(self) -> int:
+        return hash((self.strata, frozenset(self.counts.items())))
 
     def count(self, rtype: ResponseType, exposure: Exposure, stratum: str) -> int:
         return self.counts.get((rtype, exposure, stratum), 0)
@@ -115,11 +112,10 @@ class StratifiedCounts:
         )
 
 
-@dataclass(frozen=True)
-class CoarseningMap:
+class CoarseningMap(_Frozen):
     """Assignment of each stratum label to binary group 0 or 1."""
 
-    assignment: Mapping[str, int]
+    _fields = ("assignment",)
 
     def __post_init__(self) -> None:
         cleaned = dict(self.assignment)
@@ -128,7 +124,10 @@ class CoarseningMap:
                 raise ParameterError(
                     f"stratum {stratum!r} assigned to group {group!r}; groups are 0 and 1"
                 )
-        object.__setattr__(self, "assignment", MappingProxyType(cleaned))
+        self.__dict__["assignment"] = MappingProxyType(cleaned)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.assignment.items()))
 
     @classmethod
     def from_spec(cls, spec: str) -> "CoarseningMap":

@@ -31,7 +31,6 @@ vacuously impossible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -55,6 +54,7 @@ from .hypotheses import (
 )
 from .joint import (
     ModelParams,
+    _Frozen,
     _cells,
     _check_integer,
     _check_tolerance,
@@ -79,13 +79,10 @@ class Conclusion(Enum):
     NO_CONFOUNDING = "no_confounding"
 
 
-@dataclass(frozen=True)
-class TheoremClause:
-    theorem: str
-    clause: str
-    model: int
-    conditions: HypothesisSet
-    conclusion: Conclusion
+class TheoremClause(_Frozen):
+    """One catalog clause: a hypothesis set that guarantees a conclusion in a model."""
+
+    _fields = ("theorem", "clause", "model", "conditions", "conclusion")
 
     def to_dict(self) -> dict:
         return {
@@ -145,15 +142,26 @@ def clause_lookup(theorem: str, clause: str) -> TheoremClause:
         ) from None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Outcome of one clause campaign."""
 
-    clause: TheoremClause
-    samples: int
-    max_violation: object
-    failures: int
-    seed: int
+    _fields = ("clause", "samples", "max_violation", "failures", "seed")
+
+    def __init__(
+        self,
+        clause: TheoremClause,
+        samples: int,
+        max_violation: object,
+        failures: int,
+        seed: int,
+    ) -> None:
+        self.__dict__.update(
+            clause=clause,
+            samples=samples,
+            max_violation=max_violation,
+            failures=failures,
+            seed=seed,
+        )
 
     @property
     def passed(self) -> bool:

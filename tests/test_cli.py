@@ -263,13 +263,21 @@ def test_verify_threads_flag_stable_output(capsys):
     assert one == four
 
 
-def test_cli_import_loads_no_thread_pool():
-    # concurrent.futures pulls in logging; only a campaign that splits needs it
+def test_cli_import_loads_no_heavy_modules():
+    # every CLI request pays for what the import loads: dataclasses pulls in
+    # inspect (and ast, dis, tokenize), concurrent.futures pulls in logging,
+    # and only a campaign that splits needs a thread pool
     env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
-    code = "import sys, confound_kit.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+
+    def loaded(code):
+        code += "; import sys; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import confound_kit.cli") - loaded("pass")
+    assert "confound_kit.cli" in added
+    assert not added & {"dataclasses", "inspect", "concurrent.futures", "logging"}
 
 
 # --- hypotheses -------------------------------------------------------------

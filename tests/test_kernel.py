@@ -80,6 +80,28 @@ def test_parity_across_batch_boundaries(backends):
             assert pure[0].hex() == compiled[0].hex()
 
 
+def _per_sample_cases():
+    """(label, model, rep, eq, conclusion): every catalog clause, then the
+    H1 and H5 solves in each model under both conclusions."""
+    for clause in CLAUSES:
+        yield (clause.theorem + clause.clause, *_campaign_codes(clause))
+    for model in (1, 2, 3):
+        for eq in (EQ_H1, EQ_H5):
+            for conclusion in (IRRELEVANT, NO_CONFOUNDING):
+                yield (f"model {model} eq {eq} conclusion {conclusion}", model, UNIT_REP, eq, conclusion)
+
+
+def test_parity_sample_by_sample(backends):
+    # one-sample campaigns expose each sample's violation, so a change to the
+    # bits of a sample that is not a campaign's maximum fails here too
+    pure, compiled = backends["pure"].run_campaign, backends["compiled"].run_campaign
+    for label, model, rep, eq, conclusion in _per_sample_cases():
+        for index in range(400):
+            args = (model, rep, eq, conclusion, index, 1, 4242, 1e-10, 1000)
+            expected, got = pure(*args), compiled(*args)
+            assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, index)
+
+
 @pytest.mark.parametrize(
     "rep", [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6, 0), (0, 1, 2, 3, 4, 5, 7), (0, 1, 2, -1, 4, 5, 6)]
 )

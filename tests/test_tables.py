@@ -140,6 +140,28 @@ def test_coarsen_reproduces_table2():
     assert got.total() == base.total() == 600
 
 
+def test_equal_tables_and_maps_hash_equal():
+    # the coarsened Table 2 equals the coarse fixture; neither the order of
+    # the counts nor a zero cell (dropped on construction) changes the hash
+    coarse = table2()
+    folded = coarsen(load_counts(fixture_path("table2_base.csv")), CoarseningMap.from_spec("0=1,3,4;1=2"))
+    backwards = StratifiedCounts(coarse.strata, dict(reversed(coarse.counts.items())))
+    padded = StratifiedCounts(coarse.strata, {**coarse.counts, (RT.CAUSATIVE, E.EXPOSED, "0"): 0})
+    assert list(backwards.counts) != list(coarse.counts)
+    assert coarse == folded == backwards == padded
+    assert hash(coarse) == hash(folded) == hash(backwards) == hash(padded)
+    assert {coarse, folded, backwards, padded} == {coarse}
+    assert table1() not in {coarse}
+    relabeled = StratifiedCounts(("1", "0"), dict(coarse.counts))
+    assert relabeled != coarse and len({coarse, relabeled}) == 2
+
+    mapping = CoarseningMap.from_spec("0=1,2,3;1=4")
+    reordered = CoarseningMap({"4": 1, "3": 0, "2": 0, "1": 0})
+    assert mapping == reordered and hash(mapping) == hash(reordered)
+    assert {mapping, reordered} == {mapping}
+    assert CoarseningMap.from_spec("0=1,2;1=3,4") not in {mapping}
+
+
 def test_identity_map_keeps_counts():
     base = table1()
     got = coarsen(base, CoarseningMap.from_spec("0=0;1=1"))
