@@ -15,6 +15,9 @@
  * divisions.  Samples whose solve leaves [0, 1] are redrawn together, one
  * round per attempt, each continuing its own stream as the reference loop
  * does.
+ *
+ * grid_draws() gives exact campaigns their draws as grid numerators, as
+ * _pykernel.grid_draws does; their arithmetic stays in Python integers.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -303,8 +306,43 @@ run_campaign(PyObject *self, PyObject *args)
     return Py_BuildValue("(dLL)", max_violation, failures, exhausted);
 }
 
+PyDoc_STRVAR(grid_draws_doc,
+"grid_draws(seed, index, skip, count)\n\n"
+"See _pykernel.grid_draws; identical contract and results.");
+
+static PyObject *
+grid_draws(PyObject *self, PyObject *args)
+{
+    /* "K" wraps modulo 2**64, like & _MASK64 */
+    unsigned long long seed, index, skip;
+    Py_ssize_t count;
+    if (!PyArg_ParseTuple(args, "KKKn:grid_draws", &seed, &index, &skip, &count))
+        return NULL;
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be non-negative");
+        return NULL;
+    }
+    PyObject *out = PyList_New(count);
+    if (out == NULL)
+        return NULL;
+    /* the state after skip draws: each draw adds GOLDEN */
+    uint64_t state = mix((uint64_t)seed + ((uint64_t)index + 1) * GOLDEN)
+                     + (uint64_t)skip * GOLDEN;
+    for (Py_ssize_t k = 0; k < count; k++) {
+        state += GOLDEN;
+        PyObject *n = PyLong_FromLong((long)(10 + mix(state) % 981));
+        if (n == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, k, n);
+    }
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"run_campaign", run_campaign, METH_VARARGS, run_campaign_doc},
+    {"grid_draws", grid_draws, METH_VARARGS, grid_draws_doc},
     {NULL, NULL, 0, NULL},
 };
 

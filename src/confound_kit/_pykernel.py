@@ -1,13 +1,17 @@
-"""Pure-Python campaign kernel: the reference float-mode sampler.
+"""Pure-Python campaign kernel: the reference sampler of both campaign modes.
 
-A sample is the library route in a plain loop: the draws of
-``random_params``, the substitution and the H1/H5 solve of ``impose``
-(``hypotheses._solve``, divided once) and the cells of ``build_joint``
-(``joint._cells``), so sample i equals that route bit for bit.  The
-compiled kernel in _ckernel.c transliterates the same helpers, in the same
-operand order, over batches of samples.  Both must produce bit-identical
-results, so a change to one of those helpers has to be mirrored there; the
-extension is compiled with FMA contraction disabled for the same reason.
+``run_campaign`` runs float campaigns.  A sample is the library route in a
+plain loop: the draws of ``random_params``, the substitution and the H1/H5
+solve of ``impose`` (``hypotheses._solve``, divided once) and the cells of
+``build_joint`` (``joint._cells``), so sample i equals that route bit for
+bit.  The compiled kernel in _ckernel.c transliterates the same helpers, in
+the same operand order, over batches of samples.  Both must produce
+bit-identical results, so a change to one of those helpers has to be
+mirrored there; the extension is compiled with FMA contraction disabled for
+the same reason.
+
+``grid_draws`` gives exact campaigns their draws; their arithmetic stays in
+Python integers (``theorems._exact_campaign``).
 """
 
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
@@ -74,3 +78,26 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
         if violation > max_violation:
             max_violation = violation
     return max_violation, failures, exhausted
+
+
+def grid_draws(seed, index, skip, count):
+    """Draws skip .. skip+count-1 of sample index's stream as grid numerators.
+
+    Each is ``10 + u64 % 981``, a numerator over 1000 in [10, 990], as
+    ``sample_stream(seed, index).next_u64()`` yields them after ``skip``
+    draws.  A draw advances the state by the golden gamma, so the state
+    after ``skip`` draws is one multiply away and no draw is replayed.
+    Seed, index and skip are reduced modulo 2**64.  Returns a list;
+    raises ValueError for a negative count.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    state = _mix((seed + (index + 1) * _GOLDEN) & _MASK64) + skip * _GOLDEN
+    out = []
+    for _ in range(count):
+        # _mix inlined
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(10 + (z ^ (z >> 31)) % 981)
+    return out

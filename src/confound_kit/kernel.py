@@ -32,6 +32,11 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     )
 
 
+def grid_draws(seed, index, skip, count):
+    """Dispatch one exact-campaign draw attempt to the selected backend."""
+    return _impl.grid_draws(seed & _MASK64, index & _MASK64, skip, count)
+
+
 def available_backends() -> dict:
     """Importable kernel modules by name, for benchmarks and parity tests."""
     backends = {"pure": _pykernel}

@@ -89,6 +89,10 @@ class StratifiedCounts(_Frozen):
     def __hash__(self) -> int:
         return hash((self.strata, frozenset(self.counts.items())))
 
+    def __reduce__(self):
+        # pickle and copy cannot copy the read-only counts view; rebuild instead
+        return type(self), (self.strata, dict(self.counts))
+
     def count(self, rtype: ResponseType, exposure: Exposure, stratum: str) -> int:
         return self.counts.get((rtype, exposure, stratum), 0)
 
@@ -128,6 +132,10 @@ class CoarseningMap(_Frozen):
 
     def __hash__(self) -> int:
         return hash(frozenset(self.assignment.items()))
+
+    def __reduce__(self):
+        # pickle and copy cannot copy the read-only assignment view; rebuild instead
+        return type(self), (dict(self.assignment),)
 
     @classmethod
     def from_spec(cls, spec: str) -> "CoarseningMap":

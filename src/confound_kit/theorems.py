@@ -12,11 +12,14 @@ draws interior parameters, imposes the clause's hypothesis set exactly (see
 defining quantity, whose magnitude is the sample's violation.  Float
 campaigns run on the selected kernel backend and are reproducible bit for
 bit from (seed, samples) alone, independent of chunking or thread count.
-Exact campaigns rerun the same algorithm on the thousandths grid in integer
-arithmetic over a common denominator, where a sound clause yields
-violations of exactly zero.  Their H1/H5 solve is ``hypotheses._solve`` and
-their cells are ``joint._cells``, the code ``impose`` and ``build_joint``
-run, so the tests check them against a Fraction route that shares neither:
+Exact campaigns rerun the same algorithm on the thousandths grid, where a
+sound clause yields violations of exactly zero.  They take their draws from
+the selected kernel backend (``kernel.grid_draws``, the stream
+``random_params(exact=True)`` reads) and do all their arithmetic in Python
+integers over a common denominator.  Their H1/H5 solve is
+``hypotheses._solve`` and their cells are ``joint._cells``, the code
+``impose`` and ``build_joint`` run, so the tests check them against a
+Fraction route that shares none of this code: draws from ``sample_stream``,
 parameters imposed through the plain H1/H5 quotients and joints from the
 plain ``Fraction`` products, both kept in the tests' oracle module, then
 ``summary_from_joint``.
@@ -203,8 +206,13 @@ def _campaign_codes(clause: TheoremClause) -> tuple:
 
     Raises what ``random_params`` and ``impose`` raise for a clause no
     campaign can run: an unknown model, H1 together with H5, or an H1/H5
-    solve for a slot an equality already ties.
+    solve for a slot an equality already ties.  The codes are kept on a
+    clause whose conditions are a frozenset, which cannot change under
+    them; errors are not kept, so a bad clause raises on every call.
     """
+    codes = clause.__dict__.get("_codes")
+    if codes is not None:
+        return codes
     params_type(clause.model)
     rep = substitution_reps(clause.model, clause.conditions)
     eq_member = equational_member(clause.conditions)
@@ -217,7 +225,10 @@ def _campaign_codes(clause: TheoremClause) -> tuple:
         if clause.conclusion is Conclusion.NO_CONFOUNDING
         else kernel.IRRELEVANT
     )
-    return clause.model, rep, eq, conclusion
+    codes = clause.model, rep, eq, conclusion
+    if isinstance(clause.conditions, frozenset):
+        clause.__dict__["_codes"] = codes
+    return codes
 
 
 def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
@@ -254,9 +265,11 @@ _GRID = 1000  # exact draws are numerators over this denominator
 def _exact_campaign(clause: TheoremClause, samples, seed):
     """(max_violation, failures) of an exact campaign, in integer arithmetic.
 
-    Draws match ``random_params(exact=True)`` and ``impose`` draw for draw,
-    and the solve and the cells are theirs (``hypotheses._solve``,
-    ``joint._cells``).  Slot values are numerators over _GRID; an H1/H5
+    Each sample attempt takes its draws in one ``kernel.grid_draws`` call on
+    the selected backend; they match ``random_params(exact=True)`` and
+    ``impose`` draw for draw.  The solve and the cells are theirs
+    (``hypotheses._solve``, ``joint._cells``), run in Python integers,
+    which grow past 64 bits.  Slot values are numerators over _GRID; an H1/H5
     solve gives its slot as num/den, and every slot is then scaled to the
     common denominator q = _GRID * den.  Joint cells are integers over q**3
     and each violation is an unreduced pair |num|/den, so the only Fraction
@@ -264,16 +277,15 @@ def _exact_campaign(clause: TheoremClause, samples, seed):
     """
     model, rep, eq, conclusion = _campaign_codes(clause)
     eq_member, solved = (Hypothesis.H1, _U1) if eq == kernel.EQ_H1 else (Hypothesis.H5, _U0)
-    draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
+    drawn = 6 if model == 3 else 7  # model 3 draws no slot 2
     irrelevant = conclusion == kernel.IRRELEVANT
-    n = [0] * 7
     max_num, max_den = 0, 1
     failures = 0
     for i in range(samples):
-        rng = sample_stream(seed, i)
-        for _ in range(_REDRAW_BUDGET + 1):
-            for j in draw_slots:
-                n[j] = 10 + rng.next_u64() % 981
+        for attempt in range(_REDRAW_BUDGET + 1):
+            n = kernel.grid_draws(seed, i, attempt * drawn, drawn)
+            if drawn == 6:
+                n.insert(2, 0)
             x = [n[r] for r in rep]
             if eq == kernel.EQ_NONE:
                 q = _GRID

@@ -7,7 +7,8 @@ temporary directory, so the parity tests run wherever a C compiler exists.
 
 import pytest
 
-from confound_kit import CLAUSES
+from confound_kit import CLAUSES, kernel
+from confound_kit._rng import sample_stream
 from confound_kit.kernel import (
     BACKEND,
     EQ_H1,
@@ -32,6 +33,40 @@ def test_backend_selection_reports_something_sane():
 def test_code_constants():
     assert (EQ_NONE, EQ_H1, EQ_H5) == (0, 1, 2)
     assert (IRRELEVANT, NO_CONFOUNDING) == (0, 1)
+
+
+def _public_functions(module):
+    return {name for name, value in vars(module).items() if callable(value) and not name.startswith("_")}
+
+
+def test_backends_export_the_same_functions(backends):
+    # a kernel function added to one backend only would leave the other
+    # unable to serve the library
+    assert _public_functions(backends["pure"]) == _public_functions(backends["compiled"])
+    assert _public_functions(backends["pure"]) >= {"run_campaign", "grid_draws"}
+
+
+def test_grid_draws_continue_the_sample_stream(backends):
+    # draws skip .. skip+count-1 of sample index's stream, as the exact
+    # campaign's numerators over 1000 in [10, 990]
+    impls = {**available_backends(), **backends, "kernel.grid_draws": kernel}
+    for seed in (0, 7, -3, 2**64 + 3, 2**64 - 1):
+        for index in (0, 1, 2**64 - 1):
+            for skip in (0, 6, 7, 7000):
+                rng = sample_stream(seed, index)
+                for _ in range(skip):
+                    rng.next_u64()
+                stream = [10 + rng.next_u64() % 981 for _ in range(7)]
+                for count in (0, 6, 7):
+                    for name, impl in impls.items():
+                        got = impl.grid_draws(seed, index, skip, count)
+                        assert got == stream[:count], (name, seed, index, skip, count)
+
+
+def test_grid_draws_reject_a_negative_count(backends):
+    for impl in (*backends.values(), kernel):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            impl.grid_draws(0, 0, 0, -1)
 
 
 def test_parity_across_full_catalog(backends):

@@ -1,6 +1,8 @@
 """Tests for stratified count tables, coarsening, and the bridge to joints."""
 
+import copy
 import io
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -160,6 +162,24 @@ def test_equal_tables_and_maps_hash_equal():
     assert mapping == reordered and hash(mapping) == hash(reordered)
     assert {mapping, reordered} == {mapping}
     assert CoarseningMap.from_spec("0=1,2;1=3,4") not in {mapping}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_counts(fixture_path("table2_coarse.csv")),
+        lambda: load_counts(fixture_path("table1.csv")),
+        lambda: CoarseningMap.from_spec("0=1,2,3;1=4"),
+    ],
+    ids=["table2_coarse", "table1", "coarsening_map"],
+)
+def test_tables_and_maps_survive_pickle_and_copy(make):
+    # the read-only mapping views cannot be pickled; both classes rebuild
+    # through their constructors instead
+    value = make()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
 
 
 def test_identity_map_keeps_counts():

@@ -378,21 +378,24 @@ def _false_clauses():
 
 
 @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 3])
-def test_exact_campaign_matches_fraction_route(seed):
+def test_exact_campaign_matches_fraction_route(monkeypatch, backends, seed):
+    # the campaign draws on the selected kernel backend; run it on each
     for clause in CLAUSES + tuple(_false_clauses()):
         expected, failures = _fraction_campaign(clause, 30, seed)
-        report = verify_clause(clause, samples=30, seed=seed, exact=True)
-        assert (report.max_violation, report.failures) == (expected, failures), clause
-        assert type(report.max_violation) is type(expected), clause
         oracle = VerificationReport(clause, 30, expected, failures, seed)
-        assert json.dumps(report.to_dict()) == json.dumps(oracle.to_dict())
+        for name, impl in backends.items():
+            monkeypatch.setattr(kernel, "_impl", impl)
+            report = verify_clause(clause, samples=30, seed=seed, exact=True)
+            assert (report.max_violation, report.failures) == (expected, failures), (name, clause)
+            assert type(report.max_violation) is type(expected), (name, clause)
+            assert json.dumps(report.to_dict()) == json.dumps(oracle.to_dict())
         if not clause.conditions and (clause.model, clause.conclusion) != (3, Conclusion.IRRELEVANT_FACTOR):
             # no conditions (and no structural irrelevance, as in model 3):
             # the campaign must see nonzero Fraction violations
             assert failures > 0 and isinstance(report.max_violation, Fraction), clause
 
 
-def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch):
+def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch, backends):
     monkeypatch.setattr(theorems, "_REDRAW_BUDGET", 0)
     clause = clause_lookup("T2", "a")
     for seed in range(100):
@@ -404,9 +407,11 @@ def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch):
     else:
         pytest.fail("no seed in 0..99 rejects the first H1 draw")
     assert expected == "no parameters satisfying H1 found within 0 redraws"
-    with pytest.raises(ConstraintError) as raised:
-        verify_clause(clause, samples=1, seed=seed, exact=True)
-    assert str(raised.value) == expected
+    for impl in backends.values():
+        monkeypatch.setattr(kernel, "_impl", impl)
+        with pytest.raises(ConstraintError) as raised:
+            verify_clause(clause, samples=1, seed=seed, exact=True)
+        assert str(raised.value) == expected
 
 
 @pytest.mark.parametrize(
@@ -419,13 +424,29 @@ def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch):
     ],
 )
 def test_float_and_exact_reject_the_same_clauses(clause):
-    with pytest.raises(ConfoundKitError) as exact:
-        verify_clause(clause, samples=100, exact=True)
-    with pytest.raises(ConfoundKitError) as floating:
-        verify_clause(clause, samples=100)
-    assert type(floating.value) is type(exact.value)
-    assert str(floating.value) == str(exact.value)
-    assert isinstance(exact.value, ParameterError if clause.model == 4 else ConstraintError)
+    # a clause's campaign codes are kept, its errors are not: every call raises
+    raised = set()
+    for exact in (True, False, True, False):
+        with pytest.raises(ConfoundKitError) as error:
+            verify_clause(clause, samples=100, exact=exact)
+        assert isinstance(error.value, ParameterError if clause.model == 4 else ConstraintError)
+        raised.add((type(error.value), str(error.value)))
+    assert len(raised) == 1
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_clause_with_a_plain_set_reports_as_its_frozenset_twin(exact):
+    # codes are kept only on a clause whose conditions cannot change
+    conditions = {H.H4}
+    plain = TheoremClause("T1", "a", 1, conditions, Conclusion.IRRELEVANT_FACTOR)
+    twin = clause_lookup("T1", "a")
+    for _ in range(2):
+        report = verify_clause(plain, samples=200, seed=5, exact=exact)
+        assert report.passed
+        assert report.to_dict() == verify_clause(twin, samples=200, seed=5, exact=exact).to_dict()
+    assert _campaign_codes(twin) is _campaign_codes(twin)
+    conditions.clear()
+    assert not verify_clause(plain, samples=200, seed=5, exact=exact).passed
 
 
 def test_exact_campaign_rejects_tied_solved_slot():
