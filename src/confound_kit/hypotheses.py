@@ -350,10 +350,15 @@ def equational_member(hypotheses: HypothesisSet) -> Optional[Hypothesis]:
     Raises ConstraintError when both are present: solving one for its
     designated parameter would in general break the other.
     """
-    eqs = [h for h in (_H1, _H5) if h in hypotheses]
-    if len(eqs) == 2:
-        raise ConstraintError("H1 and H5 cannot be imposed together")
-    return eqs[0] if eqs else None
+    # identity tests over the members: a set lookup would hash H1 and H5
+    # through Enum.__hash__, a Python-level call, for every campaign
+    eq = None
+    for h in hypotheses:
+        if h is _H1 or h is _H5:
+            if eq is not None:
+                raise ConstraintError("H1 and H5 cannot be imposed together")
+            eq = h
+    return eq
 
 
 def _solve(model: int, eq: Hypothesis, v, one) -> tuple:
@@ -474,7 +479,7 @@ def _solved_slot(model: int, rep: tuple, eq: Hypothesis) -> int:
     Raises ConstraintError when an equality constraint already ties that slot.
     """
     slot = _U1 if eq is _H1 else _U0
-    if rep[slot] != slot or any(j != slot and rep[j] == slot for j in range(7)):
+    if rep[slot] != slot or rep.count(slot) > 1:
         raise ConstraintError(
             f"cannot solve {eq.value} for slot "
             f"{_SLOT_FIELDS[model][slot]}: an equality constraint already ties it"

@@ -206,13 +206,8 @@ def _campaign_codes(clause: TheoremClause) -> tuple:
 
     Raises what ``random_params`` and ``impose`` raise for a clause no
     campaign can run: an unknown model, H1 together with H5, or an H1/H5
-    solve for a slot an equality already ties.  The codes are kept on a
-    clause whose conditions are a frozenset, which cannot change under
-    them; errors are not kept, so a bad clause raises on every call.
+    solve for a slot an equality already ties.
     """
-    codes = clause.__dict__.get("_codes")
-    if codes is not None:
-        return codes
     params_type(clause.model)
     rep = substitution_reps(clause.model, clause.conditions)
     eq_member = equational_member(clause.conditions)
@@ -225,10 +220,7 @@ def _campaign_codes(clause: TheoremClause) -> tuple:
         if clause.conclusion is Conclusion.NO_CONFOUNDING
         else kernel.IRRELEVANT
     )
-    codes = clause.model, rep, eq, conclusion
-    if isinstance(clause.conditions, frozenset):
-        clause.__dict__["_codes"] = codes
-    return codes
+    return clause.model, rep, eq, conclusion
 
 
 def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):

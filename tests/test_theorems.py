@@ -420,33 +420,19 @@ def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch, backends):
         TheoremClause("X", "model4", 4, hypothesis_set(H.H4), Conclusion.IRRELEVANT_FACTOR),
         # H3 ties u1 to b1, so H1 cannot be solved for u1
         TheoremClause("X", "tied", 1, hypothesis_set(H.H1, H.H3), Conclusion.NO_CONFOUNDING),
+        # H7 ties u1 to u0: u0 stays its class's representative, yet is tied
+        TheoremClause("X", "h5h7", 1, hypothesis_set(H.H5, H.H7), Conclusion.NO_CONFOUNDING),
         TheoremClause("X", "h1h5", 2, hypothesis_set(H.H1, H.H5), Conclusion.NO_CONFOUNDING),
     ],
 )
 def test_float_and_exact_reject_the_same_clauses(clause):
-    # a clause's campaign codes are kept, its errors are not: every call raises
-    raised = set()
-    for exact in (True, False, True, False):
-        with pytest.raises(ConfoundKitError) as error:
-            verify_clause(clause, samples=100, exact=exact)
-        assert isinstance(error.value, ParameterError if clause.model == 4 else ConstraintError)
-        raised.add((type(error.value), str(error.value)))
-    assert len(raised) == 1
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_clause_with_a_plain_set_reports_as_its_frozenset_twin(exact):
-    # codes are kept only on a clause whose conditions cannot change
-    conditions = {H.H4}
-    plain = TheoremClause("T1", "a", 1, conditions, Conclusion.IRRELEVANT_FACTOR)
-    twin = clause_lookup("T1", "a")
-    for _ in range(2):
-        report = verify_clause(plain, samples=200, seed=5, exact=exact)
-        assert report.passed
-        assert report.to_dict() == verify_clause(twin, samples=200, seed=5, exact=exact).to_dict()
-    assert _campaign_codes(twin) is _campaign_codes(twin)
-    conditions.clear()
-    assert not verify_clause(plain, samples=200, seed=5, exact=exact).passed
+    with pytest.raises(ConfoundKitError) as exact:
+        verify_clause(clause, samples=100, exact=True)
+    with pytest.raises(ConfoundKitError) as floating:
+        verify_clause(clause, samples=100)
+    assert type(floating.value) is type(exact.value)
+    assert str(floating.value) == str(exact.value)
+    assert isinstance(exact.value, ParameterError if clause.model == 4 else ConstraintError)
 
 
 def test_exact_campaign_rejects_tied_solved_slot():
