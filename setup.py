@@ -3,7 +3,9 @@ from setuptools import Extension, setup
 # The compiled campaign kernel is optional: without a C compiler the package
 # installs pure-Python only and selects the reference kernel at import time.
 # -ffp-contract=off: no FMA contraction, so the compiled kernel stays
-# bit-identical to the pure-Python one.
+# bit-identical to the pure-Python one.  The flag also covers the AVX-512
+# clone of the campaign loop that _ckernel.c asks for with target_clones on
+# x86-64 GCC; the CPU picks the clone at load time, so no flag selects it.
 setup(
     ext_modules=[
         Extension(

@@ -8,13 +8,24 @@
  * would round differently from Python's separate multiply and add.
  *
  * Samples are taken BATCH at a time, one stage per loop over the batch:
- * seed the streams, draw the slots, solve the equational member, evaluate
- * the conclusion, tally.  Model and codes are fixed for a campaign, so the
+ * draw, solve the equational member, evaluate the conclusion, tally.  The
+ * draw stage seeds a sample and draws all of its slots in one pass, with the
+ * stream state in a register; the slot list is fixed per model, so the loop
+ * over samples vectorizes whole.  Each sample's k-th draw is still the k-th
+ * value of its own stream.  Model and codes are fixed for a campaign, so the
  * solve and conclusion stages compile to branch-free loops that the
  * compiler vectorizes, and no sample waits on the previous one's chain of
- * divisions.  Samples whose solve leaves [0, 1] are redrawn together, one
- * round per attempt, each continuing its own stream as the reference loop
- * does.
+ * divisions.  Samples whose solve leaves [0, 1] are redrawn and solved
+ * again, one round per attempt, each continuing its own stream as the
+ * reference loop does.
+ *
+ * On x86-64 with GCC and glibc the campaign loop is compiled twice, for
+ * x86-64-v4 (AVX-512) and for the default target, and the loader picks the
+ * clone the CPU can run.  Only AVX-512DQ has vector forms of the 64-bit
+ * multiply and of the 64-bit integer to double conversion the draws need.
+ * The clones give the same bits: -ffp-contract=off applies to both, so
+ * neither fuses a multiply-add; vector multiplies and divides round as IEEE
+ * scalar ones do; and z >> 11 < 2**53 converts to double exactly.
  *
  * grid_draws() gives exact campaigns their draws as grid numerators, as
  * _pykernel.grid_draws does; their arithmetic stays in Python integers.
@@ -201,36 +212,46 @@ violation_batch(int model, int no_confounding, int nb, const double *const v[7],
             (flag) ? f(3, 1, __VA_ARGS__) : f(3, 0, __VA_ARGS__);              \
     } while (0)
 
-PyDoc_STRVAR(run_campaign_doc,
-"run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)\n\n"
-"See _pykernel.run_campaign; identical contract and results.");
-
-static PyObject *
-run_campaign(PyObject *self, PyObject *args)
+/* Draw the slots of sample j from its stream state s, held in a register,
+   and return the state after the last draw.  The slot list is fixed by the
+   model, so the loop unrolls with model 3's missing slot 2 left out. */
+ALWAYS_INLINE uint64_t
+draw_sample(int model, uint64_t s, double q[7][BATCH], int j)
 {
-    int model, eq, conclusion, budget;
-    PyObject *rep_obj;
-    long long start, count;
-    unsigned long long seed; /* "K" wraps modulo 2**64, like & _MASK64 */
-    double tol;
-    int rep[7];
-    if (!PyArg_ParseTuple(args, "iOiiLLKdi:run_campaign", &model, &rep_obj, &eq,
-                          &conclusion, &start, &count, &seed, &tol, &budget))
-        return NULL;
-    if (read_rep(rep_obj, rep) < 0)
-        return NULL;
+    for (int k = 0; k < 7; k++) {
+        if (model == 3 && k == 2)
+            continue;
+        q[k][j] = draw(&s);
+    }
+    return s;
+}
 
-    static const int slots7[7] = {0, 1, 2, 3, 4, 5, 6};
-    static const int slots6[6] = {0, 1, 3, 4, 5, 6};
-    const int *draw_slots = model == 3 ? slots6 : slots7;
-    int nslots = model == 3 ? 6 : 7;
-    int solves = eq == EQ_H1 || eq == EQ_H5;
-    int no_confounding = conclusion == NO_CONFOUNDING;
-    double max_violation = 0.0;
-    long long failures = 0;
-    long long exhausted = 0;
+/* Seed samples first .. first+nb-1 and draw all of their slots, sample by
+   sample, so the loop over samples vectorizes whole. */
+ALWAYS_INLINE void
+draw_batch(int model, uint64_t seed, uint64_t first, int nb, double q[7][BATCH],
+           uint64_t state[BATCH])
+{
+    for (int j = 0; j < nb; j++)
+        state[j] = draw_sample(model, mix(seed + (first + (uint64_t)j + 1) * GOLDEN), q, j);
+}
 
-    Py_BEGIN_ALLOW_THREADS
+/* The x86-64-v4 and default clones of campaign(), picked once at load time
+   through a glibc ifunc.  Other compilers and platforms (GCC before 11
+   knows no x86-64-v4) compile the loop once, for the default target. */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 11
+#define CAMPAIGN_CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define CAMPAIGN_CLONES
+#endif
+
+/* The campaign loop, run with the GIL released: its (max_violation,
+   failures, exhausted) go to out. */
+CAMPAIGN_CLONES static void
+campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start,
+         long long count, uint64_t seed, double tol, int budget, double *max_out,
+         long long *failures_out, long long *exhausted_out)
+{
     /* q[s][j]: slot s of sample j (model 3 draws no slot 2, which stays 0.0) */
     double q[7][BATCH] = {{0.0}};
     uint64_t state[BATCH];
@@ -246,35 +267,34 @@ run_campaign(PyObject *self, PyObject *args)
         v[6] = solved;
     else if (eq == EQ_H5)
         v[5] = solved;
+    double max_violation = 0.0;
+    long long failures = 0;
+    long long exhausted = 0;
     for (long long base = 0; base < count; base += BATCH) {
         int nb = count - base < BATCH ? (int)(count - base) : BATCH;
         /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
-        uint64_t first = (uint64_t)start + (uint64_t)base;
-        for (int j = 0; j < nb; j++)
-            state[j] = mix((uint64_t)seed + (first + (uint64_t)j + 1) * GOLDEN);
-        for (int k = 0; k < nslots; k++)
-            for (int j = 0; j < nb; j++)
-                q[draw_slots[k]][j] = draw(&state[j]);
+        uint64_t first = start + (uint64_t)base;
+        if (model == 3)
+            draw_batch(3, seed, first, nb, q, state);
+        else /* models 1 and 2 draw the same seven slots */
+            draw_batch(1, seed, first, nb, q, state);
         for (int j = 0; j < nb; j++)
             accepted[j] = 1;
-        if (solves) {
+        if (eq == EQ_H1 || eq == EQ_H5) {
             DISPATCH(solve_batch, model, eq == EQ_H1, nb, drawn, solved);
             /* pending: the samples whose last solve left [0, 1]; each round
-               redraws all of them, as many rounds as the budget allows */
+               redraws and solves each of them once, as many rounds as the
+               budget allows */
             int pending[BATCH], npending = 0;
             for (int j = 0; j < nb; j++) {
                 pending[npending] = j;
                 npending += !(0.0 <= solved[j] && solved[j] <= 1.0);
             }
             for (int attempt = 1; attempt <= budget && npending > 0; attempt++) {
-                for (int k = 0; k < nslots; k++) {
-                    double *row = q[draw_slots[k]];
-                    for (int p = 0; p < npending; p++)
-                        row[pending[p]] = draw(&state[pending[p]]);
-                }
                 int left = 0;
                 for (int p = 0; p < npending; p++) {
                     int j = pending[p];
+                    state[j] = draw_sample(model, state[j], q, j);
                     double x = solve(model, eq == EQ_H1, drawn[0][j], drawn[1][j], drawn[2][j],
                                      drawn[3][j], drawn[4][j], drawn[5][j], drawn[6][j]);
                     solved[j] = x;
@@ -301,6 +321,35 @@ run_campaign(PyObject *self, PyObject *args)
                 max_violation = x;
         }
     }
+    *max_out = max_violation;
+    *failures_out = failures;
+    *exhausted_out = exhausted;
+}
+
+PyDoc_STRVAR(run_campaign_doc,
+"run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)\n\n"
+"See _pykernel.run_campaign; identical contract and results.");
+
+static PyObject *
+run_campaign(PyObject *self, PyObject *args)
+{
+    int model, eq, conclusion, budget;
+    PyObject *rep_obj;
+    long long start, count;
+    unsigned long long seed; /* "K" wraps modulo 2**64, like & _MASK64 */
+    double tol;
+    int rep[7];
+    if (!PyArg_ParseTuple(args, "iOiiLLKdi:run_campaign", &model, &rep_obj, &eq,
+                          &conclusion, &start, &count, &seed, &tol, &budget))
+        return NULL;
+    if (read_rep(rep_obj, rep) < 0)
+        return NULL;
+
+    double max_violation;
+    long long failures, exhausted;
+    Py_BEGIN_ALLOW_THREADS
+    campaign(model, rep, eq, conclusion == NO_CONFOUNDING, (uint64_t)start, count,
+             (uint64_t)seed, tol, budget, &max_violation, &failures, &exhausted);
     Py_END_ALLOW_THREADS
 
     return Py_BuildValue("(dLL)", max_violation, failures, exhausted);

@@ -70,10 +70,10 @@ from .measures import summary_from_joint
 CAMPAIGN_FLOAT_TOL = 1e-10
 _REDRAW_BUDGET = 1000
 # Fewest samples a thread must get before a float campaign splits: with the
-# compiled kernel, two threads broke even with one at 2 x 65,536 samples and
-# gained 1.2-1.5x at 2 x 131,072 (2-vCPU VM); a 10,000-sample campaign ran
-# 0.6x as fast on two.
-_MIN_CHUNK = 65_536
+# compiled kernel (AVX-512 clone), two threads ran 0.88-1.08x as fast as one
+# at 2 x 131,072 samples, 0.84x at 2 x 65,536 and 1.3-1.45x at 2 x 262,144
+# (2-vCPU VM); a 10,000-sample campaign ran 0.3-0.5x as fast on two.
+_MIN_CHUNK = 131_072
 _CONCLUSION_TOL = 1e-12
 
 
@@ -206,8 +206,13 @@ def _campaign_codes(clause: TheoremClause) -> tuple:
 
     Raises what ``random_params`` and ``impose`` raise for a clause no
     campaign can run: an unknown model, H1 together with H5, or an H1/H5
-    solve for a slot an equality already ties.
+    solve for a slot an equality already ties; and ``ParameterError`` for a
+    conclusion that is not a ``Conclusion``.
     """
+    if not isinstance(clause.conclusion, Conclusion):
+        raise ParameterError(
+            f"{clause.conclusion!r} is not a Conclusion; Conclusion(name) turns a name into one"
+        )
     params_type(clause.model)
     rep = substitution_reps(clause.model, clause.conditions)
     eq_member = equational_member(clause.conditions)

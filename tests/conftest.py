@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -15,7 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _build_ckernel(out: Path):
-    """Build the extension the way setup.py does and load it from ``out``."""
+    """Build the extension the way setup.py does and load it from ``out``.
+
+    Fails when the compiler warns about _ckernel.c (at Python's own CFLAGS,
+    which include -Wall), so dead code such as an unused variable is caught.
+    """
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(shlex.split(cc)[0]) is None:
         pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
@@ -28,6 +33,8 @@ def _build_ckernel(out: Path):
     )
     built = out / "confound_kit" / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
     assert proc.returncode == 0 and built.is_file(), proc.stdout + proc.stderr
+    warnings = re.findall(r"^.*_ckernel\.c:\d+:\d+: warning: .*$", proc.stdout + proc.stderr, re.M)
+    assert not warnings, "\n".join(warnings)
     spec = importlib.util.spec_from_file_location("confound_kit._ckernel", built)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -5,6 +5,8 @@ the ``backends`` fixture (conftest.py) builds _ckernel.c with setup.py into a
 temporary directory, so the parity tests run wherever a C compiler exists.
 """
 
+import math
+
 import pytest
 
 from confound_kit import CLAUSES, kernel
@@ -135,6 +137,22 @@ def test_parity_sample_by_sample(backends):
             args = (model, rep, eq, conclusion, index, 1, 4242, 1e-10, 1000)
             expected, got = pure(*args), compiled(*args)
             assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, index)
+
+
+def test_parity_sample_by_sample_in_full_batches(backends):
+    # one-sample campaigns never fill a batch, so the vectorized body of the
+    # compiled loop is checked here: at tol = x_i and just below it, a full
+    # 64-sample campaign must count exactly the samples whose one-sample
+    # (pure) violation exceeds tol, which fails if any sample's bits differ
+    pure, compiled = backends["pure"].run_campaign, backends["compiled"].run_campaign
+    for label, model, rep, eq, conclusion in _per_sample_cases():
+        for start in (0, 1000):
+            xs = [pure(model, rep, eq, conclusion, i, 1, 4242, 0.0, 1000)[0] for i in range(start, start + 64)]
+            for x in xs:
+                for tol in (x, math.nextafter(x, -math.inf)):
+                    got = compiled(model, rep, eq, conclusion, start, 64, 4242, tol, 1000)
+                    expected = (max(xs), sum(v > tol for v in xs), 0)
+                    assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, start, tol)
 
 
 @pytest.mark.parametrize(

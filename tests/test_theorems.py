@@ -423,6 +423,10 @@ def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch, backends):
         # H7 ties u1 to u0: u0 stays its class's representative, yet is tied
         TheoremClause("X", "h5h7", 1, hypothesis_set(H.H5, H.H7), Conclusion.NO_CONFOUNDING),
         TheoremClause("X", "h1h5", 2, hypothesis_set(H.H1, H.H5), Conclusion.NO_CONFOUNDING),
+        # a conclusion's name is not a Conclusion: H4 does not give no
+        # confounding, so a campaign that ran would report a false PASS
+        TheoremClause("X", "name", 1, hypothesis_set(H.H4), "no_confounding"),
+        TheoremClause("X", "bogus", 1, hypothesis_set(H.H4), "bogus"),
     ],
 )
 def test_float_and_exact_reject_the_same_clauses(clause):
@@ -432,7 +436,8 @@ def test_float_and_exact_reject_the_same_clauses(clause):
         verify_clause(clause, samples=100)
     assert type(floating.value) is type(exact.value)
     assert str(floating.value) == str(exact.value)
-    assert isinstance(exact.value, ParameterError if clause.model == 4 else ConstraintError)
+    rejected_input = clause.model == 4 or not isinstance(clause.conclusion, Conclusion)
+    assert isinstance(exact.value, ParameterError if rejected_input else ConstraintError)
 
 
 def test_exact_campaign_rejects_tied_solved_slot():
