@@ -100,94 +100,110 @@ def parse_hypothesis(name: str) -> Hypothesis:
         raise ParameterError(f"unknown hypothesis {name!r}; expected H1..H7") from None
 
 
-# (X, Y, slice) for the numeric product test; variables use the joint's
-# assignment names and "1" means E=e for the exposure.
-_NUMERIC_FORM = {
-    Hypothesis.H1: ("E", "D", None),
-    Hypothesis.H2: ("E", "D", ("C", 0)),
-    Hypothesis.H3: ("E", "D", ("C", 1)),
-    Hypothesis.H4: ("E", "C", None),
-    Hypothesis.H5: ("D", "C", None),
-    Hypothesis.H6: ("D", "C", ("E", "ebar")),
-    Hypothesis.H7: ("D", "C", ("E", "e")),
-}
-
-_POSITIVE = {"E": "e", "C": 1, "D": 1}
-
-# The eight cells as assignments, in the joint's canonical order.
-_CELL_ASSIGNMENTS = tuple(
-    {"E": e, "C": c, "D": d} for e in ("e", "ebar") for c in (0, 1) for d in (0, 1)
-)
-
-
-def _cell_indices(assignment: dict) -> tuple:
-    """Ascending indices of the cells an assignment selects."""
-    return tuple(
-        i
-        for i, cell in enumerate(_CELL_ASSIGNMENTS)
-        if all(cell[var] == value for var, value in assignment.items())
-    )
-
-
-def _numeric_cells(hypothesis: Hypothesis) -> tuple:
-    """Cell indices of (S, X∧Y∧S, X∧S, Y∧S) and the degenerate-slice message."""
-    x, y, cond = _NUMERIC_FORM[hypothesis]
-    given = {} if cond is None else {cond[0]: cond[1]}
+# The numeric product test of each hypothesis as ready-made cell sums: a
+# function of the eight cells (weights or integer numerators, in canonical
+# order: E=e in 0-3, C in bit 1, D_ebar in bit 0) giving the masses of the
+# slice S and of X∧Y, X and Y within it.  Every sum adds its cells in
+# ascending order from 0, as JointDistribution.prob adds them, so float sums
+# round identically (builtin sum() may compensate float rounding).
+def _sums_h1(c):  # E ⊥ D_ebar
     return (
-        _cell_indices(given),
-        _cell_indices({**given, x: _POSITIVE[x], y: _POSITIVE[y]}),
-        _cell_indices({**given, x: _POSITIVE[x]}),
-        _cell_indices({**given, y: _POSITIVE[y]}),
-        f"{hypothesis.value} conditions on {given!r}, which has probability zero",
+        0 + c[0] + c[1] + c[2] + c[3] + c[4] + c[5] + c[6] + c[7],
+        0 + c[1] + c[3],
+        0 + c[0] + c[1] + c[2] + c[3],
+        0 + c[1] + c[3] + c[5] + c[7],
     )
 
 
-_NUMERIC_CELLS = {h: _numeric_cells(h) for h in Hypothesis}
+def _sums_h2(c):  # E ⊥ D_ebar | C=0
+    return 0 + c[0] + c[1] + c[4] + c[5], 0 + c[1], 0 + c[0] + c[1], 0 + c[1] + c[5]
 
 
-def _cell_sum(values, indices):
-    # left to right from 0, as JointDistribution.prob adds, so float sums
-    # round identically (builtin sum() may compensate float rounding)
-    total = 0
-    for i in indices:
-        total = total + values[i]
-    return total
+def _sums_h3(c):  # E ⊥ D_ebar | C=1
+    return 0 + c[2] + c[3] + c[6] + c[7], 0 + c[3], 0 + c[2] + c[3], 0 + c[3] + c[7]
+
+
+def _sums_h4(c):  # E ⊥ C
+    return (
+        0 + c[0] + c[1] + c[2] + c[3] + c[4] + c[5] + c[6] + c[7],
+        0 + c[2] + c[3],
+        0 + c[0] + c[1] + c[2] + c[3],
+        0 + c[2] + c[3] + c[6] + c[7],
+    )
+
+
+def _sums_h5(c):  # D_ebar ⊥ C
+    return (
+        0 + c[0] + c[1] + c[2] + c[3] + c[4] + c[5] + c[6] + c[7],
+        0 + c[3] + c[7],
+        0 + c[1] + c[3] + c[5] + c[7],
+        0 + c[2] + c[3] + c[6] + c[7],
+    )
+
+
+def _sums_h6(c):  # D_ebar ⊥ C | E=ebar
+    return 0 + c[4] + c[5] + c[6] + c[7], 0 + c[7], 0 + c[5] + c[7], 0 + c[6] + c[7]
+
+
+def _sums_h7(c):  # D_ebar ⊥ C | E=e
+    return 0 + c[0] + c[1] + c[2] + c[3], 0 + c[3], 0 + c[1] + c[3], 0 + c[2] + c[3]
+
+
+# each hypothesis's sums, kept on its member with the message for a slice of
+# zero mass: a dict lookup would hash the hypothesis through Enum.__hash__, a
+# Python-level call, on every test
+for _h, _sums, _given in (
+    (_H1, _sums_h1, {}),
+    (_H2, _sums_h2, {"C": 0}),
+    (_H3, _sums_h3, {"C": 1}),
+    (_H4, _sums_h4, {}),
+    (_H5, _sums_h5, {}),
+    (_H6, _sums_h6, {"E": "ebar"}),
+    (_H7, _sums_h7, {"E": "e"}),
+):
+    _h._product_test = _sums, f"{_h.value} conditions on {_given!r}, which has probability zero"
+del _h, _sums, _given
+
+
+def _not_a_hypothesis(value) -> ParameterError:
+    return ParameterError(f"{value!r} is not a Hypothesis; parse_hypothesis turns a name into one")
 
 
 def holds_numeric(joint: JointDistribution, hypothesis: Hypothesis, tol=0) -> bool:
     """Product test for a hypothesis on a joint, within ``tol``.
 
-    The slice S and the events X∧Y, X, Y within it are fixed sets of cell
-    indices.  On a rational joint the test runs on the joint's integer
-    numerators N as |N_xy·N_s − N_x·N_y| <= tol·N_s², which is the product
-    test multiplied through by P(S)²; one ``Fraction`` is built only to
-    compare a nonzero difference with a nonzero tolerance.  On any other
-    joint the cells are added in ascending order as ``JointDistribution.prob``
-    adds them, so the result is the same bit for bit.
+    The slice S and the events X∧Y, X, Y within it are fixed sets of cells,
+    added by the hypothesis's ready-made sums.  On a rational joint the test
+    runs on the joint's integer numerators N as
+    |N_xy·N_s − N_x·N_y| <= tol·N_s², which is the product test multiplied
+    through by P(S)²; one ``Fraction`` is built only to compare a nonzero
+    difference with a nonzero tolerance.  On any other joint the cells are
+    added in ascending order as ``JointDistribution.prob`` adds them, so the
+    result is the same bit for bit.
 
-    Raises DegenerateEventError when the conditioning slice has zero mass.
+    Raises DegenerateEventError when the conditioning slice has zero mass,
+    and ParameterError for a hypothesis that is not a ``Hypothesis``.
     """
     _check_tolerance(tol)
-    s, xy, x, y, degenerate = _NUMERIC_CELLS[hypothesis]
+    try:
+        sums, degenerate = hypothesis._product_test
+    except AttributeError:
+        raise _not_a_hypothesis(hypothesis) from None
     numerators = joint._numerators
     if numerators is not None:
-        n_s = _cell_sum(numerators, s)
+        n_s, n_xy, n_x, n_y = sums(numerators)
         if n_s == 0:
             raise DegenerateEventError(degenerate)
-        diff = abs(
-            _cell_sum(numerators, xy) * n_s
-            - _cell_sum(numerators, x) * _cell_sum(numerators, y)
-        )
+        diff = abs(n_xy * n_s - n_x * n_y)
         if diff == 0:
             return True
         return tol != 0 and Fraction(diff, n_s * n_s) <= tol
-    p = joint.p
-    slice_mass = _cell_sum(p, s)
+    slice_mass, xy, x, y = sums(joint.p)
     if slice_mass == 0:
         raise DegenerateEventError(degenerate)
-    q_xy = _cell_sum(p, xy) / slice_mass
-    q_x = _cell_sum(p, x) / slice_mass
-    q_y = _cell_sum(p, y) / slice_mass
+    q_xy = xy / slice_mass
+    q_x = x / slice_mass
+    q_y = y / slice_mass
     return abs(q_xy - q_x * q_y) <= tol
 
 
@@ -203,7 +219,8 @@ def holds_algebraic(params: ModelParams, hypothesis: Hypothesis, tol=0) -> bool:
     oracle.
 
     Raises DegenerateEventError for H5 in Model 2 when a covariate stratum
-    has zero mass.
+    has zero mass, and ParameterError for a hypothesis that is not a
+    ``Hypothesis``.
     """
     _check_tolerance(tol)
     model, one, values, exact = _unit_values(params)
@@ -285,7 +302,7 @@ def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
         a = v[0]
         if hypothesis is _H5:
             return b0 * (one - a) + u0 * a, None, b1 * (one - a) + u1 * a, None
-    raise ParameterError(f"unknown hypothesis {hypothesis!r}")
+    raise _not_a_hypothesis(hypothesis)
 
 
 # Parameter slots, uniform across models so constraint bookkeeping is shared:
@@ -327,9 +344,7 @@ def _substitution_reps(model: int, hypotheses: HypothesisSet) -> tuple:
     # only 3 models x 2**7 hypothesis sets
     for h in hypotheses:
         if not isinstance(h, Hypothesis):
-            raise ParameterError(
-                f"{h!r} is not a Hypothesis; parse_hypothesis turns a name into one"
-            )
+            raise _not_a_hypothesis(h)
     # rep[j] labels slot j's class by its lowest slot; each pair merges two
     # classes by relabeling the higher label to the lower
     rep = list(range(7))

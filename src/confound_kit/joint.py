@@ -39,6 +39,7 @@ import numbers
 import operator
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, Union
 
@@ -47,6 +48,7 @@ from .errors import DegenerateEventError, ParameterError
 Numeric = Union[int, float, Fraction]
 
 _SUM_TOL = 1e-12
+_INF = math.inf
 
 
 class Exposure(Enum):
@@ -92,11 +94,18 @@ def _check_open_unit(name: str, value: Numeric) -> None:
 
 
 def _check_tolerance(tol) -> None:
-    """Reject a tolerance that is NaN, infinite or negative.
+    """Reject a tolerance that is NaN, infinite, negative or a bool.
 
     Against a NaN or infinite tolerance every comparison comes out the same
-    whatever the data, so a false claim could pass unnoticed.
+    whatever the data, so a false claim could pass unnoticed.  A bool is
+    rejected as ``_check_integer`` rejects one: a ``True`` meant for a flag
+    would otherwise be a tolerance of 1, which passes nearly any claim.
     """
+    cls = type(tol)
+    if (cls is float or cls is int) and 0 <= tol < _INF:
+        return  # the common case, a plain finite nonnegative number
+    if cls is bool:
+        raise ParameterError(f"tolerance must be a real number, got {tol!r}")
     if isinstance(tol, float) and not math.isfinite(tol):
         raise ParameterError(f"tolerance must be finite, got {tol!r}")
     try:
@@ -140,11 +149,11 @@ class _Frozen:
     Instances are equal when their classes are identical and their field
     tuples are equal, hash as that tuple, print as ``Name(field=value, ...)``
     and refuse assignment and deletion.  Plain attributes outside
-    ``_fields`` (``_unit``, ``_numerators``, ``_codes``) take no part in
-    any of these.  The constructor binds the fields positionally or by
-    keyword, with Python's own messages for a bad call, then runs
-    ``__post_init__``; classes on hot paths define their own ``__init__``
-    instead.
+    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``, ``_codes``)
+    take no part in any of these.  The constructor binds the fields
+    positionally or by keyword, with Python's own messages for a bad call,
+    then runs ``__post_init__``; classes on hot paths define their own
+    ``__init__`` instead.
     """
 
     _fields: tuple = ()
@@ -335,12 +344,20 @@ class JointDistribution(_Frozen):
     ``Fraction``s; those are scale-invariant, so any common denominator
     serves.  Built from weights, the denominator is the cells' least common
     one; ``build_joint`` on rational parameters passes its integer cells
-    over L**3 straight through ``_from_numerators``.  It is a plain
-    attribute, not a field: equality, hashing, ``repr`` and ``to_dict`` see
-    ``p`` alone.
+    over L**3 straight through ``_from_numerators``, and ``p`` is built from
+    them, one ``Fraction`` per cell over their sum, on first access: the
+    exact verdict path never reads it.  ``_numerators`` is a plain
+    attribute, not a field: equality, hashing, ``repr``, ``to_dict``, copies
+    and pickles see ``p`` alone, whether or not it was read before.
+
+    ``_proportions`` keeps what ``measures`` derives from the cells once it
+    is computed (see ``measures._proportions``); it is None until then.  A
+    joint is frozen, so the kept value cannot go stale, and it is not
+    pickled.
     """
 
     _fields = ("p",)
+    _proportions = None
 
     def __init__(self, p) -> None:
         weights = tuple(p)
@@ -372,7 +389,7 @@ class JointDistribution(_Frozen):
         """The rational joint with cells ``numerators[i] / denominator``.
 
         Runs the checks ``__init__`` runs on rational weights, with the
-        same messages, on the integers, and builds one ``Fraction`` per cell.
+        same messages, on the integers; ``p`` is built on first access.
         """
         for i, n in enumerate(numerators):
             if n < 0:
@@ -383,10 +400,19 @@ class JointDistribution(_Frozen):
                 f"exact cell weights sum to {Fraction(total, denominator)}, not 1"
             )
         joint = object.__new__(cls)
-        joint.__dict__.update(
-            p=tuple(Fraction(n, denominator) for n in numerators), _numerators=numerators
-        )
+        joint.__dict__["_numerators"] = numerators
         return joint
+
+    @cached_property
+    def p(self) -> tuple:
+        # only a joint from _from_numerators gets here; its numerators sum
+        # to their denominator
+        numerators = self._numerators
+        denominator = sum(numerators)
+        return tuple([Fraction(n, denominator) for n in numerators])
+
+    def __getstate__(self) -> dict:
+        return {"p": self.p, "_numerators": self._numerators}
 
     @staticmethod
     def index(e: object, c: object, d: object) -> int:
@@ -554,7 +580,8 @@ def build_joint(params: ModelParams) -> JointDistribution:
     products bit for bit.  Rational parameters multiply their integer
     numerators over L, the least common multiple of their denominators; the
     joint keeps those integer cells over L**3 and builds one ``Fraction``
-    per cell.  The tests hold the plain ``Fraction`` products as the oracle.
+    per cell on first access.  The tests hold the plain ``Fraction``
+    products as the oracle.
     """
     model, one, v, exact = _unit_values(params)
     cells = _cells(model, v, one)

@@ -34,7 +34,8 @@ rational answers, and in that mode the classification tolerance must be 0.
 On a rational joint the three proportions are integer ratios of the
 joint's cell numerators (``_exact_pairs``); the verdict and Lemma 1 compare
 them by integer cross-multiplication, and ``Fraction``s are built only for
-the values a caller receives.
+the values a caller receives.  Each joint computes its proportions, float
+or exact, once and keeps them (``_proportions``).
 """
 
 from __future__ import annotations
@@ -179,19 +180,38 @@ def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
     into one integer numerator and denominator per proportion
     (``_exact_pairs``), and each measure is one ``Fraction`` of those, with
     the bias cross-multiplied; degenerate events raise the same errors in
-    the same order as the per-measure functions.
+    the same order as the per-measure functions.  Either is computed once
+    per joint and kept on it (``_proportions``).
     """
-    n = joint._numerators
-    if n is not None:
-        return _pairs_summary(*_exact_pairs(n))
-    hypothetical = hypothetical_proportion(joint)
-    observed = observed_proportion(joint)
-    return MeasureSummary(
-        hypothetical=hypothetical,
-        observed=observed,
-        standardized=standardized_proportion(joint),
-        bias=hypothetical - observed,
-    )
+    if joint._numerators is not None:
+        return _pairs_summary(*_proportions(joint))
+    return _proportions(joint)
+
+
+def _proportions(joint: JointDistribution):
+    """The float ``MeasureSummary`` of a float joint, or the integer pairs of
+    ``_exact_pairs`` of a rational one, kept on the joint once computed.
+
+    ``summary_from_joint``, ``classify_covariate`` and ``check_lemma1`` on
+    one joint share them.  A degenerate joint keeps nothing, so it raises
+    on every call.
+    """
+    kept = joint._proportions
+    if kept is None:
+        n = joint._numerators
+        if n is not None:
+            kept = _exact_pairs(n)
+        else:
+            hypothetical = hypothetical_proportion(joint)
+            observed = observed_proportion(joint)
+            kept = MeasureSummary(
+                hypothetical=hypothetical,
+                observed=observed,
+                standardized=standardized_proportion(joint),
+                bias=hypothetical - observed,
+            )
+        joint.__dict__["_proportions"] = kept
+    return kept
 
 
 def _exact_pairs(n: tuple) -> tuple:
@@ -311,9 +331,9 @@ def classify_covariate(
         tol = 0 if n is not None else DEFAULT_FLOAT_TOL
     _check_tolerance(tol)
     if n is None:
-        return _classify(summary_from_joint(joint), tol)
+        return _classify(_proportions(joint), tol)
     _check_exact_tolerance(tol)
-    pairs = h, hd, o, od, s, sd = _exact_pairs(n)
+    pairs = h, hd, o, od, s, sd = _proportions(joint)
     gap = abs(h * sd - s * hd)
     if s * od == o * sd:
         verdict = Verdict.IRRELEVANT
@@ -337,12 +357,12 @@ def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0)
     _check_tolerance(tol)
     n = joint._numerators
     if n is None:
-        summary = summary_from_joint(joint)
+        summary = _proportions(joint)
         irrelevant = abs(summary.standardized - summary.observed) <= tol
         confounder = abs(summary.hypothetical - summary.standardized) < abs(summary.bias) - tol
     else:
         _check_exact_tolerance(tol)
-        h, hd, o, od, s, sd = _exact_pairs(n)
+        h, hd, o, od, s, sd = _proportions(joint)
         irrelevant = s * od == o * sd
         confounder = abs(h * sd - s * hd) * od < abs(h * od - o * hd) * sd
     return not (irrelevant and confounder)

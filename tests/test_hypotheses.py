@@ -1,5 +1,8 @@
 """Tests for the seven independence hypotheses and constrained sampling."""
 
+import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from confound_kit import (
     ConstraintError,
     DegenerateEventError,
     Hypothesis,
+    JointDistribution,
     Model1Params,
     Model2Params,
     Model3Params,
@@ -99,6 +103,80 @@ def test_non_real_tolerance_rejected(tol):
         holds_numeric(joint_from_model1(EXAMPLE_M1), H.H1, tol)
     with pytest.raises(ParameterError, match="real number"):
         holds_algebraic(EXAMPLE_M1, H.H1, tol)
+
+
+@pytest.mark.parametrize("tol", [True, False])
+def test_bool_tolerance_rejected(tol):
+    # True would pass as a tolerance of 1, which accepts H6 here
+    with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
+        holds_numeric(joint_from_model1(EXAMPLE_M1), H.H6, tol)
+    with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
+        holds_algebraic(EXAMPLE_M1, H.H6, tol)
+
+
+@pytest.mark.parametrize("bad", ["H1", None, 3, []])
+def test_tests_reject_what_is_not_a_hypothesis(bad):
+    # the numeric test once raised KeyError (TypeError for [])
+    message = re.escape(f"{bad!r} is not a Hypothesis")
+    exact = Model1Params(*[F(k, 10) for k in (4, 2, 6, 1, 7, 3, 9)])
+    for params in (EXAMPLE_M1, exact):
+        with pytest.raises(ParameterError, match=message):
+            holds_numeric(build_joint(params), bad)
+        with pytest.raises(ParameterError, match=message):
+            holds_algebraic(params, bad)
+
+
+# (X, Y, slice) of each hypothesis as keyword arguments of JointDistribution.prob
+_PRODUCT_FORMS = {
+    H.H1: ({"e": "e"}, {"d": 1}, {}),
+    H.H2: ({"e": "e"}, {"d": 1}, {"c": 0}),
+    H.H3: ({"e": "e"}, {"d": 1}, {"c": 1}),
+    H.H4: ({"e": "e"}, {"c": 1}, {}),
+    H.H5: ({"d": 1}, {"c": 1}, {}),
+    H.H6: ({"d": 1}, {"c": 1}, {"e": "ebar"}),
+    H.H7: ({"d": 1}, {"c": 1}, {"e": "e"}),
+}
+
+
+def _seeded_float_joints():
+    rng = random.Random(4242)
+    sampler = SplitMix64(4242)
+    for model in (1, 2, 3):
+        for _ in range(30):
+            yield build_joint(random_params(model, sampler))
+    for _ in range(150):
+        # integer weights, about a third of them zero, scaled to sum to one
+        weights = [rng.choice((0, rng.randint(1, 10**6), rng.randint(1, 10**6))) for _ in range(8)]
+        if sum(weights) == 0:
+            continue
+        total = sum(weights)
+        cells = [w / total for w in weights]
+        if abs(sum(cells) - 1) <= 1e-12:
+            yield JointDistribution(cells)
+
+
+def test_float_product_test_is_the_prob_sums_bit_for_bit():
+    # the residual from JointDistribution.prob sums is the exact threshold:
+    # the test passes at tol = x and fails at the next float below it
+    checked = degenerate = zero_cells = 0
+    for joint in _seeded_float_joints():
+        zero_cells += 0 in joint.p
+        for h, (x, y, given) in _PRODUCT_FORMS.items():
+            mass = joint.prob(**given)
+            if mass == 0:
+                with pytest.raises(DegenerateEventError):
+                    holds_numeric(joint, h, 0.5)
+                degenerate += 1
+                continue
+            q_xy = joint.prob(**given, **x, **y) / mass
+            q_x = joint.prob(**given, **x) / mass
+            q_y = joint.prob(**given, **y) / mass
+            residual = abs(q_xy - q_x * q_y)
+            assert holds_numeric(joint, h, residual)
+            if residual > 0:
+                assert not holds_numeric(joint, h, math.nextafter(residual, -math.inf))
+            checked += 1
+    assert checked > 1000 and degenerate > 0 and zero_cells > 50
 
 
 def test_numeric_degenerate_slice_raises():

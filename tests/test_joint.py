@@ -1,10 +1,14 @@
 """Tests for the model parameterizations and the 8-cell joint distribution."""
 
+import copy
 import json
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
+import algebra_oracle as oracle
 from confound_kit import (
     Exposure,
     JointDistribution,
@@ -13,14 +17,19 @@ from confound_kit import (
     Model3Params,
     ParameterError,
     DegenerateEventError,
+    Hypothesis,
     build_joint,
+    check_lemma1,
+    classify_covariate,
     conditional_prob,
+    holds_numeric,
     joint_from_model1,
     joint_from_model2,
     joint_from_model3,
     model_number,
     params_from_dict,
     params_type,
+    summary_from_joint,
 )
 
 F = Fraction
@@ -250,6 +259,78 @@ def test_integer_cells_checked_as_weights_are():
         assert str(got.value) == str(expected.value)
     joint = JointDistribution._from_numerators((1, 1, 1, 1, 1, 1, 1, 1), 8)
     assert joint == JointDistribution((F(1, 8),) * 8) and joint._numerators == (1,) * 8
+
+
+# --- values kept on a joint ------------------------------------------------
+
+EXACT_M2 = Model2Params(a=F(3, 7), c0=F(1, 4), c1=F(5, 6), b0=F(1, 10), b1=F(7, 10), u0=F(2, 9), u1=F(9, 10))
+
+
+def test_exact_cells_built_on_first_access():
+    joint = build_joint(EXACT_M2)
+    assert "p" not in vars(joint)
+    assert joint.p == oracle.build_joint(EXACT_M2).p
+    assert all(type(w) is Fraction for w in joint.p)
+    assert joint.p is joint.p  # built once
+
+
+def test_reading_the_cells_does_not_change_the_joint():
+    # each check gets a joint whose cells were never read, since comparing,
+    # hashing or printing one reads them
+    read = build_joint(EXACT_M2)
+    assert read.p  # now kept on the joint
+    for unread, other in ((build_joint(EXACT_M2), read), (read, build_joint(EXACT_M2))):
+        assert unread == other
+    assert hash(build_joint(EXACT_M2)) == hash(read)
+    assert repr(build_joint(EXACT_M2)) == repr(read)
+    assert build_joint(EXACT_M2).to_dict() == read.to_dict()
+    assert pickle.dumps(build_joint(EXACT_M2)) == pickle.dumps(read)
+    for restored in (pickle.loads(pickle.dumps(build_joint(EXACT_M2))), copy.deepcopy(build_joint(EXACT_M2))):
+        assert restored == read and restored._numerators == read._numerators
+        assert classify_covariate(restored) == classify_covariate(read)
+
+
+def _verdict_calls(tol):
+    calls = [
+        ("classify", lambda joint: classify_covariate(joint, tol)),
+        ("lemma1", lambda joint: check_lemma1(joint, tol)),
+        ("summary", summary_from_joint),
+    ]
+    calls += [(h.value, lambda joint, h=h: holds_numeric(joint, h, tol)) for h in Hypothesis]
+    return calls
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_kept_proportions_give_the_fresh_results_in_any_order(exact):
+    rng = random.Random(31)
+    for model in (1, 2, 3):
+        cls = params_type(model)
+        for _ in range(5):
+            grid = [F(rng.randint(1, 99), 100) for _ in cls._fields]
+            params = cls(*(grid if exact else [float(v) for v in grid]))
+            calls = _verdict_calls(0 if exact else 1e-9)
+            fresh = {name: call(build_joint(params)) for name, call in calls}
+            for _ in range(4):
+                rng.shuffle(calls)
+                joint = build_joint(params)
+                for name, call in calls + calls:
+                    got = call(joint)
+                    # repr tells float bits apart, 0.0 from -0.0 included
+                    assert got == fresh[name] and repr(got) == repr(fresh[name]), name
+            assert pickle.dumps(joint) == pickle.dumps(build_joint(params))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_degenerate_joint_raises_on_every_call(exact):
+    # P(E=ebar, C=1) = 0 while P(C=1 | E=e) > 0: the standardized proportion
+    # is undefined, and a failure is not kept
+    weights = (F(1, 8), F(1, 8), F(1, 8), F(1, 8), F(1, 4), F(1, 4), 0, 0)
+    joint = JointDistribution(weights if exact else [float(w) for w in weights])
+    calls = [call for _, call in _verdict_calls(0)[:3]]
+    for call in calls + calls:
+        with pytest.raises(DegenerateEventError, match=r"P\(E=ebar, C=1\) = 0"):
+            call(joint)
+    assert joint._proportions is None
 
 
 # --- swap and dispatch ---------------------------------------------------

@@ -214,6 +214,17 @@ def test_non_real_tolerance_rejected(tol):
             classify_covariate(joint, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [True, False])
+def test_bool_tolerance_rejected(tol):
+    # a tolerance of True once passed as 1 and made this confounder irrelevant
+    joint = joint_from_model1(EXAMPLE_M1)
+    assert classify_covariate(joint).verdict is Verdict.CONFOUNDER
+    for joint in (joint, table1_joint()):
+        for check in (classify_covariate, check_lemma1):
+            with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
+                check(joint, tol)
+
+
 def test_irrelevant_checked_before_confounder():
     # an irrelevant covariate has gap == |bias|, never strictly less, so the
     # two verdicts cannot collide; the report must say Irrelevant

@@ -324,6 +324,20 @@ def test_non_finite_tolerance_rejected(tol):
         verify_clause(false_clause, samples=1000, seed=1, tol=tol)
 
 
+def test_bool_tolerance_rejected():
+    # a positional True meant for exact once landed in tol as a tolerance of
+    # 1, and this clause, which fails on every sample, reported passed
+    false_clause = TheoremClause("X", "false", 1, frozenset(), Conclusion.IRRELEVANT_FACTOR)
+    assert verify_clause(false_clause, 200, 0).failures == 200
+    for tol in (True, False):
+        with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
+            verify_clause(false_clause, 200, 0, tol)
+        with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
+            verify_clause(false_clause, 20, 0, tol, exact=True)
+        with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
+            falsify_converse(1, Conclusion.IRRELEVANT_FACTOR, 50, tol=tol)
+
+
 # --- exact campaigns ------------------------------------------------------
 
 
