@@ -25,7 +25,8 @@ from .measures import DEFAULT_FLOAT_TOL, classify_covariate
 from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
 from .theorems import _MIN_CHUNK, clause_lookup, verify_clause
 
-_ALL_PARAM_FLAGS = ("t", "a0", "a1", "a", "c0", "c1", "b0", "b1", "u0", "u1")
+# each parameter class field once, in model then field order
+_ALL_PARAM_FLAGS = tuple(dict.fromkeys(f for m in (1, 2, 3) for f in params_type(m)._fields))
 
 
 def build_parser() -> argparse.ArgumentParser:

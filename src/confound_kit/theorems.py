@@ -24,11 +24,13 @@ parameters imposed through the plain H1/H5 quotients and joints from the
 plain ``Fraction`` products, both kept in the tests' oracle module, then
 ``summary_from_joint``.
 
-``falsify_converse`` probes the other direction, searching for parameters
-where a conclusion holds but none of the catalog's condition sets for it
-does.  For the no-confounding conclusion the single-hypothesis set {H1} is
-skipped there: H1 restates bias zero, so counting it would make the search
-vacuously impossible.
+The catalog gives sufficient conditions only.  On the open unit box the
+conclusions are decided exactly (``_VANISHING_FACTORS``): irrelevance holds
+where H4 or H6 does in models 1 and 2 and everywhere in model 3, no
+confounding where H1 does.  ``falsify_converse`` builds from that an exact
+point where a conclusion holds but none of the catalog's condition sets for
+it does, or returns None.  For no_confounding the set {H1} is skipped there:
+it restates bias zero, so counting it would leave no witness anywhere.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import kernel
-from ._rng import sample_stream
+from ._rng import SplitMix64
 from .errors import ConstraintError, ParameterError
 from .hypotheses import (
     Hypothesis,
@@ -65,7 +67,7 @@ from .joint import (
     build_joint,
     params_type,
 )
-from .measures import summary_from_joint
+from .measures import Verdict, classify_covariate
 
 CAMPAIGN_FLOAT_TOL = 1e-10
 _REDRAW_BUDGET = 1000
@@ -74,7 +76,6 @@ _REDRAW_BUDGET = 1000
 # at 2 x 131,072 samples, 0.84x at 2 x 65,536 and 1.3-1.45x at 2 x 262,144
 # (2-vCPU VM); a 10,000-sample campaign ran 0.3-0.5x as fast on two.
 _MIN_CHUNK = 131_072
-_CONCLUSION_TOL = 1e-12
 
 
 class Conclusion(Enum):
@@ -191,14 +192,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _check_samples_seed(samples, seed) -> None:
-    if type(samples) is not int or type(seed) is not int:
-        _check_integer("samples", samples)
-        _check_integer("seed", seed)
-    if samples < 1:
-        raise ParameterError(f"samples must be positive, got {samples!r}")
 
 
 def _campaign_codes(clause: TheoremClause) -> tuple:
@@ -340,7 +333,11 @@ def verify_clause(
     smaller ones, and every campaign on the pure kernel, run on the calling
     thread.
     """
-    _check_samples_seed(samples, seed)
+    if type(samples) is not int or type(seed) is not int:
+        _check_integer("samples", samples)
+        _check_integer("seed", seed)
+    if samples < 1:
+        raise ParameterError(f"samples must be positive, got {samples!r}")
     if tol is None:
         tol = 0 if exact else CAMPAIGN_FLOAT_TOL
     _check_tolerance(tol)
@@ -358,11 +355,10 @@ def verify_clause(
         max_violation, failures, exhausted = _float_campaign(
             clause, samples, seed, float(tol), threads
         )
-        if exhausted:
-            eq_member = equational_member(clause.conditions)
+        if exhausted:  # only a clause with an H1/H5 member redraws
             raise ConstraintError(
                 f"{exhausted} samples exhausted the redraw budget solving "
-                f"{eq_member.value if eq_member else 'the constraints'} "
+                f"{equational_member(clause.conditions).value} "
                 f"for {clause.theorem}({clause.clause})"
             )
     return VerificationReport(
@@ -374,63 +370,61 @@ def verify_clause(
     )
 
 
-def falsify_converse(
-    model: int,
-    conclusion: Conclusion,
-    samples: int,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> Optional[ModelParams]:
-    """Search for parameters where ``conclusion`` holds but no catalog
-    condition set for (model, conclusion) does.
+# The factors of each conclusion's cleared numerator (the difference
+# classify_covariate tests exactly: standardized - observed, or the bias,
+# over joint._cells) that can vanish in the open unit box, each named by the
+# hypothesis whose _algebraic_sides residual it is.  Every other factor is a
+# slot or a slot minus 1, and an empty entry means the numerator is
+# identically zero.  So in the open box a conclusion holds exactly where a
+# listed hypothesis does, or everywhere for an empty entry.  The tests prove
+# the table against joint._cells with sympy.
+_VANISHING_FACTORS = {
+    (1, _IRR): (Hypothesis.H4, Hypothesis.H6),
+    (2, _IRR): (Hypothesis.H4, Hypothesis.H6),
+    (3, _IRR): (),
+    (1, _NOC): (Hypothesis.H1,),
+    (2, _NOC): (Hypothesis.H1,),
+    (3, _NOC): (Hypothesis.H1,),
+}
 
-    Returns the first witness found, or None after ``samples`` draws; both
-    are meaningful results (a None under a large budget is evidence the
-    conditions are close to necessary).  Condition sets are tested
-    algebraically within ``tol``.  For no_confounding the {H1} set is
-    excluded as a restatement of the conclusion itself, and witnesses are
-    constructed on the bias-zero surface directly; for irrelevant_factor
-    unconstrained draws are screened for the conclusion instead.
+
+def falsify_converse(model: int, conclusion: Conclusion) -> Optional[ModelParams]:
+    """Exact parameters where ``conclusion`` holds but no catalog condition
+    set for (model, conclusion) does, or None when the open unit box has none.
+
+    The conclusion holds in the open box exactly on the surfaces {h} of its
+    ``_VANISHING_FACTORS`` (on the whole box for an empty entry).  Each
+    surface that is not itself a catalog set is imposed on up to
+    ``_REDRAW_BUDGET`` thousandths-grid draws of a fixed stream, and the
+    first point is returned where the exact ``classify_covariate`` confirms
+    the conclusion and ``holds_algebraic`` at tol 0 rejects a member of
+    every catalog set.  The {H1} set of no_confounding is not counted.
     """
-    _check_samples_seed(samples, seed)
-    _check_tolerance(tol)
     try:
         conclusion = Conclusion(conclusion)
     except ValueError:
         raise ParameterError(
             f"unknown conclusion {conclusion!r}; expected 'irrelevant_factor' or 'no_confounding'"
         ) from None
+    params_type(model)  # an unknown model raises ParameterError
     condition_sets = [
         c.conditions
         for c in CLAUSES
         if c.model == model
         and c.conclusion is conclusion
-        and not (
-            conclusion is Conclusion.NO_CONFOUNDING
-            and c.conditions == frozenset({Hypothesis.H1})
-        )
+        and not (conclusion is _NOC and c.conditions == frozenset({Hypothesis.H1}))
     ]
-    for i in range(samples):
-        rng = sample_stream(seed, i)
-        if conclusion is Conclusion.NO_CONFOUNDING:
-            base = random_params(model, rng)
-            try:
-                params = impose(base, frozenset({Hypothesis.H1}), rng)
-            except ConstraintError:
-                continue
-        else:
-            params = random_params(model, rng)
-        summary = summary_from_joint(build_joint(params))
-        if conclusion is Conclusion.NO_CONFOUNDING:
-            achieved = abs(summary.bias) <= _CONCLUSION_TOL
-        else:
-            achieved = abs(summary.standardized - summary.observed) <= _CONCLUSION_TOL
-        if not achieved:
+    surfaces = [frozenset({h}) for h in _VANISHING_FACTORS[model, conclusion]] or [frozenset()]
+    rng = SplitMix64(0)
+    for surface in surfaces:
+        if surface in condition_sets:
             continue
-        if any(
-            all(holds_algebraic(params, h, tol) for h in conditions)
-            for conditions in condition_sets
-        ):
-            continue
-        return params
+        for _ in range(_REDRAW_BUDGET):
+            params = impose(random_params(model, rng, exact=True), surface, rng)
+            report = classify_covariate(build_joint(params))
+            holds = report.bias == 0 if conclusion is _NOC else report.verdict is Verdict.IRRELEVANT
+            if holds and not any(
+                all(holds_algebraic(params, h) for h in conditions) for conditions in condition_sets
+            ):
+                return params
     return None

@@ -157,6 +157,25 @@ def test_classify_usage_errors(capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hypotheses", "--t", "0.4"], "parameter flags need --model to be interpreted"),
+        (["classify", *MODEL1_FLAGS, "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (
+            ["verify", "--theorem", "T1", "--clause", "a", "--samples", "abc"],
+            "argument --samples: invalid int value: 'abc'",
+        ),
+    ],
+    ids=["flags-without-model", "tol", "samples"],
+)
+def test_unparsable_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_classify_float_overflow_is_usage_error(capsys):
     argv = ["classify", "--model", "3", "--a", "0.5", "--t", "1e400",
             "--b0", "0.1", "--b1", "0.2", "--u0", "0.3", "--u1", "0.4"]
@@ -263,21 +282,28 @@ def test_verify_threads_flag_stable_output(capsys):
     assert one == four
 
 
+def _loaded(code):
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
+    code += "; import sys; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 def test_cli_import_loads_no_heavy_modules():
     # every CLI request pays for what the import loads: dataclasses pulls in
     # inspect (and ast, dis, tokenize), concurrent.futures pulls in logging,
     # and only a campaign that splits needs a thread pool
-    env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
-
-    def loaded(code):
-        code += "; import sys; print(*sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
-
-    added = loaded("import confound_kit.cli") - loaded("pass")
+    added = _loaded("import confound_kit.cli") - _loaded("pass")
     assert "confound_kit.cli" in added
     assert not added & {"dataclasses", "inspect", "concurrent.futures", "logging"}
+
+
+def test_cli_import_loads_no_sympy():
+    # sympy proves the converse table in the tests only; the library has no
+    # runtime dependencies
+    assert "sympy" not in _loaded("import confound_kit.cli")
 
 
 # --- hypotheses -------------------------------------------------------------

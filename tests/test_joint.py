@@ -201,6 +201,31 @@ def test_non_real_params_and_weights_rejected():
         JointDistribution((0.125,) * 7 + (0.125j,))
 
 
+_UNIFORM = JointDistribution((0.125,) * 8)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Model3Params(a=0.5, t=float("nan"), b0=0.1, b1=0.7, u0=0.3, u1=0.9), "parameter t is NaN"),
+        (lambda: JointDistribution((float("nan"),) + (0.125,) * 7), "cell 0 weight is NaN"),
+        (lambda: JointDistribution.index("x", 0, 0), "invalid exposure value 'x'; expected 'e' or 'ebar'"),
+        (lambda: _UNIFORM.prob(c=2), "invalid C value 2; expected 0 or 1"),
+        (lambda: JointDistribution.from_dict({"q": []}), "expected exactly the field ['p'], got ['q']"),
+        (lambda: JointDistribution.from_dict({"p": 3}), "field 'p' must be a list of 8 cell weights"),
+        (lambda: conditional_prob(_UNIFORM, {"X": 1}, {}), "unknown variable 'X'; expected 'E', 'C', or 'D'"),
+        (lambda: model_number(object()), "not a model parameter set: <object object at"),
+        (lambda: build_joint(object()), "not a model parameter set: <object object at"),
+    ],
+    ids=["nan-param", "nan-weight", "index", "prob", "from-dict-key", "from-dict-cells",
+         "conditional-variable", "model-number", "build-joint"],
+)
+def test_invalid_values_rejected(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 def test_model1_degenerate_exposure_marginal_rejected():
     with pytest.raises(ParameterError):
         Model1Params(t=0.5, a0=0.0, a1=0.0, b0=0.5, b1=0.5, u0=0.5, u1=0.5)

@@ -164,6 +164,8 @@ def test_measures_require_both_exposure_arms():
     unexposed_only = JointDistribution(tuple(cells))
     with pytest.raises(DegenerateEventError):
         hypothetical_proportion(unexposed_only)
+    with pytest.raises(DegenerateEventError, match=r"^P\(E=e\) = 0; the standardized proportion is undefined$"):
+        standardized_proportion(unexposed_only)
 
 
 # --- verdict rules -------------------------------------------------------

@@ -77,6 +77,55 @@ def test_counts_validation():
         )  # unknown stratum
 
 
+def _csv(row):
+    return io.StringIO("type,exposure,stratum,count\n" + row + "\n")
+
+
+def _three_strata():
+    return counts_from([(RT.DOOMED, E.EXPOSED, s, 1) for s in "012"] + [(RT.IMMUNE, E.UNEXPOSED, "0", 1)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: StratifiedCounts((), {}), ParameterError, "a table needs at least one stratum"),
+        (
+            lambda: StratifiedCounts(("0",), {("doomed", E.EXPOSED, "0"): 1}),
+            ParameterError,
+            "malformed count key ('doomed', <Exposure.EXPOSED: 'e'>, '0')",
+        ),
+        (
+            lambda: CoarseningMap({"a": 2}),
+            ParameterError,
+            "stratum 'a' assigned to group 2; groups are 0 and 1",
+        ),
+        (lambda: CoarseningMap.from_spec("x=1"), ParameterError, "bad coarsening group 'x' in 'x=1'"),
+        (lambda: CoarseningMap.from_spec(";"), ParameterError, "empty coarsening spec ';'"),
+        (
+            lambda: counts_to_joint(_three_strata()),
+            ParameterError,
+            "the joint over a binary covariate needs exactly 2 strata, got 3; coarsen the table first",
+        ),
+        (
+            lambda: load_counts(_csv("doomed,x,0,1")),
+            TableFormatError,
+            "line 2: unknown exposure 'x'; expected 'e' or 'ebar'",
+        ),
+        (
+            lambda: load_counts(_csv("doomed,e,0,1.5")),
+            TableFormatError,
+            "line 2: count '1.5' is not an integer",
+        ),
+    ],
+    ids=["no-strata", "str-response-type", "map-group", "spec-group", "spec-empty", "three-strata",
+         "csv-exposure", "csv-count"],
+)
+def test_malformed_tables_rejected(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_counts_drop_zero_cells_and_total():
     counts = counts_from([
         (RT.DOOMED, E.EXPOSED, "0", 3),

@@ -22,6 +22,7 @@ from confound_kit import (
     falsify_converse,
     holds_algebraic,
     impose,
+    model_number,
     observed_proportion,
     random_params,
     standardized_proportion,
@@ -289,8 +290,6 @@ def test_verify_rejects_non_integer_counts(exact):
     if not exact:
         with pytest.raises(ParameterError, match="thread count must be an integer, got '2'"):
             verify_clause(clause, 3, threads="2")
-    with pytest.raises(ParameterError, match="samples must be an integer"):
-        falsify_converse(1, Conclusion.NO_CONFOUNDING, "3")
 
 
 @pytest.mark.parametrize(
@@ -304,9 +303,8 @@ def test_verify_rejects_non_integer_counts(exact):
             lambda: impose(random_params(1, SplitMix64(0)), hypothesis_set(H.H1), SplitMix64(1), budget=True),
             "budget",
         ),
-        (lambda: falsify_converse(1, Conclusion.NO_CONFOUNDING, True), "samples"),
     ],
-    ids=["verify-samples", "exact-samples", "seed", "threads", "impose-budget", "falsify-samples"],
+    ids=["verify-samples", "exact-samples", "seed", "threads", "impose-budget"],
 )
 def test_bool_counts_rejected(call, name):
     # operator.index(True) succeeds, so a bool would pass as the integer 1
@@ -334,8 +332,6 @@ def test_bool_tolerance_rejected():
             verify_clause(false_clause, 200, 0, tol)
         with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
             verify_clause(false_clause, 20, 0, tol, exact=True)
-        with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
-            falsify_converse(1, Conclusion.IRRELEVANT_FACTOR, 50, tol=tol)
 
 
 # --- exact campaigns ------------------------------------------------------
@@ -426,6 +422,25 @@ def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch, backends):
         with pytest.raises(ConstraintError) as raised:
             verify_clause(clause, samples=1, seed=seed, exact=True)
         assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_float_campaign_redraw_exhaustion_is_reported(monkeypatch, backends, backend):
+    # with no redraws, each sample whose first H1 solve leaves [0, 1] runs
+    # out of budget; impose on the same stream counts which
+    monkeypatch.setattr(theorems, "_REDRAW_BUDGET", 0)
+    _use_backend(monkeypatch, backends, backend)
+    exhausted = 0
+    for i in range(200):
+        rng = sample_stream(5, i)
+        try:
+            impose(random_params(1, rng), hypothesis_set(H.H1), rng, budget=0)
+        except ConstraintError:
+            exhausted += 1
+    assert 0 < exhausted < 200
+    with pytest.raises(ConstraintError) as raised:
+        verify_clause(clause_lookup("T2", "a"), samples=200, seed=5)
+    assert str(raised.value) == f"{exhausted} samples exhausted the redraw budget solving H1 for T2(a)"
 
 
 @pytest.mark.parametrize(
@@ -540,48 +555,89 @@ def test_boundary_params_satisfy_conclusions():
 # --- converse search -------------------------------------------------------
 
 
-def test_falsify_converse_model1_no_confounding():
-    witness = falsify_converse(1, Conclusion.NO_CONFOUNDING, samples=200, seed=6)
+def _catalog_sets(model, conclusion):
+    # {H1} restates bias zero, so it is no condition set for the converse
+    return [
+        c.conditions
+        for c in theorems.CLAUSES
+        if c.model == model
+        and c.conclusion is conclusion
+        and not (conclusion is Conclusion.NO_CONFOUNDING and c.conditions == hypothesis_set(H.H1))
+    ]
+
+
+def _assert_witness(witness, model, conclusion):
+    """The conclusion holds exactly at ``witness`` and no catalog set does."""
+    assert witness.is_exact and model_number(witness) == model
+    assert all(type(getattr(witness, f)) is Fraction for f in witness._fields)
+    # the joint from the plain Fraction products, not the library's expansion
+    summary = summary_from_joint(oracle.build_joint(witness))
+    if conclusion is Conclusion.NO_CONFOUNDING:
+        assert summary.bias == 0
+    else:
+        assert summary.standardized == summary.observed
+    for conditions in _catalog_sets(model, conclusion):
+        assert not all(holds_algebraic(witness, h) for h in conditions), sorted(conditions, key=str)
+
+
+@pytest.mark.parametrize(
+    "model, conclusion",
+    [
+        (1, Conclusion.NO_CONFOUNDING),
+        (2, Conclusion.NO_CONFOUNDING),
+        (3, Conclusion.NO_CONFOUNDING),
+        (3, Conclusion.IRRELEVANT_FACTOR),
+    ],
+)
+def test_falsify_converse_builds_exact_witnesses(model, conclusion):
+    witness = falsify_converse(model, conclusion)
+    _assert_witness(witness, model, conclusion)
+    assert falsify_converse(model, conclusion) == witness  # a fixed stream
+
+
+def test_falsify_converse_no_confounding_witness_cancels():
+    witness = falsify_converse(1, Conclusion.NO_CONFOUNDING)
+    assert holds_algebraic(witness, H.H1)
+    # bias vanishes by cancellation, not through H4 or H6
+    assert (witness.b0 - witness.b1) * (witness.a0 - witness.a1) != 0
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_falsify_converse_irrelevance_has_no_witness(model):
+    # irrelevance holds exactly where H4 or H6 does, and both are catalog sets
+    assert falsify_converse(model, Conclusion.IRRELEVANT_FACTOR) is None
+
+
+@pytest.mark.parametrize(
+    "dropped, model, tied",
+    [(("T1", "b"), 1, ("b0", "b1")), (("T3", "a"), 2, ("c0", "c1"))],
+)
+def test_falsify_converse_finds_the_surface_a_catalog_misses(monkeypatch, dropped, model, tied):
+    catalog = tuple(c for c in CLAUSES if (c.theorem, c.clause) != dropped)
+    monkeypatch.setattr(theorems, "CLAUSES", catalog)
+    witness = falsify_converse(model, Conclusion.IRRELEVANT_FACTOR)
     assert witness is not None
-    joint = build_joint(witness)
-    assert abs(confounding_bias(joint)) <= 1e-12
-    # bias vanishes by cancellation, not through any catalog condition set
-    assert (witness.b0 - witness.b1) * (witness.a0 - witness.a1) != 0.0
-    for clause in CLAUSES:
-        if clause.model == 1 and clause.conclusion is Conclusion.NO_CONFOUNDING:
-            if clause.conditions == hypothesis_set(H.H1):
-                continue  # definitionally satisfied whenever bias is zero
-            assert not all(holds_algebraic(witness, h, tol=1e-9) for h in clause.conditions)
+    assert getattr(witness, tied[0]) == getattr(witness, tied[1])
+    _assert_witness(witness, model, Conclusion.IRRELEVANT_FACTOR)
 
 
-def test_falsify_converse_model3_irrelevance_is_universal():
-    witness = falsify_converse(3, Conclusion.IRRELEVANT_FACTOR, samples=5, seed=0)
-    assert witness is not None
-    joint = build_joint(witness)
-    assert abs(standardized_proportion(joint) - observed_proportion(joint)) <= 1e-12
-
-
-def test_falsify_converse_model1_irrelevance_has_no_witness():
-    # for this structure irrelevance occurs only through a catalog condition
-    assert falsify_converse(1, Conclusion.IRRELEVANT_FACTOR, samples=300, seed=4) is None
+def test_falsify_converse_returns_none_when_a_catalog_set_is_the_surface(monkeypatch):
+    # model 3 irrelevance holds everywhere; a catalog set with no conditions
+    # holds everywhere too, so it leaves no witness
+    always = TheoremClause("X", "all", 3, frozenset(), Conclusion.IRRELEVANT_FACTOR)
+    monkeypatch.setattr(theorems, "CLAUSES", CLAUSES + (always,))
+    assert falsify_converse(3, Conclusion.IRRELEVANT_FACTOR) is None
 
 
 def test_falsify_converse_coerces_conclusion():
-    by_value = falsify_converse(1, "no_confounding", samples=200, seed=6)
+    by_value = falsify_converse(1, "no_confounding")
     assert by_value is not None
-    assert by_value == falsify_converse(1, Conclusion.NO_CONFOUNDING, samples=200, seed=6)
+    assert by_value == falsify_converse(1, Conclusion.NO_CONFOUNDING)
     for conclusion in ("no confounding", 1, None):
         with pytest.raises(ParameterError, match="unknown conclusion"):
-            falsify_converse(1, conclusion, samples=10)
+            falsify_converse(1, conclusion)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1, "x"])
-def test_falsify_converse_rejects_bad_tolerance(tol):
-    with pytest.raises(ParameterError, match="tolerance must be"):
-        falsify_converse(1, Conclusion.IRRELEVANT_FACTOR, 50, tol=tol)
-
-
-def test_falsify_converse_determinism():
-    a = falsify_converse(2, Conclusion.NO_CONFOUNDING, samples=100, seed=12)
-    b = falsify_converse(2, Conclusion.NO_CONFOUNDING, samples=100, seed=12)
-    assert a == b
+def test_falsify_converse_rejects_unknown_model():
+    with pytest.raises(ParameterError, match="unknown model number 4"):
+        falsify_converse(4, Conclusion.NO_CONFOUNDING)
