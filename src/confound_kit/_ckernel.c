@@ -27,8 +27,9 @@
  * neither fuses a multiply-add; vector multiplies and divides round as IEEE
  * scalar ones do; and z >> 11 < 2**53 converts to double exactly.
  *
- * grid_draws() gives exact campaigns their draws as grid numerators, as
- * _pykernel.grid_draws does; their arithmetic stays in Python integers.
+ * grid_rows() gives exact campaigns their draws as rows of grid numerators,
+ * a block of samples per call, as _pykernel.grid_rows does; their arithmetic
+ * stays in Python integers.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -355,43 +356,66 @@ run_campaign(PyObject *self, PyObject *args)
     return Py_BuildValue("(dLL)", max_violation, failures, exhausted);
 }
 
-PyDoc_STRVAR(grid_draws_doc,
-"grid_draws(seed, index, skip, count)\n\n"
-"See _pykernel.grid_draws; identical contract and results.");
+PyDoc_STRVAR(grid_rows_doc,
+"grid_rows(model, rep, seed, start, count, attempt)\n\n"
+"See _pykernel.grid_rows; identical contract and results.");
 
 static PyObject *
-grid_draws(PyObject *self, PyObject *args)
+grid_rows(PyObject *self, PyObject *args)
 {
+    int model;
+    PyObject *rep_obj;
     /* "K" wraps modulo 2**64, like & _MASK64 */
-    unsigned long long seed, index, skip;
+    unsigned long long seed, start, attempt;
     Py_ssize_t count;
-    if (!PyArg_ParseTuple(args, "KKKn:grid_draws", &seed, &index, &skip, &count))
+    int rep[7];
+    if (!PyArg_ParseTuple(args, "iOKKnK:grid_rows", &model, &rep_obj, &seed, &start,
+                          &count, &attempt))
+        return NULL;
+    if (read_rep(rep_obj, rep) < 0)
         return NULL;
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");
         return NULL;
     }
-    PyObject *out = PyList_New(count);
-    if (out == NULL)
+    /* model 3 draws no slot 2; each draw adds GOLDEN to the state, so the
+       attempts before this one shift it by a multiple of GOLDEN */
+    int drawn = model == 3 ? 6 : 7;
+    uint64_t skip = (uint64_t)attempt * (uint64_t)drawn * GOLDEN;
+    PyObject *rows = PyList_New(count);
+    if (rows == NULL)
         return NULL;
-    /* the state after skip draws: each draw adds GOLDEN */
-    uint64_t state = mix((uint64_t)seed + ((uint64_t)index + 1) * GOLDEN)
-                     + (uint64_t)skip * GOLDEN;
     for (Py_ssize_t k = 0; k < count; k++) {
-        state += GOLDEN;
-        PyObject *n = PyLong_FromLong((long)(10 + mix(state) % 981));
-        if (n == NULL) {
-            Py_DECREF(out);
+        uint64_t state = mix((uint64_t)seed + ((uint64_t)start + (uint64_t)k + 1) * GOLDEN) + skip;
+        long n[7] = {0};
+        for (int j = 0; j < 7; j++) {
+            if (drawn == 6 && j == 2)
+                continue;
+            state += GOLDEN;
+            n[j] = (long)(10 + mix(state) % 981);
+        }
+        /* owned by rows from here, so one Py_DECREF(rows) frees a partial row */
+        PyObject *row = PyList_New(7);
+        if (row == NULL) {
+            Py_DECREF(rows);
             return NULL;
         }
-        PyList_SET_ITEM(out, k, n);
+        PyList_SET_ITEM(rows, k, row);
+        for (int j = 0; j < 7; j++) {
+            PyObject *v = PyLong_FromLong(n[rep[j]]);
+            if (v == NULL) {
+                Py_DECREF(rows);
+                return NULL;
+            }
+            PyList_SET_ITEM(row, j, v);
+        }
     }
-    return out;
+    return rows;
 }
 
 static PyMethodDef methods[] = {
     {"run_campaign", run_campaign, METH_VARARGS, run_campaign_doc},
-    {"grid_draws", grid_draws, METH_VARARGS, grid_draws_doc},
+    {"grid_rows", grid_rows, METH_VARARGS, grid_rows_doc},
     {NULL, NULL, 0, NULL},
 };
 

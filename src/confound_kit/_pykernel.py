@@ -10,8 +10,8 @@ bit-identical results, so a change to one of those helpers has to be
 mirrored there; the extension is compiled with FMA contraction disabled for
 the same reason.
 
-``grid_draws`` gives exact campaigns their draws; their arithmetic stays in
-Python integers (``theorems._exact_campaign``).
+``grid_rows`` gives exact campaigns their draws, a block of samples per
+call; their arithmetic stays in Python integers (``theorems._exact_campaign``).
 """
 
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
@@ -24,6 +24,12 @@ EQ_NONE, EQ_H1, EQ_H5 = 0, 1, 2
 IRRELEVANT, NO_CONFOUNDING = 0, 1
 
 
+def _check_rep(rep):
+    """Raise ValueError unless rep is 7 slot indices in 0..6 (read_rep in C)."""
+    if len(rep) != 7 or not all(0 <= r <= 6 for r in rep):
+        raise ValueError("rep must be 7 slot indices in 0..6")
+
+
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     """Evaluate samples [start, start+count) of one constrained campaign.
 
@@ -34,8 +40,7 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     equational solve never landed in [0, 1] within the redraw budget.
     Raises ValueError unless rep is 7 slot indices in 0..6.
     """
-    if len(rep) != 7 or not all(0 <= r <= 6 for r in rep):
-        raise ValueError("rep must be 7 slot indices in 0..6")
+    _check_rep(rep)
     member, solved = {EQ_H1: (_H1, _U1), EQ_H5: (_H5, _U0)}.get(eq, (None, None))
     draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
     q = [0.0] * 7
@@ -80,24 +85,34 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     return max_violation, failures, exhausted
 
 
-def grid_draws(seed, index, skip, count):
-    """Draws skip .. skip+count-1 of sample index's stream as grid numerators.
+def grid_rows(model, rep, seed, start, count, attempt):
+    """Attempt ``attempt``'s draws of samples [start, start+count) as grid rows.
 
-    Each is ``10 + u64 % 981``, a numerator over 1000 in [10, 990], as
-    ``sample_stream(seed, index).next_u64()`` yields them after ``skip``
-    draws.  A draw advances the state by the golden gamma, so the state
-    after ``skip`` draws is one multiply away and no draw is replayed.
-    Seed, index and skip are reduced modulo 2**64.  Returns a list;
-    raises ValueError for a negative count.
+    Row k holds sample start+k's draws as numerators over 1000 in [10, 990],
+    each ``10 + u64 % 981`` as ``sample_stream(seed, start+k).next_u64()``
+    yields them after ``attempt`` rounds of the model's draws (6 in model 3,
+    which draws no slot 2, else 7).  Slot j of a row holds the value drawn
+    for slot rep[j], with 0 for model 3's slot 2.  A draw advances the state
+    by the golden gamma, so the state after the skipped rounds is one
+    multiply away and no draw is replayed.  Seed, start and attempt are
+    reduced modulo 2**64.  Returns a list of ``count`` lists of 7 ints;
+    raises ValueError for a negative count or unless rep is 7 slot indices
+    in 0..6.
     """
+    _check_rep(rep)
     if count < 0:
         raise ValueError("count must be non-negative")
-    state = _mix((seed + (index + 1) * _GOLDEN) & _MASK64) + skip * _GOLDEN
-    out = []
-    for _ in range(count):
-        # _mix inlined
-        state = (state + _GOLDEN) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append(10 + (z ^ (z >> 31)) % 981)
-    return out
+    draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
+    skip = attempt * len(draw_slots) * _GOLDEN
+    n = [0] * 7
+    rows = []
+    for i in range(start, start + count):
+        state = _mix((seed + (i + 1) * _GOLDEN) & _MASK64) + skip
+        for j in draw_slots:
+            # _mix inlined
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            n[j] = 10 + (z ^ (z >> 31)) % 981
+        rows.append([n[r] for r in rep])
+    return rows

@@ -127,7 +127,7 @@ def _collect_params(parser, args, required: bool = True):
         for name in _ALL_PARAM_FLAGS
         if getattr(args, name) is not None
     }
-    if not given and not required:
+    if not given and not required and args.model is None:
         return None
     if args.model is None:
         parser.error("parameter flags need --model to be interpreted")

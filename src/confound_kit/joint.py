@@ -149,11 +149,11 @@ class _Frozen:
     Instances are equal when their classes are identical and their field
     tuples are equal, hash as that tuple, print as ``Name(field=value, ...)``
     and refuse assignment and deletion.  Plain attributes outside
-    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``, ``_codes``)
-    take no part in any of these.  The constructor binds the fields
-    positionally or by keyword, with Python's own messages for a bad call,
-    then runs ``__post_init__``; classes on hot paths define their own
-    ``__init__`` instead.
+    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``) take no part
+    in any of these.  The constructor binds the fields positionally or by
+    keyword, with Python's own messages for a bad call, then runs
+    ``__post_init__``; classes on hot paths define their own ``__init__``
+    instead.
     """
 
     _fields: tuple = ()
@@ -311,11 +311,17 @@ def model_number(params: ModelParams) -> int:
 
 
 def params_type(model: int):
-    """The parameter class for a model number."""
-    try:
-        return _PARAMS_TYPES[model]
-    except KeyError:
-        raise ParameterError(f"unknown model number {model!r}; expected 1, 2, or 3") from None
+    """The parameter class for a model number.
+
+    Only an ``int`` is a model number, although ``True == 1`` and
+    ``2.0 == 2`` as keys.
+    """
+    if model.__class__ is int:
+        try:
+            return _PARAMS_TYPES[model]
+        except KeyError:
+            pass
+    raise ParameterError(f"unknown model number {model!r}; expected 1, 2, or 3")
 
 
 def params_from_dict(data: Mapping[str, object]) -> ModelParams:

@@ -32,9 +32,9 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     )
 
 
-def grid_draws(seed, index, skip, count):
-    """Dispatch one exact-campaign draw attempt to the selected backend."""
-    return _impl.grid_draws(seed & _MASK64, index & _MASK64, skip, count)
+def grid_rows(model, rep, seed, start, count, attempt):
+    """Dispatch one block of exact-campaign draw rows to the selected backend."""
+    return _impl.grid_rows(model, rep, seed, start, count, attempt)
 
 
 def available_backends() -> dict:

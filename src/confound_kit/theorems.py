@@ -14,11 +14,11 @@ campaigns run on the selected kernel backend and are reproducible bit for
 bit from (seed, samples) alone, independent of chunking or thread count.
 Exact campaigns rerun the same algorithm on the thousandths grid, where a
 sound clause yields violations of exactly zero.  They take their draws from
-the selected kernel backend (``kernel.grid_draws``, the stream
-``random_params(exact=True)`` reads) and do all their arithmetic in Python
-integers over a common denominator.  Their H1/H5 solve is
-``hypotheses._solve`` and their cells are ``joint._cells``, the code
-``impose`` and ``build_joint`` run, so the tests check them against a
+the selected kernel backend (``kernel.grid_rows``, the stream
+``random_params(exact=True)`` reads, a block of samples per call) and do all
+their arithmetic in Python integers over a common denominator.  Their H1/H5
+solve is ``hypotheses._solve`` and their cells are ``joint._cells``, the
+code ``impose`` and ``build_joint`` run, so the tests check them against a
 Fraction route that shares none of this code: draws from ``sample_stream``,
 parameters imposed through the plain H1/H5 quotients and joints from the
 plain ``Fraction`` products, both kept in the tests' oracle module, then
@@ -250,67 +250,71 @@ def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
 
 
 _GRID = 1000  # exact draws are numerators over this denominator
+# Samples whose first draws an exact campaign takes in one kernel call: the
+# rows of a block are held at once, so memory stays flat in the sample count.
+_ROW_BLOCK = 256
 
 
 def _exact_campaign(clause: TheoremClause, samples, seed):
     """(max_violation, failures) of an exact campaign, in integer arithmetic.
 
-    Each sample attempt takes its draws in one ``kernel.grid_draws`` call on
-    the selected backend; they match ``random_params(exact=True)`` and
-    ``impose`` draw for draw.  The solve and the cells are theirs
-    (``hypotheses._solve``, ``joint._cells``), run in Python integers,
-    which grow past 64 bits.  Slot values are numerators over _GRID; an H1/H5
-    solve gives its slot as num/den, and every slot is then scaled to the
-    common denominator q = _GRID * den.  Joint cells are integers over q**3
-    and each violation is an unreduced pair |num|/den, so the only Fraction
-    built is the reported maximum (int 0 when every violation is zero).
+    The draws come from the selected kernel backend (``kernel.grid_rows``),
+    every sample's first attempt in one call per ``_ROW_BLOCK`` samples and
+    each H1/H5 redraw in a call of its own; they match
+    ``random_params(exact=True)`` and ``impose`` draw for draw.  The solve
+    and the cells are theirs (``hypotheses._solve``, ``joint._cells``), run
+    in Python integers, which grow past 64 bits.  Slot values are numerators
+    over _GRID; an H1/H5 solve gives its slot as num/den, and every slot is
+    then scaled to the common denominator q = _GRID * den.  Joint cells are
+    integers over q**3 and each violation is an unreduced pair |num|/den, so
+    the only Fraction built is the reported maximum (int 0 when every
+    violation is zero).
     """
     model, rep, eq, conclusion = _campaign_codes(clause)
+    solving = eq != kernel.EQ_NONE
     eq_member, solved = (Hypothesis.H1, _U1) if eq == kernel.EQ_H1 else (Hypothesis.H5, _U0)
-    drawn = 6 if model == 3 else 7  # model 3 draws no slot 2
     irrelevant = conclusion == kernel.IRRELEVANT
     max_num, max_den = 0, 1
     failures = 0
-    for i in range(samples):
-        for attempt in range(_REDRAW_BUDGET + 1):
-            n = kernel.grid_draws(seed, i, attempt * drawn, drawn)
-            if drawn == 6:
-                n.insert(2, 0)
-            x = [n[r] for r in rep]
-            if eq == kernel.EQ_NONE:
-                q = _GRID
-                break
-            num, den = _solve(model, eq_member, x, _GRID)
-            if den and 0 <= num <= den:
+    for block in range(0, samples, _ROW_BLOCK):
+        rows = kernel.grid_rows(model, rep, seed, block, min(_ROW_BLOCK, samples - block), 0)
+        for i, x in enumerate(rows, block):
+            q = _GRID
+            if solving:
+                num, den = _solve(model, eq_member, x, _GRID)
+                attempt = 0
+                while not (den and 0 <= num <= den):
+                    attempt += 1
+                    if attempt > _REDRAW_BUDGET:
+                        raise _exhausted(eq_member, _REDRAW_BUDGET)
+                    (x,) = kernel.grid_rows(model, rep, seed, i, 1, attempt)
+                    num, den = _solve(model, eq_member, x, _GRID)
                 x = [v * den for v in x]
                 x[solved] = num * _GRID
                 q = _GRID * den
-                break
-        else:
-            raise _exhausted(eq_member, _REDRAW_BUDGET)
-        p0, p1, p2, p3, p4, p5, p6, p7 = _cells(model, x, q)
-        pe = p0 + p1 + p2 + p3
-        pu = p4 + p5 + p6 + p7
-        if pe + pu != q * q * q:
-            raise ParameterError(f"exact cell weights sum to {Fraction(pe + pu, q**3)}, not 1")
-        # Every drawn slot lies strictly inside (0, 1) and the solved slot
-        # enters no margin, so P(E=e), P(E=ebar) and all four (E, C) strata
-        # are positive: no measure is undefined and no stratum is skipped.
-        if irrelevant:
-            stratum0, stratum1 = p4 + p5, p6 + p7
-            num = (p5 * (p0 + p1) * stratum1 + p7 * (p2 + p3) * stratum0) * pu - (
-                p5 + p7
-            ) * pe * stratum0 * stratum1
-            den = pe * pu * stratum0 * stratum1
-        else:
-            num = (p1 + p3) * pu - (p5 + p7) * pe
-            den = pe * pu
-        if num:
-            failures += 1  # exact mode compares at tol = 0
-            if num < 0:
-                num = -num
-            if num * max_den > max_num * den:
-                max_num, max_den = num, den
+            p0, p1, p2, p3, p4, p5, p6, p7 = _cells(model, x, q)
+            pe = p0 + p1 + p2 + p3
+            pu = p4 + p5 + p6 + p7
+            if pe + pu != q * q * q:
+                raise ParameterError(f"exact cell weights sum to {Fraction(pe + pu, q**3)}, not 1")
+            # Every drawn slot lies strictly inside (0, 1) and the solved slot
+            # enters no margin, so P(E=e), P(E=ebar) and all four (E, C) strata
+            # are positive: no measure is undefined and no stratum is skipped.
+            if irrelevant:
+                stratum0, stratum1 = p4 + p5, p6 + p7
+                num = (p5 * (p0 + p1) * stratum1 + p7 * (p2 + p3) * stratum0) * pu - (
+                    p5 + p7
+                ) * pe * stratum0 * stratum1
+                den = pe * pu * stratum0 * stratum1
+            else:
+                num = (p1 + p3) * pu - (p5 + p7) * pe
+                den = pe * pu
+            if num:
+                failures += 1  # exact mode compares at tol = 0
+                if num < 0:
+                    num = -num
+                if num * max_den > max_num * den:
+                    max_num, max_den = num, den
     return (Fraction(max_num, max_den) if max_num else 0), failures
 
 
@@ -340,9 +344,10 @@ def verify_clause(
         raise ParameterError(f"samples must be positive, got {samples!r}")
     if tol is None:
         tol = 0 if exact else CAMPAIGN_FLOAT_TOL
-    _check_tolerance(tol)
-    if exact and tol != 0:
-        raise ParameterError("exact campaigns compare exactly; tol must be 0")
+    else:
+        _check_tolerance(tol)
+        if exact and tol != 0:
+            raise ParameterError("exact campaigns compare exactly; tol must be 0")
     if threads is not None:
         _check_integer("thread count", threads)
         if threads < 1:
@@ -350,8 +355,11 @@ def verify_clause(
     if exact:
         max_violation, failures = _exact_campaign(clause, samples, seed)
     else:
-        cpus = _usable_cpus()
-        threads = cpus if threads is None else min(threads, cpus)
+        if samples < 2 * _MIN_CHUNK:
+            threads = 1  # one chunk whatever the thread count
+        else:
+            cpus = _usable_cpus()
+            threads = cpus if threads is None else min(threads, cpus)
         max_violation, failures, exhausted = _float_campaign(
             clause, samples, seed, float(tol), threads
         )
@@ -361,13 +369,7 @@ def verify_clause(
                 f"{equational_member(clause.conditions).value} "
                 f"for {clause.theorem}({clause.clause})"
             )
-    return VerificationReport(
-        clause=clause,
-        samples=samples,
-        max_violation=max_violation,
-        failures=failures,
-        seed=seed,
-    )
+    return VerificationReport(clause, samples, max_violation, failures, seed)
 
 
 # The factors of each conclusion's cleared numerator (the difference

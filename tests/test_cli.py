@@ -161,13 +161,15 @@ def test_classify_usage_errors(capsys):
     "argv, message",
     [
         (["hypotheses", "--t", "0.4"], "parameter flags need --model to be interpreted"),
+        (["hypotheses", "--model", "1"], "model 1 needs --t --a0 --a1 --b0 --b1 --u0 --u1"),
+        (["hypotheses", "--model", "3", "--exact"], "model 3 needs --a --t --b0 --b1 --u0 --u1"),
         (["classify", *MODEL1_FLAGS, "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
         (
             ["verify", "--theorem", "T1", "--clause", "a", "--samples", "abc"],
             "argument --samples: invalid int value: 'abc'",
         ),
     ],
-    ids=["flags-without-model", "tol", "samples"],
+    ids=["flags-without-model", "model-without-flags", "exact-model-without-flags", "tol", "samples"],
 )
 def test_unparsable_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
@@ -314,6 +316,8 @@ def test_hypotheses_listing(capsys):
     assert code == 0
     assert "E ⊥ D_ebar" in out
     assert out.count("H") >= 7
+    # the bare listing: no model, so no evaluated columns
+    assert out.splitlines()[0].split() == ["id", "statement"]
 
 
 def test_hypotheses_evaluation(capsys):
@@ -374,7 +378,10 @@ def test_json_bytes_pinned(capsys, case):
     # before the model algebra moved onto integer numerators, and the analyze
     # cases before the exact verdict moved onto integer cross-products; a
     # changed summation order, rounding or equality test shows up as changed
-    # bytes.  An analyze case names a bundled table, resolved here so the
+    # bytes.  The verify cases (exact campaigns of the three H1 clauses,
+    # which redraw, and of T1(a), T3(c) and T5(b), and one float campaign)
+    # were recorded before exact campaigns drew a block of samples per
+    # kernel call.  An analyze case names a bundled table, resolved here so the
     # case does not depend on the working directory.
     argv = case["args"].split()
     if argv[0] == "analyze":

@@ -383,6 +383,10 @@ def test_model_number_and_params_type():
     assert params_type(3) is Model3Params
     with pytest.raises(ParameterError):
         params_type(4)
+    # True == 1 and 2.0 == 2 as dict keys, yet neither is a model number
+    for model in (True, False, 2.0):
+        with pytest.raises(ParameterError, match=f"unknown model number {model}"):
+            params_type(model)
 
 
 # --- serialization -------------------------------------------------------

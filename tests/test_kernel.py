@@ -45,30 +45,38 @@ def test_backends_export_the_same_functions(backends):
     # a kernel function added to one backend only would leave the other
     # unable to serve the library
     assert _public_functions(backends["pure"]) == _public_functions(backends["compiled"])
-    assert _public_functions(backends["pure"]) >= {"run_campaign", "grid_draws"}
+    assert _public_functions(backends["pure"]) >= {"run_campaign", "grid_rows"}
 
 
-def test_grid_draws_continue_the_sample_stream(backends):
-    # draws skip .. skip+count-1 of sample index's stream, as the exact
-    # campaign's numerators over 1000 in [10, 990]
-    impls = {**available_backends(), **backends, "kernel.grid_draws": kernel}
-    for seed in (0, 7, -3, 2**64 + 3, 2**64 - 1):
-        for index in (0, 1, 2**64 - 1):
-            for skip in (0, 6, 7, 7000):
-                rng = sample_stream(seed, index)
-                for _ in range(skip):
-                    rng.next_u64()
-                stream = [10 + rng.next_u64() % 981 for _ in range(7)]
-                for count in (0, 6, 7):
-                    for name, impl in impls.items():
-                        got = impl.grid_draws(seed, index, skip, count)
-                        assert got == stream[:count], (name, seed, index, skip, count)
+def test_grid_rows_continue_the_sample_stream(backends):
+    # row k of attempt a holds draws a*drawn .. a*drawn+drawn-1 of sample
+    # start+k's stream, as the exact campaign's numerators over 1000 in
+    # [10, 990], with rep applied and model 3's undrawn slot 2 at 0
+    impls = {**available_backends(), **backends, "kernel.grid_rows": kernel}
+    for model, rep in ((1, UNIT_REP), (2, (0, 1, 2, 3, 3, 5, 6)), (3, UNIT_REP), (3, (0, 1, 2, 4, 4, 6, 6))):
+        drawn = 6 if model == 3 else 7
+        for seed in (0, 7, -3, 2**64 + 3, 2**64 - 1):
+            for start in (0, 1, 2**64 - 1):
+                for attempt in (0, 1, 1000):
+                    expected = []
+                    for index in range(start, start + 3):
+                        rng = sample_stream(seed, index)
+                        for _ in range(attempt * drawn):
+                            rng.next_u64()
+                        n = [10 + rng.next_u64() % 981 for _ in range(drawn)]
+                        if model == 3:
+                            n.insert(2, 0)
+                        expected.append([n[r] for r in rep])
+                    for count in (0, 1, 3):
+                        for name, impl in impls.items():
+                            got = impl.grid_rows(model, rep, seed, start, count, attempt)
+                            assert got == expected[:count], (name, model, rep, seed, start, attempt, count)
 
 
-def test_grid_draws_reject_a_negative_count(backends):
+def test_grid_rows_reject_a_negative_count(backends):
     for impl in (*backends.values(), kernel):
         with pytest.raises(ValueError, match="count must be non-negative"):
-            impl.grid_draws(0, 0, 0, -1)
+            impl.grid_rows(1, UNIT_REP, 0, 0, -1, 0)
 
 
 def test_parity_across_full_catalog(backends):
@@ -162,6 +170,9 @@ def test_bad_rep_raises_in_both_backends(backends, rep):
     for impl in backends.values():
         with pytest.raises(ValueError, match="rep must be 7 slot indices"):
             impl.run_campaign(1, rep, EQ_NONE, IRRELEVANT, 0, 10, 0, 1e-10, 1000)
+    for impl in (*backends.values(), kernel):
+        with pytest.raises(ValueError, match="rep must be 7 slot indices"):
+            impl.grid_rows(1, rep, 0, 0, 10, 0)
 
 
 def test_chunks_merge_to_whole():

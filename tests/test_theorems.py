@@ -405,6 +405,22 @@ def test_exact_campaign_matches_fraction_route(monkeypatch, backends, seed):
             assert failures > 0 and isinstance(report.max_violation, Fraction), clause
 
 
+def test_exact_campaign_blocks_join_to_the_fraction_route(monkeypatch, backends):
+    # a 30-sample campaign in blocks of 7 rows cuts blocks mid-campaign and
+    # ends on a partial one.  Both clauses redraw H1 solves inside blocks; at
+    # seed 24 the false one fails on 29 of the 30 samples, its maximum on
+    # sample 19, so rows taken from the wrong sample change the report.
+    monkeypatch.setattr(theorems, "_ROW_BLOCK", 7)
+    false_clause = TheoremClause("X", "h1", 1, hypothesis_set(H.H1), Conclusion.IRRELEVANT_FACTOR)
+    for clause in (clause_lookup("T2", "a"), false_clause):
+        expected = _fraction_campaign(clause, 30, 24)
+        for name, impl in backends.items():
+            monkeypatch.setattr(kernel, "_impl", impl)
+            report = verify_clause(clause, samples=30, seed=24, exact=True)
+            assert (report.max_violation, report.failures) == expected, (name, clause)
+    assert expected[1] == 29 and isinstance(expected[0], Fraction)
+
+
 def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch, backends):
     monkeypatch.setattr(theorems, "_REDRAW_BUDGET", 0)
     clause = clause_lookup("T2", "a")
@@ -447,6 +463,10 @@ def test_float_campaign_redraw_exhaustion_is_reported(monkeypatch, backends, bac
     "clause",
     [
         TheoremClause("X", "model4", 4, hypothesis_set(H.H4), Conclusion.IRRELEVANT_FACTOR),
+        # True == 1 and 2.0 == 2, yet neither is a model number; the compiled
+        # kernel would raise TypeError for 2.0 where the pure one ran model 2
+        TheoremClause("X", "bool", True, hypothesis_set(H.H4), Conclusion.IRRELEVANT_FACTOR),
+        TheoremClause("X", "float", 2.0, hypothesis_set(H.H4), Conclusion.IRRELEVANT_FACTOR),
         # H3 ties u1 to b1, so H1 cannot be solved for u1
         TheoremClause("X", "tied", 1, hypothesis_set(H.H1, H.H3), Conclusion.NO_CONFOUNDING),
         # H7 ties u1 to u0: u0 stays its class's representative, yet is tied
@@ -465,7 +485,9 @@ def test_float_and_exact_reject_the_same_clauses(clause):
         verify_clause(clause, samples=100)
     assert type(floating.value) is type(exact.value)
     assert str(floating.value) == str(exact.value)
-    rejected_input = clause.model == 4 or not isinstance(clause.conclusion, Conclusion)
+    rejected_input = clause.clause in ("model4", "bool", "float") or not isinstance(
+        clause.conclusion, Conclusion
+    )
     assert isinstance(exact.value, ParameterError if rejected_input else ConstraintError)
 
 
@@ -638,6 +660,7 @@ def test_falsify_converse_coerces_conclusion():
             falsify_converse(1, conclusion)
 
 
-def test_falsify_converse_rejects_unknown_model():
-    with pytest.raises(ParameterError, match="unknown model number 4"):
-        falsify_converse(4, Conclusion.NO_CONFOUNDING)
+@pytest.mark.parametrize("model", [4, True, 2.0])
+def test_falsify_converse_rejects_unknown_model(model):
+    with pytest.raises(ParameterError, match=f"unknown model number {model}"):
+        falsify_converse(model, Conclusion.NO_CONFOUNDING)
