@@ -15,9 +15,19 @@
  * value of its own stream.  Model and codes are fixed for a campaign, so the
  * solve and conclusion stages compile to branch-free loops that the
  * compiler vectorizes, and no sample waits on the previous one's chain of
- * divisions.  Samples whose solve leaves [0, 1] are redrawn and solved
- * again, one round per attempt, each continuing its own stream as the
- * reference loop does.
+ * divisions.
+ *
+ * A clause with an H1 or H5 member runs a second loop over a pool of up to
+ * BATCH samples whose solve has not been accepted yet.  Each round tops the
+ * pool up with fresh samples in index order, draws every entry's next
+ * attempt from its own stream state, solves and evaluates the whole pool,
+ * tallies the samples whose solve landed in [0, 1] and keeps the rejected
+ * ones that have budget left for the next round.  So a redraw runs in a
+ * full-width round beside fresh samples, and each sample's k-th attempt is
+ * still the k-th round of its own stream, as in the reference loop.  The
+ * maximum, failures and exhausted count do not depend on the order samples
+ * are tallied in.  Clauses without such a member keep the plain loop, which
+ * has no pool to keep.
  *
  * On x86-64 with GCC and glibc the campaign loop is compiled twice, for
  * x86-64-v4 (AVX-512) and for the default target, and the loader picks the
@@ -246,6 +256,28 @@ draw_batch(int model, uint64_t seed, uint64_t first, int nb, double q[7][BATCH],
 #define CAMPAIGN_CLONES
 #endif
 
+/* Draw the next attempt of pool entries 0 .. nb-1 from their stream states,
+   as draw_batch does for freshly seeded samples. */
+ALWAYS_INLINE void
+redraw_batch(int model, int nb, double q[7][BATCH], uint64_t state[BATCH])
+{
+    for (int j = 0; j < nb; j++)
+        state[j] = draw_sample(model, state[j], q, j);
+}
+
+/* Count one tallied sample's signed violation x into the campaign's maximum
+   and failures. */
+ALWAYS_INLINE void
+tally(double x, double tol, double *max_violation, long long *failures)
+{
+    if (x < 0.0)
+        x = -x;
+    if (x > tol)
+        *failures += 1;
+    if (x > *max_violation)
+        *max_violation = x;
+}
+
 /* The campaign loop, run with the GIL released: its (max_violation,
    failures, exhausted) go to out. */
 CAMPAIGN_CLONES static void
@@ -256,70 +288,68 @@ campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start
     /* q[s][j]: slot s of sample j (model 3 draws no slot 2, which stays 0.0) */
     double q[7][BATCH] = {{0.0}};
     uint64_t state[BATCH];
-    double solved[BATCH], violation[BATCH];
-    int accepted[BATCH];
+    double violation[BATCH];
     /* drawn[k]: the row slot k takes its value from; v: the same, with the
        solved slot's row in place of its drawn one */
     const double *drawn[7], *v[7];
     for (int k = 0; k < 7; k++)
         drawn[k] = q[rep[k]];
     memcpy(v, drawn, sizeof v);
-    if (eq == EQ_H1)
-        v[6] = solved;
-    else if (eq == EQ_H5)
-        v[5] = solved;
     double max_violation = 0.0;
     long long failures = 0;
     long long exhausted = 0;
-    for (long long base = 0; base < count; base += BATCH) {
-        int nb = count - base < BATCH ? (int)(count - base) : BATCH;
-        /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
-        uint64_t first = start + (uint64_t)base;
-        if (model == 3)
-            draw_batch(3, seed, first, nb, q, state);
-        else /* models 1 and 2 draw the same seven slots */
-            draw_batch(1, seed, first, nb, q, state);
-        for (int j = 0; j < nb; j++)
-            accepted[j] = 1;
-        if (eq == EQ_H1 || eq == EQ_H5) {
-            DISPATCH(solve_batch, model, eq == EQ_H1, nb, drawn, solved);
-            /* pending: the samples whose last solve left [0, 1]; each round
-               redraws and solves each of them once, as many rounds as the
-               budget allows */
-            int pending[BATCH], npending = 0;
-            for (int j = 0; j < nb; j++) {
-                pending[npending] = j;
-                npending += !(0.0 <= solved[j] && solved[j] <= 1.0);
-            }
-            for (int attempt = 1; attempt <= budget && npending > 0; attempt++) {
-                int left = 0;
-                for (int p = 0; p < npending; p++) {
-                    int j = pending[p];
-                    state[j] = draw_sample(model, state[j], q, j);
-                    double x = solve(model, eq == EQ_H1, drawn[0][j], drawn[1][j], drawn[2][j],
-                                     drawn[3][j], drawn[4][j], drawn[5][j], drawn[6][j]);
-                    solved[j] = x;
-                    pending[left] = j;
-                    left += !(0.0 <= x && x <= 1.0);
-                }
-                npending = left;
-            }
-            for (int p = 0; p < npending; p++)
-                accepted[pending[p]] = 0;
+    if (eq == EQ_NONE) {
+        for (long long base = 0; base < count; base += BATCH) {
+            int nb = count - base < BATCH ? (int)(count - base) : BATCH;
+            /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
+            uint64_t first = start + (uint64_t)base;
+            if (model == 3)
+                draw_batch(3, seed, first, nb, q, state);
+            else /* models 1 and 2 draw the same seven slots */
+                draw_batch(1, seed, first, nb, q, state);
+            DISPATCH(violation_batch, model, no_confounding, nb, v, violation);
+            for (int j = 0; j < nb; j++)
+                tally(violation[j], tol, &max_violation, &failures);
         }
-        DISPATCH(violation_batch, model, no_confounding, nb, v, violation);
-        for (int j = 0; j < nb; j++) {
-            if (!accepted[j]) {
-                exhausted += 1;
-                continue;
+    } else {
+        /* the pool (see the header): entry j has stream state state[j] and
+           left[j] redraws left */
+        double solved[BATCH];
+        int left[BATCH];
+        if (eq == EQ_H1)
+            v[6] = solved;
+        else
+            v[5] = solved;
+        int npool = 0;
+        long long next = 0; /* the first sample not yet in the pool */
+        while (next < count || npool > 0) {
+            int fresh = count - next < BATCH - npool ? (int)(count - next) : BATCH - npool;
+            for (int j = 0; j < fresh; j++) {
+                /* sample index i = start + next + j, wrapping like & _MASK64 */
+                state[npool + j] = mix(seed + (start + (uint64_t)(next + j) + 1) * GOLDEN);
+                left[npool + j] = budget;
             }
-            double x = violation[j];
-            if (x < 0.0)
-                x = -x;
-            if (x > tol)
-                failures += 1;
-            if (x > max_violation)
-                max_violation = x;
+            npool += fresh;
+            next += fresh;
+            if (model == 3)
+                redraw_batch(3, npool, q, state);
+            else
+                redraw_batch(1, npool, q, state);
+            DISPATCH(solve_batch, model, eq == EQ_H1, npool, drawn, solved);
+            DISPATCH(violation_batch, model, no_confounding, npool, v, violation);
+            int kept = 0;
+            for (int j = 0; j < npool; j++) {
+                if (0.0 <= solved[j] && solved[j] <= 1.0) {
+                    tally(violation[j], tol, &max_violation, &failures);
+                } else if (left[j] > 0) {
+                    state[kept] = state[j];
+                    left[kept] = left[j] - 1;
+                    kept++;
+                } else {
+                    exhausted += 1;
+                }
+            }
+            npool = kept;
         }
     }
     *max_out = max_violation;

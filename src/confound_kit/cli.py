@@ -5,7 +5,7 @@ verify a catalog clause by campaign, and list or evaluate the hypotheses.
 All verbs take --format text|json; JSON output is exactly the module
 serializers' dictionaries, so identical invocations print identical bytes.
 Exit codes: 0 success (for verify, a campaign with zero failures), 1 domain
-errors or a failed campaign, 2 usage errors.
+errors, a failed campaign or a stdout closed by its reader, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -49,12 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fold strata into binary groups first, e.g. '0=1,2,3;1=4'",
     )
     _add_format(p)
-    p.set_defaults(func=_run_analyze)
+    p.set_defaults(func=_run_analyze, parser=p)
 
     p = sub.add_parser("classify", help="classify the covariate of a parameterized model")
     _add_model_params(p)
     _add_format(p)
-    p.set_defaults(func=_run_classify)
+    p.set_defaults(func=_run_classify, parser=p)
 
     p = sub.add_parser("verify", help="campaign-check one catalog clause")
     p.add_argument("--theorem", required=True, metavar="T", help="T1..T5")
@@ -71,14 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
         f"a campaign splits only into chunks of at least {_MIN_CHUNK:,} samples",
     )
     _add_format(p)
-    p.set_defaults(func=_run_verify)
+    p.set_defaults(func=_run_verify, parser=p)
 
     p = sub.add_parser(
         "hypotheses", help="list the hypotheses, or evaluate them on a model"
     )
     _add_model_params(p, params_required=False)
     _add_format(p)
-    p.set_defaults(func=_run_hypotheses)
+    p.set_defaults(func=_run_hypotheses, parser=p)
 
     return parser
 
@@ -281,12 +282,20 @@ def _render_number(value) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        # the verb's own parser, so that its usage errors show its usage line
+        code = args.func(args.parser, args)
+        sys.stdout.flush()
+        return code
     except ConfoundKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point it at devnull so that
+        # the interpreter's own flush at exit cannot fail again, and exit 1
+        # quietly, as the Python docs' note on SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

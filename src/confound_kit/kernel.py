@@ -8,7 +8,6 @@ reaches both for parity tests and benchmarks.
 """
 
 from . import _pykernel
-from ._rng import _MASK64
 
 try:
     from . import _ckernel as _impl
@@ -26,10 +25,11 @@ NO_CONFOUNDING = _pykernel.NO_CONFOUNDING
 
 
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
-    """Dispatch one campaign chunk to the selected backend."""
-    return _impl.run_campaign(
-        model, rep, eq, conclusion, start, count, seed & _MASK64, tol, budget
-    )
+    """Dispatch one campaign chunk to the selected backend.
+
+    Both backends reduce the seed modulo 2**64 themselves.
+    """
+    return _impl.run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)
 
 
 def grid_rows(model, rep, seed, start, count, attempt):

@@ -223,26 +223,26 @@ def _campaign_codes(clause: TheoremClause) -> tuple:
 
 def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
     model, rep, eq, conclusion = _campaign_codes(clause)
+    # the pure kernel holds the GIL, so threads there only add overhead
+    chunks = 1 if kernel.BACKEND == "pure" else max(1, min(threads, samples // _MIN_CHUNK))
+    if chunks == 1:
+        return kernel.run_campaign(
+            model, rep, eq, conclusion, 0, samples, seed, tol, _REDRAW_BUDGET
+        )
+    from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
 
     def chunk(start, count):
         return kernel.run_campaign(
             model, rep, eq, conclusion, start, count, seed, tol, _REDRAW_BUDGET
         )
 
-    # the pure kernel holds the GIL, so threads there only add overhead
-    chunks = 1 if kernel.BACKEND == "pure" else max(1, min(threads, samples // _MIN_CHUNK))
-    if chunks == 1:
-        results = [chunk(0, samples)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
-
-        size = samples // chunks
-        bounds = [
-            (t * size, size + (samples - chunks * size if t == chunks - 1 else 0))
-            for t in range(chunks)
-        ]
-        with ThreadPoolExecutor(max_workers=chunks) as pool:
-            results = list(pool.map(lambda se: chunk(*se), bounds))
+    size = samples // chunks
+    bounds = [
+        (t * size, size + (samples - chunks * size if t == chunks - 1 else 0))
+        for t in range(chunks)
+    ]
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        results = list(pool.map(lambda se: chunk(*se), bounds))
     max_violation = max(r[0] for r in results)
     failures = sum(r[1] for r in results)
     exhausted = sum(r[2] for r in results)

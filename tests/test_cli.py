@@ -276,6 +276,25 @@ def test_verify_unknown_clause_is_usage_error(capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hypotheses", "--model", "3"],
+        ["hypotheses", "--exact", "--tol", "0.5"],
+        ["verify", "--theorem", "T9", "--clause", "a"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--exact", "--tol", "0.5"],
+    ],
+    ids=["params", "exact-tol", "unknown-clause", "verify-exact-tol"],
+)
+def test_usage_errors_after_parsing_show_the_verb_usage(capsys, argv):
+    # errors raised after parse_args go through the verb's own parser, so
+    # the usage line names the verb and its flags, not the verb list
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: confound-kit {argv[0]} ")
+
+
 def test_verify_threads_flag_stable_output(capsys):
     base = ("verify", "--theorem", "T5", "--clause", "a", "--samples", "4000",
             "--seed", "11", "--format", "json")
@@ -300,6 +319,29 @@ def test_cli_import_loads_no_heavy_modules():
     added = _loaded("import confound_kit.cli") - _loaded("pass")
     assert "confound_kit.cli" in added
     assert not added & {"dataclasses", "inspect", "concurrent.futures", "logging"}
+
+
+def test_closed_stdout_exits_quietly():
+    # `confound-kit hypotheses | head -1`: the reader goes away after one
+    # line, and the CLI exits without a BrokenPipeError traceback.  Whether
+    # the rest of the listing was written before the reader left is a race,
+    # so a pipe closed before the first write pins the exit code at 1.
+    env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
+    argv = [sys.executable, "-m", "confound_kit.cli", "hypotheses"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"id  statement\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1)
+    assert err == b""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cli_import_loads_no_sympy():

@@ -111,17 +111,21 @@ def test_parity_on_wrapping_seeds_and_indices(backends):
 
 
 def test_parity_across_batch_boundaries(backends):
-    # the compiled kernel takes samples 64 at a time and redraws the samples
-    # whose solve fails together, one round per attempt; counts and starts
-    # that cut batches anywhere, and budgets that exhaust samples inside a
-    # batch, must still match the one-sample-at-a-time loop
-    for clause in CLAUSES:
-        model, rep, eq, conclusion = _campaign_codes(clause)
+    # the compiled kernel takes samples 64 at a time; under H1 or H5 it keeps
+    # the samples whose solve failed in a pool that later rounds top up with
+    # fresh samples, so a redraw can run in a later batch than its sample's
+    # first attempt.  Counts and starts that cut batches anywhere, and
+    # budgets of 0, 1 and 2 that exhaust samples mid-campaign and leave some
+    # in the pool at its end, must still match the one-sample-at-a-time
+    # loop.  No catalog clause has an H5 member, so H5 runs in each model.
+    cases = [(c.theorem + c.clause, *_campaign_codes(c)) for c in CLAUSES]
+    cases += [(f"model {m} H5", m, UNIT_REP, EQ_H5, c) for m in (1, 2, 3) for c in (IRRELEVANT, NO_CONFOUNDING)]
+    for label, model, rep, eq, conclusion in cases:
         for start, count, budget in ((0, 1, 1000), (5, 63, 1000), (64, 65, 0), (100, 129, 1), (7, 640, 2)):
             args = (model, rep, eq, conclusion, start, count, 2024, 1e-10, budget)
             pure = backends["pure"].run_campaign(*args)
             compiled = backends["compiled"].run_campaign(*args)
-            assert pure == compiled, (clause.theorem, clause.clause, start, count, budget)
+            assert pure == compiled, (label, start, count, budget)
             assert pure[0].hex() == compiled[0].hex()
 
 
@@ -161,6 +165,23 @@ def test_parity_sample_by_sample_in_full_batches(backends):
                     got = compiled(model, rep, eq, conclusion, start, 64, 4242, tol, 1000)
                     expected = (max(xs), sum(v > tol for v in xs), 0)
                     assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, start, tol)
+
+
+def test_parity_sample_by_sample_across_pool_rounds(backends):
+    # as above, over 200-sample campaigns of every H1 and H5 case: more than
+    # three batches, so rejected samples are carried into rounds beside
+    # fresh ones.  A pool that tallied a rejected attempt, or dropped or
+    # repeated a carried sample, would count some threshold differently.
+    pure, compiled = backends["pure"].run_campaign, backends["compiled"].run_campaign
+    for label, model, rep, eq, conclusion in _per_sample_cases():
+        if eq == EQ_NONE:
+            continue
+        xs = [pure(model, rep, eq, conclusion, i, 1, 4242, 0.0, 1000)[0] for i in range(200)]
+        for x in xs:
+            for tol in (x, math.nextafter(x, -math.inf)):
+                got = compiled(model, rep, eq, conclusion, 0, 200, 4242, tol, 1000)
+                expected = (max(xs), sum(v > tol for v in xs), 0)
+                assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, tol)
 
 
 @pytest.mark.parametrize(
