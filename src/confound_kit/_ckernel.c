@@ -9,11 +9,15 @@
  *
  * Samples are taken BATCH at a time, one stage per loop over the batch:
  * draw, solve the equational member, evaluate the conclusion, tally.  The
- * draw stage seeds a sample and draws all of its slots in one pass, with the
- * stream state in a register; the slot list is fixed per model, so the loop
- * over samples vectorizes whole.  Each sample's k-th draw is still the k-th
- * value of its own stream.  Model and codes are fixed for a campaign, so the
- * solve and conclusion stages compile to branch-free loops that the
+ * draw stage fills one slot of the whole batch at a time, and only the
+ * slots that a position other than the solved one reads: a clause's
+ * equalities tie positions to one slot, and the H1/H5 solve overwrites its
+ * position, so the catalog's clauses read 87 of the 129 slots they draw in
+ * the reference loop.  SplitMix advances a stream by a fixed gamma, so the
+ * slot at draw position p of an attempt is mix(state + p * GOLDEN) whether
+ * or not the slots before it are drawn: every value that is read is the one
+ * the reference loop draws.  Model and codes are fixed for a campaign, so
+ * the solve and conclusion stages compile to branch-free loops that the
  * compiler vectorizes, and no sample waits on the previous one's chain of
  * divisions.
  *
@@ -43,6 +47,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -59,6 +64,7 @@
 /* equational-constraint and conclusion codes, as in _pykernel */
 enum { EQ_NONE = 0, EQ_H1 = 1, EQ_H5 = 2 };
 enum { IRRELEVANT = 0, NO_CONFOUNDING = 1 };
+#define MODEL_ERROR "model must be 1, 2 or 3"
 
 static inline uint64_t
 mix(uint64_t z)
@@ -68,47 +74,50 @@ mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* One draw of a sample's stream: advance the state, map it into (0.01, 0.99). */
-static inline double
-draw(uint64_t *state)
+/* Read o, an int, into *out; raise ValueError with message what unless
+   lo <= o <= hi.  hi = LLONG_MAX sets no upper bound: a larger int reads as
+   LLONG_MAX. */
+static int
+read_int(PyObject *o, long long lo, long long hi, const char *what, long long *out)
 {
-    *state = *state + GOLDEN;
-    uint64_t z = mix(*state);
-    return 0.01 + ((double)(z >> 11) * DOUBLE_SCALE) * 0.98;
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow > 0 && hi == LLONG_MAX)
+        v = LLONG_MAX;
+    else if (overflow || v < lo || v > hi) {
+        PyErr_SetString(PyExc_ValueError, what);
+        return -1;
+    }
+    *out = v;
+    return 0;
 }
 
 /* Read rep into out[7]; raise ValueError unless it is 7 slot indices in 0..6. */
 static int
 read_rep(PyObject *rep, int out[7])
 {
+    static const char what[] = "rep must be 7 slot indices in 0..6";
     PyObject *seq = PySequence_Fast(rep, "rep must be a sequence");
     if (seq == NULL)
         return -1;
+    int status = 0;
     if (PySequence_Fast_GET_SIZE(seq) != 7) {
-        PyErr_SetString(PyExc_ValueError, "rep must be 7 slot indices in 0..6");
-        Py_DECREF(seq);
-        return -1;
+        PyErr_SetString(PyExc_ValueError, what);
+        status = -1;
     }
-    for (int j = 0; j < 7; j++) {
-        long r = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, j));
-        if (r == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return -1;
-        }
-        if (r < 0 || r > 6) {
-            PyErr_SetString(PyExc_ValueError, "rep must be 7 slot indices in 0..6");
-            Py_DECREF(seq);
-            return -1;
-        }
+    for (int j = 0; status == 0 && j < 7; j++) {
+        long long r = 0;
+        status = read_int(PySequence_Fast_GET_ITEM(seq, j), 0, 6, what, &r);
         out[j] = (int)r;
     }
     Py_DECREF(seq);
-    return 0;
+    return status;
 }
 
 /* joint._masses at one = 1: m = (exposed0, exposed1, unexposed0, unexposed1),
-   P(E, C) from the model's first slots.  Models other than 1 and 2 take
-   model 3's masses, as there. */
+   P(E, C) from the model's first slots. */
 ALWAYS_INLINE void
 masses(int model, double v0, double v1, double v2, double m[4])
 {
@@ -223,28 +232,61 @@ violation_batch(int model, int no_confounding, int nb, const double *const v[7],
             (flag) ? f(3, 1, __VA_ARGS__) : f(3, 0, __VA_ARGS__);              \
     } while (0)
 
-/* Draw the slots of sample j from its stream state s, held in a register,
-   and return the state after the last draw.  The slot list is fixed by the
-   model, so the loop unrolls with model 3's missing slot 2 left out. */
-ALWAYS_INLINE uint64_t
-draw_sample(int model, uint64_t s, double q[7][BATCH], int j)
+/* The n slots a campaign's attempts read: slot[i] is the attempt's draw
+   number step[i] / GOLDEN, counted from 1, and an attempt takes
+   advance / GOLDEN draws in all (6 in model 3, else 7). */
+struct draws {
+    int n;
+    int slot[7];
+    uint64_t step[7];
+    uint64_t advance;
+};
+
+/* Plan a campaign's draws: slot s is read when some position other than
+   the solved one takes its value.  The solved position's own rep is not
+   enough to leave a slot out, since another position may read the same
+   draw.  Model 3 draws no slot 2. */
+static struct draws
+plan_draws(int model, const int rep[7], int eq)
 {
-    for (int k = 0; k < 7; k++) {
-        if (model == 3 && k == 2)
+    int solved_at = eq == EQ_H1 ? 6 : eq == EQ_H5 ? 5 : -1;
+    int used[7] = {0};
+    for (int k = 0; k < 7; k++)
+        if (k != solved_at)
+            used[rep[k]] = 1;
+    struct draws d = {0};
+    int pos = 0;
+    for (int s = 0; s < 7; s++) {
+        if (model == 3 && s == 2)
             continue;
-        q[k][j] = draw(&s);
+        pos++;
+        if (used[s]) {
+            d.slot[d.n] = s;
+            d.step[d.n] = (uint64_t)pos * GOLDEN;
+            d.n++;
+        }
     }
-    return s;
+    d.advance = (uint64_t)pos * GOLDEN;
+    return d;
 }
 
-/* Seed samples first .. first+nb-1 and draw all of their slots, sample by
-   sample, so the loop over samples vectorizes whole. */
+/* Draw the planned slots of the attempts that start at state[0 .. nb-1],
+   one slot for the whole batch at a time, then move each state past the
+   attempt.  A draw adds GOLDEN to the state, so the slot's value is one
+   addition away and the slots before it need not be drawn. */
 ALWAYS_INLINE void
-draw_batch(int model, uint64_t seed, uint64_t first, int nb, double q[7][BATCH],
-           uint64_t state[BATCH])
+draw_stage(const struct draws *d, int nb, double q[7][BATCH], uint64_t state[BATCH])
 {
+    for (int i = 0; i < d->n; i++) {
+        double *row = q[d->slot[i]];
+        uint64_t step = d->step[i];
+        for (int j = 0; j < nb; j++) {
+            uint64_t z = mix(state[j] + step);
+            row[j] = 0.01 + ((double)(z >> 11) * DOUBLE_SCALE) * 0.98;
+        }
+    }
     for (int j = 0; j < nb; j++)
-        state[j] = draw_sample(model, mix(seed + (first + (uint64_t)j + 1) * GOLDEN), q, j);
+        state[j] += d->advance;
 }
 
 /* The x86-64-v4 and default clones of campaign(), picked once at load time
@@ -255,15 +297,6 @@ draw_batch(int model, uint64_t seed, uint64_t first, int nb, double q[7][BATCH],
 #else
 #define CAMPAIGN_CLONES
 #endif
-
-/* Draw the next attempt of pool entries 0 .. nb-1 from their stream states,
-   as draw_batch does for freshly seeded samples. */
-ALWAYS_INLINE void
-redraw_batch(int model, int nb, double q[7][BATCH], uint64_t state[BATCH])
-{
-    for (int j = 0; j < nb; j++)
-        state[j] = draw_sample(model, state[j], q, j);
-}
 
 /* Count one tallied sample's signed violation x into the campaign's maximum
    and failures. */
@@ -282,10 +315,10 @@ tally(double x, double tol, double *max_violation, long long *failures)
    failures, exhausted) go to out. */
 CAMPAIGN_CLONES static void
 campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start,
-         long long count, uint64_t seed, double tol, int budget, double *max_out,
+         long long count, uint64_t seed, double tol, long long budget, double *max_out,
          long long *failures_out, long long *exhausted_out)
 {
-    /* q[s][j]: slot s of sample j (model 3 draws no slot 2, which stays 0.0) */
+    /* q[s][j]: slot s of sample j; a slot that is not drawn stays 0.0 */
     double q[7][BATCH] = {{0.0}};
     uint64_t state[BATCH];
     double violation[BATCH];
@@ -295,6 +328,7 @@ campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start
     for (int k = 0; k < 7; k++)
         drawn[k] = q[rep[k]];
     memcpy(v, drawn, sizeof v);
+    struct draws d = plan_draws(model, rep, eq);
     double max_violation = 0.0;
     long long failures = 0;
     long long exhausted = 0;
@@ -303,10 +337,9 @@ campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start
             int nb = count - base < BATCH ? (int)(count - base) : BATCH;
             /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
             uint64_t first = start + (uint64_t)base;
-            if (model == 3)
-                draw_batch(3, seed, first, nb, q, state);
-            else /* models 1 and 2 draw the same seven slots */
-                draw_batch(1, seed, first, nb, q, state);
+            for (int j = 0; j < nb; j++)
+                state[j] = mix(seed + (first + (uint64_t)j + 1) * GOLDEN);
+            draw_stage(&d, nb, q, state);
             DISPATCH(violation_batch, model, no_confounding, nb, v, violation);
             for (int j = 0; j < nb; j++)
                 tally(violation[j], tol, &max_violation, &failures);
@@ -315,7 +348,7 @@ campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start
         /* the pool (see the header): entry j has stream state state[j] and
            left[j] redraws left */
         double solved[BATCH];
-        int left[BATCH];
+        long long left[BATCH];
         if (eq == EQ_H1)
             v[6] = solved;
         else
@@ -331,10 +364,7 @@ campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start
             }
             npool += fresh;
             next += fresh;
-            if (model == 3)
-                redraw_batch(3, npool, q, state);
-            else
-                redraw_batch(1, npool, q, state);
+            draw_stage(&d, npool, q, state);
             DISPATCH(solve_batch, model, eq == EQ_H1, npool, drawn, solved);
             DISPATCH(violation_batch, model, no_confounding, npool, v, violation);
             int kept = 0;
@@ -364,22 +394,27 @@ PyDoc_STRVAR(run_campaign_doc,
 static PyObject *
 run_campaign(PyObject *self, PyObject *args)
 {
-    int model, eq, conclusion, budget;
-    PyObject *rep_obj;
-    long long start, count;
+    PyObject *model_obj, *rep_obj, *eq_obj, *conclusion_obj, *budget_obj;
+    long long model, eq, conclusion, budget, start, count;
     unsigned long long seed; /* "K" wraps modulo 2**64, like & _MASK64 */
     double tol;
     int rep[7];
-    if (!PyArg_ParseTuple(args, "iOiiLLKdi:run_campaign", &model, &rep_obj, &eq,
-                          &conclusion, &start, &count, &seed, &tol, &budget))
+    if (!PyArg_ParseTuple(args, "OOOOLLKdO:run_campaign", &model_obj, &rep_obj, &eq_obj,
+                          &conclusion_obj, &start, &count, &seed, &tol, &budget_obj))
         return NULL;
-    if (read_rep(rep_obj, rep) < 0)
+    /* no sample can spend 2**63 redraws, so a larger budget reads as that */
+    if (read_rep(rep_obj, rep) < 0
+        || read_int(model_obj, 1, 3, MODEL_ERROR, &model) < 0
+        || read_int(eq_obj, EQ_NONE, EQ_H5, "eq must be EQ_NONE, EQ_H1 or EQ_H5", &eq) < 0
+        || read_int(conclusion_obj, IRRELEVANT, NO_CONFOUNDING,
+                    "conclusion must be IRRELEVANT or NO_CONFOUNDING", &conclusion) < 0
+        || read_int(budget_obj, 0, LLONG_MAX, "budget must be non-negative", &budget) < 0)
         return NULL;
 
     double max_violation;
     long long failures, exhausted;
     Py_BEGIN_ALLOW_THREADS
-    campaign(model, rep, eq, conclusion == NO_CONFOUNDING, (uint64_t)start, count,
+    campaign((int)model, rep, (int)eq, conclusion == NO_CONFOUNDING, (uint64_t)start, count,
              (uint64_t)seed, tol, budget, &max_violation, &failures, &exhausted);
     Py_END_ALLOW_THREADS
 
@@ -393,16 +428,16 @@ PyDoc_STRVAR(grid_rows_doc,
 static PyObject *
 grid_rows(PyObject *self, PyObject *args)
 {
-    int model;
-    PyObject *rep_obj;
+    PyObject *model_obj, *rep_obj;
+    long long model;
     /* "K" wraps modulo 2**64, like & _MASK64 */
     unsigned long long seed, start, attempt;
     Py_ssize_t count;
     int rep[7];
-    if (!PyArg_ParseTuple(args, "iOKKnK:grid_rows", &model, &rep_obj, &seed, &start,
+    if (!PyArg_ParseTuple(args, "OOKKnK:grid_rows", &model_obj, &rep_obj, &seed, &start,
                           &count, &attempt))
         return NULL;
-    if (read_rep(rep_obj, rep) < 0)
+    if (read_rep(rep_obj, rep) < 0 || read_int(model_obj, 1, 3, MODEL_ERROR, &model) < 0)
         return NULL;
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");

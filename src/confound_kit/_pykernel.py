@@ -8,7 +8,12 @@ bit.  The compiled kernel in _ckernel.c transliterates the same helpers, in
 the same operand order, over batches of samples.  Both must produce
 bit-identical results, so a change to one of those helpers has to be
 mirrored there; the extension is compiled with FMA contraction disabled for
-the same reason.
+the same reason.  This loop draws every slot of every attempt; the compiled
+kernel skips the draws no position reads (slots an equality ties to another,
+and the one the H1/H5 solve overwrites).  The bits still match: a draw
+advances the stream by a fixed gamma, so each slot's draw is the same
+function of the attempt's starting state whether or not the slots before it
+were drawn.
 
 ``grid_rows`` gives exact campaigns their draws, a block of samples per
 call; their arithmetic stays in Python integers (``theorems._exact_campaign``).
@@ -30,6 +35,11 @@ def _check_rep(rep):
         raise ValueError("rep must be 7 slot indices in 0..6")
 
 
+def _check_model(model):
+    if model not in (1, 2, 3):
+        raise ValueError("model must be 1, 2 or 3")
+
+
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     """Evaluate samples [start, start+count) of one constrained campaign.
 
@@ -38,9 +48,18 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     Returns (max_violation, failures, exhausted), where failures counts
     samples with violation > tol and exhausted counts samples whose
     equational solve never landed in [0, 1] within the redraw budget.
-    Raises ValueError unless rep is 7 slot indices in 0..6.
+    Raises ValueError unless rep is 7 slot indices in 0..6, model is 1, 2
+    or 3, eq and conclusion are codes of this module and budget is
+    non-negative.
     """
     _check_rep(rep)
+    _check_model(model)
+    if eq not in (EQ_NONE, EQ_H1, EQ_H5):
+        raise ValueError("eq must be EQ_NONE, EQ_H1 or EQ_H5")
+    if conclusion not in (IRRELEVANT, NO_CONFOUNDING):
+        raise ValueError("conclusion must be IRRELEVANT or NO_CONFOUNDING")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     member, solved = {EQ_H1: (_H1, _U1), EQ_H5: (_H5, _U0)}.get(eq, (None, None))
     draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
     q = [0.0] * 7
@@ -96,10 +115,11 @@ def grid_rows(model, rep, seed, start, count, attempt):
     by the golden gamma, so the state after the skipped rounds is one
     multiply away and no draw is replayed.  Seed, start and attempt are
     reduced modulo 2**64.  Returns a list of ``count`` lists of 7 ints;
-    raises ValueError for a negative count or unless rep is 7 slot indices
-    in 0..6.
+    raises ValueError for a negative count, unless rep is 7 slot indices
+    in 0..6, or unless model is 1, 2 or 3.
     """
     _check_rep(rep)
+    _check_model(model)
     if count < 0:
         raise ValueError("count must be non-negative")
     draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)

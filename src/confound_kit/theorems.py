@@ -74,7 +74,14 @@ _REDRAW_BUDGET = 1000
 # Fewest samples a thread must get before a float campaign splits: with the
 # compiled kernel (AVX-512 clone), two threads ran 0.88-1.08x as fast as one
 # at 2 x 131,072 samples, 0.84x at 2 x 65,536 and 1.3-1.45x at 2 x 262,144
-# (2-vCPU VM); a 10,000-sample campaign ran 0.3-0.5x as fast on two.
+# (2-vCPU VM); a 10,000-sample campaign ran 0.3-0.5x as fast on two.  Once
+# the kernel drew only the slots a clause reads, two threads ran 0.96x as
+# fast as one at 2 x 131,072, 0.94-0.96x at 2 x 65,536, 0.95-0.99x at
+# 2 x 262,144 and 0.67-0.70x at 10,000 samples.  The kernel before that
+# change measured the same that day (0.94-0.98x), and two threads stayed at
+# 0.97-0.99x up to 2 x 4,194,304 samples: the VM gave the second thread no
+# vector throughput of its own, so those runs could not place the crossover
+# and the value stays.
 _MIN_CHUNK = 131_072
 
 

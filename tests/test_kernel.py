@@ -5,12 +5,14 @@ the ``backends`` fixture (conftest.py) builds _ckernel.c with setup.py into a
 temporary directory, so the parity tests run wherever a C compiler exists.
 """
 
+import itertools
 import math
 
 import pytest
 
-from confound_kit import CLAUSES, kernel
+from confound_kit import CLAUSES, Hypothesis, kernel
 from confound_kit._rng import sample_stream
+from confound_kit.hypotheses import substitution_reps
 from confound_kit.kernel import (
     BACKEND,
     EQ_H1,
@@ -129,6 +131,30 @@ def test_parity_across_batch_boundaries(backends):
             assert pure[0].hex() == compiled[0].hex()
 
 
+def test_parity_over_every_rep(backends):
+    # the compiled kernel draws only the slots that some position other than
+    # the solved one reads, so every rep a hypothesis set gives, and raw reps
+    # in which another position reads the solved slot's draw, run under each
+    # eq code: a wrong mask of read slots changes some maximum here
+    sets = [s for n in range(8) for s in itertools.combinations(Hypothesis, n)]
+    reps = sorted({(m, substitution_reps(m, s)) for m in (1, 2, 3) for s in sets})
+    assert len(sets) == 128 and len(reps) == 60
+    reps += [
+        (1, (0, 1, 2, 3, 4, 6, 6)),
+        (2, (0, 1, 2, 3, 4, 5, 5)),
+        (3, (0, 1, 2, 3, 4, 6, 6)),
+        (3, (5, 1, 2, 3, 4, 5, 0)),
+        (1, (6, 5, 6, 5, 6, 5, 6)),
+    ]
+    codes = itertools.product((EQ_NONE, EQ_H1, EQ_H5), (IRRELEVANT, NO_CONFOUNDING))
+    for (model, rep), (eq, conclusion) in itertools.product(reps, codes):
+        for start, count, budget in ((0, 1, 1000), (3, 130, 1000), (64, 65, 0), (9, 200, 2)):
+            args = (model, rep, eq, conclusion, start, count, 31, 1e-10, budget)
+            pure = backends["pure"].run_campaign(*args)
+            compiled = backends["compiled"].run_campaign(*args)
+            assert (compiled[0].hex(), compiled[1:]) == (pure[0].hex(), pure[1:]), args
+
+
 def _per_sample_cases():
     """(label, model, rep, eq, conclusion): every catalog clause, then the
     H1 and H5 solves in each model under both conclusions."""
@@ -194,6 +220,51 @@ def test_bad_rep_raises_in_both_backends(backends, rep):
     for impl in (*backends.values(), kernel):
         with pytest.raises(ValueError, match="rep must be 7 slot indices"):
             impl.grid_rows(1, rep, 0, 0, 10, 0)
+
+
+_CODE_ERRORS = {
+    "model": "model must be 1, 2 or 3",
+    "eq": "eq must be EQ_NONE, EQ_H1 or EQ_H5",
+    "conclusion": "conclusion must be IRRELEVANT or NO_CONFOUNDING",
+    "budget": "budget must be non-negative",
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("model", 0),
+        ("model", 4),
+        ("model", 2**64),
+        ("eq", 3),
+        ("eq", -1),
+        ("conclusion", 2),
+        ("conclusion", -(2**70)),
+        ("budget", -1),
+        ("budget", -(2**64)),
+    ],
+)
+def test_bad_codes_raise_in_both_backends(backends, name, value):
+    # without these checks the backends ran an unknown code differently
+    # (eq = 3 as EQ_NONE in one and as H5 in the other)
+    args = {"model": 1, "eq": EQ_H1, "conclusion": IRRELEVANT, "budget": 1000, name: value}
+    for impl in backends.values():
+        with pytest.raises(ValueError, match=_CODE_ERRORS[name]):
+            impl.run_campaign(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 10, 0, 1e-10, args["budget"])
+    if name == "model":
+        for impl in (*backends.values(), kernel):
+            with pytest.raises(ValueError, match=_CODE_ERRORS[name]):
+                impl.grid_rows(value, UNIT_REP, 0, 0, 10, 0)
+
+
+def test_large_budgets_agree_in_both_backends(backends):
+    # no sample spends anywhere near 2**31 redraws, so every large budget
+    # gives the budget-1000 result, also past the C kernel's integer types
+    for model, eq in ((1, EQ_H1), (2, EQ_H5)):
+        expected = backends["pure"].run_campaign(model, UNIT_REP, eq, NO_CONFOUNDING, 0, 200, 5, 1e-10, 1000)
+        for budget in (2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**100):
+            for impl in backends.values():
+                assert impl.run_campaign(model, UNIT_REP, eq, NO_CONFOUNDING, 0, 200, 5, 1e-10, budget) == expected, budget
 
 
 def test_chunks_merge_to_whole():
