@@ -37,9 +37,6 @@ from .joint import (
     ModelParams,
     build_joint,
     conditional_prob,
-    joint_from_model1,
-    joint_from_model2,
-    joint_from_model3,
     model_number,
     params_from_dict,
     params_type,
@@ -105,9 +102,6 @@ __all__ = [
     "ModelParams",
     "build_joint",
     "conditional_prob",
-    "joint_from_model1",
-    "joint_from_model2",
-    "joint_from_model3",
     "model_number",
     "params_from_dict",
     "params_type",

@@ -43,7 +43,8 @@
  *
  * grid_rows() gives exact campaigns their draws as rows of grid numerators,
  * a block of samples per call, as _pykernel.grid_rows does; their arithmetic
- * stays in Python integers.
+ * stays in Python integers.  It takes the same draw plan with no solved
+ * position, so it too draws only the slots a row reads.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -443,22 +444,17 @@ grid_rows(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");
         return NULL;
     }
-    /* model 3 draws no slot 2; each draw adds GOLDEN to the state, so the
-       attempts before this one shift it by a multiple of GOLDEN */
-    int drawn = model == 3 ? 6 : 7;
-    uint64_t skip = (uint64_t)attempt * (uint64_t)drawn * GOLDEN;
+    /* each attempt before this one moved the state by d.advance */
+    struct draws d = plan_draws((int)model, rep, EQ_NONE);
+    uint64_t skip = (uint64_t)attempt * d.advance;
     PyObject *rows = PyList_New(count);
     if (rows == NULL)
         return NULL;
     for (Py_ssize_t k = 0; k < count; k++) {
         uint64_t state = mix((uint64_t)seed + ((uint64_t)start + (uint64_t)k + 1) * GOLDEN) + skip;
         long n[7] = {0};
-        for (int j = 0; j < 7; j++) {
-            if (drawn == 6 && j == 2)
-                continue;
-            state += GOLDEN;
-            n[j] = (long)(10 + mix(state) % 981);
-        }
+        for (int i = 0; i < d.n; i++)
+            n[d.slot[i]] = (long)(10 + mix(state + d.step[i]) % 981);
         /* owned by rows from here, so one Py_DECREF(rows) frees a partial row */
         PyObject *row = PyList_New(7);
         if (row == NULL) {

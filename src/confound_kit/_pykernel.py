@@ -19,14 +19,18 @@ were drawn.
 call; their arithmetic stays in Python integers (``theorems._exact_campaign``).
 """
 
+import operator
+
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
-from .hypotheses import _H1, _H5, _U0, _U1, _solve
+from .hypotheses import _H1, _H5, _SLOT_FIELDS, _U0, _U1, _solve
 from .joint import _cells
 
 # equational-constraint codes
 EQ_NONE, EQ_H1, EQ_H5 = 0, 1, 2
 # conclusion codes
 IRRELEVANT, NO_CONFOUNDING = 0, 1
+# each model's drawn slots in draw order: those with a field (model 3 has no slot 2)
+_DRAW_SLOTS = {m: tuple(j for j, f in enumerate(fields) if f) for m, fields in _SLOT_FIELDS.items()}
 
 
 def _check_rep(rep):
@@ -36,7 +40,7 @@ def _check_rep(rep):
 
 
 def _check_model(model):
-    if model not in (1, 2, 3):
+    if operator.index(model) not in (1, 2, 3):
         raise ValueError("model must be 1, 2 or 3")
 
 
@@ -50,18 +54,19 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     equational solve never landed in [0, 1] within the redraw budget.
     Raises ValueError unless rep is 7 slot indices in 0..6, model is 1, 2
     or 3, eq and conclusion are codes of this module and budget is
-    non-negative.
+    non-negative, and TypeError when a code or the budget is not an int.
     """
+    # operator.index takes what _ckernel.c's read_int takes: an int, not a float
     _check_rep(rep)
     _check_model(model)
-    if eq not in (EQ_NONE, EQ_H1, EQ_H5):
+    if operator.index(eq) not in (EQ_NONE, EQ_H1, EQ_H5):
         raise ValueError("eq must be EQ_NONE, EQ_H1 or EQ_H5")
-    if conclusion not in (IRRELEVANT, NO_CONFOUNDING):
+    if operator.index(conclusion) not in (IRRELEVANT, NO_CONFOUNDING):
         raise ValueError("conclusion must be IRRELEVANT or NO_CONFOUNDING")
-    if budget < 0:
+    if operator.index(budget) < 0:
         raise ValueError("budget must be non-negative")
     member, solved = {EQ_H1: (_H1, _U1), EQ_H5: (_H5, _U0)}.get(eq, (None, None))
-    draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
+    draw_slots = _DRAW_SLOTS[model]
     q = [0.0] * 7
     max_violation = 0.0
     failures = 0
@@ -122,7 +127,7 @@ def grid_rows(model, rep, seed, start, count, attempt):
     _check_model(model)
     if count < 0:
         raise ValueError("count must be non-negative")
-    draw_slots = (0, 1, 3, 4, 5, 6) if model == 3 else (0, 1, 2, 3, 4, 5, 6)
+    draw_slots = _DRAW_SLOTS[model]
     skip = attempt * len(draw_slots) * _GOLDEN
     n = [0] * 7
     rows = []

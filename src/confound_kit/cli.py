@@ -21,7 +21,7 @@ from typing import Optional
 from . import __version__
 from .errors import ConfoundKitError, DegenerateEventError, ParameterError
 from .hypotheses import Hypothesis, holds_algebraic, holds_numeric
-from .joint import build_joint, params_type
+from .joint import _num_to_text, _render_columns, build_joint, params_type
 from .measures import DEFAULT_FLOAT_TOL, classify_covariate
 from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
 from .theorems import _MIN_CHUNK, clause_lookup, verify_clause
@@ -205,18 +205,13 @@ def _maybe(check, subject, h, tol) -> Optional[bool]:
 
 def _render_hypothesis_rows(rows) -> str:
     have_values = "algebraic" in rows[0]
-    header = ["id", "statement"] + (["algebraic", "numeric"] if have_values else [])
-    table = [header]
+    table = [["id", "statement"] + (["algebraic", "numeric"] if have_values else [])]
     for row in rows:
         line = [row["id"], row["statement"]]
         if have_values:
             line += [_tri(row["algebraic"]), _tri(row["numeric"])]
         table.append(line)
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in table
-    )
+    return _render_columns(table)
 
 
 def _tri(value: Optional[bool]) -> str:
@@ -259,7 +254,7 @@ def _run_verify(parser, args) -> int:
         exact=args.exact,
         threads=args.threads,
     )
-    lines = [
+    text = _render_columns([
         ("theorem", clause.theorem),
         ("clause", clause.clause),
         ("model", str(clause.model)),
@@ -267,18 +262,12 @@ def _run_verify(parser, args) -> int:
         ("conclusion", clause.conclusion.value),
         ("samples", str(report.samples)),
         ("seed", str(report.seed)),
-        ("max_violation", _render_number(report.max_violation)),
+        ("max_violation", _num_to_text(report.max_violation)),
         ("failures", str(report.failures)),
         ("result", "PASS" if report.passed else "FAIL"),
-    ]
-    width = max(len(k) for k, _ in lines)
-    text = "\n".join(f"{k.ljust(width)}  {v}" for k, v in lines)
+    ])
     _emit(args, report.to_dict(), text)
     return 0 if report.passed else 1
-
-
-def _render_number(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def main(argv=None) -> int:

@@ -79,6 +79,8 @@ def _is_exact(values) -> bool:
 def _check_unit(name: str, value: Numeric) -> None:
     if isinstance(value, float) and value != value:
         raise ParameterError(f"parameter {name} is NaN")
+    if isinstance(value, bool):
+        raise ParameterError(f"parameter {name} = {value!r} is not a real number")
     try:
         inside = 0 <= value <= 1
     except TypeError:
@@ -130,6 +132,17 @@ def _num_to_json(value: Numeric) -> object:
     if isinstance(value, float):
         return value
     return str(Fraction(value))
+
+
+def _num_to_text(value: Numeric) -> str:
+    """A number as the text reports print: its JSON form, as text."""
+    return str(_num_to_json(value))
+
+
+def _render_columns(rows) -> str:
+    """Rows of text cells as left-aligned columns two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
 
 
 def _num_from_json(value: object) -> Numeric:
@@ -372,6 +385,8 @@ class JointDistribution(_Frozen):
         for i, w in enumerate(weights):
             if isinstance(w, float) and w != w:
                 raise ParameterError(f"cell {i} weight is NaN")
+            if isinstance(w, bool):
+                raise ParameterError(f"cell {i} weight {w!r} is not a real number")
             try:
                 negative = w < 0
             except TypeError:
@@ -449,9 +464,6 @@ class JointDistribution(_Frozen):
                 continue
             total = total + w
         return total
-
-    def conditional(self, event: Mapping[str, object], given: Mapping[str, object]) -> Numeric:
-        return conditional_prob(self, event, given)
 
     def swap_covariate(self) -> "JointDistribution":
         """The same distribution with the covariate labels 0 and 1 exchanged."""
@@ -559,21 +571,6 @@ def _unit_values(params: ModelParams) -> tuple:
         return params._unit
     except AttributeError:
         raise ParameterError(f"not a model parameter set: {params!r}") from None
-
-
-def joint_from_model1(params: Model1Params) -> JointDistribution:
-    """Expand covariate-influences-exposure parameters to the joint."""
-    return build_joint(params)
-
-
-def joint_from_model2(params: Model2Params) -> JointDistribution:
-    """Expand exposure-influences-covariate parameters to the joint."""
-    return build_joint(params)
-
-
-def joint_from_model3(params: Model3Params) -> JointDistribution:
-    """Expand independent exposure/covariate parameters to the joint."""
-    return build_joint(params)
 
 
 def build_joint(params: ModelParams) -> JointDistribution:

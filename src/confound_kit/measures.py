@@ -53,6 +53,8 @@ from .joint import (
     _check_tolerance,
     _masses,
     _num_to_json,
+    _num_to_text,
+    _render_columns,
     _unit_values,
 )
 
@@ -112,15 +114,9 @@ class ClassificationReport(_Frozen):
         rows = [("quantity", "value", "exact")]
         for name in ("hypothetical", "observed", "standardized", "bias", "adjusted_gap"):
             value = getattr(self, name)
-            exact = str(Fraction(value)) if not isinstance(value, float) else repr(value)
-            rows.append((name, f"{float(value):.6f}", exact))
+            rows.append((name, f"{float(value):.6f}", _num_to_text(value)))
         rows.append(("verdict", self.verdict.value, ""))
-        widths = [max(len(r[i]) for r in rows) for i in range(3)]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
-        return "\n".join(lines)
+        return _render_columns(rows)
 
 
 def hypothetical_proportion(joint: JointDistribution) -> Numeric:

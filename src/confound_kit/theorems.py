@@ -11,7 +11,8 @@ draws interior parameters, imposes the clause's hypothesis set exactly (see
 ``hypotheses.impose``), expands the joint, and evaluates the conclusion's
 defining quantity, whose magnitude is the sample's violation.  Float
 campaigns run on the selected kernel backend and are reproducible bit for
-bit from (seed, samples) alone, independent of chunking or thread count.
+bit from (seed, samples) alone, independent of chunking or thread count;
+``_float_campaign`` alone decides how one is split over threads.
 Exact campaigns rerun the same algorithm on the thousandths grid, where a
 sound clause yields violations of exactly zero.  They take their draws from
 the selected kernel backend (``kernel.grid_rows``, the stream
@@ -45,7 +46,6 @@ from ._rng import SplitMix64
 from .errors import ConstraintError, ParameterError
 from .hypotheses import (
     Hypothesis,
-    HypothesisSet,
     _U0,
     _U1,
     _exhausted,
@@ -71,17 +71,11 @@ from .measures import Verdict, classify_covariate
 
 CAMPAIGN_FLOAT_TOL = 1e-10
 _REDRAW_BUDGET = 1000
-# Fewest samples a thread must get before a float campaign splits: with the
-# compiled kernel (AVX-512 clone), two threads ran 0.88-1.08x as fast as one
-# at 2 x 131,072 samples, 0.84x at 2 x 65,536 and 1.3-1.45x at 2 x 262,144
-# (2-vCPU VM); a 10,000-sample campaign ran 0.3-0.5x as fast on two.  Once
-# the kernel drew only the slots a clause reads, two threads ran 0.96x as
-# fast as one at 2 x 131,072, 0.94-0.96x at 2 x 65,536, 0.95-0.99x at
-# 2 x 262,144 and 0.67-0.70x at 10,000 samples.  The kernel before that
-# change measured the same that day (0.94-0.98x), and two threads stayed at
-# 0.97-0.99x up to 2 x 4,194,304 samples: the VM gave the second thread no
-# vector throughput of its own, so those runs could not place the crossover
-# and the value stays.
+# Fewest samples a thread must get before a float campaign splits: a thread
+# costs more than a small chunk saves.  Latest measurement (2-vCPU VM, AVX-512
+# clone): two threads ran 0.94-0.99x as fast as one from 2 x 65,536 to
+# 2 x 4,194,304 samples and 0.67-0.70x at 10,000, so the VM placed no
+# crossover and the value stays.
 _MIN_CHUNK = 131_072
 
 
@@ -230,26 +224,28 @@ def _campaign_codes(clause: TheoremClause) -> tuple:
 
 def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
     model, rep, eq, conclusion = _campaign_codes(clause)
-    # the pure kernel holds the GIL, so threads there only add overhead
-    chunks = 1 if kernel.BACKEND == "pure" else max(1, min(threads, samples // _MIN_CHUNK))
-    if chunks == 1:
+    # the one place the split is decided: a thread per chunk of at least
+    # _MIN_CHUNK samples, at most `threads` (None: no cap) and the usable CPUs;
+    # the pure kernel holds the GIL, so it runs one chunk
+    chunks = 1 if kernel.BACKEND == "pure" else samples // _MIN_CHUNK
+    if chunks > 1:
+        chunks = min(chunks, _usable_cpus(), chunks if threads is None else threads)
+    if chunks <= 1:
         return kernel.run_campaign(
             model, rep, eq, conclusion, 0, samples, seed, tol, _REDRAW_BUDGET
         )
     from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
 
-    def chunk(start, count):
+    def chunk(bounds):
+        start, stop = bounds
         return kernel.run_campaign(
-            model, rep, eq, conclusion, start, count, seed, tol, _REDRAW_BUDGET
+            model, rep, eq, conclusion, start, stop - start, seed, tol, _REDRAW_BUDGET
         )
 
-    size = samples // chunks
-    bounds = [
-        (t * size, size + (samples - chunks * size if t == chunks - 1 else 0))
-        for t in range(chunks)
-    ]
+    # the last chunk takes the remainder
+    edges = [t * (samples // chunks) for t in range(chunks)] + [samples]
     with ThreadPoolExecutor(max_workers=chunks) as pool:
-        results = list(pool.map(lambda se: chunk(*se), bounds))
+        results = list(pool.map(chunk, zip(edges, edges[1:])))
     max_violation = max(r[0] for r in results)
     failures = sum(r[1] for r in results)
     exhausted = sum(r[2] for r in results)
@@ -338,11 +334,11 @@ def verify_clause(
 
     ``tol`` defaults to 1e-10 in float mode and must be 0 in exact mode; a
     sample fails when its violation exceeds it.  Float campaigns may be chunked
-    over worker threads without changing the report.  They use every CPU
-    this process may run on, at most ``threads`` when it is given.  A
-    campaign splits only into chunks of at least ``_MIN_CHUNK`` samples, so
-    smaller ones, and every campaign on the pure kernel, run on the calling
-    thread.
+    over worker threads without changing the report.  ``_float_campaign``
+    decides the split: every CPU this process may run on, at most
+    ``threads`` when it is given, in chunks of at least ``_MIN_CHUNK``
+    samples, so smaller campaigns, and every campaign on the pure kernel,
+    run on the calling thread.
     """
     if type(samples) is not int or type(seed) is not int:
         _check_integer("samples", samples)
@@ -362,11 +358,6 @@ def verify_clause(
     if exact:
         max_violation, failures = _exact_campaign(clause, samples, seed)
     else:
-        if samples < 2 * _MIN_CHUNK:
-            threads = 1  # one chunk whatever the thread count
-        else:
-            cpus = _usable_cpus()
-            threads = cpus if threads is None else min(threads, cpus)
         max_violation, failures, exhausted = _float_campaign(
             clause, samples, seed, float(tol), threads
         )

@@ -21,8 +21,6 @@ from confound_kit import (
     holds_algebraic,
     holds_numeric,
     impose,
-    joint_from_model1,
-    joint_from_model3,
     observed_proportion,
     random_params,
     standardized_proportion,
@@ -76,14 +74,14 @@ def test_model3_joint_always_satisfies_h4():
 
 def test_matched_outcome_params_satisfy_h2_h3():
     params = Model1Params(t=0.4, a0=0.2, a1=0.6, b0=0.1, b1=0.7, u0=0.1, u1=0.7)
-    joint = joint_from_model1(params)
+    joint = build_joint(params)
     assert holds_numeric(joint, H.H2, tol=1e-12)
     assert holds_numeric(joint, H.H3, tol=1e-12)
 
 
 def test_example_violates_h6():
     # b0 != b1, so the unexposed slice is covariate-dependent
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     assert not holds_numeric(joint, H.H6, tol=1e-9)
 
 
@@ -91,7 +89,7 @@ def test_example_violates_h6():
 def test_non_finite_tolerance_rejected(tol):
     # an infinite tolerance would accept H6 here, a NaN one reject anything
     with pytest.raises(ParameterError, match="finite"):
-        holds_numeric(joint_from_model1(EXAMPLE_M1), H.H6, tol=tol)
+        holds_numeric(build_joint(EXAMPLE_M1), H.H6, tol=tol)
     with pytest.raises(ParameterError, match="finite"):
         holds_algebraic(EXAMPLE_M1, H.H6, tol=tol)
 
@@ -100,7 +98,7 @@ def test_non_finite_tolerance_rejected(tol):
 def test_non_real_tolerance_rejected(tol):
     # each once escaped as a TypeError from the comparison with zero
     with pytest.raises(ParameterError, match="real number"):
-        holds_numeric(joint_from_model1(EXAMPLE_M1), H.H1, tol)
+        holds_numeric(build_joint(EXAMPLE_M1), H.H1, tol)
     with pytest.raises(ParameterError, match="real number"):
         holds_algebraic(EXAMPLE_M1, H.H1, tol)
 
@@ -109,7 +107,7 @@ def test_non_real_tolerance_rejected(tol):
 def test_bool_tolerance_rejected(tol):
     # True would pass as a tolerance of 1, which accepts H6 here
     with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
-        holds_numeric(joint_from_model1(EXAMPLE_M1), H.H6, tol)
+        holds_numeric(build_joint(EXAMPLE_M1), H.H6, tol)
     with pytest.raises(ParameterError, match=f"tolerance must be a real number, got {tol}"):
         holds_algebraic(EXAMPLE_M1, H.H6, tol)
 
@@ -182,13 +180,13 @@ def test_float_product_test_is_the_prob_sums_bit_for_bit():
 def test_numeric_degenerate_slice_raises():
     params = Model1Params(t=1.0, a0=0.3, a1=0.6, b0=0.1, b1=0.7, u0=0.3, u1=0.9)
     with pytest.raises(DegenerateEventError):
-        holds_numeric(joint_from_model1(params), H.H2)  # C=0 slice has zero mass
+        holds_numeric(build_joint(params), H.H2)  # C=0 slice has zero mass
 
 
 def test_numeric_exact_equality():
     params = Model1Params(t=F(2, 5), a0=F(1, 5), a1=F(1, 5), b0=F(1, 10), b1=F(7, 10), u0=F(3, 10), u1=F(9, 10))
-    assert holds_numeric(joint_from_model1(params), H.H4, tol=0)
-    assert not holds_numeric(joint_from_model1(params), H.H6, tol=0)
+    assert holds_numeric(build_joint(params), H.H4, tol=0)
+    assert not holds_numeric(build_joint(params), H.H6, tol=0)
 
 
 # --- algebraic forms ------------------------------------------------------

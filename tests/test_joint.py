@@ -4,11 +4,13 @@ import copy
 import json
 import pickle
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 import algebra_oracle as oracle
+import confound_kit
 from confound_kit import (
     Exposure,
     JointDistribution,
@@ -23,9 +25,6 @@ from confound_kit import (
     classify_covariate,
     conditional_prob,
     holds_numeric,
-    joint_from_model1,
-    joint_from_model2,
-    joint_from_model3,
     model_number,
     params_from_dict,
     params_type,
@@ -46,13 +45,13 @@ EXAMPLE_M1 = Model1Params(t=0.4, a0=0.2, a1=0.6, b0=0.1, b1=0.7, u0=0.3, u1=0.9)
 
 
 def test_uniform_factorization_gives_eighths():
-    joint = joint_from_model1(uniform_m1())
+    joint = build_joint(uniform_m1())
     assert joint.p == (0.125,) * 8
 
 
 def test_model1_example_cell():
     # cell (E=e, C=1, D=1) = t * a1 * u1 = 0.4 * 0.6 * 0.9
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     idx = JointDistribution.index("e", 1, 1)
     assert joint.p[idx] == pytest.approx(0.216, abs=1e-15)
 
@@ -71,13 +70,13 @@ def test_model1_full_joint_matches_enumeration():
         ("ebar", 1, 0): p.t * a1b * (1 - p.b1),
         ("ebar", 1, 1): p.t * a1b * p.b1,
     }
-    joint = joint_from_model1(p)
+    joint = build_joint(p)
     for (e, c, d), value in expect.items():
         assert joint.p[JointDistribution.index(e, c, d)] == pytest.approx(value, abs=1e-15)
 
 
 def test_degenerate_covariate_zeroes_half_the_cells():
-    joint = joint_from_model1(Model1Params(t=1.0, a0=0.3, a1=0.6, b0=0.1, b1=0.7, u0=0.3, u1=0.9))
+    joint = build_joint(Model1Params(t=1.0, a0=0.3, a1=0.6, b0=0.1, b1=0.7, u0=0.3, u1=0.9))
     for c0_cell in (0, 1, 4, 5):  # all C=0 cells
         assert joint.p[c0_cell] == 0.0
 
@@ -85,14 +84,14 @@ def test_degenerate_covariate_zeroes_half_the_cells():
 def test_model2_example_cell():
     # cell (E=ebar, C=1, D=1) = (1-a) * c0 * b1 = 0.4 * 0.2 * 0.5
     params = Model2Params(a=0.6, c0=0.2, c1=0.8, b0=0.1, b1=0.5, u0=0.4, u1=0.9)
-    joint = joint_from_model2(params)
+    joint = build_joint(params)
     idx = JointDistribution.index("ebar", 1, 1)
     assert joint.p[idx] == pytest.approx(0.04, abs=1e-15)
 
 
 def test_model2_uniform():
     params = Model2Params(a=0.5, c0=0.5, c1=0.5, b0=0.5, b1=0.5, u0=0.5, u1=0.5)
-    assert joint_from_model2(params).p == (0.125,) * 8
+    assert build_joint(params).p == (0.125,) * 8
 
 
 # --- model collapse ------------------------------------------------------
@@ -102,22 +101,22 @@ def test_model2_with_equal_c_collapses_to_model3():
     for t in (F(1, 4), F(2, 3)):
         m2 = Model2Params(a=F(3, 5), c0=t, c1=t, b0=F(1, 10), b1=F(1, 2), u0=F(2, 5), u1=F(9, 10))
         m3 = Model3Params(a=F(3, 5), t=t, b0=F(1, 10), b1=F(1, 2), u0=F(2, 5), u1=F(9, 10))
-        assert joint_from_model2(m2).p == joint_from_model3(m3).p
+        assert build_joint(m2).p == build_joint(m3).p
 
 
 def test_model3_equals_model1_with_equal_a():
     m3 = Model3Params(a=F(2, 7), t=F(1, 3), b0=F(1, 5), b1=F(4, 5), u0=F(3, 10), u1=F(7, 10))
     m1 = Model1Params(t=F(1, 3), a0=F(2, 7), a1=F(2, 7), b0=F(1, 5), b1=F(4, 5), u0=F(3, 10), u1=F(7, 10))
-    assert joint_from_model3(m3).p == joint_from_model1(m1).p
+    assert build_joint(m3).p == build_joint(m1).p
 
 
 def test_model3_exposure_covariate_independence_exact():
-    joint = joint_from_model3(Model3Params(a=F(2, 5), t=F(3, 7), b0=F(1, 9), b1=F(5, 9), u0=F(1, 3), u1=F(2, 3)))
+    joint = build_joint(Model3Params(a=F(2, 5), t=F(3, 7), b0=F(1, 9), b1=F(5, 9), u0=F(1, 3), u1=F(2, 3)))
     assert joint.prob(e="e", c=1) == joint.prob(e="e") * joint.prob(c=1)
 
 
 def test_model3_symmetric_swap_balances_arms():
-    joint = joint_from_model3(Model3Params(a=0.5, t=0.5, b0=0.0, b1=1.0, u0=1.0, u1=0.0))
+    joint = build_joint(Model3Params(a=0.5, t=0.5, b0=0.0, b1=1.0, u0=1.0, u1=0.0))
     hyp = conditional_prob(joint, {"D": 1}, {"E": "e"})
     obs = conditional_prob(joint, {"D": 1}, {"E": "ebar"})
     assert hyp == 0.5
@@ -128,39 +127,39 @@ def test_model3_symmetric_swap_balances_arms():
 
 
 def test_conditional_on_uniform_is_half():
-    joint = joint_from_model1(uniform_m1())
+    joint = build_joint(uniform_m1())
     assert conditional_prob(joint, {"D": 1}, {"E": "e"}) == 0.5
 
 
 def test_observed_proportion_closed_form_example():
     # (b0*a0bar*tbar + b1*a1bar*t) / (a0bar*tbar + a1bar*t) with the worked numbers
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     obs = conditional_prob(joint, {"D": 1}, {"E": "ebar"})
     assert obs == pytest.approx(0.25, abs=1e-15)
 
 
 def test_conditional_returns_u1_exactly():
     exact = Model1Params(t=F(2, 5), a0=F(1, 5), a1=F(3, 5), b0=F(1, 10), b1=F(7, 10), u0=F(3, 10), u1=F(9, 10))
-    joint = joint_from_model1(exact)
+    joint = build_joint(exact)
     assert conditional_prob(joint, {"D": 1}, {"E": "e", "C": 1}) == F(9, 10)
-    fj = joint_from_model1(EXAMPLE_M1)
+    fj = build_joint(EXAMPLE_M1)
     assert conditional_prob(fj, {"D": 1}, {"E": "e", "C": 1}) == pytest.approx(0.9, abs=1e-14)
 
 
 def test_conditional_conflicting_assignment_is_zero():
-    joint = joint_from_model1(uniform_m1())
+    joint = build_joint(uniform_m1())
     assert conditional_prob(joint, {"E": "e"}, {"E": "ebar"}) == 0.0
 
 
 def test_conditional_zero_mass_event_raises():
-    joint = joint_from_model1(Model1Params(t=0.0, a0=0.5, a1=0.5, b0=0.5, b1=0.5, u0=0.5, u1=0.5))
+    joint = build_joint(Model1Params(t=0.0, a0=0.5, a1=0.5, b0=0.5, b1=0.5, u0=0.5, u1=0.5))
     with pytest.raises(DegenerateEventError):
         conditional_prob(joint, {"D": 1}, {"C": 1})
 
 
 def test_round_trip_float_within_1e14():
     p = EXAMPLE_M1
-    joint = joint_from_model1(p)
+    joint = build_joint(p)
     assert conditional_prob(joint, {"C": 1}, {}) == pytest.approx(p.t, abs=1e-14)
     assert conditional_prob(joint, {"E": "e"}, {"C": 0}) == pytest.approx(p.a0, abs=1e-14)
     assert conditional_prob(joint, {"E": "e"}, {"C": 1}) == pytest.approx(p.a1, abs=1e-14)
@@ -172,7 +171,7 @@ def test_round_trip_float_within_1e14():
 
 def test_round_trip_rational_exact():
     p = Model2Params(a=F(2, 3), c0=F(1, 7), c1=F(4, 7), b0=F(1, 11), b1=F(6, 11), u0=F(2, 9), u1=F(8, 9))
-    joint = joint_from_model2(p)
+    joint = build_joint(p)
     assert conditional_prob(joint, {"E": "e"}, {}) == p.a
     assert conditional_prob(joint, {"C": 1}, {"E": "ebar"}) == p.c0
     assert conditional_prob(joint, {"C": 1}, {"E": "e"}) == p.c1
@@ -216,9 +215,13 @@ _UNIFORM = JointDistribution((0.125,) * 8)
         (lambda: conditional_prob(_UNIFORM, {"X": 1}, {}), "unknown variable 'X'; expected 'E', 'C', or 'D'"),
         (lambda: model_number(object()), "not a model parameter set: <object object at"),
         (lambda: build_joint(object()), "not a model parameter set: <object object at"),
+        # a bool is an int, and was read as 0 or 1
+        (lambda: Model1Params(t=0.5, a0=True, a1=0.5, b0=0.1, b1=0.2, u0=0.3, u1=0.4),
+         "parameter a0 = True is not a real number"),
+        (lambda: JointDistribution((True, 0, 0, 0, 0, 0, 0, 0)), "cell 0 weight True is not a real number"),
     ],
     ids=["nan-param", "nan-weight", "index", "prob", "from-dict-key", "from-dict-cells",
-         "conditional-variable", "model-number", "build-joint"],
+         "conditional-variable", "model-number", "build-joint", "bool-param", "bool-weight"],
 )
 def test_invalid_values_rejected(call, message):
     with pytest.raises(ParameterError) as info:
@@ -247,7 +250,7 @@ def test_model2_model3_require_interior_exposure():
 
 
 def test_boundary_outcome_probabilities_allowed():
-    joint = joint_from_model3(Model3Params(a=0.5, t=0.0, b0=0.0, b1=1.0, u0=1.0, u1=0.0))
+    joint = build_joint(Model3Params(a=0.5, t=0.0, b0=0.0, b1=1.0, u0=1.0, u1=0.0))
     assert sum(joint.p) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -263,7 +266,7 @@ def test_joint_validation():
 
 
 def test_exact_joint_sums_to_one_exactly():
-    joint = joint_from_model1(
+    joint = build_joint(
         Model1Params(t=F(2, 5), a0=F(1, 5), a1=F(3, 5), b0=F(1, 10), b1=F(7, 10), u0=F(3, 10), u1=F(9, 10))
     )
     assert sum(joint.p) == 1
@@ -362,7 +365,7 @@ def test_degenerate_joint_raises_on_every_call(exact):
 
 
 def test_swap_covariate_permutes_cells():
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     swapped = joint.swap_covariate()
     for e in ("e", "ebar"):
         for c in (0, 1):
@@ -371,10 +374,14 @@ def test_swap_covariate_permutes_cells():
     assert swapped.swap_covariate().p == joint.p
 
 
-def test_build_joint_dispatches_by_type():
-    assert build_joint(EXAMPLE_M1).p == joint_from_model1(EXAMPLE_M1).p
-    m3 = Model3Params(a=0.5, t=0.3, b0=0.2, b1=0.7, u0=0.4, u1=0.1)
-    assert build_joint(m3).p == joint_from_model3(m3).p
+def test_exports_are_the_public_names():
+    # a deleted function cannot linger in __all__, nor a new one be left out
+    public = {
+        name
+        for name, value in vars(confound_kit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(confound_kit.__all__) == sorted(public | {"__version__"})
 
 
 def test_model_number_and_params_type():
@@ -424,7 +431,7 @@ def test_from_dict_rejects_bad_number_strings(text):
 
 
 def test_joint_dict_round_trip():
-    joint = joint_from_model1(
+    joint = build_joint(
         Model1Params(t=F(2, 5), a0=F(1, 5), a1=F(3, 5), b0=F(1, 10), b1=F(7, 10), u0=F(3, 10), u1=F(9, 10))
     )
     data = joint.to_dict()

@@ -242,18 +242,25 @@ _CODE_ERRORS = {
         ("conclusion", -(2**70)),
         ("budget", -1),
         ("budget", -(2**64)),
+        # a float equal to a valid code is not an int: the pure kernel ran
+        # model=1.0 as model 1 while the compiled one raised TypeError
+        ("model", 1.0),
+        ("eq", 1.0),
+        ("conclusion", 0.0),
+        ("budget", 1000.0),
     ],
 )
 def test_bad_codes_raise_in_both_backends(backends, name, value):
     # without these checks the backends ran an unknown code differently
     # (eq = 3 as EQ_NONE in one and as H5 in the other)
     args = {"model": 1, "eq": EQ_H1, "conclusion": IRRELEVANT, "budget": 1000, name: value}
+    error, message = (TypeError, None) if isinstance(value, float) else (ValueError, _CODE_ERRORS[name])
     for impl in backends.values():
-        with pytest.raises(ValueError, match=_CODE_ERRORS[name]):
+        with pytest.raises(error, match=message):
             impl.run_campaign(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 10, 0, 1e-10, args["budget"])
     if name == "model":
         for impl in (*backends.values(), kernel):
-            with pytest.raises(ValueError, match=_CODE_ERRORS[name]):
+            with pytest.raises(error, match=message):
                 impl.grid_rows(value, UNIT_REP, 0, 0, 10, 0)
 
 

@@ -19,8 +19,6 @@ from confound_kit import (
     closed_form_summary,
     confounding_bias,
     hypothetical_proportion,
-    joint_from_model1,
-    joint_from_model3,
     observed_proportion,
     standardized_proportion,
     summary_from_joint,
@@ -51,7 +49,7 @@ def table1_joint():
 
 
 def test_example_measures():
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     assert hypothetical_proportion(joint) == pytest.approx(0.7, abs=1e-15)
     assert observed_proportion(joint) == pytest.approx(0.25, abs=1e-15)
     assert standardized_proportion(joint) == pytest.approx(0.5, abs=1e-15)
@@ -70,7 +68,7 @@ def test_example_classification_values():
 
 
 def test_bias_is_hypothetical_minus_observed():
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     assert confounding_bias(joint) == pytest.approx(
         hypothetical_proportion(joint) - observed_proportion(joint), abs=1e-16
     )
@@ -114,21 +112,21 @@ def test_table1_renders_to_paper_decimals():
 
 def test_model3_standardized_equals_observed_exactly():
     params = Model3Params(a=F(2, 5), t=F(3, 7), b0=F(1, 9), b1=F(5, 9), u0=F(1, 3), u1=F(2, 3))
-    joint = joint_from_model3(params)
+    joint = build_joint(params)
     assert standardized_proportion(joint) == observed_proportion(joint)
     assert classify_covariate(joint, tol=0).verdict is Verdict.IRRELEVANT
 
 
 def test_model1_equal_exposure_rates_is_irrelevant():
     params = Model1Params(t=F(1, 3), a0=F(2, 5), a1=F(2, 5), b0=F(1, 10), b1=F(7, 10), u0=F(3, 10), u1=F(9, 10))
-    joint = joint_from_model1(params)
+    joint = build_joint(params)
     assert standardized_proportion(joint) == observed_proportion(joint)
     assert classify_covariate(joint, tol=0).verdict is Verdict.IRRELEVANT
 
 
 def test_model1_matched_outcome_params_kill_bias():
     params = Model1Params(t=F(2, 5), a0=F(1, 5), a1=F(1, 5), b0=F(1, 4), b1=F(3, 4), u0=F(1, 4), u1=F(3, 4))
-    assert confounding_bias(joint_from_model1(params)) == 0
+    assert confounding_bias(build_joint(params)) == 0
 
 
 # --- standardized proportion mechanics -----------------------------------
@@ -138,7 +136,7 @@ def test_standardized_skips_zero_weight_stratum():
     # t=0 gives the C=1 stratum zero weight among the exposed, so the
     # vanished unexposed denominator there must not be consulted
     params = Model1Params(t=0.0, a0=0.3, a1=1.0, b0=0.2, b1=0.9, u0=0.4, u1=0.6)
-    joint = joint_from_model1(params)
+    joint = build_joint(params)
     assert standardized_proportion(joint) == pytest.approx(0.2, abs=1e-15)
 
 
@@ -172,11 +170,11 @@ def test_measures_require_both_exposure_arms():
 
 
 def test_verdict_tolerance_defaults():
-    exact = joint_from_model3(Model3Params(a=F(1, 2), t=F(1, 3), b0=F(1, 5), b1=F(4, 5), u0=F(2, 5), u1=F(3, 5)))
+    exact = build_joint(Model3Params(a=F(1, 2), t=F(1, 3), b0=F(1, 5), b1=F(4, 5), u0=F(2, 5), u1=F(3, 5)))
     assert classify_covariate(exact).verdict is Verdict.IRRELEVANT  # exact default tol 0
     with pytest.raises(ParameterError):
         classify_covariate(exact, tol=1e-9)  # nonzero tol makes no sense for exact joints
-    noisy = joint_from_model3(Model3Params(a=0.5, t=1 / 3, b0=0.2, b1=0.8, u0=0.4, u1=0.6))
+    noisy = build_joint(Model3Params(a=0.5, t=1 / 3, b0=0.2, b1=0.8, u0=0.4, u1=0.6))
     assert classify_covariate(noisy).verdict is Verdict.IRRELEVANT  # float default tol
     assert DEFAULT_FLOAT_TOL == 1e-9
 
@@ -194,12 +192,12 @@ def test_exact_lemma1_rejects_nonzero_tolerance(tol):
 
 def test_negative_tolerance_rejected():
     with pytest.raises(ParameterError):
-        classify_covariate(joint_from_model1(EXAMPLE_M1), tol=-1e-9)
+        classify_covariate(build_joint(EXAMPLE_M1), tol=-1e-9)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_tolerance_rejected(tol):
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     with pytest.raises(ParameterError, match="finite"):
         classify_covariate(joint, tol=tol)
     with pytest.raises(ParameterError, match="finite"):
@@ -208,7 +206,7 @@ def test_non_finite_tolerance_rejected(tol):
 
 @pytest.mark.parametrize("tol", ["0", 1j, None])
 def test_non_real_tolerance_rejected(tol):
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     with pytest.raises(ParameterError, match="real number"):
         check_lemma1(joint, tol=tol)
     if tol is not None:  # None asks classify_covariate for its default
@@ -219,7 +217,7 @@ def test_non_real_tolerance_rejected(tol):
 @pytest.mark.parametrize("tol", [True, False])
 def test_bool_tolerance_rejected(tol):
     # a tolerance of True once passed as 1 and made this confounder irrelevant
-    joint = joint_from_model1(EXAMPLE_M1)
+    joint = build_joint(EXAMPLE_M1)
     assert classify_covariate(joint).verdict is Verdict.CONFOUNDER
     for joint in (joint, table1_joint()):
         for check in (classify_covariate, check_lemma1):
@@ -231,7 +229,7 @@ def test_irrelevant_checked_before_confounder():
     # an irrelevant covariate has gap == |bias|, never strictly less, so the
     # two verdicts cannot collide; the report must say Irrelevant
     params = Model3Params(a=F(1, 4), t=F(1, 6), b0=F(1, 8), b1=F(5, 8), u0=F(1, 2), u1=F(3, 4))
-    report = classify_covariate(joint_from_model3(params), tol=0)
+    report = classify_covariate(build_joint(params), tol=0)
     assert report.verdict is Verdict.IRRELEVANT
     assert report.adjusted_gap == abs(report.bias)
 
