@@ -22,7 +22,7 @@ call; their arithmetic stays in Python integers (``theorems._exact_campaign``).
 import operator
 
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
-from .hypotheses import _H1, _H5, _SLOT_FIELDS, _U0, _U1, _solve
+from .hypotheses import _H1, _H5, _SLOT_FIELDS, _solve
 from .joint import _cells
 
 # equational-constraint codes
@@ -65,7 +65,8 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
         raise ValueError("conclusion must be IRRELEVANT or NO_CONFOUNDING")
     if operator.index(budget) < 0:
         raise ValueError("budget must be non-negative")
-    member, solved = {EQ_H1: (_H1, _U1), EQ_H5: (_H5, _U0)}.get(eq, (None, None))
+    member = {EQ_H1: _H1, EQ_H5: _H5}.get(eq)
+    solved = None if member is None else member._solves
     draw_slots = _DRAW_SLOTS[model]
     q = [0.0] * 7
     max_violation = 0.0

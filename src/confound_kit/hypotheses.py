@@ -11,8 +11,11 @@ numbered uniformly across the three model structures:
     H6  D_ebar indep C | E=ebar
     H7  D_ebar indep C | E=e
 
-A hypothesis can be evaluated two ways, and the two agree wherever both are
-defined:
+One registration loop below gives each ``Hypothesis`` member its whole
+definition: its statement, its product test, the slot pair its equality ties
+(H2, H3, H4, H6, H7) and the slot its equation is solved for (H1, H5).
+
+A hypothesis can be evaluated two ways:
 
 * numerically on a joint distribution, as a within-slice product test
   |P(X=1,Y=1|S) - P(X=1|S) P(Y=1|S)| <= tol, which raises
@@ -21,9 +24,14 @@ defined:
   (for example H2 is u0 = b0 in every model, while H4 is a0 = a1 in Model 1,
   c0 = c1 in Model 2, and vacuous in Model 3).
 
-The algebraic forms read the parameters directly, so on boundary parameter
-sets they can express a conditional the joint gives zero mass (for instance
-H5 in Model 1 with t = 0); interior parameters never hit that split.
+The algebraic forms read the parameters directly, so on the boundary they
+can compare conditionals of zero mass, where the two can differ (Model 1
+with a0 = 0 reads H2 and H7 false algebraically, true numerically).  They
+agree wherever every conditional the algebraic form reads has positive mass:
+P(E=e, C=0) and P(E=ebar, C=0) for H2, the same at C=1 for H3, P(E=ebar,
+C=j) for H6 and P(E=e, C=j) for H7 at both j, and P(C=0) and P(C=1) for H4
+in Model 1 and H5 in Models 1 and 3.  The rest need nothing, but Model 2's
+algebraic H5 raises DegenerateEventError where a C stratum is empty.
 
 ``impose`` rewrites a parameter set so that a whole hypothesis set holds:
 equality constraints are substituted through their equivalence classes, and
@@ -66,25 +74,11 @@ class Hypothesis(Enum):
     H6 = "H6"
     H7 = "H7"
 
-    @property
-    def statement(self) -> str:
-        return _STATEMENTS[self]
-
 
 # the members as plain module names: the per-call checks below compare a
 # hypothesis against several members, and a global name is several times
 # cheaper to look up than an enum attribute
 _H1, _H2, _H3, _H4, _H5, _H6, _H7 = Hypothesis
-
-_STATEMENTS = {
-    Hypothesis.H1: "E ⊥ D_ebar",
-    Hypothesis.H2: "E ⊥ D_ebar | C=0",
-    Hypothesis.H3: "E ⊥ D_ebar | C=1",
-    Hypothesis.H4: "E ⊥ C",
-    Hypothesis.H5: "D_ebar ⊥ C",
-    Hypothesis.H6: "D_ebar ⊥ C | E=ebar",
-    Hypothesis.H7: "D_ebar ⊥ C | E=e",
-}
 
 HypothesisSet = FrozenSet[Hypothesis]
 
@@ -149,20 +143,39 @@ def _sums_h7(c):  # D_ebar ⊥ C | E=e
     return 0 + c[0] + c[1] + c[2] + c[3], 0 + c[3], 0 + c[1] + c[3], 0 + c[2] + c[3]
 
 
-# each hypothesis's sums, kept on its member with the message for a slice of
-# zero mass: a dict lookup would hash the hypothesis through Enum.__hash__, a
-# Python-level call, on every test
-for _h, _sums, _given in (
-    (_H1, _sums_h1, {}),
-    (_H2, _sums_h2, {"C": 0}),
-    (_H3, _sums_h3, {"C": 1}),
-    (_H4, _sums_h4, {}),
-    (_H5, _sums_h5, {}),
-    (_H6, _sums_h6, {"E": "ebar"}),
-    (_H7, _sums_h7, {"E": "e"}),
+# Parameter slots, uniform across models so constraint bookkeeping is shared:
+# slot 0 is the structural mixing weight (t or a), slots 1..2 the exposure or
+# covariate response pair (a0/a1, c0/c1; slot 2 unused in Model 3, where
+# slot 1 is t), slots 3..6 the outcome parameters b0, b1, u0, u1.  The names
+# are the parameter classes' fields in order.
+_SLOT_FIELDS = {
+    1: Model1Params._fields,
+    2: Model2Params._fields,
+    3: Model3Params._fields[:2] + (None,) + Model3Params._fields[2:],
+}
+_B0, _B1, _U0, _U1 = 3, 4, 5, 6
+
+# Each hypothesis's whole definition, kept on its member (a dict lookup would
+# hash it through Enum.__hash__, a Python-level call): its statement, its cell
+# sums with the message for a slice of zero mass, the slot pair its equality
+# ties (H4's is vacuous in Model 3) and the slot its equation is solved for.
+for _h, _statement, _sums, _given, _pair, _solves in (
+    (_H1, "E ⊥ D_ebar", _sums_h1, {}, None, _U1),
+    (_H2, "E ⊥ D_ebar | C=0", _sums_h2, {"C": 0}, (_B0, _U0), None),
+    (_H3, "E ⊥ D_ebar | C=1", _sums_h3, {"C": 1}, (_B1, _U1), None),
+    (_H4, "E ⊥ C", _sums_h4, {}, (1, 2), None),
+    (_H5, "D_ebar ⊥ C", _sums_h5, {}, None, _U0),
+    (_H6, "D_ebar ⊥ C | E=ebar", _sums_h6, {"E": "ebar"}, (_B0, _B1), None),
+    (_H7, "D_ebar ⊥ C | E=e", _sums_h7, {"E": "e"}, (_U0, _U1), None),
 ):
+    _h.statement = _statement
     _h._product_test = _sums, f"{_h.value} conditions on {_given!r}, which has probability zero"
-del _h, _sums, _given
+    _h._pair = _pair
+    _h._solves = _solves
+del _h, _statement, _sums, _given, _pair, _solves
+
+# redraws allowed for a sample whose H1/H5 solve leaves [0, 1]
+_REDRAW_BUDGET = 1000
 
 
 def _not_a_hypothesis(value) -> ParameterError:
@@ -248,20 +261,19 @@ def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
     and quotient is computed in the parameters' own operand order, and
     ``x * 1`` is ``x`` bit for bit.
     """
-    b0, b1, u0, u1 = v[-4:]
-    if hypothesis is _H2:
-        return u0 * one, None, b0 * one, None
-    if hypothesis is _H3:
-        return u1 * one, None, b1 * one, None
-    if hypothesis is _H6:
-        return b0 * one, None, b1 * one, None
-    if hypothesis is _H7:
-        return u0 * one, None, u1 * one, None
+    try:
+        pair = hypothesis._pair
+    except AttributeError:
+        raise _not_a_hypothesis(hypothesis) from None
+    if pair is not None:
+        if hypothesis is _H4 and model == 3:
+            return 0, None, 0, None  # independent by structure
+        # slot s is v[s - 7]: Models 1 and 2 have seven values, Model 3 has no slot 2
+        i, j = pair
+        return v[i - 7] * one, None, v[j - 7] * one, None
 
+    b0, b1, u0, u1 = v[-4:]
     if model == 1:
-        a0, a1 = v[1], v[2]
-        if hypothesis is _H4:
-            return a0 * one, None, a1 * one, None
         if hypothesis is _H1:
             exposed0, exposed1, unexposed0, unexposed1 = _masses(1, v, one)
             return (
@@ -270,62 +282,31 @@ def _algebraic_sides(model: int, v, one, hypothesis: Hypothesis) -> tuple:
                 b0 * unexposed0 + b1 * unexposed1,
                 unexposed0 + unexposed1,
             )
-        if hypothesis is _H5:
-            # P(D_ebar=1 | C=j) in parameter form; defined whatever t is.
-            return u0 * a0 + b0 * (one - a0), None, u1 * a1 + b1 * (one - a1), None
-    elif model == 2:
+        # H5: P(D_ebar=1 | C=j) in parameter form; defined whatever t is.
+        a0, a1 = v[1], v[2]
+        return u0 * a0 + b0 * (one - a0), None, u1 * a1 + b1 * (one - a1), None
+    if model == 2:
         a, c0, c1 = v[0], v[1], v[2]
-        if hypothesis is _H4:
-            return c0 * one, None, c1 * one, None
         if hypothesis is _H1:
             return u0 * (one - c1) + u1 * c1, None, b0 * (one - c0) + b1 * c0, None
-        if hypothesis is _H5:
-            mass0 = (one - c1) * a + (one - c0) * (one - a)
-            mass1 = c1 * a + c0 * (one - a)
-            if mass0 == 0 or mass1 == 0:
-                k = 0 if mass0 == 0 else 1
-                raise DegenerateEventError(
-                    f"H5 compares P(D_ebar=1 | C=k) across strata, but P(C={k}) = 0"
-                )
-            return (
-                u0 * (one - c1) * a + b0 * (one - c0) * (one - a),
-                mass0,
-                u1 * c1 * a + b1 * c0 * (one - a),
-                mass1,
+        mass0 = (one - c1) * a + (one - c0) * (one - a)
+        mass1 = c1 * a + c0 * (one - a)
+        if mass0 == 0 or mass1 == 0:
+            k = 0 if mass0 == 0 else 1
+            raise DegenerateEventError(
+                f"H5 compares P(D_ebar=1 | C=k) across strata, but P(C={k}) = 0"
             )
-    else:
-        if hypothesis is _H4:
-            return 0, None, 0, None  # independent by structure
+        return (
+            u0 * (one - c1) * a + b0 * (one - c0) * (one - a),
+            mass0,
+            u1 * c1 * a + b1 * c0 * (one - a),
+            mass1,
+        )
+    if hypothesis is _H1:
         t = v[1]
-        if hypothesis is _H1:
-            return u0 * (one - t) + u1 * t, None, b0 * (one - t) + b1 * t, None
-        a = v[0]
-        if hypothesis is _H5:
-            return b0 * (one - a) + u0 * a, None, b1 * (one - a) + u1 * a, None
-    raise _not_a_hypothesis(hypothesis)
-
-
-# Parameter slots, uniform across models so constraint bookkeeping is shared:
-# slot 0 is the structural mixing weight (t or a), slots 1..2 the exposure or
-# covariate response pair (a0/a1, c0/c1; slot 2 unused in Model 3, where
-# slot 1 is t), slots 3..6 the outcome parameters b0, b1, u0, u1.  The names
-# are the parameter classes' fields in order.
-_SLOT_FIELDS = {
-    1: Model1Params._fields,
-    2: Model2Params._fields,
-    3: Model3Params._fields[:2] + (None,) + Model3Params._fields[2:],
-}
-
-# Equality constraints as slot pairs.  H4 ties the pair (1, 2) where that
-# pair exists and is vacuous for Model 3.
-_B0, _B1, _U0, _U1 = 3, 4, 5, 6
-_EQUALITY_PAIRS = {
-    Hypothesis.H2: (_B0, _U0),
-    Hypothesis.H3: (_B1, _U1),
-    Hypothesis.H4: (1, 2),
-    Hypothesis.H6: (_B0, _B1),
-    Hypothesis.H7: (_U0, _U1),
-}
+        return u0 * (one - t) + u1 * t, None, b0 * (one - t) + b1 * t, None
+    a = v[0]
+    return b0 * (one - a) + u0 * a, None, b1 * (one - a) + u1 * a, None
 
 
 def substitution_reps(model: int, hypotheses: Iterable[Hypothesis]) -> tuple:
@@ -342,15 +323,17 @@ def substitution_reps(model: int, hypotheses: Iterable[Hypothesis]) -> tuple:
 def _substitution_reps(model: int, hypotheses: HypothesisSet) -> tuple:
     # memoised: impose calls this for every sample it constrains, and there are
     # only 3 models x 2**7 hypothesis sets
-    for h in hypotheses:
-        if not isinstance(h, Hypothesis):
-            raise _not_a_hypothesis(h)
     # rep[j] labels slot j's class by its lowest slot; each pair merges two
-    # classes by relabeling the higher label to the lower
+    # classes by relabeling the higher label to the lower, so the order of
+    # the merges does not matter
     rep = list(range(7))
-    for h, (i, j) in _EQUALITY_PAIRS.items():
-        if h in hypotheses and not (h is Hypothesis.H4 and model == 3):
-            low, high = sorted((rep[i], rep[j]))
+    for h in hypotheses:
+        try:
+            pair = h._pair
+        except AttributeError:
+            raise _not_a_hypothesis(h) from None
+        if pair is not None and not (h is _H4 and model == 3):
+            low, high = sorted((rep[pair[0]], rep[pair[1]]))
             rep = [low if r == high else r for r in rep]
     # No constraint ties slots 1..2 to the outcome slots, so the class
     # {1, 2} stands alone; it is rewritten toward slot 2, the C=1 side.
@@ -445,7 +428,7 @@ def impose(
     hypotheses: HypothesisSet,
     rng: SplitMix64,
     *,
-    budget: int = 1000,
+    budget: int = _REDRAW_BUDGET,
 ) -> ModelParams:
     """A parameter set of ``base``'s model on which every hypothesis holds.
 
@@ -489,11 +472,11 @@ def impose(
 
 
 def _solved_slot(model: int, rep: tuple, eq: Hypothesis) -> int:
-    """The slot ``eq`` is solved for (u1 for H1, u0 for H5).
+    """The slot ``eq`` is solved for (its ``_solves``).
 
     Raises ConstraintError when an equality constraint already ties that slot.
     """
-    slot = _U1 if eq is _H1 else _U0
+    slot = eq._solves
     if rep[slot] != slot or rep.count(slot) > 1:
         raise ConstraintError(
             f"cannot solve {eq.value} for slot "

@@ -257,6 +257,11 @@ def closed_form_summary(params: ModelParams) -> MeasureSummary:
     """The same four measures straight from model parameters.
 
     Independent of the cell expansion; used to cross-check the joint route.
+    Wherever ``summary_from_joint(build_joint(params))`` returns, the two are
+    equal (exactly on rational parameters).  The closed form is also defined
+    where the joint route raises because P(E=ebar, C=j) = 0 while
+    P(C=j | E=e) > 0: it reads the stratum's rate b_j from the parameters,
+    which the joint cannot recover.
     Each measure is a ratio of sums over the model's masses (see
     ``joint._masses``).  Float and mixed parameters divide their own values.
     Rational parameters take the masses over their integer numerators and

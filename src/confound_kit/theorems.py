@@ -46,8 +46,7 @@ from ._rng import SplitMix64
 from .errors import ConstraintError, ParameterError
 from .hypotheses import (
     Hypothesis,
-    _U0,
-    _U1,
+    _REDRAW_BUDGET,
     _exhausted,
     _solve,
     _solved_slot,
@@ -70,7 +69,6 @@ from .joint import (
 from .measures import Verdict, classify_covariate
 
 CAMPAIGN_FLOAT_TOL = 1e-10
-_REDRAW_BUDGET = 1000
 # Fewest samples a thread must get before a float campaign splits: a thread
 # costs more than a small chunk saves.  Latest measurement (2-vCPU VM, AVX-512
 # clone): two threads ran 0.94-0.99x as fast as one from 2 x 65,536 to
@@ -275,7 +273,8 @@ def _exact_campaign(clause: TheoremClause, samples, seed):
     """
     model, rep, eq, conclusion = _campaign_codes(clause)
     solving = eq != kernel.EQ_NONE
-    eq_member, solved = (Hypothesis.H1, _U1) if eq == kernel.EQ_H1 else (Hypothesis.H5, _U0)
+    eq_member = Hypothesis.H1 if eq == kernel.EQ_H1 else Hypothesis.H5
+    solved = eq_member._solves
     irrelevant = conclusion == kernel.IRRELEVANT
     max_num, max_den = 0, 1
     failures = 0

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import os
 import re
 import shlex
@@ -6,10 +7,12 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from confound_kit import ParameterError, build_joint, params_type
 from confound_kit.kernel import available_backends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +55,28 @@ def backends(tmp_path_factory):
     if "compiled" not in found:
         found["compiled"] = _build_ckernel(tmp_path_factory.mktemp("ckernel"))
     return found
+
+
+@pytest.fixture(scope="session")
+def boundary_grid():
+    """(model, params, joint) for every valid exact parameter set whose slots
+    all lie in {0, 1/3, 1/2, 1}: 11,264 + 8,192 + 2,048 = 21,504 sets.
+
+    The grid holds every boundary a slot can take, so tests over it reach the
+    zero-mass strata that interior draws never do.
+    """
+    values = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+    grid = []
+    for model in (1, 2, 3):
+        cls = params_type(model)
+        for slots in itertools.product(values, repeat=len(cls._fields)):
+            try:
+                params = cls(*slots)
+            except ParameterError:  # a = 0 or 1, or a Model 1 exposure arm empty
+                continue
+            grid.append((model, params, build_joint(params)))
+    assert len(grid) == 21_504
+    return grid
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -276,6 +276,23 @@ def test_closed_forms_match_exactly_in_rational_mode():
     assert closed_form_summary(params) == summary_from_joint(build_joint(params))
 
 
+def test_closed_forms_match_joint_wherever_the_joint_route_is_defined(boundary_grid):
+    # the closed form is defined on the whole grid, also where the joint
+    # cannot recover a stratum rate b_j that the standardized proportion needs
+    defined = undefined = 0
+    for model, params, joint in boundary_grid:
+        direct = closed_form_summary(params)
+        try:
+            brute = summary_from_joint(joint)
+        except DegenerateEventError as err:
+            assert "the standardized proportion is undefined" in str(err)
+            undefined += 1
+            continue
+        assert direct == brute, params
+        defined += 1
+    assert (defined, undefined) == (15_360, 6_144)
+
+
 # --- report shape --------------------------------------------------------
 
 
