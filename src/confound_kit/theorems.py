@@ -25,6 +25,16 @@ parameters imposed through the plain H1/H5 quotients and joints from the
 plain ``Fraction`` products, both kept in the tests' oracle module, then
 ``summary_from_joint``.
 
+A clause, and a campaign's PASS, speak about the open box, where all four
+(E, C) strata have positive mass; campaigns draw strictly inside it.  On
+its boundary the reading matters.  Read a hypothesis on the joint
+(``holds_numeric`` at tol 0, where an empty slice holds nothing): on the
+grid of every exact parameter set with slots in {0, 1/3, 1/2, 1}, each
+clause's conclusion holds wherever its conditions do and the four strata
+have mass, but six clauses fail at points with an empty stratum: T1c and
+T3c at 384 points each, T2c, T2d, T4b and T4c at 192 each.  Read through
+``holds_algebraic``, no clause fails on that grid.
+
 The catalog gives sufficient conditions only.  On the open unit box the
 conclusions are decided exactly (``_VANISHING_FACTORS``): irrelevance holds
 where H4 or H6 does in models 1 and 2 and everywhere in model 3, no

@@ -18,18 +18,19 @@ from confound_kit.kernel import available_backends
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _build_ckernel(out: Path):
+def _build_ckernel(out: Path, root: Path = ROOT):
     """Build the extension the way setup.py does and load it from ``out``.
 
-    Fails when the compiler warns about _ckernel.c (at Python's own CFLAGS,
-    which include -Wall), so dead code such as an unused variable is caught.
+    ``root`` holds setup.py and src/confound_kit/_ckernel.c.  Fails when the
+    compiler warns about _ckernel.c (at Python's own CFLAGS, which include
+    -Wall), so dead code such as an unused variable is caught.
     """
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(shlex.split(cc)[0]) is None:
         pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out / "tmp")],
-        cwd=ROOT,
+        cwd=root,
         capture_output=True,
         text=True,
         timeout=300,
@@ -55,6 +56,25 @@ def backends(tmp_path_factory):
     if "compiled" not in found:
         found["compiled"] = _build_ckernel(tmp_path_factory.mktemp("ckernel"))
     return found
+
+
+@pytest.fixture(scope="session")
+def default_clone(tmp_path_factory):
+    """The compiled kernel built for the default target alone.
+
+    On an AVX-512 host the loader always picks the x86-64-v4 clone of the
+    campaign loop, so the other clone would go untested.  This builds a copy
+    of _ckernel.c with its target_clones attribute removed, with setup.py as
+    it is, which leaves one loop for the default target.
+    """
+    root = tmp_path_factory.mktemp("default_clone")
+    source = (ROOT / "src" / "confound_kit" / "_ckernel.c").read_text()
+    source, found = re.subn(r"__attribute__\(\(target_clones\([^()]*\)\)\)", "", source)
+    assert found == 1, "_ckernel.c no longer names its clones in one target_clones attribute"
+    (root / "src" / "confound_kit").mkdir(parents=True)
+    (root / "src" / "confound_kit" / "_ckernel.c").write_text(source)
+    shutil.copy(ROOT / "setup.py", root)
+    return _build_ckernel(root / "build", root)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@
 When the compiled kernel is not installed (a source checkout on PYTHONPATH),
 the ``backends`` fixture (conftest.py) builds _ckernel.c with setup.py into a
 temporary directory, so the parity tests run wherever a C compiler exists.
+Each test that takes ``backends`` runs twice: on the compiled kernel as the
+loader picks its clone, and on the ``default_clone`` build (conftest.py).
 """
 
 import itertools
@@ -27,6 +29,15 @@ from confound_kit.theorems import _campaign_codes
 
 
 UNIT_REP = (0, 1, 2, 3, 4, 5, 6)
+
+
+@pytest.fixture(params=["compiled", "default clone"])
+def backends(request, backends, default_clone):
+    """conftest's backends, with the default-target build as "compiled" in
+    the second run, so both clones of the campaign loop give the pure bits."""
+    if request.param == "compiled":
+        return backends
+    return {**backends, "compiled": default_clone}
 
 
 def test_backend_selection_reports_something_sane():
@@ -208,6 +219,23 @@ def test_parity_sample_by_sample_across_pool_rounds(backends):
                 got = compiled(model, rep, eq, conclusion, 0, 200, 4242, tol, 1000)
                 expected = (max(xs), sum(v > tol for v in xs), 0)
                 assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, tol)
+
+
+def test_parity_at_edge_tolerances(backends):
+    # the compiled kernel tallies a batch at a time on the bit patterns of
+    # |x| (see _ckernel.c); against a NaN, negative, signed-zero, infinite
+    # or zero tolerance its failures and maximum could part from the pure
+    # kernel's one-at-a-time tally, though verify_clause passes only the
+    # last two.  Counts cut the 64-sample batch and the pool's rounds; the
+    # budgets exhaust samples or keep them in the pool.
+    pure, compiled = backends["pure"].run_campaign, backends["compiled"].run_campaign
+    for label, model, rep, eq, conclusion in _per_sample_cases():
+        for tol in (math.nan, -1.0, -0.0, math.inf, 0.0):
+            for count in (1, 63, 64, 65, 200):
+                for budget in (0, 1, 1000):
+                    args = (model, rep, eq, conclusion, 0, count, 515, tol, budget)
+                    expected, got = pure(*args), compiled(*args)
+                    assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, tol, count, budget)
 
 
 @pytest.mark.parametrize(

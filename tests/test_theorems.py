@@ -12,15 +12,18 @@ from confound_kit import (
     Conclusion,
     ConfoundKitError,
     ConstraintError,
+    DegenerateEventError,
     Hypothesis,
     Model1Params,
     Model3Params,
     ParameterError,
     build_joint,
+    classify_covariate,
     clause_lookup,
     confounding_bias,
     falsify_converse,
     holds_algebraic,
+    holds_numeric,
     impose,
     model_number,
     observed_proportion,
@@ -572,6 +575,41 @@ def test_boundary_params_satisfy_conclusions():
     m3 = Model3Params(a=0.5, t=0.5, b0=0.0, b1=1.0, u0=0.0, u1=1.0)
     out3 = impose(m3, clause_lookup("T5", "b").conditions, SplitMix64(0))
     assert confounding_bias(build_joint(out3)) == 0.0
+
+
+def test_catalog_holds_on_the_boundary_where_every_stratum_has_mass(boundary_grid):
+    # the catalog's scope: at every grid point where all four (E, C) strata
+    # have mass, a clause whose conditions hold numerically at tol 0 has its
+    # exact conclusion hold.  A hypothesis whose slice is empty does not
+    # hold.  The counterexamples at points with an empty stratum are pinned,
+    # so a change to either reading shows.
+    counterexamples = {}
+    for model, params, joint in boundary_grid:
+        held = set()
+        for h in Hypothesis:
+            try:
+                if holds_numeric(joint, h):
+                    held.add(h)
+            except DegenerateEventError:
+                pass
+        c = joint.p
+        all_strata = all((c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7]))
+        try:
+            report = classify_covariate(joint)
+        except DegenerateEventError:  # P(E=ebar, C=j) = 0 < P(E=e, C=j)
+            assert not all_strata, params
+            continue
+        concluded = {
+            Conclusion.IRRELEVANT_FACTOR: report.standardized == report.observed,
+            Conclusion.NO_CONFOUNDING: report.bias == 0,
+        }
+        for clause in CLAUSES:
+            if clause.model == model and clause.conditions <= held and not concluded[clause.conclusion]:
+                name = clause.theorem + clause.clause
+                assert not all_strata, (name, params)
+                counterexamples[name] = counterexamples.get(name, 0) + 1
+    # the counts the theorems module docstring gives; every other clause has none
+    assert counterexamples == {"T1c": 384, "T3c": 384, "T2c": 192, "T2d": 192, "T4b": 192, "T4c": 192}
 
 
 # --- converse search -------------------------------------------------------
