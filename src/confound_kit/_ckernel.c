@@ -57,10 +57,15 @@
  * neither fuses a multiply-add; vector multiplies and divides round as IEEE
  * scalar ones do; and z >> 11 < 2**53 converts to double exactly.
  *
- * grid_rows() gives exact campaigns their draws as rows of grid numerators,
- * a block of samples per call, as _pykernel.grid_rows does; their arithmetic
- * stays in Python integers.  It takes the same draw plan with no solved
- * position, so it too draws only the slots a row reads.
+ * Exact campaigns run on the thousandths grid.  grid_rows() gives them
+ * their draws as rows of grid numerators, a block of samples per call, as
+ * _pykernel.grid_rows does.  grid_tally() runs a whole exact campaign of a
+ * clause without an H1/H5 member, as _pykernel.grid_tally does in Python
+ * integers, here in fixed-width ones (see exact_violation()); a clause with
+ * such a member stays in Python integers, since after model 1's H1 solve
+ * the cells pass 160 bits.  Both take the campaign's draw plan with no
+ * solved position, so they draw only the slots a row reads.  The build
+ * fails without __int128, and setup.py then installs the pure kernel alone.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -68,6 +73,10 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#ifndef __SIZEOF_INT128__
+#error "grid_tally() needs __int128"
+#endif
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define DOUBLE_SCALE (1.0 / 9007199254740992.0) /* 2**-53 */
@@ -84,6 +93,11 @@
 enum { EQ_NONE = 0, EQ_H1 = 1, EQ_H5 = 2 };
 enum { IRRELEVANT = 0, NO_CONFOUNDING = 1 };
 #define MODEL_ERROR "model must be 1, 2 or 3"
+#define CONCLUSION_ERROR "conclusion must be IRRELEVANT or NO_CONFOUNDING"
+#define GRID 1000 /* exact draws are numerators over GRID */
+
+typedef __int128 i128;
+typedef unsigned __int128 u128;
 
 static inline uint64_t
 mix(uint64_t z)
@@ -133,6 +147,18 @@ read_rep(PyObject *rep, int out[7])
     }
     Py_DECREF(seq);
     return status;
+}
+
+/* Read a model number into *out; raise ValueError unless it is 1, 2 or 3.
+   True == 1, yet it is no model number. */
+static int
+read_model(PyObject *o, long long *out)
+{
+    if (PyBool_Check(o)) {
+        PyErr_SetString(PyExc_ValueError, MODEL_ERROR);
+        return -1;
+    }
+    return read_int(o, 1, 3, MODEL_ERROR, out);
 }
 
 /* joint._masses at one = 1: m = (exposed0, exposed1, unexposed0, unexposed1),
@@ -433,10 +459,10 @@ run_campaign(PyObject *self, PyObject *args)
         return NULL;
     /* no sample can spend 2**63 redraws, so a larger budget reads as that */
     if (read_rep(rep_obj, rep) < 0
-        || read_int(model_obj, 1, 3, MODEL_ERROR, &model) < 0
+        || read_model(model_obj, &model) < 0
         || read_int(eq_obj, EQ_NONE, EQ_H5, "eq must be EQ_NONE, EQ_H1 or EQ_H5", &eq) < 0
         || read_int(conclusion_obj, IRRELEVANT, NO_CONFOUNDING,
-                    "conclusion must be IRRELEVANT or NO_CONFOUNDING", &conclusion) < 0
+                    CONCLUSION_ERROR, &conclusion) < 0
         || read_int(budget_obj, 0, LLONG_MAX, "budget must be non-negative", &budget) < 0)
         return NULL;
 
@@ -448,6 +474,21 @@ run_campaign(PyObject *self, PyObject *args)
     Py_END_ALLOW_THREADS
 
     return Py_BuildValue("(dLL)", max_violation, failures, exhausted);
+}
+
+/* The grid row of sample index, as _pykernel.grid_rows gives it, from the
+   attempt whose state lies skip past the first: each planned slot's
+   10 + u64 % 981, placed by rep, and 0 in a slot no position reads. */
+static inline void
+grid_row(const struct draws *d, const int rep[7], uint64_t seed, uint64_t index,
+         uint64_t skip, int64_t row[7])
+{
+    uint64_t state = mix(seed + (index + 1) * GOLDEN) + skip;
+    int64_t n[7] = {0};
+    for (int i = 0; i < d->n; i++)
+        n[d->slot[i]] = (int64_t)(10 + mix(state + d->step[i]) % 981);
+    for (int j = 0; j < 7; j++)
+        row[j] = n[rep[j]];
 }
 
 PyDoc_STRVAR(grid_rows_doc,
@@ -466,7 +507,7 @@ grid_rows(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOKKnK:grid_rows", &model_obj, &rep_obj, &seed, &start,
                           &count, &attempt))
         return NULL;
-    if (read_rep(rep_obj, rep) < 0 || read_int(model_obj, 1, 3, MODEL_ERROR, &model) < 0)
+    if (read_rep(rep_obj, rep) < 0 || read_model(model_obj, &model) < 0)
         return NULL;
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");
@@ -479,10 +520,8 @@ grid_rows(PyObject *self, PyObject *args)
     if (rows == NULL)
         return NULL;
     for (Py_ssize_t k = 0; k < count; k++) {
-        uint64_t state = mix((uint64_t)seed + ((uint64_t)start + (uint64_t)k + 1) * GOLDEN) + skip;
-        long n[7] = {0};
-        for (int i = 0; i < d.n; i++)
-            n[d.slot[i]] = (long)(10 + mix(state + d.step[i]) % 981);
+        int64_t n[7];
+        grid_row(&d, rep, (uint64_t)seed, (uint64_t)start + (uint64_t)k, skip, n);
         /* owned by rows from here, so one Py_DECREF(rows) frees a partial row */
         PyObject *row = PyList_New(7);
         if (row == NULL) {
@@ -491,7 +530,7 @@ grid_rows(PyObject *self, PyObject *args)
         }
         PyList_SET_ITEM(rows, k, row);
         for (int j = 0; j < 7; j++) {
-            PyObject *v = PyLong_FromLong(n[rep[j]]);
+            PyObject *v = PyLong_FromLongLong(n[j]);
             if (v == NULL) {
                 Py_DECREF(rows);
                 return NULL;
@@ -502,9 +541,163 @@ grid_rows(PyObject *self, PyObject *args)
     return rows;
 }
 
+/* The signed violation *num / *den of the conclusion (the bias, else the
+   standardized minus the observed proportion) on a grid row n: joint._cells
+   over one = GRID and _pykernel._exact_violation, in fixed-width integers.
+   The bounds that make them exact:
+   - each slot is in [10, 990], or 0 for model 3's undrawn slot 2, so each
+     mass factor is in [0, 1000], each mass in [0, 10**6] and each cell in
+     [0, 10**9]: int64.  The masses sum to 1000**2 and each mass's two cells
+     to the mass times 1000, so the cells sum to 10**9 = pe + pu, and
+     stratum0 + stratum1 = pu;
+   - no confounding: (p1 + p3) * pu and (p5 + p7) * pe lie in [0, den],
+     den = pe * pu <= (10**9 / 2)**2 = 2.5e17 < 2**63: int64;
+   - irrelevance: p5 <= stratum0 and p7 <= stratum1, so the bracket lies in
+     [0, stratum0 * stratum1 * pe], and every partial product of both terms
+     of num lies in [0, den], den = pe * pu * stratum0 * stratum1
+     <= pe * pu**3 / 4, which with pe + pu = 10**9 is at most
+     27/1024 * 10**36 < 2.7e34 < 2**115: int128.
+   So 0 <= den < 2**115, |num| <= den, and num is 0 wherever den is. */
+ALWAYS_INLINE void
+exact_violation(int model, int irrelevant, const int64_t n[7], i128 *num, i128 *den)
+{
+    const int64_t one = GRID;
+    int64_t m0, m1, m2, m3;
+    if (model == 1) { /* t, a0, a1 */
+        m0 = n[1] * (one - n[0]);
+        m1 = n[2] * n[0];
+        m2 = (one - n[1]) * (one - n[0]);
+        m3 = (one - n[2]) * n[0];
+    } else if (model == 2) { /* a, c0, c1 */
+        m0 = n[0] * (one - n[2]);
+        m1 = n[0] * n[2];
+        m2 = (one - n[0]) * (one - n[1]);
+        m3 = (one - n[0]) * n[1];
+    } else { /* a, t */
+        m0 = n[0] * (one - n[1]);
+        m1 = n[0] * n[1];
+        m2 = (one - n[0]) * (one - n[1]);
+        m3 = (one - n[0]) * n[1];
+    }
+    int64_t p0 = m0 * (one - n[5]), p1 = m0 * n[5];
+    int64_t p2 = m1 * (one - n[6]), p3 = m1 * n[6];
+    int64_t p4 = m2 * (one - n[3]), p5 = m2 * n[3];
+    int64_t p6 = m3 * (one - n[4]), p7 = m3 * n[4];
+    int64_t pe = p0 + p1 + p2 + p3;
+    int64_t pu = p4 + p5 + p6 + p7;
+    if (irrelevant) {
+        i128 stratum0 = p4 + p5, stratum1 = p6 + p7;
+        *num = ((i128)p5 * (p0 + p1) * stratum1 + (i128)p7 * (p2 + p3) * stratum0) * pu
+               - (i128)(p5 + p7) * pe * stratum0 * stratum1;
+        *den = (i128)pe * pu * stratum0 * stratum1;
+    } else {
+        *num = (p1 + p3) * pu - (p5 + p7) * pe;
+        *den = pe * pu;
+    }
+}
+
+/* (*hi, *lo) = a * b, the full 256-bit product. */
+static inline void
+mul_256(u128 a, u128 b, u128 *hi, u128 *lo)
+{
+    u128 a0 = (uint64_t)a, a1 = a >> 64, b0 = (uint64_t)b, b1 = b >> 64;
+    u128 low = a0 * b0, cross0 = a0 * b1, cross1 = a1 * b0;
+    /* the second 64-bit column with the carry from the first: below 3 * 2**64 */
+    u128 mid = (low >> 64) + (uint64_t)cross0 + (uint64_t)cross1;
+    *lo = (mid << 64) | (uint64_t)low;
+    *hi = a1 * b1 + (cross0 >> 64) + (cross1 >> 64) + (mid >> 64);
+}
+
+/* a / b > c / d for positive b and d, exactly: a * d > c * b in 256 bits,
+   where the operands below 2**115 give products below 2**230. */
+static inline int
+exceeds(u128 a, u128 b, u128 c, u128 d)
+{
+    u128 ad_hi, ad_lo, cb_hi, cb_lo;
+    mul_256(a, d, &ad_hi, &ad_lo);
+    mul_256(c, b, &cb_hi, &cb_lo);
+    return ad_hi > cb_hi || (ad_hi == cb_hi && ad_lo > cb_lo);
+}
+
+/* The exact tally of grid_tally(), run with the GIL released. */
+static void
+tally_grid(int model, const int rep[7], int irrelevant, uint64_t seed, uint64_t start,
+           Py_ssize_t count, long long *failures_out, u128 *max_num, u128 *max_den)
+{
+    struct draws d = plan_draws(model, rep, EQ_NONE);
+    long long failures = 0;
+    u128 best_num = 0, best_den = 1;
+    for (Py_ssize_t k = 0; k < count; k++) {
+        int64_t n[7];
+        i128 num, den;
+        grid_row(&d, rep, seed, start + (uint64_t)k, 0, n);
+        exact_violation(model, irrelevant, n, &num, &den);
+        if (num != 0) {
+            failures++;
+            u128 size = (u128)(num < 0 ? -num : num);
+            if (exceeds(size, (u128)den, best_num, best_den)) {
+                best_num = size;
+                best_den = (u128)den;
+            }
+        }
+    }
+    *failures_out = failures;
+    *max_num = best_num;
+    *max_den = best_den;
+}
+
+/* x as a Python int, through its hex digits: the C API has no public
+   128-bit int constructor before Python 3.13. */
+static PyObject *
+long_from_u128(u128 x)
+{
+    char hex[33];
+    snprintf(hex, sizeof hex, "%016llx%016llx", (unsigned long long)(x >> 64),
+             (unsigned long long)x);
+    return PyLong_FromString(hex, NULL, 16);
+}
+
+PyDoc_STRVAR(grid_tally_doc,
+"grid_tally(model, rep, conclusion, seed, start, count)\n\n"
+"See _pykernel.grid_tally; identical contract and results.");
+
+static PyObject *
+grid_tally(PyObject *self, PyObject *args)
+{
+    PyObject *model_obj, *rep_obj, *conclusion_obj;
+    long long model, conclusion;
+    /* "K" wraps modulo 2**64, like & _MASK64 */
+    unsigned long long seed, start;
+    Py_ssize_t count;
+    int rep[7];
+    if (!PyArg_ParseTuple(args, "OOOKKn:grid_tally", &model_obj, &rep_obj, &conclusion_obj,
+                          &seed, &start, &count))
+        return NULL;
+    if (read_rep(rep_obj, rep) < 0 || read_model(model_obj, &model) < 0
+        || read_int(conclusion_obj, IRRELEVANT, NO_CONFOUNDING, CONCLUSION_ERROR, &conclusion) < 0)
+        return NULL;
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be non-negative");
+        return NULL;
+    }
+    long long failures;
+    u128 max_num, max_den;
+    Py_BEGIN_ALLOW_THREADS
+    tally_grid((int)model, rep, conclusion == IRRELEVANT, (uint64_t)seed, (uint64_t)start, count,
+               &failures, &max_num, &max_den);
+    Py_END_ALLOW_THREADS
+
+    PyObject *num = long_from_u128(max_num), *den = long_from_u128(max_den);
+    PyObject *result = num && den ? Py_BuildValue("(LOO)", failures, num, den) : NULL;
+    Py_XDECREF(num);
+    Py_XDECREF(den);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"run_campaign", run_campaign, METH_VARARGS, run_campaign_doc},
     {"grid_rows", grid_rows, METH_VARARGS, grid_rows_doc},
+    {"grid_tally", grid_tally, METH_VARARGS, grid_tally_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,12 +15,19 @@ advances the stream by a fixed gamma, so each slot's draw is the same
 function of the attempt's starting state whether or not the slots before it
 were drawn.
 
-``grid_rows`` gives exact campaigns their draws, a block of samples per
-call; their arithmetic stays in Python integers (``theorems._exact_campaign``).
+Exact campaigns run on the thousandths grid in Python integers.
+``grid_rows`` gives them their draws, a block of samples per call;
+``grid_tally`` runs a whole campaign of a clause without an H1/H5 member:
+the draws, the cells of ``joint._cells`` and the conclusion pair of
+``_exact_violation``, which ``theorems._exact_campaign`` also runs after
+its H1/H5 solves.  The compiled kernel runs the same tally in 64- and
+128-bit integers and returns the same unreduced maximum.
 """
 
+import fractions
 import operator
 
+from . import errors
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
 from .hypotheses import _H1, _H5, _SLOT_FIELDS, _solve
 from .joint import _cells
@@ -29,6 +36,8 @@ from .joint import _cells
 EQ_NONE, EQ_H1, EQ_H5 = 0, 1, 2
 # conclusion codes
 IRRELEVANT, NO_CONFOUNDING = 0, 1
+# exact draws are numerators over this denominator
+_GRID = 1000
 # each model's drawn slots in draw order: those with a field (model 3 has no slot 2)
 _DRAW_SLOTS = {m: tuple(j for j, f in enumerate(fields) if f) for m, fields in _SLOT_FIELDS.items()}
 
@@ -40,8 +49,19 @@ def _check_rep(rep):
 
 
 def _check_model(model):
-    if operator.index(model) not in (1, 2, 3):
+    # True == 1, yet it is no model number
+    if isinstance(model, bool) or operator.index(model) not in (1, 2, 3):
         raise ValueError("model must be 1, 2 or 3")
+
+
+def _check_conclusion(conclusion):
+    if operator.index(conclusion) not in (IRRELEVANT, NO_CONFOUNDING):
+        raise ValueError("conclusion must be IRRELEVANT or NO_CONFOUNDING")
+
+
+def _check_count(count):
+    if count < 0:
+        raise ValueError("count must be non-negative")
 
 
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
@@ -61,8 +81,7 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     _check_model(model)
     if operator.index(eq) not in (EQ_NONE, EQ_H1, EQ_H5):
         raise ValueError("eq must be EQ_NONE, EQ_H1 or EQ_H5")
-    if operator.index(conclusion) not in (IRRELEVANT, NO_CONFOUNDING):
-        raise ValueError("conclusion must be IRRELEVANT or NO_CONFOUNDING")
+    _check_conclusion(conclusion)
     if operator.index(budget) < 0:
         raise ValueError("budget must be non-negative")
     member = {EQ_H1: _H1, EQ_H5: _H5}.get(eq)
@@ -126,12 +145,15 @@ def grid_rows(model, rep, seed, start, count, attempt):
     """
     _check_rep(rep)
     _check_model(model)
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    _check_count(count)
+    return list(_rows(model, rep, seed, start, count, attempt))
+
+
+def _rows(model, rep, seed, start, count, attempt):
+    """The rows of ``grid_rows``, one at a time."""
     draw_slots = _DRAW_SLOTS[model]
     skip = attempt * len(draw_slots) * _GOLDEN
     n = [0] * 7
-    rows = []
     for i in range(start, start + count):
         state = _mix((seed + (i + 1) * _GOLDEN) & _MASK64) + skip
         for j in draw_slots:
@@ -140,5 +162,58 @@ def grid_rows(model, rep, seed, start, count, attempt):
             z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             n[j] = 10 + (z ^ (z >> 31)) % 981
-        rows.append([n[r] for r in rep])
-    return rows
+        yield [n[r] for r in rep]
+
+
+def grid_tally(model, rep, conclusion, seed, start, count):
+    """Tally the exact violations of samples [start, start+count) on the grid.
+
+    Each sample is its ``grid_rows`` row of attempt 0, with no H1/H5 solve,
+    as numerators over ``_GRID``; its violation is ``_exact_violation`` on
+    the row's cells.  Returns (failures, max_num, max_den): the samples with
+    a nonzero violation, and the first largest |violation| as the unreduced
+    pair max_num / max_den, or (0, 1) when none fails.  Raises ValueError
+    for a negative count, unless rep is 7 slot indices in 0..6, model is 1,
+    2 or 3 and conclusion is a code of this module.
+    """
+    _check_rep(rep)
+    _check_model(model)
+    _check_conclusion(conclusion)
+    _check_count(count)
+    irrelevant = conclusion == IRRELEVANT
+    failures, max_num, max_den = 0, 0, 1
+    for x in _rows(model, rep, seed, start, count, 0):
+        num, den = _exact_violation(_cells(model, x, _GRID), _GRID, irrelevant)
+        if num:
+            failures += 1  # exact mode compares at tol = 0
+            if num < 0:
+                num = -num
+            if num * max_den > max_num * den:
+                max_num, max_den = num, den
+    return failures, max_num, max_den
+
+
+def _exact_violation(cells, one, irrelevant):
+    """(num, den): the signed violation num / den of the conclusion (the
+    standardized minus the observed proportion, else the bias) on the
+    integer cells of ``joint._cells`` over ``one``**3, unreduced.
+
+    Every drawn slot lies strictly inside (0, 1) and a solved slot enters no
+    margin, so P(E=e), P(E=ebar) and all four (E, C) strata are positive:
+    no measure is undefined and no stratum is skipped.  Raises
+    ParameterError unless the cells sum to one**3.
+    """
+    p0, p1, p2, p3, p4, p5, p6, p7 = cells
+    pe = p0 + p1 + p2 + p3
+    pu = p4 + p5 + p6 + p7
+    if pe + pu != one * one * one:
+        total = fractions.Fraction(pe + pu, one**3)
+        raise errors.ParameterError(f"exact cell weights sum to {total}, not 1")
+    if irrelevant:
+        stratum0, stratum1 = p4 + p5, p6 + p7
+        num = (p5 * (p0 + p1) * stratum1 + p7 * (p2 + p3) * stratum0) * pu - (
+            p5 + p7
+        ) * pe * stratum0 * stratum1
+        return num, pe * pu * stratum0 * stratum1
+    return (p1 + p3) * pu - (p5 + p7) * pe, pe * pu
+

@@ -68,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_count,
         default=None,
-        help="upper bound on campaign threads (default: every usable CPU); "
-        f"a campaign splits only into chunks of at least {_MIN_CHUNK:,} samples",
+        help="upper bound on float campaign threads (default: every usable CPU); "
+        f"a campaign splits only into chunks of at least {_MIN_CHUNK:,} samples; "
+        "exact campaigns run on the calling thread and ignore it",
     )
     _add_format(p)
     p.set_defaults(func=_run_verify, parser=p)

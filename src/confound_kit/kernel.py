@@ -37,6 +37,12 @@ def grid_rows(model, rep, seed, start, count, attempt):
     return _impl.grid_rows(model, rep, seed, start, count, attempt)
 
 
+def grid_tally(model, rep, conclusion, seed, start, count):
+    """Dispatch one exact campaign of a clause without an H1/H5 member to
+    the selected backend: (failures, max_num, max_den)."""
+    return _impl.grid_tally(model, rep, conclusion, seed, start, count)
+
+
 def available_backends() -> dict:
     """Importable kernel modules by name, for benchmarks and parity tests."""
     backends = {"pure": _pykernel}

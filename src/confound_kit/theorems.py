@@ -14,16 +14,19 @@ campaigns run on the selected kernel backend and are reproducible bit for
 bit from (seed, samples) alone, independent of chunking or thread count;
 ``_float_campaign`` alone decides how one is split over threads.
 Exact campaigns rerun the same algorithm on the thousandths grid, where a
-sound clause yields violations of exactly zero.  They take their draws from
-the selected kernel backend (``kernel.grid_rows``, the stream
-``random_params(exact=True)`` reads, a block of samples per call) and do all
-their arithmetic in Python integers over a common denominator.  Their H1/H5
-solve is ``hypotheses._solve`` and their cells are ``joint._cells``, the
-code ``impose`` and ``build_joint`` run, so the tests check them against a
-Fraction route that shares none of this code: draws from ``sample_stream``,
-parameters imposed through the plain H1/H5 quotients and joints from the
-plain ``Fraction`` products, both kept in the tests' oracle module, then
-``summary_from_joint``.
+sound clause yields violations of exactly zero, in integer arithmetic over
+a common denominator; their draws are the stream ``random_params(exact=True)``
+reads.  A clause without an H1/H5 member runs whole on the selected kernel
+backend (``kernel.grid_tally``): in Python integers on the pure kernel, in
+64- and 128-bit integers on the compiled one.  A clause with one takes its
+draws from ``kernel.grid_rows``, a block of samples per call, and runs in
+Python integers here, since after model 1's H1 solve the cells pass 160
+bits.  The H1/H5 solve is ``hypotheses._solve`` and the cells are
+``joint._cells``, the code ``impose`` and ``build_joint`` run, so the tests
+check exact campaigns against a Fraction route that shares none of this
+code: draws from ``sample_stream``, parameters imposed through the plain
+H1/H5 quotients and joints from the plain ``Fraction`` products, both kept
+in the tests' oracle module, then ``summary_from_joint``.
 
 A clause, and a campaign's PASS, speak about the open box, where all four
 (E, C) strata have positive mass; campaigns draw strictly inside it.  On
@@ -52,6 +55,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import kernel
+from ._pykernel import _GRID, _exact_violation
 from ._rng import SplitMix64
 from .errors import ConstraintError, ParameterError
 from .hypotheses import (
@@ -260,67 +264,50 @@ def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
     return max_violation, failures, exhausted
 
 
-_GRID = 1000  # exact draws are numerators over this denominator
-# Samples whose first draws an exact campaign takes in one kernel call: the
-# rows of a block are held at once, so memory stays flat in the sample count.
+# Samples whose first draws an exact campaign with an H1/H5 member takes in
+# one kernel call: the rows of a block are held at once, so memory stays
+# flat in the sample count.
 _ROW_BLOCK = 256
 
 
 def _exact_campaign(clause: TheoremClause, samples, seed):
     """(max_violation, failures) of an exact campaign, in integer arithmetic.
 
-    The draws come from the selected kernel backend (``kernel.grid_rows``),
-    every sample's first attempt in one call per ``_ROW_BLOCK`` samples and
-    each H1/H5 redraw in a call of its own; they match
-    ``random_params(exact=True)`` and ``impose`` draw for draw.  The solve
-    and the cells are theirs (``hypotheses._solve``, ``joint._cells``), run
-    in Python integers, which grow past 64 bits.  Slot values are numerators
-    over _GRID; an H1/H5 solve gives its slot as num/den, and every slot is
-    then scaled to the common denominator q = _GRID * den.  Joint cells are
-    integers over q**3 and each violation is an unreduced pair |num|/den, so
-    the only Fraction built is the reported maximum (int 0 when every
-    violation is zero).
+    Samples are drawn as ``random_params(exact=True)`` and ``impose`` draw
+    them, as numerators over _GRID.  A clause without an H1/H5 member is
+    tallied whole by ``kernel.grid_tally``, in 64- and 128-bit integers on
+    the compiled kernel.  Any other takes its draws from
+    ``kernel.grid_rows``, every sample's first attempt in one call per
+    ``_ROW_BLOCK`` samples and each redraw in a call of its own, and runs
+    here in Python integers, which grow past 64 bits: the solve gives its
+    slot as num/den, every slot is then scaled to the common denominator
+    q = _GRID * den, and the cells are integers over q**3.  Each violation
+    is an unreduced pair |num|/den, so the only Fraction built is the
+    reported maximum (int 0 when every violation is zero).
     """
     model, rep, eq, conclusion = _campaign_codes(clause)
-    solving = eq != kernel.EQ_NONE
+    if eq == kernel.EQ_NONE:
+        failures, max_num, max_den = kernel.grid_tally(model, rep, conclusion, seed, 0, samples)
+        return (Fraction(max_num, max_den) if max_num else 0), failures
+    irrelevant = conclusion == kernel.IRRELEVANT
     eq_member = Hypothesis.H1 if eq == kernel.EQ_H1 else Hypothesis.H5
     solved = eq_member._solves
-    irrelevant = conclusion == kernel.IRRELEVANT
-    max_num, max_den = 0, 1
-    failures = 0
+    failures, max_num, max_den = 0, 0, 1
     for block in range(0, samples, _ROW_BLOCK):
         rows = kernel.grid_rows(model, rep, seed, block, min(_ROW_BLOCK, samples - block), 0)
         for i, x in enumerate(rows, block):
-            q = _GRID
-            if solving:
+            num, den = _solve(model, eq_member, x, _GRID)
+            attempt = 0
+            while not (den and 0 <= num <= den):
+                attempt += 1
+                if attempt > _REDRAW_BUDGET:
+                    raise _exhausted(eq_member, _REDRAW_BUDGET)
+                (x,) = kernel.grid_rows(model, rep, seed, i, 1, attempt)
                 num, den = _solve(model, eq_member, x, _GRID)
-                attempt = 0
-                while not (den and 0 <= num <= den):
-                    attempt += 1
-                    if attempt > _REDRAW_BUDGET:
-                        raise _exhausted(eq_member, _REDRAW_BUDGET)
-                    (x,) = kernel.grid_rows(model, rep, seed, i, 1, attempt)
-                    num, den = _solve(model, eq_member, x, _GRID)
-                x = [v * den for v in x]
-                x[solved] = num * _GRID
-                q = _GRID * den
-            p0, p1, p2, p3, p4, p5, p6, p7 = _cells(model, x, q)
-            pe = p0 + p1 + p2 + p3
-            pu = p4 + p5 + p6 + p7
-            if pe + pu != q * q * q:
-                raise ParameterError(f"exact cell weights sum to {Fraction(pe + pu, q**3)}, not 1")
-            # Every drawn slot lies strictly inside (0, 1) and the solved slot
-            # enters no margin, so P(E=e), P(E=ebar) and all four (E, C) strata
-            # are positive: no measure is undefined and no stratum is skipped.
-            if irrelevant:
-                stratum0, stratum1 = p4 + p5, p6 + p7
-                num = (p5 * (p0 + p1) * stratum1 + p7 * (p2 + p3) * stratum0) * pu - (
-                    p5 + p7
-                ) * pe * stratum0 * stratum1
-                den = pe * pu * stratum0 * stratum1
-            else:
-                num = (p1 + p3) * pu - (p5 + p7) * pe
-                den = pe * pu
+            x = [v * den for v in x]
+            x[solved] = num * _GRID
+            q = _GRID * den
+            num, den = _exact_violation(_cells(model, x, q), q, irrelevant)
             if num:
                 failures += 1  # exact mode compares at tol = 0
                 if num < 0:
@@ -347,7 +334,8 @@ def verify_clause(
     decides the split: every CPU this process may run on, at most
     ``threads`` when it is given, in chunks of at least ``_MIN_CHUNK``
     samples, so smaller campaigns, and every campaign on the pure kernel,
-    run on the calling thread.
+    run on the calling thread.  Exact campaigns always run on the calling
+    thread and ignore ``threads``, though it is still checked.
     """
     if type(samples) is not int or type(seed) is not int:
         _check_integer("samples", samples)

@@ -9,10 +9,11 @@ loader picks its clone, and on the ``default_clone`` build (conftest.py).
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from confound_kit import CLAUSES, Hypothesis, kernel
+from confound_kit import CLAUSES, Conclusion, Hypothesis, TheoremClause, kernel
 from confound_kit._rng import sample_stream
 from confound_kit.hypotheses import substitution_reps
 from confound_kit.kernel import (
@@ -58,7 +59,7 @@ def test_backends_export_the_same_functions(backends):
     # a kernel function added to one backend only would leave the other
     # unable to serve the library
     assert _public_functions(backends["pure"]) == _public_functions(backends["compiled"])
-    assert _public_functions(backends["pure"]) >= {"run_campaign", "grid_rows"}
+    assert _public_functions(backends["pure"]) >= {"run_campaign", "grid_rows", "grid_tally"}
 
 
 def test_grid_rows_continue_the_sample_stream(backends):
@@ -90,6 +91,88 @@ def test_grid_rows_reject_a_negative_count(backends):
     for impl in (*backends.values(), kernel):
         with pytest.raises(ValueError, match="count must be non-negative"):
             impl.grid_rows(1, UNIT_REP, 0, 0, -1, 0)
+
+
+def _free_cases():
+    """(label, model, rep, conclusion) of the exact campaigns grid_tally
+    runs: the 16 catalog clauses without an H1/H5 member, then the false
+    clauses with no conditions in each model under both conclusions."""
+    clauses = [c for c in CLAUSES if _campaign_codes(c)[2] == EQ_NONE]
+    assert len(clauses) == 16
+    clauses += [TheoremClause("X", "none", m, frozenset(), c) for m in (1, 2, 3) for c in Conclusion]
+    for clause in clauses:
+        model, rep, _, conclusion = _campaign_codes(clause)
+        yield f"{clause.theorem}{clause.clause} model {model} {clause.conclusion.value}", model, rep, conclusion
+
+
+def test_grid_tally_parity(backends):
+    # the compiled tally runs in 64- and 128-bit integers and compares
+    # maxima in 256 bits; it must return the pure kernel's unreduced pair
+    impls = {**backends, "kernel.grid_tally": kernel}
+    failing = set()
+    for label, model, rep, conclusion in _free_cases():
+        for seed in (0, 7, -3, 2**64 + 3):
+            for start, count in ((0, 0), (0, 1), (5, 300), (2**64 - 1, 3)):
+                expected = backends["pure"].grid_tally(model, rep, conclusion, seed, start, count)
+                for name, impl in impls.items():
+                    got = impl.grid_tally(model, rep, conclusion, seed, start, count)
+                    assert got == expected, (name, label, seed, start, count)
+                    assert all(type(v) is int for v in got)
+                if count == 0:
+                    assert expected == (0, 0, 1)
+                if expected[0]:
+                    failing.add(label)
+    # the five false clauses without structural irrelevance (model 3 has it)
+    assert len(failing) == 5, failing
+
+
+def test_grid_tally_parity_on_many_violations(backends):
+    # every sample fails, with irrelevance pairs of about 110 bits, so the
+    # 128-bit conclusion and the 256-bit comparison of maxima meet 20,000
+    # nonzero violations
+    expected = backends["pure"].grid_tally(1, UNIT_REP, IRRELEVANT, 99, 0, 20_000)
+    assert expected[0] > 19_900 and expected[2].bit_length() > 100
+    assert backends["compiled"].grid_tally(1, UNIT_REP, IRRELEVANT, 99, 0, 20_000) == expected
+
+
+def test_grid_tally_keeps_the_first_of_equal_maxima(backends):
+    # in model 2 the irrelevance gap is (b1 - b0)(c1 - c0), whatever a is;
+    # with b0 tied to c0 and b1 to c1 adjacent samples often tie in value,
+    # their pairs scaled apart by a.  A tie keeps the first pair, so the
+    # compiled kernel's 256-bit cross products of pairs past 2**100 must come
+    # out equal to the last bit, carries included.
+    rep = (0, 1, 2, 1, 2, 5, 6)
+    pure, compiled = backends["pure"].grid_tally, backends["compiled"].grid_tally
+    singles = [pure(2, rep, IRRELEVANT, 3, i, 1) for i in range(20_001)]
+    ties = [
+        i
+        for i, (a, b) in enumerate(zip(singles, singles[1:]))
+        if a[0] and a[1:] != b[1:] and Fraction(a[1], a[2]) == Fraction(b[1], b[2])
+    ]
+    assert len(ties) >= 20
+    for i in ties:
+        expected = pure(2, rep, IRRELEVANT, 3, i, 2)
+        assert expected == (2, *singles[i][1:])
+        assert compiled(2, rep, IRRELEVANT, 3, i, 2) == expected, i
+
+
+def test_grid_tally_chunks_merge_to_whole(backends):
+    # [0, n) is [0, k) and [k, n) merged: failures add, and the maximum is
+    # the first chunk's pair unless the second's is strictly larger
+    for label, model, rep, conclusion in _free_cases():
+        for name, impl in backends.items():
+            whole = impl.grid_tally(model, rep, conclusion, 11, 0, 150)
+            for k in (0, 1, 64, 149, 150):
+                left = impl.grid_tally(model, rep, conclusion, 11, 0, k)
+                right = impl.grid_tally(model, rep, conclusion, 11, k, 150 - k)
+                larger = right if Fraction(right[1], right[2]) > Fraction(left[1], left[2]) else left
+                assert (left[0] + right[0], *larger[1:]) == whole, (name, label, k)
+
+
+def test_grid_tally_rejects_a_negative_count(backends):
+    for impl in (*backends.values(), kernel):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            impl.grid_tally(1, UNIT_REP, IRRELEVANT, 0, 0, -1)
 
 
 def test_parity_across_full_catalog(backends):
@@ -248,6 +331,8 @@ def test_bad_rep_raises_in_both_backends(backends, rep):
     for impl in (*backends.values(), kernel):
         with pytest.raises(ValueError, match="rep must be 7 slot indices"):
             impl.grid_rows(1, rep, 0, 0, 10, 0)
+        with pytest.raises(ValueError, match="rep must be 7 slot indices"):
+            impl.grid_tally(1, rep, IRRELEVANT, 0, 0, 10)
 
 
 _CODE_ERRORS = {
@@ -264,6 +349,8 @@ _CODE_ERRORS = {
         ("model", 0),
         ("model", 4),
         ("model", 2**64),
+        # True == 1, yet it is no model number
+        ("model", True),
         ("eq", 3),
         ("eq", -1),
         ("conclusion", 2),
@@ -273,6 +360,7 @@ _CODE_ERRORS = {
         # a float equal to a valid code is not an int: the pure kernel ran
         # model=1.0 as model 1 while the compiled one raised TypeError
         ("model", 1.0),
+        ("model", 2.0),
         ("eq", 1.0),
         ("conclusion", 0.0),
         ("budget", 1000.0),
@@ -286,10 +374,17 @@ def test_bad_codes_raise_in_both_backends(backends, name, value):
     for impl in backends.values():
         with pytest.raises(error, match=message):
             impl.run_campaign(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 10, 0, 1e-10, args["budget"])
-    if name == "model":
-        for impl in (*backends.values(), kernel):
-            with pytest.raises(error, match=message):
+    messages = set()
+    for impl in (*backends.values(), kernel):
+        if name == "model":
+            with pytest.raises(error, match=message) as raised:
                 impl.grid_rows(value, UNIT_REP, 0, 0, 10, 0)
+            messages.add(str(raised.value))
+        if name in ("model", "conclusion"):
+            with pytest.raises(error, match=message) as raised:
+                impl.grid_tally(args["model"], UNIT_REP, args["conclusion"], 0, 0, 10)
+            messages.add(str(raised.value))
+    assert len(messages) <= 1, messages
 
 
 def test_large_budgets_agree_in_both_backends(backends):
