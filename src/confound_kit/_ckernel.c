@@ -57,15 +57,16 @@
  * neither fuses a multiply-add; vector multiplies and divides round as IEEE
  * scalar ones do; and z >> 11 < 2**53 converts to double exactly.
  *
- * Exact campaigns run on the thousandths grid.  grid_rows() gives them
- * their draws as rows of grid numerators, a block of samples per call, as
- * _pykernel.grid_rows does.  grid_tally() runs a whole exact campaign of a
- * clause without an H1/H5 member, as _pykernel.grid_tally does in Python
- * integers, here in fixed-width ones (see exact_violation()); a clause with
- * such a member stays in Python integers, since after model 1's H1 solve
- * the cells pass 160 bits.  Both take the campaign's draw plan with no
- * solved position, so they draw only the slots a row reads.  The build
- * fails without __int128, and setup.py then installs the pure kernel alone.
+ * Exact campaigns run on the thousandths grid.  grid_tally() runs a whole
+ * exact campaign, as _pykernel.grid_tally does in Python integers, here in
+ * fixed-width ones.  A clause without an H1/H5 member keeps 64- and 128-bit
+ * integers (exact_violation()).  A clause with one solves each row in int64
+ * and redraws it from the sample's stream while the solve leaves [0, 1]; its
+ * cells, over the reduced common denominator of _pykernel.grid_tally, are
+ * int128, and its pairs LIMBS = 5 limbs of 64 bits (solved_violation(); the
+ * bounds are derived beside exact_violation()).  Both draw only the slots
+ * a row reads.  The build fails without __int128, and setup.py then
+ * installs the pure kernel alone.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -93,7 +94,6 @@
 enum { EQ_NONE = 0, EQ_H1 = 1, EQ_H5 = 2 };
 enum { IRRELEVANT = 0, NO_CONFOUNDING = 1 };
 #define MODEL_ERROR "model must be 1, 2 or 3"
-#define CONCLUSION_ERROR "conclusion must be IRRELEVANT or NO_CONFOUNDING"
 #define GRID 1000 /* exact draws are numerators over GRID */
 
 typedef __int128 i128;
@@ -147,18 +147,6 @@ read_rep(PyObject *rep, int out[7])
     }
     Py_DECREF(seq);
     return status;
-}
-
-/* Read a model number into *out; raise ValueError unless it is 1, 2 or 3.
-   True == 1, yet it is no model number. */
-static int
-read_model(PyObject *o, long long *out)
-{
-    if (PyBool_Check(o)) {
-        PyErr_SetString(PyExc_ValueError, MODEL_ERROR);
-        return -1;
-    }
-    return read_int(o, 1, 3, MODEL_ERROR, out);
 }
 
 /* joint._masses at one = 1: m = (exposed0, exposed1, unexposed0, unexposed1),
@@ -277,6 +265,13 @@ violation_batch(int model, int no_confounding, int nb, const double *const v[7],
             (flag) ? f(3, 1, __VA_ARGS__) : f(3, 0, __VA_ARGS__);              \
     } while (0)
 
+/* The slot eq solves for: u1 (6) under H1, u0 (5) under H5, else -1. */
+static inline int
+solved_slot(int eq)
+{
+    return eq == EQ_H1 ? 6 : eq == EQ_H5 ? 5 : -1;
+}
+
 /* The n slots a campaign's attempts read: slot[i] is the attempt's draw
    number step[i] / GOLDEN, counted from 1, and an attempt takes
    advance / GOLDEN draws in all (6 in model 3, else 7). */
@@ -288,13 +283,12 @@ struct draws {
 };
 
 /* Plan a campaign's draws: slot s is read when some position other than
-   the solved one takes its value.  The solved position's own rep is not
-   enough to leave a slot out, since another position may read the same
-   draw.  Model 3 draws no slot 2. */
+   the solved one takes its value (read_codes() refuses a rep in which
+   another position takes the solved slot's).  Model 3 draws no slot 2. */
 static struct draws
 plan_draws(int model, const int rep[7], int eq)
 {
-    int solved_at = eq == EQ_H1 ? 6 : eq == EQ_H5 ? 5 : -1;
+    int solved_at = solved_slot(eq);
     int used[7] = {0};
     for (int k = 0; k < 7; k++)
         if (k != solved_at)
@@ -442,6 +436,53 @@ campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start
     *exhausted_out = exhausted;
 }
 
+/* A campaign's codes, read and checked by read_codes(). */
+struct codes {
+    int rep[7];
+    int model, eq, no_confounding;
+    long long budget;
+};
+
+/* Read the codes run_campaign() and grid_tally() share into *c, with the
+   checks of _pykernel._check_codes in its order: ValueError unless rep is
+   7 slot indices in 0..6, model is 1, 2 or 3 (True == 1, yet it is no
+   model number), eq and conclusion are codes of this module and budget is
+   non-negative, and unless under H1 or H5 rep leaves the solved slot s
+   untied: rep[s] == s and no other position reads slot s.  No sample can
+   spend 2**63 redraws, so a larger budget reads as that. */
+static int
+read_codes(PyObject *model_obj, PyObject *rep_obj, PyObject *eq_obj, PyObject *conclusion_obj,
+           PyObject *budget_obj, struct codes *c)
+{
+    long long model, eq, conclusion;
+    if (read_rep(rep_obj, c->rep) < 0)
+        return -1;
+    if (PyBool_Check(model_obj)) {
+        PyErr_SetString(PyExc_ValueError, MODEL_ERROR);
+        return -1;
+    }
+    if (read_int(model_obj, 1, 3, MODEL_ERROR, &model) < 0
+        || read_int(eq_obj, EQ_NONE, EQ_H5, "eq must be EQ_NONE, EQ_H1 or EQ_H5", &eq) < 0
+        || read_int(conclusion_obj, IRRELEVANT, NO_CONFOUNDING,
+                    "conclusion must be IRRELEVANT or NO_CONFOUNDING", &conclusion) < 0
+        || read_int(budget_obj, 0, LLONG_MAX, "budget must be non-negative", &c->budget) < 0)
+        return -1;
+    c->model = (int)model;
+    c->eq = (int)eq;
+    c->no_confounding = conclusion == NO_CONFOUNDING;
+    int s = solved_slot(c->eq);
+    if (s >= 0) {
+        int readers = 0;
+        for (int k = 0; k < 7; k++)
+            readers += c->rep[k] == s;
+        if (c->rep[s] != s || readers > 1) {
+            PyErr_SetString(PyExc_ValueError, "rep must not tie the slot eq solves for");
+            return -1;
+        }
+    }
+    return 0;
+}
+
 PyDoc_STRVAR(run_campaign_doc,
 "run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)\n\n"
 "See _pykernel.run_campaign; identical contract and results.");
@@ -450,40 +491,31 @@ static PyObject *
 run_campaign(PyObject *self, PyObject *args)
 {
     PyObject *model_obj, *rep_obj, *eq_obj, *conclusion_obj, *budget_obj;
-    long long model, eq, conclusion, budget, start, count;
+    long long start, count;
     unsigned long long seed; /* "K" wraps modulo 2**64, like & _MASK64 */
     double tol;
-    int rep[7];
+    struct codes c;
     if (!PyArg_ParseTuple(args, "OOOOLLKdO:run_campaign", &model_obj, &rep_obj, &eq_obj,
-                          &conclusion_obj, &start, &count, &seed, &tol, &budget_obj))
-        return NULL;
-    /* no sample can spend 2**63 redraws, so a larger budget reads as that */
-    if (read_rep(rep_obj, rep) < 0
-        || read_model(model_obj, &model) < 0
-        || read_int(eq_obj, EQ_NONE, EQ_H5, "eq must be EQ_NONE, EQ_H1 or EQ_H5", &eq) < 0
-        || read_int(conclusion_obj, IRRELEVANT, NO_CONFOUNDING,
-                    CONCLUSION_ERROR, &conclusion) < 0
-        || read_int(budget_obj, 0, LLONG_MAX, "budget must be non-negative", &budget) < 0)
+                          &conclusion_obj, &start, &count, &seed, &tol, &budget_obj)
+        || read_codes(model_obj, rep_obj, eq_obj, conclusion_obj, budget_obj, &c) < 0)
         return NULL;
 
     double max_violation;
     long long failures, exhausted;
     Py_BEGIN_ALLOW_THREADS
-    campaign((int)model, rep, (int)eq, conclusion == NO_CONFOUNDING, (uint64_t)start, count,
-             (uint64_t)seed, tol, budget, &max_violation, &failures, &exhausted);
+    campaign(c.model, c.rep, c.eq, c.no_confounding, (uint64_t)start, count, (uint64_t)seed,
+             tol, c.budget, &max_violation, &failures, &exhausted);
     Py_END_ALLOW_THREADS
 
     return Py_BuildValue("(dLL)", max_violation, failures, exhausted);
 }
 
-/* The grid row of sample index, as _pykernel.grid_rows gives it, from the
-   attempt whose state lies skip past the first: each planned slot's
-   10 + u64 % 981, placed by rep, and 0 in a slot no position reads. */
-static inline void
-grid_row(const struct draws *d, const int rep[7], uint64_t seed, uint64_t index,
-         uint64_t skip, int64_t row[7])
+/* The grid row of the attempt that starts at state, as _pykernel.grid_tally
+   draws it: each planned slot's 10 + u64 % 981, placed by rep, and 0 in a
+   slot no position reads. */
+ALWAYS_INLINE void
+grid_row(const struct draws *d, const int rep[7], uint64_t state, int64_t row[7])
 {
-    uint64_t state = mix(seed + (index + 1) * GOLDEN) + skip;
     int64_t n[7] = {0};
     for (int i = 0; i < d->n; i++)
         n[d->slot[i]] = (int64_t)(10 + mix(state + d->step[i]) % 981);
@@ -491,65 +523,78 @@ grid_row(const struct draws *d, const int rep[7], uint64_t seed, uint64_t index,
         row[j] = n[rep[j]];
 }
 
-PyDoc_STRVAR(grid_rows_doc,
-"grid_rows(model, rep, seed, start, count, attempt)\n\n"
-"See _pykernel.grid_rows; identical contract and results.");
-
-static PyObject *
-grid_rows(PyObject *self, PyObject *args)
+/* joint._masses over one = GRID on a grid row n.  Each slot is in [10, 990],
+   or 0 for model 3's undrawn slot 2, so each mass factor is in [0, 1000] and
+   each mass in [0, 10**6]; the masses sum to 1000**2. */
+ALWAYS_INLINE void
+grid_masses(int model, const int64_t n[7], int64_t m[4])
 {
-    PyObject *model_obj, *rep_obj;
-    long long model;
-    /* "K" wraps modulo 2**64, like & _MASK64 */
-    unsigned long long seed, start, attempt;
-    Py_ssize_t count;
-    int rep[7];
-    if (!PyArg_ParseTuple(args, "OOKKnK:grid_rows", &model_obj, &rep_obj, &seed, &start,
-                          &count, &attempt))
-        return NULL;
-    if (read_rep(rep_obj, rep) < 0 || read_model(model_obj, &model) < 0)
-        return NULL;
-    if (count < 0) {
-        PyErr_SetString(PyExc_ValueError, "count must be non-negative");
-        return NULL;
+    const int64_t one = GRID;
+    if (model == 1) { /* t, a0, a1 */
+        m[0] = n[1] * (one - n[0]);
+        m[1] = n[2] * n[0];
+        m[2] = (one - n[1]) * (one - n[0]);
+        m[3] = (one - n[2]) * n[0];
+    } else if (model == 2) { /* a, c0, c1 */
+        m[0] = n[0] * (one - n[2]);
+        m[1] = n[0] * n[2];
+        m[2] = (one - n[0]) * (one - n[1]);
+        m[3] = (one - n[0]) * n[1];
+    } else { /* a, t */
+        m[0] = n[0] * (one - n[1]);
+        m[1] = n[0] * n[1];
+        m[2] = (one - n[0]) * (one - n[1]);
+        m[3] = (one - n[0]) * n[1];
     }
-    /* each attempt before this one moved the state by d.advance */
-    struct draws d = plan_draws((int)model, rep, EQ_NONE);
-    uint64_t skip = (uint64_t)attempt * d.advance;
-    PyObject *rows = PyList_New(count);
-    if (rows == NULL)
-        return NULL;
-    for (Py_ssize_t k = 0; k < count; k++) {
-        int64_t n[7];
-        grid_row(&d, rep, (uint64_t)seed, (uint64_t)start + (uint64_t)k, skip, n);
-        /* owned by rows from here, so one Py_DECREF(rows) frees a partial row */
-        PyObject *row = PyList_New(7);
-        if (row == NULL) {
-            Py_DECREF(rows);
-            return NULL;
+}
+
+/* hypotheses._solve over one = GRID on a grid row n: the H1 solve for u1,
+   else the H5 solve for u0, as *num / *den.  The largest den is model 2's
+   H5 one, 1000 * mass1 * (1000 - c1) * a < 10**3 * 10**6 * 10**6 = 10**15
+   (model 1's H1 den is 1000 * unexposed * exposed1 <= 1000 * (10**6 / 2)**2,
+   the others below 10**6), and each of the two terms of num is below 10**15
+   in the same way: int64. */
+ALWAYS_INLINE void
+grid_solve(int model, int h1, const int64_t n[7], int64_t *num, int64_t *den)
+{
+    const int64_t one = GRID;
+    if (h1) {
+        if (model == 1) {
+            int64_t m[4];
+            grid_masses(1, n, m);
+            int64_t unexposed = m[2] + m[3];
+            *num = (n[3] * m[2] + n[4] * m[3]) * (m[0] + m[1]) - n[5] * m[0] * unexposed;
+            *den = one * unexposed * m[1];
+        } else if (model == 2) {
+            *num = n[3] * (one - n[1]) + n[4] * n[1] - n[5] * (one - n[2]);
+            *den = one * n[2];
+        } else {
+            *num = n[3] * (one - n[1]) + n[4] * n[1] - n[5] * (one - n[1]);
+            *den = one * n[1];
         }
-        PyList_SET_ITEM(rows, k, row);
-        for (int j = 0; j < 7; j++) {
-            PyObject *v = PyLong_FromLongLong(n[j]);
-            if (v == NULL) {
-                Py_DECREF(rows);
-                return NULL;
-            }
-            PyList_SET_ITEM(row, j, v);
-        }
+    } else if (model == 1) {
+        *num = n[6] * n[2] + n[4] * (one - n[2]) - n[3] * (one - n[1]);
+        *den = one * n[1];
+    } else if (model == 2) {
+        int64_t target = n[6] * n[2] * n[0] + n[4] * n[1] * (one - n[0]);
+        int64_t mass1 = n[2] * n[0] + n[1] * (one - n[0]);
+        int64_t mass0 = (one - n[2]) * n[0] + (one - n[1]) * (one - n[0]);
+        *num = target * mass0 - n[3] * (one - n[1]) * (one - n[0]) * mass1;
+        *den = one * mass1 * (one - n[2]) * n[0];
+    } else {
+        *num = n[6] * n[0] + (n[4] - n[3]) * (one - n[0]);
+        *den = one * n[0];
     }
-    return rows;
 }
 
 /* The signed violation *num / *den of the conclusion (the bias, else the
-   standardized minus the observed proportion) on a grid row n: joint._cells
-   over one = GRID and _pykernel._exact_violation, in fixed-width integers.
-   The bounds that make them exact:
-   - each slot is in [10, 990], or 0 for model 3's undrawn slot 2, so each
-     mass factor is in [0, 1000], each mass in [0, 10**6] and each cell in
-     [0, 10**9]: int64.  The masses sum to 1000**2 and each mass's two cells
-     to the mass times 1000, so the cells sum to 10**9 = pe + pu, and
-     stratum0 + stratum1 = pu;
+   standardized minus the observed proportion) on a grid row n with no
+   solved slot: joint._cells over one = GRID and _pykernel._exact_violation,
+   in fixed-width integers.  The bounds that make them exact:
+   - each mass is in [0, 10**6] (grid_masses()) and each outcome factor in
+     [0, 1000], so each cell is in [0, 10**9]: int64.  The masses sum to
+     1000**2 and each mass's two cells to the mass times 1000, so the cells
+     sum to 10**9 = pe + pu, and stratum0 + stratum1 = pu;
    - no confounding: (p1 + p3) * pu and (p5 + p7) * pe lie in [0, den],
      den = pe * pu <= (10**9 / 2)**2 = 2.5e17 < 2**63: int64;
    - irrelevance: p5 <= stratum0 and p7 <= stratum1, so the bracket lies in
@@ -557,32 +602,36 @@ grid_rows(PyObject *self, PyObject *args)
      of num lies in [0, den], den = pe * pu * stratum0 * stratum1
      <= pe * pu**3 / 4, which with pe + pu = 10**9 is at most
      27/1024 * 10**36 < 2.7e34 < 2**115: int128.
-   So 0 <= den < 2**115, |num| <= den, and num is 0 wherever den is. */
+   So 0 <= den < 2**115, |num| <= den, and num is 0 wherever den is.
+
+   solved_violation() runs the same conclusions on a row whose H1/H5 solve
+   gave its solved slot as num / den (grid_solve()), over the smaller common
+   denominator of _pykernel.grid_tally.  Scaled to q = 1000 * den, every
+   cell of joint._cells carries den**2 from its mass; divided out, each
+   cell is a mass over 1000**2 (as above) times an outcome factor over q,
+   and the cells sum to T = 1000**2 * q.  The bounds:
+   - den < 10**15 and an accepted solve has 0 <= num <= den, so every
+     outcome value over q (a slot times den, or num * 1000) and its
+     complement lie in [0, q], q < 10**18: int64;
+   - each cell is a mass times such a factor, below 10**6 * q < 10**24 <
+     2**80: int128; so is every sum of cells, all below T < 10**24;
+   - no confounding: both terms of num lie in [0, den],
+     den = pe * pu <= T**2 / 4 < 2**158;
+   - irrelevance: every partial product lies in [0, den] as above, and
+     den = pe * pu * stratum0 * stratum1 <= (T**2 / 4) * (pu**2 / 4)
+     < T**4 / 16 < 2**316, since T < 2**79.73.
+   So num and den fit LIMBS = 5 limbs of 64 bits, and the cross products
+   that compare two pairs fit 2 * LIMBS. */
 ALWAYS_INLINE void
 exact_violation(int model, int irrelevant, const int64_t n[7], i128 *num, i128 *den)
 {
     const int64_t one = GRID;
-    int64_t m0, m1, m2, m3;
-    if (model == 1) { /* t, a0, a1 */
-        m0 = n[1] * (one - n[0]);
-        m1 = n[2] * n[0];
-        m2 = (one - n[1]) * (one - n[0]);
-        m3 = (one - n[2]) * n[0];
-    } else if (model == 2) { /* a, c0, c1 */
-        m0 = n[0] * (one - n[2]);
-        m1 = n[0] * n[2];
-        m2 = (one - n[0]) * (one - n[1]);
-        m3 = (one - n[0]) * n[1];
-    } else { /* a, t */
-        m0 = n[0] * (one - n[1]);
-        m1 = n[0] * n[1];
-        m2 = (one - n[0]) * (one - n[1]);
-        m3 = (one - n[0]) * n[1];
-    }
-    int64_t p0 = m0 * (one - n[5]), p1 = m0 * n[5];
-    int64_t p2 = m1 * (one - n[6]), p3 = m1 * n[6];
-    int64_t p4 = m2 * (one - n[3]), p5 = m2 * n[3];
-    int64_t p6 = m3 * (one - n[4]), p7 = m3 * n[4];
+    int64_t m[4];
+    grid_masses(model, n, m);
+    int64_t p0 = m[0] * (one - n[5]), p1 = m[0] * n[5];
+    int64_t p2 = m[1] * (one - n[6]), p3 = m[1] * n[6];
+    int64_t p4 = m[2] * (one - n[3]), p5 = m[2] * n[3];
+    int64_t p6 = m[3] * (one - n[4]), p7 = m[3] * n[4];
     int64_t pe = p0 + p1 + p2 + p3;
     int64_t pu = p4 + p5 + p6 + p7;
     if (irrelevant) {
@@ -594,6 +643,148 @@ exact_violation(int model, int irrelevant, const int64_t n[7], i128 *num, i128 *
         *num = (p1 + p3) * pu - (p5 + p7) * pe;
         *den = pe * pu;
     }
+}
+
+#define LIMBS 5
+
+/* A non-negative integer below 2**320: LIMBS 64-bit limbs, least
+   significant first.  The tally keeps only |num|, so the pairs of
+   solved_violation() need no sign. */
+typedef struct {
+    uint64_t w[LIMBS];
+} wide;
+
+ALWAYS_INLINE wide
+wide_from(u128 x)
+{
+    wide r = {{(uint64_t)x, (uint64_t)(x >> 64)}};
+    return r;
+}
+
+/* The low n limbs of a * b, schoolbook; the product must be below
+   2**(64 * n). */
+ALWAYS_INLINE void
+mul_limbs(const uint64_t a[LIMBS], const uint64_t b[LIMBS], uint64_t *out, int n)
+{
+    memset(out, 0, n * sizeof *out);
+    for (int i = 0; i < LIMBS; i++) {
+        if (a[i] == 0)
+            continue;
+        uint64_t carry = 0;
+        for (int j = 0; j < LIMBS && i + j < n; j++) {
+            /* below 2**128: (2**64 - 1)**2 + 2 * (2**64 - 1) = 2**128 - 1 */
+            u128 t = (u128)a[i] * b[j] + out[i + j] + carry;
+            out[i + j] = (uint64_t)t;
+            carry = (uint64_t)(t >> 64);
+        }
+        if (i + LIMBS < n)
+            out[i + LIMBS] = carry;
+    }
+}
+
+ALWAYS_INLINE wide
+wide_mul(wide a, wide b)
+{
+    wide r;
+    mul_limbs(a.w, b.w, r.w, LIMBS);
+    return r;
+}
+
+ALWAYS_INLINE wide
+wide_add(wide a, wide b)
+{
+    wide r;
+    uint64_t carry = 0;
+    for (int i = 0; i < LIMBS; i++) {
+        u128 t = (u128)a.w[i] + b.w[i] + carry;
+        r.w[i] = (uint64_t)t;
+        carry = (uint64_t)(t >> 64);
+    }
+    return r;
+}
+
+/* Compare the n-limb integers a and b: negative, zero or positive. */
+ALWAYS_INLINE int
+cmp_limbs(const uint64_t *a, const uint64_t *b, int n)
+{
+    for (int i = n - 1; i >= 0; i--)
+        if (a[i] != b[i])
+            return a[i] > b[i] ? 1 : -1;
+    return 0;
+}
+
+/* |a - b| */
+ALWAYS_INLINE wide
+wide_distance(wide a, wide b)
+{
+    if (cmp_limbs(a.w, b.w, LIMBS) < 0) {
+        wide t = a;
+        a = b;
+        b = t;
+    }
+    wide r;
+    uint64_t borrow = 0;
+    for (int i = 0; i < LIMBS; i++) {
+        uint64_t d = a.w[i] - b.w[i];
+        uint64_t under = a.w[i] < b.w[i];
+        r.w[i] = d - borrow;
+        borrow = under | (d < borrow);
+    }
+    return r;
+}
+
+ALWAYS_INLINE int
+wide_is_zero(wide a)
+{
+    uint64_t any = 0;
+    for (int i = 0; i < LIMBS; i++)
+        any |= a.w[i];
+    return any == 0;
+}
+
+/* a / b > c / d for positive b and d, exactly: a * d > c * b in 2 * LIMBS
+   limbs. */
+ALWAYS_INLINE int
+wide_exceeds(const wide *a, const wide *b, const wide *c, const wide *d)
+{
+    uint64_t ad[2 * LIMBS], cb[2 * LIMBS];
+    mul_limbs(a->w, d->w, ad, 2 * LIMBS);
+    mul_limbs(c->w, b->w, cb, 2 * LIMBS);
+    return cmp_limbs(ad, cb, 2 * LIMBS) > 0;
+}
+
+/* |violation| as *size / *den on a grid row n whose solved slot is num / den
+   (see exact_violation() for the representation and its bounds). */
+ALWAYS_INLINE void
+solved_violation(int model, int h1, int irrelevant, const int64_t n[7], int64_t num,
+                 int64_t den, wide *size, wide *den_out)
+{
+    int64_t m[4];
+    grid_masses(model, n, m);
+    const int64_t q = GRID * den;
+    /* b0, b1, u0, u1 over q */
+    int64_t o[4] = {n[3] * den, n[4] * den, n[5] * den, n[6] * den};
+    o[h1 ? 3 : 2] = num * GRID;
+    u128 p0 = (u128)m[0] * (uint64_t)(q - o[2]), p1 = (u128)m[0] * (uint64_t)o[2];
+    u128 p2 = (u128)m[1] * (uint64_t)(q - o[3]), p3 = (u128)m[1] * (uint64_t)o[3];
+    u128 p4 = (u128)m[2] * (uint64_t)(q - o[0]), p5 = (u128)m[2] * (uint64_t)o[0];
+    u128 p6 = (u128)m[3] * (uint64_t)(q - o[1]), p7 = (u128)m[3] * (uint64_t)o[1];
+    wide pe = wide_from(p0 + p1 + p2 + p3), pu = wide_from(p4 + p5 + p6 + p7);
+    wide plus, minus;
+    if (irrelevant) {
+        wide stratum0 = wide_from(p4 + p5), stratum1 = wide_from(p6 + p7);
+        wide strata = wide_mul(stratum0, stratum1);
+        wide bracket = wide_add(wide_mul(wide_from(p5), wide_mul(wide_from(p0 + p1), stratum1)),
+                                wide_mul(wide_from(p7), wide_mul(wide_from(p2 + p3), stratum0)));
+        plus = wide_mul(bracket, pu);
+        minus = wide_mul(wide_mul(wide_from(p5 + p7), pe), strata);
+        *den_out = wide_mul(wide_mul(pe, pu), strata);
+    } else {
+        plus = wide_mul(wide_from(p1 + p3), pu);
+        minus = wide_mul(wide_from(p5 + p7), pe);
+        *den_out = wide_mul(pe, pu);
+    }
+    *size = wide_distance(plus, minus);
 }
 
 /* (*hi, *lo) = a * b, the full 256-bit product. */
@@ -619,76 +810,116 @@ exceeds(u128 a, u128 b, u128 c, u128 d)
     return ad_hi > cb_hi || (ad_hi == cb_hi && ad_lo > cb_lo);
 }
 
-/* The exact tally of grid_tally(), run with the GIL released. */
+/* The exact tally of grid_tally(), run with the GIL released: a clause with
+   no H1/H5 member in 64- and 128-bit integers, any other through
+   solved_violation(). */
 static void
-tally_grid(int model, const int rep[7], int irrelevant, uint64_t seed, uint64_t start,
-           Py_ssize_t count, long long *failures_out, u128 *max_num, u128 *max_den)
+tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t count,
+           long long *failures_out, wide *max_num, wide *max_den, long long *exhausted_out)
 {
-    struct draws d = plan_draws(model, rep, EQ_NONE);
-    long long failures = 0;
-    u128 best_num = 0, best_den = 1;
-    for (Py_ssize_t k = 0; k < count; k++) {
-        int64_t n[7];
-        i128 num, den;
-        grid_row(&d, rep, seed, start + (uint64_t)k, 0, n);
-        exact_violation(model, irrelevant, n, &num, &den);
-        if (num != 0) {
-            failures++;
-            u128 size = (u128)(num < 0 ? -num : num);
-            if (exceeds(size, (u128)den, best_num, best_den)) {
-                best_num = size;
-                best_den = (u128)den;
+    struct draws d = plan_draws(c->model, c->rep, c->eq);
+    int irrelevant = !c->no_confounding;
+    long long failures = 0, exhausted = 0;
+    if (c->eq == EQ_NONE) {
+        u128 best_num = 0, best_den = 1;
+        for (Py_ssize_t k = 0; k < count; k++) {
+            int64_t n[7];
+            i128 num, den;
+            /* sample index start + k, wrapping like & _MASK64 */
+            grid_row(&d, c->rep, mix(seed + (start + (uint64_t)k + 1) * GOLDEN), n);
+            exact_violation(c->model, irrelevant, n, &num, &den);
+            if (num != 0) {
+                failures++;
+                u128 size = (u128)(num < 0 ? -num : num);
+                if (exceeds(size, (u128)den, best_num, best_den)) {
+                    best_num = size;
+                    best_den = (u128)den;
+                }
             }
         }
+        *max_num = wide_from(best_num);
+        *max_den = wide_from(best_den);
+    } else {
+        int h1 = c->eq == EQ_H1;
+        wide best_num = {{0}}, best_den = {{1}};
+        for (Py_ssize_t k = 0; k < count; k++) {
+            uint64_t state = mix(seed + (start + (uint64_t)k + 1) * GOLDEN);
+            int64_t n[7], num = 0, den = 0;
+            int accepted = 0;
+            for (long long attempt = 0; !accepted && attempt <= c->budget; attempt++) {
+                grid_row(&d, c->rep, state, n);
+                state += d.advance;
+                grid_solve(c->model, h1, n, &num, &den);
+                accepted = den != 0 && 0 <= num && num <= den;
+            }
+            if (!accepted) {
+                exhausted++;
+                continue;
+            }
+            wide size, vden;
+            solved_violation(c->model, h1, irrelevant, n, num, den, &size, &vden);
+            if (!wide_is_zero(size)) {
+                failures++;
+                if (wide_exceeds(&size, &vden, &best_num, &best_den)) {
+                    best_num = size;
+                    best_den = vden;
+                }
+            }
+        }
+        *max_num = best_num;
+        *max_den = best_den;
     }
     *failures_out = failures;
-    *max_num = best_num;
-    *max_den = best_den;
+    *exhausted_out = exhausted;
 }
 
-/* x as a Python int, through its hex digits: the C API has no public
-   128-bit int constructor before Python 3.13. */
+/* x as a Python int: one limb directly, more through their hex digits,
+   since the C API has no public constructor from limbs before Python 3.13. */
 static PyObject *
-long_from_u128(u128 x)
+long_from_wide(const wide *x)
 {
-    char hex[33];
-    snprintf(hex, sizeof hex, "%016llx%016llx", (unsigned long long)(x >> 64),
-             (unsigned long long)x);
+    int n = LIMBS;
+    while (n > 1 && x->w[n - 1] == 0)
+        n--;
+    if (n == 1)
+        return PyLong_FromUnsignedLongLong(x->w[0]);
+    char hex[16 * LIMBS + 1], *p = hex;
+    for (int i = n - 1; i >= 0; i--)
+        for (int shift = 60; shift >= 0; shift -= 4)
+            *p++ = "0123456789abcdef"[(x->w[i] >> shift) & 15];
+    *p = '\0';
     return PyLong_FromString(hex, NULL, 16);
 }
 
 PyDoc_STRVAR(grid_tally_doc,
-"grid_tally(model, rep, conclusion, seed, start, count)\n\n"
+"grid_tally(model, rep, eq, conclusion, seed, start, count, budget)\n\n"
 "See _pykernel.grid_tally; identical contract and results.");
 
 static PyObject *
 grid_tally(PyObject *self, PyObject *args)
 {
-    PyObject *model_obj, *rep_obj, *conclusion_obj;
-    long long model, conclusion;
+    PyObject *model_obj, *rep_obj, *eq_obj, *conclusion_obj, *budget_obj;
     /* "K" wraps modulo 2**64, like & _MASK64 */
     unsigned long long seed, start;
     Py_ssize_t count;
-    int rep[7];
-    if (!PyArg_ParseTuple(args, "OOOKKn:grid_tally", &model_obj, &rep_obj, &conclusion_obj,
-                          &seed, &start, &count))
-        return NULL;
-    if (read_rep(rep_obj, rep) < 0 || read_model(model_obj, &model) < 0
-        || read_int(conclusion_obj, IRRELEVANT, NO_CONFOUNDING, CONCLUSION_ERROR, &conclusion) < 0)
+    struct codes c;
+    if (!PyArg_ParseTuple(args, "OOOOKKnO:grid_tally", &model_obj, &rep_obj, &eq_obj,
+                          &conclusion_obj, &seed, &start, &count, &budget_obj)
+        || read_codes(model_obj, rep_obj, eq_obj, conclusion_obj, budget_obj, &c) < 0)
         return NULL;
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");
         return NULL;
     }
-    long long failures;
-    u128 max_num, max_den;
+    long long failures, exhausted;
+    wide max_num, max_den;
     Py_BEGIN_ALLOW_THREADS
-    tally_grid((int)model, rep, conclusion == IRRELEVANT, (uint64_t)seed, (uint64_t)start, count,
-               &failures, &max_num, &max_den);
+    tally_grid(&c, (uint64_t)seed, (uint64_t)start, count, &failures, &max_num, &max_den,
+               &exhausted);
     Py_END_ALLOW_THREADS
 
-    PyObject *num = long_from_u128(max_num), *den = long_from_u128(max_den);
-    PyObject *result = num && den ? Py_BuildValue("(LOO)", failures, num, den) : NULL;
+    PyObject *num = long_from_wide(&max_num), *den = long_from_wide(&max_den);
+    PyObject *result = num && den ? Py_BuildValue("(LOOL)", failures, num, den, exhausted) : NULL;
     Py_XDECREF(num);
     Py_XDECREF(den);
     return result;
@@ -696,7 +927,6 @@ grid_tally(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"run_campaign", run_campaign, METH_VARARGS, run_campaign_doc},
-    {"grid_rows", grid_rows, METH_VARARGS, grid_rows_doc},
     {"grid_tally", grid_tally, METH_VARARGS, grid_tally_doc},
     {NULL, NULL, 0, NULL},
 };

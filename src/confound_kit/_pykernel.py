@@ -15,13 +15,15 @@ advances the stream by a fixed gamma, so each slot's draw is the same
 function of the attempt's starting state whether or not the slots before it
 were drawn.
 
-Exact campaigns run on the thousandths grid in Python integers.
-``grid_rows`` gives them their draws, a block of samples per call;
-``grid_tally`` runs a whole campaign of a clause without an H1/H5 member:
-the draws, the cells of ``joint._cells`` and the conclusion pair of
-``_exact_violation``, which ``theorems._exact_campaign`` also runs after
-its H1/H5 solves.  The compiled kernel runs the same tally in 64- and
-128-bit integers and returns the same unreduced maximum.
+``grid_tally`` runs exact campaigns, on the thousandths grid in Python
+integers: the draws, the H1/H5 solve and its redraws, the cells of
+``joint._cells`` and the conclusion pair of ``_exact_violation``.  A row
+with a solve is scaled to the common denominator q = 1000 * den of its
+solved slot, and the cells are divided by den**2, which every one of them
+carries, so they stay over 1000**2 * q; without a solve den = 1.  The
+compiled kernel runs the same tally in fixed-width integers (64 and 128
+bits without a solve, 128-bit cells and 320-bit pairs with one) and returns
+the same unreduced maximum.
 """
 
 import fractions
@@ -42,26 +44,33 @@ _GRID = 1000
 _DRAW_SLOTS = {m: tuple(j for j, f in enumerate(fields) if f) for m, fields in _SLOT_FIELDS.items()}
 
 
-def _check_rep(rep):
-    """Raise ValueError unless rep is 7 slot indices in 0..6 (read_rep in C)."""
+def _check_codes(model, rep, eq, conclusion, budget):
+    """The H1/H5 member of code eq, or None under EQ_NONE.
+
+    Raises ValueError unless rep is 7 slot indices in 0..6, model is 1, 2 or
+    3, eq and conclusion are codes of this module, budget is non-negative
+    and no other position shares the solved slot's draw, and TypeError when
+    a code or the budget is not an int (the checks of _ckernel.c's
+    read_codes, in its order).
+    """
+    # operator.index takes what _ckernel.c's read_int takes: an int, not a float
     if len(rep) != 7 or not all(0 <= r <= 6 for r in rep):
         raise ValueError("rep must be 7 slot indices in 0..6")
-
-
-def _check_model(model):
     # True == 1, yet it is no model number
     if isinstance(model, bool) or operator.index(model) not in (1, 2, 3):
         raise ValueError("model must be 1, 2 or 3")
-
-
-def _check_conclusion(conclusion):
+    if operator.index(eq) not in (EQ_NONE, EQ_H1, EQ_H5):
+        raise ValueError("eq must be EQ_NONE, EQ_H1 or EQ_H5")
     if operator.index(conclusion) not in (IRRELEVANT, NO_CONFOUNDING):
         raise ValueError("conclusion must be IRRELEVANT or NO_CONFOUNDING")
-
-
-def _check_count(count):
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    if operator.index(budget) < 0:
+        raise ValueError("budget must be non-negative")
+    member = {EQ_H1: _H1, EQ_H5: _H5}.get(eq)
+    if member is not None:
+        solved = member._solves
+        if rep[solved] != solved or list(rep).count(solved) > 1:
+            raise ValueError("rep must not tie the slot eq solves for")
+    return member
 
 
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
@@ -73,18 +82,12 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     samples with violation > tol and exhausted counts samples whose
     equational solve never landed in [0, 1] within the redraw budget.
     Raises ValueError unless rep is 7 slot indices in 0..6, model is 1, 2
-    or 3, eq and conclusion are codes of this module and budget is
-    non-negative, and TypeError when a code or the budget is not an int.
+    or 3, eq and conclusion are codes of this module, budget is
+    non-negative and, under H1 or H5, rep leaves the solved slot untied
+    (rep[s] == s and no other position reads slot s); and TypeError when a
+    code or the budget is not an int.
     """
-    # operator.index takes what _ckernel.c's read_int takes: an int, not a float
-    _check_rep(rep)
-    _check_model(model)
-    if operator.index(eq) not in (EQ_NONE, EQ_H1, EQ_H5):
-        raise ValueError("eq must be EQ_NONE, EQ_H1 or EQ_H5")
-    _check_conclusion(conclusion)
-    if operator.index(budget) < 0:
-        raise ValueError("budget must be non-negative")
-    member = {EQ_H1: _H1, EQ_H5: _H5}.get(eq)
+    member = _check_codes(model, rep, eq, conclusion, budget)
     solved = None if member is None else member._solves
     draw_slots = _DRAW_SLOTS[model]
     q = [0.0] * 7
@@ -129,86 +132,91 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     return max_violation, failures, exhausted
 
 
-def grid_rows(model, rep, seed, start, count, attempt):
-    """Attempt ``attempt``'s draws of samples [start, start+count) as grid rows.
-
-    Row k holds sample start+k's draws as numerators over 1000 in [10, 990],
-    each ``10 + u64 % 981`` as ``sample_stream(seed, start+k).next_u64()``
-    yields them after ``attempt`` rounds of the model's draws (6 in model 3,
-    which draws no slot 2, else 7).  Slot j of a row holds the value drawn
-    for slot rep[j], with 0 for model 3's slot 2.  A draw advances the state
-    by the golden gamma, so the state after the skipped rounds is one
-    multiply away and no draw is replayed.  Seed, start and attempt are
-    reduced modulo 2**64.  Returns a list of ``count`` lists of 7 ints;
-    raises ValueError for a negative count, unless rep is 7 slot indices
-    in 0..6, or unless model is 1, 2 or 3.
-    """
-    _check_rep(rep)
-    _check_model(model)
-    _check_count(count)
-    return list(_rows(model, rep, seed, start, count, attempt))
-
-
-def _rows(model, rep, seed, start, count, attempt):
-    """The rows of ``grid_rows``, one at a time."""
-    draw_slots = _DRAW_SLOTS[model]
-    skip = attempt * len(draw_slots) * _GOLDEN
-    n = [0] * 7
-    for i in range(start, start + count):
-        state = _mix((seed + (i + 1) * _GOLDEN) & _MASK64) + skip
-        for j in draw_slots:
-            # _mix inlined
-            state = (state + _GOLDEN) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            n[j] = 10 + (z ^ (z >> 31)) % 981
-        yield [n[r] for r in rep]
-
-
-def grid_tally(model, rep, conclusion, seed, start, count):
+def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
     """Tally the exact violations of samples [start, start+count) on the grid.
 
-    Each sample is its ``grid_rows`` row of attempt 0, with no H1/H5 solve,
-    as numerators over ``_GRID``; its violation is ``_exact_violation`` on
-    the row's cells.  Returns (failures, max_num, max_den): the samples with
-    a nonzero violation, and the first largest |violation| as the unreduced
-    pair max_num / max_den, or (0, 1) when none fails.  Raises ValueError
-    for a negative count, unless rep is 7 slot indices in 0..6, model is 1,
-    2 or 3 and conclusion is a code of this module.
+    A sample's row holds its draws as numerators over ``_GRID`` in
+    [10, 990], each ``10 + u64 % 981`` of ``sample_stream(seed, index)``:
+    attempt k is the k-th round of the model's draws (6 in model 3, which
+    draws no slot 2, else 7), slot j takes the value drawn for slot rep[j],
+    and model 3's slot 2 is 0.  Under H1 or H5 the ``hypotheses._solve``
+    solve of the row gives the solved slot as num / den, and the sample
+    redraws, at most ``budget`` times, while not (den and 0 <= num <= den).
+    Every slot is then scaled to the common denominator q = _GRID * den
+    (den = 1 without a solve), and the violation is ``_exact_violation`` on
+    the row's ``joint._cells`` over q, divided by den**2.
+
+    Returns (failures, max_num, max_den, exhausted): the samples with a
+    nonzero violation, the first largest |violation| as the unreduced pair
+    max_num / max_den, or (0, 1) when none fails, and the samples whose
+    solve never landed in [0, 1].  Seed and sample index are reduced modulo
+    2**64.  Raises what ``run_campaign`` raises for its rep, codes and
+    budget, and ValueError for a negative count.
     """
-    _check_rep(rep)
-    _check_model(model)
-    _check_conclusion(conclusion)
-    _check_count(count)
+    member = _check_codes(model, rep, eq, conclusion, budget)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    solved = None if member is None else member._solves
     irrelevant = conclusion == IRRELEVANT
-    failures, max_num, max_den = 0, 0, 1
-    for x in _rows(model, rep, seed, start, count, 0):
-        num, den = _exact_violation(_cells(model, x, _GRID), _GRID, irrelevant)
+    draw_slots = _DRAW_SLOTS[model]
+    n = [0] * 7
+    failures, max_num, max_den, exhausted = 0, 0, 1, 0
+    for i in range(start, start + count):
+        state = _mix((seed + (i + 1) * _GOLDEN) & _MASK64)
+        for _ in range(budget + 1):
+            for j in draw_slots:
+                # _mix inlined
+                state = (state + _GOLDEN) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                n[j] = 10 + (z ^ (z >> 31)) % 981
+            x = [n[r] for r in rep]
+            if member is None:
+                scale = 1
+                break
+            num, scale = _solve(model, member, x, _GRID)
+            if scale and 0 <= num <= scale:
+                x = [v * scale for v in x]
+                x[solved] = num * _GRID
+                break
+        else:
+            exhausted += 1
+            continue
+        q = _GRID * scale
+        num, den = _exact_violation(_cells(model, x, q), q, scale * scale, irrelevant)
         if num:
             failures += 1  # exact mode compares at tol = 0
             if num < 0:
                 num = -num
             if num * max_den > max_num * den:
                 max_num, max_den = num, den
-    return failures, max_num, max_den
+    return failures, max_num, max_den, exhausted
 
 
-def _exact_violation(cells, one, irrelevant):
+def _exact_violation(cells, one, scale, irrelevant):
     """(num, den): the signed violation num / den of the conclusion (the
     standardized minus the observed proportion, else the bias) on the
-    integer cells of ``joint._cells`` over ``one``**3, unreduced.
+    integer cells of ``joint._cells`` over ``one``**3, each divided by
+    ``scale`` exactly, unreduced.
 
     Every drawn slot lies strictly inside (0, 1) and a solved slot enters no
     margin, so P(E=e), P(E=ebar) and all four (E, C) strata are positive:
     no measure is undefined and no stratum is skipped.  Raises
-    ParameterError unless the cells sum to one**3.
+    ParameterError unless the cells sum to one**3 and each is a multiple of
+    scale.
     """
     p0, p1, p2, p3, p4, p5, p6, p7 = cells
     pe = p0 + p1 + p2 + p3
     pu = p4 + p5 + p6 + p7
-    if pe + pu != one * one * one:
+    if pe + pu != one * one * one or (scale != 1 and any(c % scale for c in cells)):
         total = fractions.Fraction(pe + pu, one**3)
-        raise errors.ParameterError(f"exact cell weights sum to {total}, not 1")
+        raise errors.ParameterError(
+            f"exact cell weights sum to {total}, not 1, or are not all multiples of {scale}"
+        )
+    if scale != 1:
+        p0, p1, p2, p3, p4, p5, p6, p7 = (c // scale for c in cells)
+        pe //= scale
+        pu //= scale
     if irrelevant:
         stratum0, stratum1 = p4 + p5, p6 + p7
         num = (p5 * (p0 + p1) * stratum1 + p7 * (p2 + p3) * stratum0) * pu - (
@@ -216,4 +224,3 @@ def _exact_violation(cells, one, irrelevant):
         ) * pe * stratum0 * stratum1
         return num, pe * pu * stratum0 * stratum1
     return (p1 + p3) * pu - (p5 + p7) * pe, pe * pu
-

@@ -32,15 +32,10 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     return _impl.run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)
 
 
-def grid_rows(model, rep, seed, start, count, attempt):
-    """Dispatch one block of exact-campaign draw rows to the selected backend."""
-    return _impl.grid_rows(model, rep, seed, start, count, attempt)
-
-
-def grid_tally(model, rep, conclusion, seed, start, count):
-    """Dispatch one exact campaign of a clause without an H1/H5 member to
-    the selected backend: (failures, max_num, max_den)."""
-    return _impl.grid_tally(model, rep, conclusion, seed, start, count)
+def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
+    """Dispatch one exact campaign chunk to the selected backend:
+    (failures, max_num, max_den, exhausted)."""
+    return _impl.grid_tally(model, rep, eq, conclusion, seed, start, count, budget)
 
 
 def available_backends() -> dict:

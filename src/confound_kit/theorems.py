@@ -16,17 +16,15 @@ bit from (seed, samples) alone, independent of chunking or thread count;
 Exact campaigns rerun the same algorithm on the thousandths grid, where a
 sound clause yields violations of exactly zero, in integer arithmetic over
 a common denominator; their draws are the stream ``random_params(exact=True)``
-reads.  A clause without an H1/H5 member runs whole on the selected kernel
-backend (``kernel.grid_tally``): in Python integers on the pure kernel, in
-64- and 128-bit integers on the compiled one.  A clause with one takes its
-draws from ``kernel.grid_rows``, a block of samples per call, and runs in
-Python integers here, since after model 1's H1 solve the cells pass 160
-bits.  The H1/H5 solve is ``hypotheses._solve`` and the cells are
-``joint._cells``, the code ``impose`` and ``build_joint`` run, so the tests
-check exact campaigns against a Fraction route that shares none of this
-code: draws from ``sample_stream``, parameters imposed through the plain
-H1/H5 quotients and joints from the plain ``Fraction`` products, both kept
-in the tests' oracle module, then ``summary_from_joint``.
+reads.  Every clause runs whole in one ``kernel.grid_tally`` call on the
+selected backend: in Python integers on the pure kernel, in fixed-width
+integers on the compiled one.  The pure kernel's H1/H5 solve is
+``hypotheses._solve`` and its cells are ``joint._cells``, the code
+``impose`` and ``build_joint`` run, so the tests check exact campaigns
+against a Fraction route that shares none of this code: draws from
+``sample_stream``, parameters imposed through the plain H1/H5 quotients
+and joints from the plain ``Fraction`` products, both kept in the tests'
+oracle module, then ``summary_from_joint``.
 
 A clause, and a campaign's PASS, speak about the open box, where all four
 (E, C) strata have positive mass; campaigns draw strictly inside it.  On
@@ -55,14 +53,12 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import kernel
-from ._pykernel import _GRID, _exact_violation
 from ._rng import SplitMix64
 from .errors import ConstraintError, ParameterError
 from .hypotheses import (
     Hypothesis,
     _REDRAW_BUDGET,
     _exhausted,
-    _solve,
     _solved_slot,
     equational_member,
     holds_algebraic,
@@ -73,7 +69,6 @@ from .hypotheses import (
 from .joint import (
     ModelParams,
     _Frozen,
-    _cells,
     _check_integer,
     _check_tolerance,
     _num_to_json,
@@ -264,56 +259,23 @@ def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
     return max_violation, failures, exhausted
 
 
-# Samples whose first draws an exact campaign with an H1/H5 member takes in
-# one kernel call: the rows of a block are held at once, so memory stays
-# flat in the sample count.
-_ROW_BLOCK = 256
-
-
 def _exact_campaign(clause: TheoremClause, samples, seed):
     """(max_violation, failures) of an exact campaign, in integer arithmetic.
 
-    Samples are drawn as ``random_params(exact=True)`` and ``impose`` draw
-    them, as numerators over _GRID.  A clause without an H1/H5 member is
-    tallied whole by ``kernel.grid_tally``, in 64- and 128-bit integers on
-    the compiled kernel.  Any other takes its draws from
-    ``kernel.grid_rows``, every sample's first attempt in one call per
-    ``_ROW_BLOCK`` samples and each redraw in a call of its own, and runs
-    here in Python integers, which grow past 64 bits: the solve gives its
-    slot as num/den, every slot is then scaled to the common denominator
-    q = _GRID * den, and the cells are integers over q**3.  Each violation
-    is an unreduced pair |num|/den, so the only Fraction built is the
-    reported maximum (int 0 when every violation is zero).
+    One ``kernel.grid_tally`` call runs the whole campaign: samples are
+    drawn as ``random_params(exact=True)`` and ``impose`` draw them, as
+    numerators over 1000, an H1/H5 member is solved and redrawn as
+    ``impose`` does, and each violation is an unreduced pair over the
+    campaign's common denominator, so the only Fraction built is the
+    reported maximum (int 0 when every violation is zero).  Raises
+    ConstraintError when a sample exhausts the redraw budget.
     """
     model, rep, eq, conclusion = _campaign_codes(clause)
-    if eq == kernel.EQ_NONE:
-        failures, max_num, max_den = kernel.grid_tally(model, rep, conclusion, seed, 0, samples)
-        return (Fraction(max_num, max_den) if max_num else 0), failures
-    irrelevant = conclusion == kernel.IRRELEVANT
-    eq_member = Hypothesis.H1 if eq == kernel.EQ_H1 else Hypothesis.H5
-    solved = eq_member._solves
-    failures, max_num, max_den = 0, 0, 1
-    for block in range(0, samples, _ROW_BLOCK):
-        rows = kernel.grid_rows(model, rep, seed, block, min(_ROW_BLOCK, samples - block), 0)
-        for i, x in enumerate(rows, block):
-            num, den = _solve(model, eq_member, x, _GRID)
-            attempt = 0
-            while not (den and 0 <= num <= den):
-                attempt += 1
-                if attempt > _REDRAW_BUDGET:
-                    raise _exhausted(eq_member, _REDRAW_BUDGET)
-                (x,) = kernel.grid_rows(model, rep, seed, i, 1, attempt)
-                num, den = _solve(model, eq_member, x, _GRID)
-            x = [v * den for v in x]
-            x[solved] = num * _GRID
-            q = _GRID * den
-            num, den = _exact_violation(_cells(model, x, q), q, irrelevant)
-            if num:
-                failures += 1  # exact mode compares at tol = 0
-                if num < 0:
-                    num = -num
-                if num * max_den > max_num * den:
-                    max_num, max_den = num, den
+    failures, max_num, max_den, exhausted = kernel.grid_tally(
+        model, rep, eq, conclusion, seed, 0, samples, _REDRAW_BUDGET
+    )
+    if exhausted:
+        raise _exhausted(equational_member(clause.conditions), _REDRAW_BUDGET)
     return (Fraction(max_num, max_den) if max_num else 0), failures
 
 

@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from confound_kit import CLAUSES, Conclusion, Hypothesis, TheoremClause, kernel
+import algebra_oracle as oracle
+from confound_kit import CLAUSES, Conclusion, Hypothesis, TheoremClause, clause_lookup, kernel
 from confound_kit._rng import sample_stream
-from confound_kit.hypotheses import substitution_reps
+from confound_kit.hypotheses import random_params, substitution_reps
 from confound_kit.kernel import (
     BACKEND,
     EQ_H1,
@@ -26,7 +27,9 @@ from confound_kit.kernel import (
     available_backends,
     run_campaign,
 )
+from confound_kit.measures import summary_from_joint
 from confound_kit.theorems import _campaign_codes
+from test_theorems import _false_clauses
 
 
 UNIT_REP = (0, 1, 2, 3, 4, 5, 6)
@@ -59,120 +62,159 @@ def test_backends_export_the_same_functions(backends):
     # a kernel function added to one backend only would leave the other
     # unable to serve the library
     assert _public_functions(backends["pure"]) == _public_functions(backends["compiled"])
-    assert _public_functions(backends["pure"]) >= {"run_campaign", "grid_rows", "grid_tally"}
+    assert _public_functions(backends["pure"]) >= {"run_campaign", "grid_tally"}
 
 
-def test_grid_rows_continue_the_sample_stream(backends):
-    # row k of attempt a holds draws a*drawn .. a*drawn+drawn-1 of sample
-    # start+k's stream, as the exact campaign's numerators over 1000 in
-    # [10, 990], with rep applied and model 3's undrawn slot 2 at 0
-    impls = {**available_backends(), **backends, "kernel.grid_rows": kernel}
-    for model, rep in ((1, UNIT_REP), (2, (0, 1, 2, 3, 3, 5, 6)), (3, UNIT_REP), (3, (0, 1, 2, 4, 4, 6, 6))):
-        drawn = 6 if model == 3 else 7
+# (label, model, conditions, conclusion) of clauses whose violations show
+# each sample's draws: each solve in each model, and an equality beside it
+_STREAM_CLAUSES = (
+    ("model 1 H1 irrelevance", 1, (Hypothesis.H1,), IRRELEVANT),
+    ("model 2 H1 irrelevance", 2, (Hypothesis.H1,), IRRELEVANT),
+    ("model 3 H5 no confounding", 3, (Hypothesis.H5,), NO_CONFOUNDING),
+    ("model 1 H1 H2 irrelevance", 1, (Hypothesis.H1, Hypothesis.H2), IRRELEVANT),
+    ("model 1 H5 H3 irrelevance", 1, (Hypothesis.H5, Hypothesis.H3), IRRELEVANT),
+    ("model 2 H5 H6 no confounding", 2, (Hypothesis.H5, Hypothesis.H6), NO_CONFOUNDING),
+)
+
+
+def test_grid_tally_continues_the_sample_stream(backends):
+    # a one-sample campaign's violation is that of the Fraction route on
+    # sample_stream(seed, index): its first attempt's draws and, when the
+    # solve is rejected, the draws that follow them on the same stream, as
+    # the exact campaign's numerators over 1000 with the equalities applied
+    impls = {**backends, "kernel.grid_tally": kernel}
+    shown = redrawn = 0
+    for label, model, conditions, conclusion in _STREAM_CLAUSES:
+        conditions = frozenset(conditions)
+        rep = substitution_reps(model, conditions)
+        eq = EQ_H1 if Hypothesis.H1 in conditions else EQ_H5
         for seed in (0, 7, -3, 2**64 + 3, 2**64 - 1):
-            for start in (0, 1, 2**64 - 1):
-                for attempt in (0, 1, 1000):
-                    expected = []
-                    for index in range(start, start + 3):
-                        rng = sample_stream(seed, index)
-                        for _ in range(attempt * drawn):
-                            rng.next_u64()
-                        n = [10 + rng.next_u64() % 981 for _ in range(drawn)]
-                        if model == 3:
-                            n.insert(2, 0)
-                        expected.append([n[r] for r in rep])
-                    for count in (0, 1, 3):
-                        for name, impl in impls.items():
-                            got = impl.grid_rows(model, rep, seed, start, count, attempt)
-                            assert got == expected[:count], (name, model, rep, seed, start, attempt, count)
+            for index in (0, 1, 2, 3, 2**64 - 1, 2**64, 2**64 + 1):
+                rng = sample_stream(seed, index)
+                params = oracle.impose(random_params(model, rng, exact=True), conditions, rng, budget=1000)
+                summary = summary_from_joint(oracle.build_joint(params))
+                gap = summary.bias if conclusion == NO_CONFOUNDING else summary.standardized - summary.observed
+                shown += gap != 0
+                redrawn += backends["pure"].grid_tally(model, rep, eq, conclusion, seed, index, 1, 0)[3]
+                for name, impl in impls.items():
+                    failures, num, den, exhausted = impl.grid_tally(model, rep, eq, conclusion, seed, index, 1, 1000)
+                    got = (failures, Fraction(num, den), exhausted)
+                    assert got == (int(gap != 0), abs(gap), 0), (name, label, seed, index)
+    # nearly every sample's draws show in its violation, and the first
+    # attempt of some of them is rejected
+    assert shown >= 200 and redrawn >= 20, (shown, redrawn)
 
 
-def test_grid_rows_reject_a_negative_count(backends):
-    for impl in (*backends.values(), kernel):
-        with pytest.raises(ValueError, match="count must be non-negative"):
-            impl.grid_rows(1, UNIT_REP, 0, 0, -1, 0)
+def _cases(clauses):
+    """(label, model, rep, eq, conclusion) of each clause's campaign."""
+    for clause in clauses:
+        yield (f"{clause.theorem}{clause.clause} model {clause.model} {clause.conclusion.value}", *_campaign_codes(clause))
 
 
 def _free_cases():
-    """(label, model, rep, conclusion) of the exact campaigns grid_tally
-    runs: the 16 catalog clauses without an H1/H5 member, then the false
-    clauses with no conditions in each model under both conclusions."""
+    """The exact campaigns without an H1/H5 member: the 16 catalog clauses,
+    then the false clauses with no conditions in each model under both
+    conclusions."""
     clauses = [c for c in CLAUSES if _campaign_codes(c)[2] == EQ_NONE]
     assert len(clauses) == 16
-    clauses += [TheoremClause("X", "none", m, frozenset(), c) for m in (1, 2, 3) for c in Conclusion]
-    for clause in clauses:
-        model, rep, _, conclusion = _campaign_codes(clause)
-        yield f"{clause.theorem}{clause.clause} model {model} {clause.conclusion.value}", model, rep, conclusion
+    return _cases(clauses + [TheoremClause("X", "none", m, frozenset(), c) for m in (1, 2, 3) for c in Conclusion])
 
 
-def test_grid_tally_parity(backends):
-    # the compiled tally runs in 64- and 128-bit integers and compares
-    # maxima in 256 bits; it must return the pure kernel's unreduced pair
+def _solved_cases():
+    """The exact campaigns with an H1/H5 member: T2a, T4a and T5a, then
+    every H1/H5 false clause of test_theorems."""
+    clauses = [clause_lookup(*key) for key in (("T2", "a"), ("T4", "a"), ("T5", "a"))]
+    clauses += [c for c in _false_clauses() if c.conditions]
+    assert len(clauses) == 12
+    return _cases(clauses)
+
+
+# the false clauses that meet failing samples: all five without an H1/H5
+# member but model 3's irrelevance, which holds by structure, and seven of
+# the nine with one (not H1 or H5 irrelevance in model 3)
+@pytest.mark.parametrize("cases, failing", [(_free_cases, 5), (_solved_cases, 7)], ids=["free", "solved"])
+def test_grid_tally_parity(backends, cases, failing):
+    # the compiled tally runs a clause without an H1/H5 member in 64- and
+    # 128-bit integers and compares maxima in 256 bits; under H1 or H5 it
+    # solves and redraws in int64, keeps the cells in int128 and the pairs
+    # in 320-bit limbs.  It must return the pure kernel's unreduced pair.
     impls = {**backends, "kernel.grid_tally": kernel}
-    failing = set()
-    for label, model, rep, conclusion in _free_cases():
+    failed = set()
+    for label, model, rep, eq, conclusion in cases():
         for seed in (0, 7, -3, 2**64 + 3):
             for start, count in ((0, 0), (0, 1), (5, 300), (2**64 - 1, 3)):
-                expected = backends["pure"].grid_tally(model, rep, conclusion, seed, start, count)
+                expected = backends["pure"].grid_tally(model, rep, eq, conclusion, seed, start, count, 1000)
                 for name, impl in impls.items():
-                    got = impl.grid_tally(model, rep, conclusion, seed, start, count)
+                    got = impl.grid_tally(model, rep, eq, conclusion, seed, start, count, 1000)
                     assert got == expected, (name, label, seed, start, count)
                     assert all(type(v) is int for v in got)
                 if count == 0:
-                    assert expected == (0, 0, 1)
+                    assert expected == (0, 0, 1, 0)
+                assert expected[3] == 0
                 if expected[0]:
-                    failing.add(label)
-    # the five false clauses without structural irrelevance (model 3 has it)
-    assert len(failing) == 5, failing
+                    failed.add(label)
+    assert len(failed) == failing, failed
 
 
 def test_grid_tally_parity_on_many_violations(backends):
-    # every sample fails, with irrelevance pairs of about 110 bits, so the
-    # 128-bit conclusion and the 256-bit comparison of maxima meet 20,000
-    # nonzero violations
-    expected = backends["pure"].grid_tally(1, UNIT_REP, IRRELEVANT, 99, 0, 20_000)
-    assert expected[0] > 19_900 and expected[2].bit_length() > 100
-    assert backends["compiled"].grid_tally(1, UNIT_REP, IRRELEVANT, 99, 0, 20_000) == expected
+    # every sample fails, so the conclusion and the comparison of maxima
+    # meet 20,000 nonzero violations: model 1 irrelevance in 128 bits, with
+    # pairs of about 110 bits, and under model 1's H1 solve in 320-bit limbs,
+    # with pairs past 300 bits
+    for eq, bits in ((EQ_NONE, 100), (EQ_H1, 300)):
+        expected = backends["pure"].grid_tally(1, UNIT_REP, eq, IRRELEVANT, 99, 0, 20_000, 1000)
+        assert expected[0] > 19_900 and expected[2].bit_length() > bits
+        assert backends["compiled"].grid_tally(1, UNIT_REP, eq, IRRELEVANT, 99, 0, 20_000, 1000) == expected
 
 
-def test_grid_tally_keeps_the_first_of_equal_maxima(backends):
-    # in model 2 the irrelevance gap is (b1 - b0)(c1 - c0), whatever a is;
-    # with b0 tied to c0 and b1 to c1 adjacent samples often tie in value,
-    # their pairs scaled apart by a.  A tie keeps the first pair, so the
-    # compiled kernel's 256-bit cross products of pairs past 2**100 must come
-    # out equal to the last bit, carries included.
+@pytest.mark.parametrize("eq", [EQ_NONE, EQ_H5])
+def test_grid_tally_keeps_the_first_of_equal_maxima(backends, eq):
+    # in model 2 the irrelevance gap is (b1 - b0)(c1 - c0), whatever a, u0
+    # and u1 are; with b0 tied to c0 and b1 to c1 adjacent samples often
+    # tie in value, their pairs scaled apart by a (and under H5 by the
+    # solve's den).  A tie keeps the first pair, so the compiled kernel's
+    # cross products must come out equal to the last bit, carries included:
+    # pairs past 2**100 in 256 bits without a solve, past 2**280 in 640
+    # bits under H5.
     rep = (0, 1, 2, 1, 2, 5, 6)
     pure, compiled = backends["pure"].grid_tally, backends["compiled"].grid_tally
-    singles = [pure(2, rep, IRRELEVANT, 3, i, 1) for i in range(20_001)]
+    singles = [pure(2, rep, eq, IRRELEVANT, 3, i, 1, 1000) for i in range(20_001)]
     ties = [
         i
         for i, (a, b) in enumerate(zip(singles, singles[1:]))
-        if a[0] and a[1:] != b[1:] and Fraction(a[1], a[2]) == Fraction(b[1], b[2])
+        if a[0] and a[1:3] != b[1:3] and Fraction(a[1], a[2]) == Fraction(b[1], b[2])
     ]
     assert len(ties) >= 20
+    assert min(singles[i][2].bit_length() for i in ties) > (280 if eq == EQ_H5 else 100)
     for i in ties:
-        expected = pure(2, rep, IRRELEVANT, 3, i, 2)
+        expected = pure(2, rep, eq, IRRELEVANT, 3, i, 2, 1000)
         assert expected == (2, *singles[i][1:])
-        assert compiled(2, rep, IRRELEVANT, 3, i, 2) == expected, i
+        assert compiled(2, rep, eq, IRRELEVANT, 3, i, 2, 1000) == expected, i
 
 
 def test_grid_tally_chunks_merge_to_whole(backends):
-    # [0, n) is [0, k) and [k, n) merged: failures add, and the maximum is
-    # the first chunk's pair unless the second's is strictly larger
-    for label, model, rep, conclusion in _free_cases():
+    # [0, n) is [0, k) and [k, n) merged: failures and exhausted samples
+    # add, and the maximum is the first chunk's pair unless the second's is
+    # strictly larger; a budget of 0 exhausts the samples whose first solve
+    # is rejected
+    for label, model, rep, eq, conclusion in (*_free_cases(), *_solved_cases()):
         for name, impl in backends.items():
-            whole = impl.grid_tally(model, rep, conclusion, 11, 0, 150)
-            for k in (0, 1, 64, 149, 150):
-                left = impl.grid_tally(model, rep, conclusion, 11, 0, k)
-                right = impl.grid_tally(model, rep, conclusion, 11, k, 150 - k)
-                larger = right if Fraction(right[1], right[2]) > Fraction(left[1], left[2]) else left
-                assert (left[0] + right[0], *larger[1:]) == whole, (name, label, k)
+            for budget in (1000, 0):
+                whole = impl.grid_tally(model, rep, eq, conclusion, 11, 0, 150, budget)
+                for k in (0, 1, 64, 149, 150):
+                    left = impl.grid_tally(model, rep, eq, conclusion, 11, 0, k, budget)
+                    right = impl.grid_tally(model, rep, eq, conclusion, 11, k, 150 - k, budget)
+                    larger = right if Fraction(right[1], right[2]) > Fraction(left[1], left[2]) else left
+                    merged = (left[0] + right[0], *larger[1:3], left[3] + right[3])
+                    assert merged == whole, (name, label, budget, k)
+                if eq != EQ_NONE and budget == 0:
+                    assert whole[3] > 0, (name, label)
 
 
 def test_grid_tally_rejects_a_negative_count(backends):
     for impl in (*backends.values(), kernel):
         with pytest.raises(ValueError, match="count must be non-negative"):
-            impl.grid_tally(1, UNIT_REP, IRRELEVANT, 0, 0, -1)
+            impl.grid_tally(1, UNIT_REP, EQ_NONE, IRRELEVANT, 0, 0, -1, 1000)
 
 
 def test_parity_across_full_catalog(backends):
@@ -241,12 +283,22 @@ def test_parity_over_every_rep(backends):
         (1, (6, 5, 6, 5, 6, 5, 6)),
     ]
     codes = itertools.product((EQ_NONE, EQ_H1, EQ_H5), (IRRELEVANT, NO_CONFOUNDING))
+    tied = 0
     for (model, rep), (eq, conclusion) in itertools.product(reps, codes):
+        solved = {EQ_H1: 6, EQ_H5: 5}.get(eq)
+        if solved is not None and (rep[solved] != solved or rep.count(solved) > 1):
+            # another position shares the solved slot's draw: both refuse
+            tied += 1
+            for impl in backends.values():
+                with pytest.raises(ValueError, match="rep must not tie the slot eq solves for"):
+                    impl.run_campaign(model, rep, eq, conclusion, 0, 1, 31, 1e-10, 1000)
+            continue
         for start, count, budget in ((0, 1, 1000), (3, 130, 1000), (64, 65, 0), (9, 200, 2)):
             args = (model, rep, eq, conclusion, start, count, 31, 1e-10, budget)
             pure = backends["pure"].run_campaign(*args)
             compiled = backends["compiled"].run_campaign(*args)
             assert (compiled[0].hex(), compiled[1:]) == (pure[0].hex(), pure[1:]), args
+    assert 0 < tied < len(reps) * 6
 
 
 def _per_sample_cases():
@@ -321,18 +373,38 @@ def test_parity_at_edge_tolerances(backends):
                     assert (got[0].hex(), got[1:]) == (expected[0].hex(), expected[1:]), (label, tol, count, budget)
 
 
+_REP_ERROR = "rep must be 7 slot indices in 0..6"
+_TIE_ERROR = "rep must not tie the slot eq solves for"
+
+
 @pytest.mark.parametrize(
-    "rep", [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6, 0), (0, 1, 2, 3, 4, 5, 7), (0, 1, 2, -1, 4, 5, 6)]
+    "rep, eq, message",
+    [
+        ((0, 1, 2, 3, 4, 5), EQ_NONE, _REP_ERROR),
+        ((0, 1, 2, 3, 4, 5, 6, 0), EQ_NONE, _REP_ERROR),
+        ((0, 1, 2, 3, 4, 5, 7), EQ_NONE, _REP_ERROR),
+        ((0, 1, 2, -1, 4, 5, 6), EQ_NONE, _REP_ERROR),
+        # a tie of the solved slot in either direction: it takes another
+        # slot's draw (rep[s] != s), or another position takes its draw
+        ((0, 1, 2, 3, 4, 5, 5), EQ_H1, _TIE_ERROR),
+        ((0, 1, 2, 3, 4, 5, 5), EQ_H5, _TIE_ERROR),
+        ((0, 1, 2, 3, 4, 6, 6), EQ_H1, _TIE_ERROR),
+        ((0, 1, 2, 3, 4, 6, 6), EQ_H5, _TIE_ERROR),
+        ((6, 1, 2, 3, 4, 5, 6), EQ_H1, _TIE_ERROR),
+        ((0, 1, 2, 5, 4, 5, 6), EQ_H5, _TIE_ERROR),
+        ((0, 1, 2, 3, 6, 5, 6), EQ_H1, _TIE_ERROR),
+    ],
 )
-def test_bad_rep_raises_in_both_backends(backends, rep):
+def test_bad_rep_raises_in_both_backends(backends, rep, eq, message):
     for impl in backends.values():
-        with pytest.raises(ValueError, match="rep must be 7 slot indices"):
-            impl.run_campaign(1, rep, EQ_NONE, IRRELEVANT, 0, 10, 0, 1e-10, 1000)
+        with pytest.raises(ValueError, match=message):
+            impl.run_campaign(1, rep, eq, IRRELEVANT, 0, 10, 0, 1e-10, 1000)
     for impl in (*backends.values(), kernel):
-        with pytest.raises(ValueError, match="rep must be 7 slot indices"):
-            impl.grid_rows(1, rep, 0, 0, 10, 0)
-        with pytest.raises(ValueError, match="rep must be 7 slot indices"):
-            impl.grid_tally(1, rep, IRRELEVANT, 0, 0, 10)
+        with pytest.raises(ValueError, match=message):
+            impl.grid_tally(1, rep, eq, IRRELEVANT, 0, 0, 10, 1000)
+        # in a list too
+        with pytest.raises(ValueError, match=message):
+            impl.grid_tally(1, list(rep), eq, IRRELEVANT, 0, 0, 10, 1000)
 
 
 _CODE_ERRORS = {
@@ -376,15 +448,10 @@ def test_bad_codes_raise_in_both_backends(backends, name, value):
             impl.run_campaign(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 10, 0, 1e-10, args["budget"])
     messages = set()
     for impl in (*backends.values(), kernel):
-        if name == "model":
-            with pytest.raises(error, match=message) as raised:
-                impl.grid_rows(value, UNIT_REP, 0, 0, 10, 0)
-            messages.add(str(raised.value))
-        if name in ("model", "conclusion"):
-            with pytest.raises(error, match=message) as raised:
-                impl.grid_tally(args["model"], UNIT_REP, args["conclusion"], 0, 0, 10)
-            messages.add(str(raised.value))
-    assert len(messages) <= 1, messages
+        with pytest.raises(error, match=message) as raised:
+            impl.grid_tally(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 0, 10, args["budget"])
+        messages.add(str(raised.value))
+    assert len(messages) == 1, messages
 
 
 def test_large_budgets_agree_in_both_backends(backends):

@@ -408,19 +408,24 @@ def test_exact_campaign_matches_fraction_route(monkeypatch, backends, seed):
             assert failures > 0 and isinstance(report.max_violation, Fraction), clause
 
 
-def test_exact_campaign_blocks_join_to_the_fraction_route(monkeypatch, backends):
-    # a 30-sample campaign in blocks of 7 rows cuts blocks mid-campaign and
-    # ends on a partial one.  Both clauses redraw H1 solves inside blocks; at
-    # seed 24 the false one fails on 29 of the 30 samples, its maximum on
-    # sample 19, so rows taken from the wrong sample change the report.
-    monkeypatch.setattr(theorems, "_ROW_BLOCK", 7)
+def test_exact_h1_campaign_chunks_join_to_the_fraction_route(backends):
+    # grid_tally over [0, k) and [k, 30) merges to the whole campaign, and
+    # the whole is the Fraction route's.  Both clauses redraw H1 solves
+    # inside chunks; at seed 24 the false one fails on 29 of the 30 samples,
+    # its maximum on sample 19, so draws taken from the wrong sample, or a
+    # merge that lost a chunk, change the report.
     false_clause = TheoremClause("X", "h1", 1, hypothesis_set(H.H1), Conclusion.IRRELEVANT_FACTOR)
     for clause in (clause_lookup("T2", "a"), false_clause):
         expected = _fraction_campaign(clause, 30, 24)
+        codes = _campaign_codes(clause)
         for name, impl in backends.items():
-            monkeypatch.setattr(kernel, "_impl", impl)
-            report = verify_clause(clause, samples=30, seed=24, exact=True)
-            assert (report.max_violation, report.failures) == expected, (name, clause)
+            whole = impl.grid_tally(*codes, 24, 0, 30, theorems._REDRAW_BUDGET)
+            assert ((Fraction(*whole[1:3]) if whole[1] else 0), whole[0], whole[3]) == (*expected, 0), (name, clause)
+            for k in (0, 1, 7, 19, 20, 29, 30):
+                left = impl.grid_tally(*codes, 24, 0, k, theorems._REDRAW_BUDGET)
+                right = impl.grid_tally(*codes, 24, k, 30 - k, theorems._REDRAW_BUDGET)
+                larger = right if Fraction(*right[1:3]) > Fraction(*left[1:3]) else left
+                assert (left[0] + right[0], *larger[1:3], left[3] + right[3]) == whole, (name, clause, k)
     assert expected[1] == 29 and isinstance(expected[0], Fraction)
 
 
