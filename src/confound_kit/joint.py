@@ -162,11 +162,11 @@ class _Frozen:
     Instances are equal when their classes are identical and their field
     tuples are equal, hash as that tuple, print as ``Name(field=value, ...)``
     and refuse assignment and deletion.  Plain attributes outside
-    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``) take no part
-    in any of these.  The constructor binds the fields positionally or by
-    keyword, with Python's own messages for a bad call, then runs
-    ``__post_init__``; classes on hot paths define their own ``__init__``
-    instead.
+    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``, ``_codes``)
+    take no part in any of these.  The constructor binds the fields
+    positionally or by keyword, with Python's own messages for a bad call,
+    then runs ``__post_init__``; classes on hot paths define their own
+    ``__init__`` instead.
     """
 
     _fields: tuple = ()

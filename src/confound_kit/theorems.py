@@ -84,6 +84,9 @@ CAMPAIGN_FLOAT_TOL = 1e-10
 # 2 x 4,194,304 samples and 0.67-0.70x at 10,000, so the VM placed no
 # crossover and the value stays.
 _MIN_CHUNK = 131_072
+# Samples a campaign may have: the compiled kernels count them in a C
+# `long long` (float) or `Py_ssize_t` (exact).
+_SAMPLES_LIMIT = 2**63
 
 
 class Conclusion(Enum):
@@ -92,9 +95,20 @@ class Conclusion(Enum):
 
 
 class TheoremClause(_Frozen):
-    """One catalog clause: a hypothesis set that guarantees a conclusion in a model."""
+    """One catalog clause: a hypothesis set that guarantees a conclusion in a model.
+
+    ``_codes`` keeps the clause's campaign set-up, the kernel arguments
+    ``_campaign_codes`` derives, once they are derived; it is None until
+    then.  Like ``_unit`` on parameter sets it is a plain attribute, not a
+    field, so equality, hashing, ``repr`` and ``to_dict`` see the fields
+    alone, and copies and pickles leave it out.
+    """
 
     _fields = ("theorem", "clause", "model", "conditions", "conclusion")
+    _codes = None
+
+    def __getstate__(self) -> dict:
+        return {name: self.__dict__[name] for name in self._fields}
 
     def to_dict(self) -> dict:
         return {
@@ -167,13 +181,12 @@ class VerificationReport(_Frozen):
         failures: int,
         seed: int,
     ) -> None:
-        self.__dict__.update(
-            clause=clause,
-            samples=samples,
-            max_violation=max_violation,
-            failures=failures,
-            seed=seed,
-        )
+        fields = self.__dict__
+        fields["clause"] = clause
+        fields["samples"] = samples
+        fields["max_violation"] = max_violation
+        fields["failures"] = failures
+        fields["seed"] = seed
 
     @property
     def passed(self) -> bool:
@@ -205,18 +218,48 @@ def _usable_cpus() -> int:
 def _campaign_codes(clause: TheoremClause) -> tuple:
     """(model, rep, eq, conclusion) kernel arguments for one clause.
 
+    A clause's campaign set-up is computed once and kept on it: the first
+    call that succeeds on a clause whose conditions are a ``frozenset``
+    stores the result in its ``_codes``, and later calls return it.  A
+    clause built on a mutable set keeps nothing, so its codes follow its
+    set, and a clause that raises keeps nothing either, so it raises on
+    every call.  See ``_derive_codes`` for what it raises.
+    """
+    try:
+        codes = clause._codes
+    except AttributeError:
+        raise ParameterError(
+            f"{clause!r} is not a TheoremClause; clause_lookup(theorem, clause) returns one"
+        ) from None
+    if codes is None:
+        codes = _derive_codes(clause)
+        if clause.conditions.__class__ is frozenset:
+            clause.__dict__["_codes"] = codes
+    return codes
+
+
+def _derive_codes(clause: TheoremClause) -> tuple:
+    """The kernel arguments of ``_campaign_codes``, derived afresh.
+
     Raises what ``random_params`` and ``impose`` raise for a clause no
     campaign can run: an unknown model, H1 together with H5, or an H1/H5
     solve for a slot an equality already ties; and ``ParameterError`` for a
-    conclusion that is not a ``Conclusion``.
+    conclusion that is not a ``Conclusion`` or conditions that are not an
+    iterable of hypotheses.
     """
     if not isinstance(clause.conclusion, Conclusion):
         raise ParameterError(
             f"{clause.conclusion!r} is not a Conclusion; Conclusion(name) turns a name into one"
         )
     params_type(clause.model)
-    rep = substitution_reps(clause.model, clause.conditions)
-    eq_member = equational_member(clause.conditions)
+    try:
+        conditions = frozenset(clause.conditions)
+    except TypeError:
+        raise ParameterError(
+            f"clause conditions must be an iterable of hypotheses, got {clause.conditions!r}"
+        ) from None
+    rep = substitution_reps(clause.model, conditions)
+    eq_member = equational_member(conditions)
     eq = kernel.EQ_NONE
     if eq_member is not None:
         _solved_slot(clause.model, rep, eq_member)
@@ -298,12 +341,20 @@ def verify_clause(
     samples, so smaller campaigns, and every campaign on the pure kernel,
     run on the calling thread.  Exact campaigns always run on the calling
     thread and ignore ``threads``, though it is still checked.
+
+    A clause's campaign set-up, its kernel arguments, is computed once and
+    kept on it (see ``_campaign_codes``), so repeated campaigns on one
+    clause go straight to the kernel.  A bad argument, the clause included,
+    raises ``ParameterError`` before any kernel call; so does a sample
+    count of 2**63 or more, which the compiled kernels cannot count.
     """
     if type(samples) is not int or type(seed) is not int:
         _check_integer("samples", samples)
         _check_integer("seed", seed)
-    if samples < 1:
-        raise ParameterError(f"samples must be positive, got {samples!r}")
+    if not 0 < samples < _SAMPLES_LIMIT:
+        if samples < 1:
+            raise ParameterError(f"samples must be positive, got {samples!r}")
+        raise ParameterError(f"samples must be below 2**63, got {samples!r}")
     if tol is None:
         tol = 0 if exact else CAMPAIGN_FLOAT_TOL
     else:

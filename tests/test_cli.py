@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import confound_kit
-from confound_kit import fixture_path
+from confound_kit import fixture_path, kernel
 from confound_kit.cli import build_parser, main
 
 MODEL1_FLAGS = [
@@ -268,6 +268,22 @@ def test_verify_counts_below_one_are_usage_errors(capsys, flag, value):
         main(["verify", "--theorem", "T2", "--clause", "e", f"{flag}={value}"])
     assert exit_info.value.code == 2
     assert f"{flag}: must be at least 1, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+def test_verify_sample_count_past_the_kernels_is_one_error_line(capsys, monkeypatch, mode):
+    # the kernels count samples in 64-bit signed integers; a larger count
+    # was an OverflowError traceback (or, on the pure kernel, a campaign
+    # that never ends), so any kernel call here fails the test
+    class NoKernel:
+        def __getattr__(self, name):
+            pytest.fail(f"kernel {name} called for a count no kernel can take")
+
+    monkeypatch.setattr(kernel, "_impl", NoKernel())
+    code, out, err = run(capsys, "verify", "--theorem", "T1", "--clause", "a",
+                         "--samples", "99999999999999999999999", *mode)
+    assert (code, out) == (1, "")
+    assert err == "error: samples must be below 2**63, got 99999999999999999999999\n"
 
 
 def test_verify_unknown_clause_is_usage_error(capsys):

@@ -1,7 +1,10 @@
 """Tests for the clause catalog, verification campaigns, and converse search."""
 
 import concurrent.futures
+import copy
 import json
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -276,11 +279,187 @@ def test_verify_rejects_bad_thread_counts(exact, threads, message):
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_verify_rejects_conditions_that_are_not_hypotheses(exact):
-    # string conditions would otherwise run an unconstrained campaign
-    clause = TheoremClause("X", "names", 1, frozenset({"H4"}), Conclusion.IRRELEVANT_FACTOR)
-    with pytest.raises(ParameterError, match="'H4' is not a Hypothesis"):
+@pytest.mark.parametrize(
+    "conditions, message",
+    [
+        # string conditions would otherwise run an unconstrained campaign
+        (frozenset({"H4"}), "'H4' is not a Hypothesis"),
+        *(
+            (bad, f"clause conditions must be an iterable of hypotheses, got {bad!r}")
+            for bad in (None, 4, [[H.H4]])
+        ),
+    ],
+    ids=["names", "none", "int", "unhashable"],
+)
+def test_verify_rejects_conditions_that_are_not_hypotheses(exact, conditions, message):
+    clause = TheoremClause("X", "bad", 1, conditions, Conclusion.IRRELEVANT_FACTOR)
+    with pytest.raises(ParameterError, match=re.escape(message)):
         verify_clause(clause, 10, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("clause", ["T1a", None, ("T1", "a")])
+def test_verify_rejects_what_is_not_a_clause(exact, clause):
+    with pytest.raises(ParameterError, match=re.escape(f"{clause!r} is not a TheoremClause")):
+        verify_clause(clause, 10, exact=exact)
+
+
+class _Reached(Exception):
+    pass
+
+
+def _recording_backend(calls, impl=None):
+    """A kernel backend that appends (name, args) of each call to ``calls``
+    and forwards the call to ``impl``; with no ``impl`` it stops the call
+    with _Reached, so a campaign that passes its checks fails fast."""
+
+    def forward(name, args):
+        calls.append((name, args))
+        if impl is None:
+            raise _Reached
+        return getattr(impl, name)(*args)
+
+    class Recording:
+        def run_campaign(self, *args):
+            return forward("run_campaign", args)
+
+        def grid_tally(self, *args):
+            return forward("grid_tally", args)
+
+    return Recording()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_verify_rejects_sample_counts_the_kernels_cannot_count(monkeypatch, exact, backend):
+    # the compiled kernels count samples in a long long / Py_ssize_t, and
+    # the pure kernel would start a campaign it never finishes; the check
+    # comes before any kernel call, so no kernel call may be made
+    calls = []
+    monkeypatch.setattr(kernel, "_impl", _recording_backend(calls))
+    monkeypatch.setattr(kernel, "BACKEND", backend)
+    clause = clause_lookup("T1", "a")
+    for samples in (2**63, 2**64 + 1, 99999999999999999999999):
+        with pytest.raises(ParameterError, match=re.escape(f"samples must be below 2**63, got {samples}")):
+            verify_clause(clause, samples, exact=exact, threads=1)
+    assert calls == []
+    # the largest count the kernels take reaches the kernel whole
+    with pytest.raises(_Reached):
+        verify_clause(clause, 2**63 - 1, exact=exact, threads=1)
+    ((name, args),) = calls
+    assert name == ("grid_tally" if exact else "run_campaign")
+    assert 2**63 - 1 in args
+
+
+# --- campaign set-up kept on the clause -------------------------------------
+
+
+def _fresh(clause):
+    """An equal clause no campaign has run on."""
+    return TheoremClause(*(getattr(clause, name) for name in TheoremClause._fields))
+
+
+def _seen_from_outside(clause):
+    return (
+        repr(clause),
+        hash(clause),
+        json.dumps(clause.to_dict()),
+        pickle.dumps(clause),
+        pickle.dumps(copy.copy(clause)),
+        pickle.dumps(copy.deepcopy(clause)),
+    )
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_kept_campaign_codes_are_invisible(exact):
+    for catalog_clause in CLAUSES:
+        clause = _fresh(catalog_clause)
+        before = _seen_from_outside(clause)
+        assert clause._codes is None
+        verify_clause(clause, 3, exact=exact)
+        assert clause._codes == _campaign_codes(_fresh(clause))  # kept
+        assert _seen_from_outside(clause) == before
+        never_ran = _fresh(clause)
+        assert clause == never_ran and never_ran == clause
+        assert hash(clause) == hash(never_ran)
+        for other in (copy.copy(clause), copy.deepcopy(clause), pickle.loads(pickle.dumps(clause))):
+            assert other == clause and other._codes is None
+
+
+@pytest.mark.parametrize(
+    "clause, error",
+    [
+        (TheoremClause("X", "bogus", 1, hypothesis_set(H.H4), "bogus"), ParameterError),
+        (TheoremClause("X", "model4", 4, hypothesis_set(H.H4), Conclusion.IRRELEVANT_FACTOR), ParameterError),
+        (TheoremClause("X", "tied", 1, hypothesis_set(H.H1, H.H3), Conclusion.NO_CONFOUNDING), ConstraintError),
+        (TheoremClause("X", "h1h5", 2, hypothesis_set(H.H1, H.H5), Conclusion.NO_CONFOUNDING), ConstraintError),
+    ],
+)
+def test_a_clause_that_raises_keeps_nothing(clause, error):
+    messages = set()
+    for exact in (False, True, False, True):
+        with pytest.raises(error) as raised:
+            verify_clause(clause, 5, exact=exact)
+        messages.add(str(raised.value))
+        assert clause._codes is None and "_codes" not in vars(clause)
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_clause_on_a_mutable_set_follows_its_set(exact):
+    conditions = set()
+    clause = TheoremClause("X", "mutable", 1, conditions, Conclusion.IRRELEVANT_FACTOR)
+    # no conditions: standardizing changes the observed risk, so it fails
+    assert verify_clause(clause, 50, 3, exact=exact).failures == 50
+    conditions.add(H.H4)  # H4 gives irrelevance in model 1
+    assert verify_clause(clause, 50, 3, exact=exact).failures == 0
+    assert _campaign_codes(clause) == _campaign_codes(clause_lookup("T1", "a"))
+    conditions.add(H.H1)
+    assert _campaign_codes(clause)[2] == kernel.EQ_H1
+    assert clause._codes is None
+
+
+def _count_derivations(monkeypatch):
+    derived = []
+    derive = theorems._derive_codes
+
+    def counting(clause):
+        derived.append(clause)
+        return derive(clause)
+
+    monkeypatch.setattr(theorems, "_derive_codes", counting)
+    return derived
+
+
+def test_each_clause_is_set_up_once(monkeypatch):
+    # two float and two exact sweeps over clauses no campaign has run on
+    derived = _count_derivations(monkeypatch)
+    clauses = [_fresh(c) for c in CLAUSES]
+    for exact in (False, False, True, True):
+        for clause in clauses:
+            verify_clause(clause, 2, 9, exact=exact)
+    assert len(derived) == 19
+    assert [id(c) for c in derived] == [id(c) for c in clauses]
+
+
+def test_kept_codes_hold_no_backend(monkeypatch, backends):
+    # codes are kept under one backend; switching backends afterwards runs
+    # the new one, with the same reports
+    clauses = [_fresh(clause_lookup(*key)) for key in (("T1", "c"), ("T2", "a"), ("T4", "d"), ("T5", "a"))]
+    derived = _count_derivations(monkeypatch)
+    reports = {}
+    for name in ("compiled", "pure", "compiled"):
+        calls = []
+        monkeypatch.setattr(kernel, "_impl", _recording_backend(calls, backends[name]))
+        monkeypatch.setattr(kernel, "BACKEND", name)
+        runs = [verify_clause(c, 40, 17, exact=exact) for c in clauses for exact in (False, True)]
+        assert [call for call, _ in calls] == ["run_campaign", "grid_tally"] * len(clauses), name
+        assert reports.setdefault(name, runs) == runs
+    assert reports["pure"] == reports["compiled"]
+    assert len(derived) == len(clauses)
+    for clause in clauses:
+        model, rep, eq, conclusion = clause._codes
+        assert all(type(code) is int for code in (model, *rep, eq, conclusion))
 
 
 @pytest.mark.parametrize("exact", [False, True])
