@@ -2,9 +2,9 @@
  *
  * Returns what _pykernel.run_campaign returns, bit for bit.  The pure kernel
  * runs the library's helpers, so this file transliterates them with the same
- * operand order: masses() is joint._masses, the cells in violation_at() are
- * joint._cells, and solve() is hypotheses._solve, each at one = 1.  setup.py
- * compiles this file with -ffp-contract=off, because a fused multiply-add
+ * operand order: MODEL_ALGEBRA is joint._masses and hypotheses._solve over
+ * their unit one, and violation_at() and exact_violation() use joint._cells.
+ * setup.py compiles it with -ffp-contract=off, because a fused multiply-add
  * would round differently from Python's separate multiply and add.
  *
  * Samples are taken BATCH at a time, one stage per loop over the batch:
@@ -64,9 +64,9 @@
  * and redraws it from the sample's stream while the solve leaves [0, 1]; its
  * cells, over the reduced common denominator of _pykernel.grid_tally, are
  * int128, and its pairs LIMBS = 5 limbs of 64 bits (solved_violation(); the
- * bounds are derived beside exact_violation()).  Both draw only the slots
- * a row reads.  The build fails without __int128, and setup.py then
- * installs the pure kernel alone.
+ * bounds are derived beside exact_violation()).  Both draw only the slots a
+ * row reads, and keep the maximum as such a pair (tally_pair()).  The build
+ * fails without __int128, and setup.py then installs the pure kernel alone.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -149,66 +149,72 @@ read_rep(PyObject *rep, int out[7])
     return status;
 }
 
-/* joint._masses at one = 1: m = (exposed0, exposed1, unexposed0, unexposed1),
-   P(E, C) from the model's first slots. */
-ALWAYS_INLINE void
-masses(int model, double v0, double v1, double v2, double m[4])
-{
-    if (model == 1) { /* t, a0, a1 */
-        m[0] = v1 * (1.0 - v0);
-        m[1] = v2 * v0;
-        m[2] = (1.0 - v1) * (1.0 - v0);
-        m[3] = (1.0 - v2) * v0;
-    } else if (model == 2) { /* a, c0, c1 */
-        m[0] = v0 * (1.0 - v2);
-        m[1] = v0 * v2;
-        m[2] = (1.0 - v0) * (1.0 - v1);
-        m[3] = (1.0 - v0) * v1;
-    } else { /* a, t */
-        m[0] = v0 * (1.0 - v1);
-        m[1] = v0 * v1;
-        m[2] = (1.0 - v0) * (1.0 - v1);
-        m[3] = (1.0 - v0) * v1;
+/* The model algebra over the unit one, for T = double at one = 1.0 and
+   T = int64_t at one = GRID: masses_S is joint._masses, m = (exposed0,
+   exposed1, unexposed0, unexposed1) = P(E, C) over one**2, and solve_S is
+   hypotheses._solve, the H1 solve for u1 (v6), else the H5 solve for u0
+   (v5), as *num / *den.  At one = 1.0, one * x is x and one - x is 1 - x,
+   so the float bits are the helpers' at one = 1.  A grid slot is in
+   [10, 990], or 0 for model 3's undrawn slot 2, so each mass is in
+   [0, 10**6] and the masses sum to 1000**2.  The largest den is model 2's
+   H5 one, 1000 * mass1 * (1000 - c1) * a < 10**3 * 10**6 * 10**6 = 10**15
+   (model 1's H1 den is 1000 * unexposed * exposed1 <= 1000 * (10**6 / 2)**2,
+   the others below 10**6), and each term of num is below 10**15 too: int64. */
+#define MODEL_ALGEBRA(T, S)                                                                       \
+    ALWAYS_INLINE void                                                                            \
+    masses_##S(int model, T one, T v0, T v1, T v2, T m[4])                                        \
+    {                                                                                             \
+        if (model == 1) { /* t, a0, a1 */                                                         \
+            m[0] = v1 * (one - v0);                                                               \
+            m[1] = v2 * v0;                                                                       \
+            m[2] = (one - v1) * (one - v0);                                                       \
+            m[3] = (one - v2) * v0;                                                               \
+        } else if (model == 2) { /* a, c0, c1 */                                                  \
+            m[0] = v0 * (one - v2);                                                               \
+            m[1] = v0 * v2;                                                                       \
+            m[2] = (one - v0) * (one - v1);                                                       \
+            m[3] = (one - v0) * v1;                                                               \
+        } else { /* a, t */                                                                       \
+            m[0] = v0 * (one - v1);                                                               \
+            m[1] = v0 * v1;                                                                       \
+            m[2] = (one - v0) * (one - v1);                                                       \
+            m[3] = (one - v0) * v1;                                                               \
+        }                                                                                         \
+    }                                                                                             \
+    ALWAYS_INLINE void                                                                            \
+    solve_##S(int model, int h1, T one, T v0, T v1, T v2, T v3, T v4, T v5, T v6, T *num, T *den) \
+    {                                                                                             \
+        if (h1) {                                                                                 \
+            if (model == 1) {                                                                     \
+                T m[4];                                                                           \
+                masses_##S(1, one, v0, v1, v2, m);                                                \
+                T unexposed = m[2] + m[3];                                                        \
+                *num = (v3 * m[2] + v4 * m[3]) * (m[0] + m[1]) - v5 * m[0] * unexposed;           \
+                *den = one * unexposed * m[1];                                                    \
+            } else if (model == 2) {                                                              \
+                *num = v3 * (one - v1) + v4 * v1 - v5 * (one - v2);                               \
+                *den = one * v2;                                                                  \
+            } else {                                                                              \
+                *num = v3 * (one - v1) + v4 * v1 - v5 * (one - v1);                               \
+                *den = one * v1;                                                                  \
+            }                                                                                     \
+        } else if (model == 1) {                                                                  \
+            *num = v6 * v2 + v4 * (one - v2) - v3 * (one - v1);                                   \
+            *den = one * v1;                                                                      \
+        } else if (model == 2) {                                                                  \
+            T target = v6 * v2 * v0 + v4 * v1 * (one - v0);                                       \
+            T mass1 = v2 * v0 + v1 * (one - v0);                                                  \
+            T mass0 = (one - v2) * v0 + (one - v1) * (one - v0);                                  \
+            *num = target * mass0 - v3 * (one - v1) * (one - v0) * mass1;                         \
+            *den = one * mass1 * (one - v2) * v0;                                                 \
+        } else {                                                                                  \
+            *num = v6 * v0 + (v4 - v3) * (one - v0);                                              \
+            *den = one * v0;                                                                      \
+        }                                                                                         \
     }
-}
 
-/* hypotheses._solve at one = 1, divided once as impose divides it: u1 (v6)
-   under H1, else u0 (v5) under H5.  Its dens carry a leading factor one,
-   which is dropped here: 1.0 * x is x. */
-ALWAYS_INLINE double
-solve(int model, int h1, double v0, double v1, double v2, double v3,
-      double v4, double v5, double v6)
-{
-    double num, den;
-    if (h1) {
-        if (model == 1) {
-            double m[4];
-            masses(1, v0, v1, v2, m);
-            double unexposed = m[2] + m[3];
-            num = (v3 * m[2] + v4 * m[3]) * (m[0] + m[1]) - v5 * m[0] * unexposed;
-            den = unexposed * m[1];
-        } else if (model == 2) {
-            num = v3 * (1.0 - v1) + v4 * v1 - v5 * (1.0 - v2);
-            den = v2;
-        } else {
-            num = v3 * (1.0 - v1) + v4 * v1 - v5 * (1.0 - v1);
-            den = v1;
-        }
-    } else if (model == 1) {
-        num = v6 * v2 + v4 * (1.0 - v2) - v3 * (1.0 - v1);
-        den = v1;
-    } else if (model == 2) {
-        double target = v6 * v2 * v0 + v4 * v1 * (1.0 - v0);
-        double mass1 = v2 * v0 + v1 * (1.0 - v0);
-        double mass0 = (1.0 - v2) * v0 + (1.0 - v1) * (1.0 - v0);
-        num = target * mass0 - v3 * (1.0 - v1) * (1.0 - v0) * mass1;
-        den = mass1 * (1.0 - v2) * v0;
-    } else {
-        num = v6 * v0 + (v4 - v3) * (1.0 - v0);
-        den = v0;
-    }
-    return num / den;
-}
+MODEL_ALGEBRA(double, float)
+MODEL_ALGEBRA(int64_t, exact)
 
 /* The signed violation of the conclusion (no confounding, else irrelevance)
    on the cells of joint._cells. */
@@ -217,15 +223,11 @@ violation_at(int model, int no_confounding, double v0, double v1, double v2,
              double v3, double v4, double v5, double v6)
 {
     double m[4];
-    masses(model, v0, v1, v2, m);
-    double p0 = m[0] * (1.0 - v5);
-    double p1 = m[0] * v5;
-    double p2 = m[1] * (1.0 - v6);
-    double p3 = m[1] * v6;
-    double p4 = m[2] * (1.0 - v3);
-    double p5 = m[2] * v3;
-    double p6 = m[3] * (1.0 - v4);
-    double p7 = m[3] * v4;
+    masses_float(model, 1.0, v0, v1, v2, m);
+    double p0 = m[0] * (1.0 - v5), p1 = m[0] * v5;
+    double p2 = m[1] * (1.0 - v6), p3 = m[1] * v6;
+    double p4 = m[2] * (1.0 - v3), p5 = m[2] * v3;
+    double p6 = m[3] * (1.0 - v4), p7 = m[3] * v4;
     double pe = p0 + p1 + p2 + p3;
     double pu = p4 + p5 + p6 + p7;
     double obs = (p5 + p7) / pu;
@@ -236,12 +238,16 @@ violation_at(int model, int no_confounding, double v0, double v1, double v2,
            - obs;
 }
 
+/* The solved slot of each sample, divided once as impose divides it. */
 ALWAYS_INLINE void
 solve_batch(int model, int h1, int nb, const double *const v[7], double *out)
 {
-    for (int j = 0; j < nb; j++)
-        out[j] = solve(model, h1, v[0][j], v[1][j], v[2][j], v[3][j], v[4][j],
-                       v[5][j], v[6][j]);
+    for (int j = 0; j < nb; j++) {
+        double num, den;
+        solve_float(model, h1, 1.0, v[0][j], v[1][j], v[2][j], v[3][j], v[4][j], v[5][j],
+                    v[6][j], &num, &den);
+        out[j] = num / den;
+    }
 }
 
 ALWAYS_INLINE void
@@ -523,75 +529,11 @@ grid_row(const struct draws *d, const int rep[7], uint64_t state, int64_t row[7]
         row[j] = n[rep[j]];
 }
 
-/* joint._masses over one = GRID on a grid row n.  Each slot is in [10, 990],
-   or 0 for model 3's undrawn slot 2, so each mass factor is in [0, 1000] and
-   each mass in [0, 10**6]; the masses sum to 1000**2. */
-ALWAYS_INLINE void
-grid_masses(int model, const int64_t n[7], int64_t m[4])
-{
-    const int64_t one = GRID;
-    if (model == 1) { /* t, a0, a1 */
-        m[0] = n[1] * (one - n[0]);
-        m[1] = n[2] * n[0];
-        m[2] = (one - n[1]) * (one - n[0]);
-        m[3] = (one - n[2]) * n[0];
-    } else if (model == 2) { /* a, c0, c1 */
-        m[0] = n[0] * (one - n[2]);
-        m[1] = n[0] * n[2];
-        m[2] = (one - n[0]) * (one - n[1]);
-        m[3] = (one - n[0]) * n[1];
-    } else { /* a, t */
-        m[0] = n[0] * (one - n[1]);
-        m[1] = n[0] * n[1];
-        m[2] = (one - n[0]) * (one - n[1]);
-        m[3] = (one - n[0]) * n[1];
-    }
-}
-
-/* hypotheses._solve over one = GRID on a grid row n: the H1 solve for u1,
-   else the H5 solve for u0, as *num / *den.  The largest den is model 2's
-   H5 one, 1000 * mass1 * (1000 - c1) * a < 10**3 * 10**6 * 10**6 = 10**15
-   (model 1's H1 den is 1000 * unexposed * exposed1 <= 1000 * (10**6 / 2)**2,
-   the others below 10**6), and each of the two terms of num is below 10**15
-   in the same way: int64. */
-ALWAYS_INLINE void
-grid_solve(int model, int h1, const int64_t n[7], int64_t *num, int64_t *den)
-{
-    const int64_t one = GRID;
-    if (h1) {
-        if (model == 1) {
-            int64_t m[4];
-            grid_masses(1, n, m);
-            int64_t unexposed = m[2] + m[3];
-            *num = (n[3] * m[2] + n[4] * m[3]) * (m[0] + m[1]) - n[5] * m[0] * unexposed;
-            *den = one * unexposed * m[1];
-        } else if (model == 2) {
-            *num = n[3] * (one - n[1]) + n[4] * n[1] - n[5] * (one - n[2]);
-            *den = one * n[2];
-        } else {
-            *num = n[3] * (one - n[1]) + n[4] * n[1] - n[5] * (one - n[1]);
-            *den = one * n[1];
-        }
-    } else if (model == 1) {
-        *num = n[6] * n[2] + n[4] * (one - n[2]) - n[3] * (one - n[1]);
-        *den = one * n[1];
-    } else if (model == 2) {
-        int64_t target = n[6] * n[2] * n[0] + n[4] * n[1] * (one - n[0]);
-        int64_t mass1 = n[2] * n[0] + n[1] * (one - n[0]);
-        int64_t mass0 = (one - n[2]) * n[0] + (one - n[1]) * (one - n[0]);
-        *num = target * mass0 - n[3] * (one - n[1]) * (one - n[0]) * mass1;
-        *den = one * mass1 * (one - n[2]) * n[0];
-    } else {
-        *num = n[6] * n[0] + (n[4] - n[3]) * (one - n[0]);
-        *den = one * n[0];
-    }
-}
-
 /* The signed violation *num / *den of the conclusion (the bias, else the
    standardized minus the observed proportion) on a grid row n with no
    solved slot: joint._cells over one = GRID and _pykernel._exact_violation,
    in fixed-width integers.  The bounds that make them exact:
-   - each mass is in [0, 10**6] (grid_masses()) and each outcome factor in
+   - each mass is in [0, 10**6] (MODEL_ALGEBRA) and each outcome factor in
      [0, 1000], so each cell is in [0, 10**9]: int64.  The masses sum to
      1000**2 and each mass's two cells to the mass times 1000, so the cells
      sum to 10**9 = pe + pu, and stratum0 + stratum1 = pu;
@@ -605,7 +547,7 @@ grid_solve(int model, int h1, const int64_t n[7], int64_t *num, int64_t *den)
    So 0 <= den < 2**115, |num| <= den, and num is 0 wherever den is.
 
    solved_violation() runs the same conclusions on a row whose H1/H5 solve
-   gave its solved slot as num / den (grid_solve()), over the smaller common
+   gave its solved slot as num / den (solve_exact()), over the smaller common
    denominator of _pykernel.grid_tally.  Scaled to q = 1000 * den, every
    cell of joint._cells carries den**2 from its mass; divided out, each
    cell is a mass over 1000**2 (as above) times an outcome factor over q,
@@ -621,13 +563,13 @@ grid_solve(int model, int h1, const int64_t n[7], int64_t *num, int64_t *den)
      den = pe * pu * stratum0 * stratum1 <= (T**2 / 4) * (pu**2 / 4)
      < T**4 / 16 < 2**316, since T < 2**79.73.
    So num and den fit LIMBS = 5 limbs of 64 bits, and the cross products
-   that compare two pairs fit 2 * LIMBS. */
+   that compare two pairs of either kind fit 2 * LIMBS. */
 ALWAYS_INLINE void
 exact_violation(int model, int irrelevant, const int64_t n[7], i128 *num, i128 *den)
 {
     const int64_t one = GRID;
     int64_t m[4];
-    grid_masses(model, n, m);
+    masses_exact(model, one, n[0], n[1], n[2], m);
     int64_t p0 = m[0] * (one - n[5]), p1 = m[0] * n[5];
     int64_t p2 = m[1] * (one - n[6]), p3 = m[1] * n[6];
     int64_t p4 = m[2] * (one - n[3]), p5 = m[2] * n[3];
@@ -648,8 +590,8 @@ exact_violation(int model, int irrelevant, const int64_t n[7], i128 *num, i128 *
 #define LIMBS 5
 
 /* A non-negative integer below 2**320: LIMBS 64-bit limbs, least
-   significant first.  The tally keeps only |num|, so the pairs of
-   solved_violation() need no sign. */
+   significant first.  The tally keeps only |num|, so its pairs need no
+   sign. */
 typedef struct {
     uint64_t w[LIMBS];
 } wide;
@@ -753,6 +695,18 @@ wide_exceeds(const wide *a, const wide *b, const wide *c, const wide *d)
     return cmp_limbs(ad, cb, 2 * LIMBS) > 0;
 }
 
+/* Count the nonzero |violation| size / den as a failure, and keep it as the
+   maximum best_num / best_den when larger: the first of equal maxima stays. */
+ALWAYS_INLINE void
+tally_pair(wide size, wide den, long long *failures, wide *best_num, wide *best_den)
+{
+    (*failures)++;
+    if (wide_exceeds(&size, &den, best_num, best_den)) {
+        *best_num = size;
+        *best_den = den;
+    }
+}
+
 /* |violation| as *size / *den on a grid row n whose solved slot is num / den
    (see exact_violation() for the representation and its bounds). */
 ALWAYS_INLINE void
@@ -760,7 +714,7 @@ solved_violation(int model, int h1, int irrelevant, const int64_t n[7], int64_t 
                  int64_t den, wide *size, wide *den_out)
 {
     int64_t m[4];
-    grid_masses(model, n, m);
+    masses_exact(model, GRID, n[0], n[1], n[2], m);
     const int64_t q = GRID * den;
     /* b0, b1, u0, u1 over q */
     int64_t o[4] = {n[3] * den, n[4] * den, n[5] * den, n[6] * den};
@@ -787,32 +741,9 @@ solved_violation(int model, int h1, int irrelevant, const int64_t n[7], int64_t 
     *size = wide_distance(plus, minus);
 }
 
-/* (*hi, *lo) = a * b, the full 256-bit product. */
-static inline void
-mul_256(u128 a, u128 b, u128 *hi, u128 *lo)
-{
-    u128 a0 = (uint64_t)a, a1 = a >> 64, b0 = (uint64_t)b, b1 = b >> 64;
-    u128 low = a0 * b0, cross0 = a0 * b1, cross1 = a1 * b0;
-    /* the second 64-bit column with the carry from the first: below 3 * 2**64 */
-    u128 mid = (low >> 64) + (uint64_t)cross0 + (uint64_t)cross1;
-    *lo = (mid << 64) | (uint64_t)low;
-    *hi = a1 * b1 + (cross0 >> 64) + (cross1 >> 64) + (mid >> 64);
-}
-
-/* a / b > c / d for positive b and d, exactly: a * d > c * b in 256 bits,
-   where the operands below 2**115 give products below 2**230. */
-static inline int
-exceeds(u128 a, u128 b, u128 c, u128 d)
-{
-    u128 ad_hi, ad_lo, cb_hi, cb_lo;
-    mul_256(a, d, &ad_hi, &ad_lo);
-    mul_256(c, b, &cb_hi, &cb_lo);
-    return ad_hi > cb_hi || (ad_hi == cb_hi && ad_lo > cb_lo);
-}
-
 /* The exact tally of grid_tally(), run with the GIL released: a clause with
    no H1/H5 member in 64- and 128-bit integers, any other through
-   solved_violation(). */
+   solved_violation(); the maximum is a wide pair in both. */
 static void
 tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t count,
            long long *failures_out, wide *max_num, wide *max_den, long long *exhausted_out)
@@ -820,28 +751,20 @@ tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t coun
     struct draws d = plan_draws(c->model, c->rep, c->eq);
     int irrelevant = !c->no_confounding;
     long long failures = 0, exhausted = 0;
+    wide best_num = {{0}}, best_den = {{1}};
     if (c->eq == EQ_NONE) {
-        u128 best_num = 0, best_den = 1;
         for (Py_ssize_t k = 0; k < count; k++) {
             int64_t n[7];
             i128 num, den;
             /* sample index start + k, wrapping like & _MASK64 */
             grid_row(&d, c->rep, mix(seed + (start + (uint64_t)k + 1) * GOLDEN), n);
             exact_violation(c->model, irrelevant, n, &num, &den);
-            if (num != 0) {
-                failures++;
-                u128 size = (u128)(num < 0 ? -num : num);
-                if (exceeds(size, (u128)den, best_num, best_den)) {
-                    best_num = size;
-                    best_den = (u128)den;
-                }
-            }
+            if (num != 0)
+                tally_pair(wide_from((u128)(num < 0 ? -num : num)), wide_from((u128)den),
+                           &failures, &best_num, &best_den);
         }
-        *max_num = wide_from(best_num);
-        *max_den = wide_from(best_den);
     } else {
         int h1 = c->eq == EQ_H1;
-        wide best_num = {{0}}, best_den = {{1}};
         for (Py_ssize_t k = 0; k < count; k++) {
             uint64_t state = mix(seed + (start + (uint64_t)k + 1) * GOLDEN);
             int64_t n[7], num = 0, den = 0;
@@ -849,7 +772,8 @@ tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t coun
             for (long long attempt = 0; !accepted && attempt <= c->budget; attempt++) {
                 grid_row(&d, c->rep, state, n);
                 state += d.advance;
-                grid_solve(c->model, h1, n, &num, &den);
+                solve_exact(c->model, h1, GRID, n[0], n[1], n[2], n[3], n[4], n[5], n[6],
+                            &num, &den);
                 accepted = den != 0 && 0 <= num && num <= den;
             }
             if (!accepted) {
@@ -858,17 +782,12 @@ tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t coun
             }
             wide size, vden;
             solved_violation(c->model, h1, irrelevant, n, num, den, &size, &vden);
-            if (!wide_is_zero(size)) {
-                failures++;
-                if (wide_exceeds(&size, &vden, &best_num, &best_den)) {
-                    best_num = size;
-                    best_den = vden;
-                }
-            }
+            if (!wide_is_zero(size))
+                tally_pair(size, vden, &failures, &best_num, &best_den);
         }
-        *max_num = best_num;
-        *max_den = best_den;
     }
+    *max_num = best_num;
+    *max_den = best_den;
     *failures_out = failures;
     *exhausted_out = exhausted;
 }

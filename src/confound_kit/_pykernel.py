@@ -5,15 +5,16 @@ plain loop: the draws of ``random_params``, the substitution and the H1/H5
 solve of ``impose`` (``hypotheses._solve``, divided once) and the cells of
 ``build_joint`` (``joint._cells``), so sample i equals that route bit for
 bit.  The compiled kernel in _ckernel.c transliterates the same helpers, in
-the same operand order, over batches of samples.  Both must produce
-bit-identical results, so a change to one of those helpers has to be
-mirrored there; the extension is compiled with FMA contraction disabled for
-the same reason.  This loop draws every slot of every attempt; the compiled
-kernel skips the draws no position reads (slots an equality ties to another,
-and the one the H1/H5 solve overwrites).  The bits still match: a draw
-advances the stream by a fixed gamma, so each slot's draw is the same
-function of the attempt's starting state whether or not the slots before it
-were drawn.
+the same operand order, over batches of samples; ``_masses`` and ``_solve``
+are one C definition over the unit ``one``, which both of its campaign modes
+use.  Both kernels must produce bit-identical results, so a change to one of
+those helpers has to be mirrored there; the extension is compiled with FMA
+contraction disabled for the same reason.  This loop draws every slot of
+every attempt; the compiled kernel skips the draws no position reads (slots
+an equality ties to another, and the one the H1/H5 solve overwrites).  The
+bits still match: a draw advances the stream by a fixed gamma, so each
+slot's draw is the same function of the attempt's starting state whether or
+not the slots before it were drawn.
 
 ``grid_tally`` runs exact campaigns, on the thousandths grid in Python
 integers: the draws, the H1/H5 solve and its redraws, the cells of
@@ -22,8 +23,8 @@ with a solve is scaled to the common denominator q = 1000 * den of its
 solved slot, and the cells are divided by den**2, which every one of them
 carries, so they stay over 1000**2 * q; without a solve den = 1.  The
 compiled kernel runs the same tally in fixed-width integers (64 and 128
-bits without a solve, 128-bit cells and 320-bit pairs with one) and returns
-the same unreduced maximum.
+bits without a solve, 128-bit cells and 320-bit pairs with one), keeps the
+maximum as a 320-bit pair either way and returns the same unreduced one.
 """
 
 import fractions

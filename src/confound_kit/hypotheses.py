@@ -182,6 +182,17 @@ def _not_a_hypothesis(value) -> ParameterError:
     return ParameterError(f"{value!r} is not a Hypothesis; parse_hypothesis turns a name into one")
 
 
+def _frozen(hypotheses) -> HypothesisSet:
+    """``hypotheses`` as a frozenset; ParameterError unless it is an iterable
+    of hashable values (its members are checked where they are read)."""
+    try:
+        return frozenset(hypotheses)
+    except TypeError:
+        raise ParameterError(
+            f"hypotheses must be an iterable of Hypothesis members, got {hypotheses!r}"
+        ) from None
+
+
 def holds_numeric(joint: JointDistribution, hypothesis: Hypothesis, tol=0) -> bool:
     """Product test for a hypothesis on a joint, within ``tol``.
 
@@ -316,7 +327,7 @@ def substitution_reps(model: int, hypotheses: Iterable[Hypothesis]) -> tuple:
     the lowest member as representative; the exposure/covariate pair (1, 2)
     keeps slot 2 as representative, so H4 rewrites the C=0 side.
     """
-    return _substitution_reps(model, frozenset(hypotheses))
+    return _substitution_reps(model, _frozen(hypotheses))
 
 
 @lru_cache(maxsize=None)
@@ -441,14 +452,15 @@ def impose(
     solved exactly.  Every parameter type solves through ``_solve`` as the
     single quotient num / den.
 
-    Raises ParameterError for a member that is not a ``Hypothesis`` and for
-    a budget that is not a nonnegative integer.
+    Raises ParameterError for hypotheses that are not an iterable of
+    ``Hypothesis`` members and for a budget that is not a nonnegative
+    integer.
     """
     model = model_number(base)
     _check_integer("budget", budget)
     if budget < 0:
         raise ParameterError(f"budget must be nonnegative, got {budget!r}")
-    hypotheses = frozenset(hypotheses)
+    hypotheses = _frozen(hypotheses)
     rep = substitution_reps(model, hypotheses)
     eq = equational_member(hypotheses)
     if eq is not None:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -48,7 +49,7 @@ from .errors import DegenerateEventError, ParameterError
 Numeric = Union[int, float, Fraction]
 
 _SUM_TOL = 1e-12
-_INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 
 
 class Exposure(Enum):
@@ -96,25 +97,30 @@ def _check_open_unit(name: str, value: Numeric) -> None:
 
 
 def _check_tolerance(tol) -> None:
-    """Reject a tolerance that is NaN, infinite, negative or a bool.
+    """Reject a tolerance that is NaN, not finite as a float, negative or
+    not a real number (a bool included).
 
     Against a NaN or infinite tolerance every comparison comes out the same
-    whatever the data, so a false claim could pass unnoticed.  A bool is
-    rejected as ``_check_integer`` rejects one: a ``True`` meant for a flag
-    would otherwise be a tolerance of 1, which passes nearly any claim.
+    whatever the data, so a false claim could pass unnoticed.  So does one
+    past the largest float, an int or ``Decimal`` the float kernels could
+    not even take.  A bool is rejected as ``_check_integer`` rejects one: a
+    ``True`` meant for a flag would otherwise be a tolerance of 1, which
+    passes nearly any claim.
     """
     cls = type(tol)
-    if (cls is float or cls is int) and 0 <= tol < _INF:
+    if (cls is float or cls is int) and 0 <= tol <= _FLOAT_MAX:
         return  # the common case, a plain finite nonnegative number
     if cls is bool:
         raise ParameterError(f"tolerance must be a real number, got {tol!r}")
-    if isinstance(tol, float) and not math.isfinite(tol):
-        raise ParameterError(f"tolerance must be finite, got {tol!r}")
     try:
-        negative = tol < 0
+        finite = math.isfinite(tol)
     except TypeError:
         raise ParameterError(f"tolerance must be a real number, got {tol!r}") from None
-    if negative:
+    except (OverflowError, ValueError):  # past the largest float, or a signaling NaN
+        finite = False
+    if not finite:
+        raise ParameterError(f"tolerance must be finite, got {tol!r}")
+    if tol < 0:
         raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
 
 

@@ -124,7 +124,8 @@ class CoarseningMap(_Frozen):
     def __post_init__(self) -> None:
         cleaned = dict(self.assignment)
         for stratum, group in cleaned.items():
-            if group not in (0, 1):
+            # True == 1 and 1.0 == 1, yet coarsen names the group str(group)
+            if isinstance(group, bool) or not isinstance(group, int) or group not in (0, 1):
                 raise ParameterError(
                     f"stratum {stratum!r} assigned to group {group!r}; groups are 0 and 1"
                 )

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -85,7 +86,20 @@ def test_example_violates_h6():
     assert not holds_numeric(joint, H.H6, tol=1e-9)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "tol",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        # past the floats: each once passed, or escaped as OverflowError or
+        # decimal.InvalidOperation
+        pytest.param(Decimal("Infinity"), id="decimal-inf"),
+        pytest.param(Decimal("1e400"), id="decimal-1e400"),
+        pytest.param(Decimal("NaN"), id="decimal-nan"),
+        pytest.param(10**400, id="int-10**400"),
+    ],
+)
 def test_non_finite_tolerance_rejected(tol):
     # an infinite tolerance would accept H6 here, a NaN one reject anything
     with pytest.raises(ParameterError, match="finite"):
@@ -475,6 +489,16 @@ def test_impose_rejects_members_that_are_not_hypotheses(members):
         impose(EXAMPLE_M1, members, SplitMix64(3))
     with pytest.raises(ParameterError, match=f"{bad!r} is not a Hypothesis"):
         substitution_reps(1, members)
+
+
+@pytest.mark.parametrize("hypotheses", [None, 5, [[H.H4]]], ids=["None", "int", "nested"])
+def test_impose_rejects_hypotheses_that_are_not_an_iterable_of_members(hypotheses):
+    # each once escaped as a bare TypeError from frozenset()
+    message = re.escape(f"hypotheses must be an iterable of Hypothesis members, got {hypotheses!r}")
+    with pytest.raises(ParameterError, match=message):
+        impose(EXAMPLE_M1, hypotheses, SplitMix64(3))
+    with pytest.raises(ParameterError, match=message):
+        substitution_reps(1, hypotheses)
 
 
 @pytest.mark.parametrize(

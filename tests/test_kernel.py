@@ -135,9 +135,10 @@ def _solved_cases():
 @pytest.mark.parametrize("cases, failing", [(_free_cases, 5), (_solved_cases, 7)], ids=["free", "solved"])
 def test_grid_tally_parity(backends, cases, failing):
     # the compiled tally runs a clause without an H1/H5 member in 64- and
-    # 128-bit integers and compares maxima in 256 bits; under H1 or H5 it
-    # solves and redraws in int64, keeps the cells in int128 and the pairs
-    # in 320-bit limbs.  It must return the pure kernel's unreduced pair.
+    # 128-bit integers; under H1 or H5 it solves and redraws in int64, keeps
+    # the cells in int128 and the pairs in 320-bit limbs.  Both keep the
+    # maximum in 320-bit limbs and compare maxima in 640 bits.  It must
+    # return the pure kernel's unreduced pair.
     impls = {**backends, "kernel.grid_tally": kernel}
     failed = set()
     for label, model, rep, eq, conclusion in cases():
@@ -174,8 +175,8 @@ def test_grid_tally_keeps_the_first_of_equal_maxima(backends, eq):
     # tie in value, their pairs scaled apart by a (and under H5 by the
     # solve's den).  A tie keeps the first pair, so the compiled kernel's
     # cross products must come out equal to the last bit, carries included:
-    # pairs past 2**100 in 256 bits without a solve, past 2**280 in 640
-    # bits under H5.
+    # pairs past 2**100 without a solve and past 2**280 under H5, both
+    # compared in 640 bits.
     rep = (0, 1, 2, 1, 2, 5, 6)
     pure, compiled = backends["pure"].grid_tally, backends["compiled"].grid_tally
     singles = [pure(2, rep, eq, IRRELEVANT, 3, i, 1, 1000) for i in range(20_001)]

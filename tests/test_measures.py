@@ -1,5 +1,6 @@
 """Tests for bias, standardized proportion, and the verdict rules."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -195,7 +196,20 @@ def test_negative_tolerance_rejected():
         classify_covariate(build_joint(EXAMPLE_M1), tol=-1e-9)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "tol",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        # past the floats: each once passed, or escaped as OverflowError or
+        # decimal.InvalidOperation
+        pytest.param(Decimal("Infinity"), id="decimal-inf"),
+        pytest.param(Decimal("1e400"), id="decimal-1e400"),
+        pytest.param(Decimal("NaN"), id="decimal-nan"),
+        pytest.param(10**400, id="int-10**400"),
+    ],
+)
 def test_non_finite_tolerance_rejected(tol):
     joint = build_joint(EXAMPLE_M1)
     with pytest.raises(ParameterError, match="finite"):

@@ -99,6 +99,18 @@ def _three_strata():
             ParameterError,
             "stratum 'a' assigned to group 2; groups are 0 and 1",
         ),
+        # True == 1 and 1.0 == 1, so these once passed, and coarsen then
+        # failed on the unknown stratum str(group)
+        (
+            lambda: CoarseningMap({"a": True, "b": 0}),
+            ParameterError,
+            "stratum 'a' assigned to group True; groups are 0 and 1",
+        ),
+        (
+            lambda: CoarseningMap({"a": 1.0, "b": 0}),
+            ParameterError,
+            "stratum 'a' assigned to group 1.0; groups are 0 and 1",
+        ),
         (lambda: CoarseningMap.from_spec("x=1"), ParameterError, "bad coarsening group 'x' in 'x=1'"),
         (lambda: CoarseningMap.from_spec(";"), ParameterError, "empty coarsening spec ';'"),
         (
@@ -117,8 +129,8 @@ def _three_strata():
             "line 2: count '1.5' is not an integer",
         ),
     ],
-    ids=["no-strata", "str-response-type", "map-group", "spec-group", "spec-empty", "three-strata",
-         "csv-exposure", "csv-count"],
+    ids=["no-strata", "str-response-type", "map-group", "map-group-bool", "map-group-float", "spec-group",
+         "spec-empty", "three-strata", "csv-exposure", "csv-count"],
 )
 def test_malformed_tables_rejected(call, error, message):
     with pytest.raises(error) as info:

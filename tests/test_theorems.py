@@ -5,6 +5,7 @@ import copy
 import json
 import pickle
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -494,7 +495,20 @@ def test_bool_counts_rejected(call, name):
         call()
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "tol",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        # past the floats: each once passed, or escaped as OverflowError or
+        # decimal.InvalidOperation
+        pytest.param(Decimal("Infinity"), id="decimal-inf"),
+        pytest.param(Decimal("1e400"), id="decimal-1e400"),
+        pytest.param(Decimal("NaN"), id="decimal-nan"),
+        pytest.param(10**400, id="int-10**400"),
+    ],
+)
 def test_non_finite_tolerance_rejected(tol):
     # no conditions at all: standardizing changes the observed risk on
     # practically every draw, so every sample must fail at 1e-10
