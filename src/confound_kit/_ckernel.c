@@ -67,6 +67,16 @@
  * bounds are derived beside exact_violation()).  Both draw only the slots a
  * row reads, and keep the maximum as such a pair (tally_pair()).  The build
  * fails without __int128, and setup.py then installs the pure kernel alone.
+ *
+ * Both entry points are METH_FASTCALL functions: they read their argument
+ * vector in place, with no tuple to parse and no format string, and build
+ * their result tuple directly.  Each argument gets the conversion its
+ * PyArg_ParseTuple format unit gave it, with the same checks, messages and
+ * exception types (check_nargs() and the read_* helpers), and in the same
+ * order: the numbers first, then the codes (read_codes()).  The seed, and
+ * grid_tally()'s start, are any int reduced modulo 2**64 ("K"); the counts
+ * and run_campaign()'s start take an __index__ object within their C type
+ * ("L", "n"), and the tolerance a real number ("d").
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -489,31 +499,106 @@ read_codes(PyObject *model_obj, PyObject *rep_obj, PyObject *eq_obj, PyObject *c
     return 0;
 }
 
+/* The entry points' argument readers, one per PyArg_ParseTuple format unit
+   (see the header): */
+
+/* - the argument count; */
+static int
+check_nargs(const char *fname, Py_ssize_t nargs, Py_ssize_t expected)
+{
+    if (nargs == expected)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)", fname, expected,
+                 nargs);
+    return -1;
+}
+
+/* - "K": an int reduced modulo 2**64, like & _MASK64 (argno counts from 1); */
+static int
+read_wrapped(PyObject *o, const char *fname, int argno, uint64_t *out)
+{
+    if (!PyLong_Check(o)) {
+        PyErr_Format(PyExc_TypeError, "%s() argument %d must be int, not %.50s", fname, argno,
+                     o == Py_None ? "None" : Py_TYPE(o)->tp_name);
+        return -1;
+    }
+    *out = PyLong_AsUnsignedLongLongMask(o);
+    return *out == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* - "L": an object with __index__, as a long long (OverflowError outside it); */
+static int
+read_long_long(PyObject *o, long long *out)
+{
+    *out = PyLong_AsLongLong(o);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* - "n": the same, as a Py_ssize_t; */
+static int
+read_ssize(PyObject *o, Py_ssize_t *out)
+{
+    PyObject *index = PyNumber_Index(o);
+    if (index == NULL)
+        return -1;
+    *out = PyLong_AsSsize_t(index);
+    Py_DECREF(index);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* - "d": a real number, as a double. */
+static int
+read_double(PyObject *o, double *out)
+{
+    *out = PyFloat_AsDouble(o);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* A new tuple of the n items, whose references it steals; NULL, with the
+   items released, when an item or the tuple could not be made. */
+static PyObject *
+tuple_of(int n, PyObject *items[])
+{
+    int made = 1;
+    for (int i = 0; i < n; i++)
+        made &= items[i] != NULL;
+    PyObject *t = made ? PyTuple_New(n) : NULL;
+    for (int i = 0; i < n; i++) {
+        if (t != NULL)
+            PyTuple_SET_ITEM(t, i, items[i]);
+        else
+            Py_XDECREF(items[i]);
+    }
+    return t;
+}
+
 PyDoc_STRVAR(run_campaign_doc,
 "run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)\n\n"
 "See _pykernel.run_campaign; identical contract and results.");
 
 static PyObject *
-run_campaign(PyObject *self, PyObject *args)
+run_campaign(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *model_obj, *rep_obj, *eq_obj, *conclusion_obj, *budget_obj;
     long long start, count;
-    unsigned long long seed; /* "K" wraps modulo 2**64, like & _MASK64 */
+    uint64_t seed;
     double tol;
     struct codes c;
-    if (!PyArg_ParseTuple(args, "OOOOLLKdO:run_campaign", &model_obj, &rep_obj, &eq_obj,
-                          &conclusion_obj, &start, &count, &seed, &tol, &budget_obj)
-        || read_codes(model_obj, rep_obj, eq_obj, conclusion_obj, budget_obj, &c) < 0)
+    if (check_nargs("run_campaign", nargs, 9) < 0 || read_long_long(args[4], &start) < 0
+        || read_long_long(args[5], &count) < 0 || read_wrapped(args[6], "run_campaign", 7, &seed) < 0
+        || read_double(args[7], &tol) < 0
+        || read_codes(args[0], args[1], args[2], args[3], args[8], &c) < 0)
         return NULL;
 
     double max_violation;
     long long failures, exhausted;
     Py_BEGIN_ALLOW_THREADS
-    campaign(c.model, c.rep, c.eq, c.no_confounding, (uint64_t)start, count, (uint64_t)seed,
-             tol, c.budget, &max_violation, &failures, &exhausted);
+    campaign(c.model, c.rep, c.eq, c.no_confounding, (uint64_t)start, count, seed, tol, c.budget,
+             &max_violation, &failures, &exhausted);
     Py_END_ALLOW_THREADS
 
-    return Py_BuildValue("(dLL)", max_violation, failures, exhausted);
+    return tuple_of(3, (PyObject *[]){PyFloat_FromDouble(max_violation),
+                                      PyLong_FromLongLong(failures),
+                                      PyLong_FromLongLong(exhausted)});
 }
 
 /* The grid row of the attempt that starts at state, as _pykernel.grid_tally
@@ -815,16 +900,14 @@ PyDoc_STRVAR(grid_tally_doc,
 "See _pykernel.grid_tally; identical contract and results.");
 
 static PyObject *
-grid_tally(PyObject *self, PyObject *args)
+grid_tally(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *model_obj, *rep_obj, *eq_obj, *conclusion_obj, *budget_obj;
-    /* "K" wraps modulo 2**64, like & _MASK64 */
-    unsigned long long seed, start;
+    uint64_t seed, start;
     Py_ssize_t count;
     struct codes c;
-    if (!PyArg_ParseTuple(args, "OOOOKKnO:grid_tally", &model_obj, &rep_obj, &eq_obj,
-                          &conclusion_obj, &seed, &start, &count, &budget_obj)
-        || read_codes(model_obj, rep_obj, eq_obj, conclusion_obj, budget_obj, &c) < 0)
+    if (check_nargs("grid_tally", nargs, 8) < 0 || read_wrapped(args[4], "grid_tally", 5, &seed) < 0
+        || read_wrapped(args[5], "grid_tally", 6, &start) < 0 || read_ssize(args[6], &count) < 0
+        || read_codes(args[0], args[1], args[2], args[3], args[7], &c) < 0)
         return NULL;
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");
@@ -833,20 +916,16 @@ grid_tally(PyObject *self, PyObject *args)
     long long failures, exhausted;
     wide max_num, max_den;
     Py_BEGIN_ALLOW_THREADS
-    tally_grid(&c, (uint64_t)seed, (uint64_t)start, count, &failures, &max_num, &max_den,
-               &exhausted);
+    tally_grid(&c, seed, start, count, &failures, &max_num, &max_den, &exhausted);
     Py_END_ALLOW_THREADS
 
-    PyObject *num = long_from_wide(&max_num), *den = long_from_wide(&max_den);
-    PyObject *result = num && den ? Py_BuildValue("(LOOL)", failures, num, den, exhausted) : NULL;
-    Py_XDECREF(num);
-    Py_XDECREF(den);
-    return result;
+    return tuple_of(4, (PyObject *[]){PyLong_FromLongLong(failures), long_from_wide(&max_num),
+                                      long_from_wide(&max_den), PyLong_FromLongLong(exhausted)});
 }
 
 static PyMethodDef methods[] = {
-    {"run_campaign", run_campaign, METH_VARARGS, run_campaign_doc},
-    {"grid_tally", grid_tally, METH_VARARGS, grid_tally_doc},
+    {"run_campaign", (PyCFunction)(void (*)(void))run_campaign, METH_FASTCALL, run_campaign_doc},
+    {"grid_tally", (PyCFunction)(void (*)(void))grid_tally, METH_FASTCALL, grid_tally_doc},
     {NULL, NULL, 0, NULL},
 };
 

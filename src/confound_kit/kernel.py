@@ -34,7 +34,11 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
 
 def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
     """Dispatch one exact campaign chunk to the selected backend:
-    (failures, max_num, max_den, exhausted)."""
+    (failures, max_num, max_den, exhausted).
+
+    ``theorems.verify_clause`` calls ``_impl.grid_tally`` itself, so
+    patching ``_impl`` reaches exact campaigns and patching this does not.
+    """
     return _impl.grid_tally(model, rep, eq, conclusion, seed, start, count, budget)
 
 

@@ -40,6 +40,7 @@ or exact, once and keeps them (``_proportions``).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -332,7 +333,7 @@ def classify_covariate(
         tol = 0 if n is not None else DEFAULT_FLOAT_TOL
     _check_tolerance(tol)
     if n is None:
-        return _classify(_proportions(joint), tol)
+        return _classify(_proportions(joint), _float_tolerance(tol))
     _check_exact_tolerance(tol)
     pairs = h, hd, o, od, s, sd = _proportions(joint)
     gap = abs(h * sd - s * hd)
@@ -359,6 +360,7 @@ def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0)
     n = joint._numerators
     if n is None:
         summary = _proportions(joint)
+        tol = _float_tolerance(tol)
         irrelevant = abs(summary.standardized - summary.observed) <= tol
         confounder = abs(summary.hypothetical - summary.standardized) < abs(summary.bias) - tol
     else:
@@ -367,6 +369,15 @@ def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0)
         irrelevant = s * od == o * sd
         confounder = abs(h * sd - s * hd) * od < abs(h * od - o * hd) * sd
     return not (irrelevant and confounder)
+
+
+def _float_tolerance(tol):
+    """``tol`` as a float joint's conditions take it: a ``Decimal`` as the
+    equal ``Fraction``.  Float arithmetic refuses a Decimal, so
+    ``abs(bias) - tol`` would raise TypeError; a Fraction compares exactly,
+    as the Decimal does in ``holds_numeric``, and enters the subtraction as
+    its nearest float, as an int or a Fraction tolerance does."""
+    return Fraction(tol) if isinstance(tol, Decimal) else tol
 
 
 def _check_exact_tolerance(tol) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -226,6 +227,9 @@ def load_counts(source) -> StratifiedCounts:
 
     The header must be exactly ``type,exposure,stratum,count``; ``#`` lines
     are skipped.  Errors carry the 1-based line number of the offending row.
+    Raises TableFormatError for every bad source: a file that cannot be
+    read or is not UTF-8, a source that is not text (a binary stream, a
+    list of rows), a line the CSV reader rejects, and a bad row.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -233,56 +237,75 @@ def load_counts(source) -> StratifiedCounts:
                 return _parse_counts(handle)
         except OSError as exc:
             raise TableFormatError(f"cannot read {source}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(f"cannot read {source}: not UTF-8 text ({exc.reason})") from None
     return _parse_counts(source)
 
 
-def _parse_counts(handle) -> StratifiedCounts:
+def _parse_counts(source) -> StratifiedCounts:
+    # the first line shows whether the source is text: csv.reader would
+    # raise csv.Error for bytes and TypeError for a source it cannot iterate
+    try:
+        lines = iter(source)
+        first = next(lines, "")
+    except TypeError:
+        first = None
+    if not isinstance(first, str):
+        raise TableFormatError(
+            f"expected a CSV path or a text stream, got {type(source).__name__} "
+            "(open the file in text mode)"
+        )
+    rows = csv.reader(itertools.chain((first,), lines))
     header_seen = False
     strata: list = []
     counts: dict = {}
-    for line_no, row in enumerate(csv.reader(handle), start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        cells = [c.strip() for c in row]
-        if not header_seen:
-            if cells != ["type", "exposure", "stratum", "count"]:
+    line_no = 0
+    try:
+        for line_no, row in enumerate(rows, start=1):
+            if not row or (row[0].lstrip().startswith("#")):
+                continue
+            cells = [c.strip() for c in row]
+            if not header_seen:
+                if cells != ["type", "exposure", "stratum", "count"]:
+                    raise TableFormatError(
+                        f"line {line_no}: expected header 'type,exposure,stratum,count', "
+                        f"got {','.join(cells)!r}"
+                    )
+                header_seen = True
+                continue
+            if len(cells) != 4:
+                raise TableFormatError(f"line {line_no}: expected 4 fields, got {len(cells)}")
+            type_text, exposure_text, stratum, count_text = cells
+            rtype = _TYPE_NAMES.get(type_text)
+            if rtype is None:
                 raise TableFormatError(
-                    f"line {line_no}: expected header 'type,exposure,stratum,count', "
-                    f"got {','.join(cells)!r}"
+                    f"line {line_no}: unknown response type {type_text!r}; "
+                    f"expected one of {sorted(_TYPE_NAMES)}"
                 )
-            header_seen = True
-            continue
-        if len(cells) != 4:
-            raise TableFormatError(f"line {line_no}: expected 4 fields, got {len(cells)}")
-        type_text, exposure_text, stratum, count_text = cells
-        rtype = _TYPE_NAMES.get(type_text)
-        if rtype is None:
-            raise TableFormatError(
-                f"line {line_no}: unknown response type {type_text!r}; "
-                f"expected one of {sorted(_TYPE_NAMES)}"
-            )
-        exposure = _EXPOSURE_NAMES.get(exposure_text)
-        if exposure is None:
-            raise TableFormatError(
-                f"line {line_no}: unknown exposure {exposure_text!r}; expected 'e' or 'ebar'"
-            )
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise TableFormatError(
-                f"line {line_no}: count {count_text!r} is not an integer"
-            ) from None
-        if count < 0:
-            raise TableFormatError(f"line {line_no}: count {count} is negative")
-        if stratum not in strata:
-            strata.append(stratum)
-        key = (rtype, exposure, stratum)
-        if key in counts:
-            raise TableFormatError(
-                f"line {line_no}: duplicate row for "
-                f"({type_text}, {exposure_text}, {stratum}); one row per cell"
-            )
-        counts[key] = count
+            exposure = _EXPOSURE_NAMES.get(exposure_text)
+            if exposure is None:
+                raise TableFormatError(
+                    f"line {line_no}: unknown exposure {exposure_text!r}; expected 'e' or 'ebar'"
+                )
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise TableFormatError(
+                    f"line {line_no}: count {count_text!r} is not an integer"
+                ) from None
+            if count < 0:
+                raise TableFormatError(f"line {line_no}: count {count} is negative")
+            if stratum not in strata:
+                strata.append(stratum)
+            key = (rtype, exposure, stratum)
+            if key in counts:
+                raise TableFormatError(
+                    f"line {line_no}: duplicate row for "
+                    f"({type_text}, {exposure_text}, {stratum}); one row per cell"
+                )
+            counts[key] = count
+    except csv.Error as exc:  # a later line that is not text, or an oversized field
+        raise TableFormatError(f"line {line_no + 1}: {exc}") from None
     if not header_seen:
         raise TableFormatError("empty source: no header line found")
     return StratifiedCounts(strata=tuple(strata), counts=counts)

@@ -16,9 +16,12 @@ bit from (seed, samples) alone, independent of chunking or thread count;
 Exact campaigns rerun the same algorithm on the thousandths grid, where a
 sound clause yields violations of exactly zero, in integer arithmetic over
 a common denominator; their draws are the stream ``random_params(exact=True)``
-reads.  Every clause runs whole in one ``kernel.grid_tally`` call on the
-selected backend: in Python integers on the pure kernel, in fixed-width
-integers on the compiled one.  The pure kernel's H1/H5 solve is
+reads.  Every clause runs whole in one ``grid_tally`` call: ``verify_clause``
+passes the clause's kept codes (``_campaign_codes``) straight to the
+selected backend, ``kernel._impl``, with no Python frame between them, and
+turns the unreduced maximum it returns into the report's ``Fraction`` (int 0
+when every violation is zero).  The pure kernel tallies in Python integers,
+the compiled one in fixed-width integers.  The pure kernel's H1/H5 solve is
 ``hypotheses._solve`` and its cells are ``joint._cells``, the code
 ``impose`` and ``build_joint`` run, so the tests check exact campaigns
 against a Fraction route that shares none of this code: draws from
@@ -302,26 +305,6 @@ def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
     return max_violation, failures, exhausted
 
 
-def _exact_campaign(clause: TheoremClause, samples, seed):
-    """(max_violation, failures) of an exact campaign, in integer arithmetic.
-
-    One ``kernel.grid_tally`` call runs the whole campaign: samples are
-    drawn as ``random_params(exact=True)`` and ``impose`` draw them, as
-    numerators over 1000, an H1/H5 member is solved and redrawn as
-    ``impose`` does, and each violation is an unreduced pair over the
-    campaign's common denominator, so the only Fraction built is the
-    reported maximum (int 0 when every violation is zero).  Raises
-    ConstraintError when a sample exhausts the redraw budget.
-    """
-    model, rep, eq, conclusion = _campaign_codes(clause)
-    failures, max_num, max_den, exhausted = kernel.grid_tally(
-        model, rep, eq, conclusion, seed, 0, samples, _REDRAW_BUDGET
-    )
-    if exhausted:
-        raise _exhausted(equational_member(clause.conditions), _REDRAW_BUDGET)
-    return (Fraction(max_num, max_den) if max_num else 0), failures
-
-
 def verify_clause(
     clause: TheoremClause,
     samples: int,
@@ -366,7 +349,14 @@ def verify_clause(
         if threads < 1:
             raise ParameterError(f"thread count must be at least 1, got {threads}")
     if exact:
-        max_violation, failures = _exact_campaign(clause, samples, seed)
+        # the kept codes go straight to the selected backend (module docstring)
+        model, rep, eq, conclusion = getattr(clause, "_codes", None) or _campaign_codes(clause)
+        failures, max_num, max_den, exhausted = kernel._impl.grid_tally(
+            model, rep, eq, conclusion, seed, 0, samples, _REDRAW_BUDGET
+        )
+        if exhausted:
+            raise _exhausted(equational_member(clause.conditions), _REDRAW_BUDGET)
+        max_violation = Fraction(max_num, max_den) if max_num else 0
     else:
         max_violation, failures, exhausted = _float_campaign(
             clause, samples, seed, float(tol), threads

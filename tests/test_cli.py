@@ -76,6 +76,15 @@ def test_analyze_missing_file_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_analyze_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
+    # the decode error once ended the CLI in a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("type,exposure,stratum,count\ndoomed,e,caf\xe9,1\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {path}: not UTF-8 text (invalid continuation byte)\n"
+
+
 def test_analyze_four_level_without_coarsen_fails(capsys):
     path = str(fixture_path("table1.csv"))
     code, _, err = run(capsys, "analyze", path)

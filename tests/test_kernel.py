@@ -9,6 +9,7 @@ loader picks its clone, and on the ``default_clone`` build (conftest.py).
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -453,6 +454,69 @@ def test_bad_codes_raise_in_both_backends(backends, name, value):
             impl.grid_tally(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 0, 10, args["budget"])
         messages.add(str(raised.value))
     assert len(messages) == 1, messages
+
+
+# --- calling convention ------------------------------------------------------
+
+_RUN_ARGS = (1, UNIT_REP, EQ_H1, NO_CONFOUNDING, 0, 40, 7, 1e-10, 1000)
+_GRID_ARGS = (1, UNIT_REP, EQ_H1, NO_CONFOUNDING, 7, 0, 40, 1000)
+# the positions of (seed, start, count) in each entry point's arguments
+_POSITIONS = {"run_campaign": (_RUN_ARGS, (6, 4, 5)), "grid_tally": (_GRID_ARGS, (4, 5, 6))}
+
+
+def _with(args, position, value):
+    return args[:position] + (value,) + args[position + 1 :]
+
+
+def test_wrong_argument_count_raises_type_error(backends):
+    for impl in backends.values():
+        for name, (args, _) in _POSITIONS.items():
+            for n in (0, len(args) - 1, len(args) + 1):
+                with pytest.raises(TypeError):
+                    getattr(impl, name)(*(args + args)[:n])
+    # the compiled kernel reads its argument vector itself, with the
+    # messages PyArg_ParseTuple gave
+    compiled = backends["compiled"]
+    with pytest.raises(TypeError, match=re.escape("run_campaign() takes exactly 9 arguments (8 given)")):
+        compiled.run_campaign(*_RUN_ARGS[:8])
+    with pytest.raises(TypeError, match=re.escape("grid_tally() takes exactly 8 arguments (9 given)")):
+        compiled.grid_tally(*_GRID_ARGS, 0)
+
+
+@pytest.mark.parametrize("value", [1.0, "1", None])
+def test_non_integer_seed_start_or_count_raises_type_error(backends, value):
+    for impl in backends.values():
+        for name, (args, positions) in _POSITIONS.items():
+            for position in positions:
+                with pytest.raises(TypeError):
+                    getattr(impl, name)(*_with(args, position, value))
+    # a seed, and grid_tally's start, must be an int, whatever its size
+    kind = "None" if value is None else type(value).__name__
+    compiled = backends["compiled"]
+    with pytest.raises(TypeError, match=re.escape(f"run_campaign() argument 7 must be int, not {kind}")):
+        compiled.run_campaign(*_with(_RUN_ARGS, 6, value))
+    with pytest.raises(TypeError, match=re.escape(f"grid_tally() argument 6 must be int, not {kind}")):
+        compiled.grid_tally(*_with(_GRID_ARGS, 5, value))
+
+
+@pytest.mark.parametrize("value", [2**64, 2**64 + 5, 2**100 + 3, -1, -(2**63), -(2**64) - 9])
+def test_seeds_and_starts_wrap_modulo_2_64(backends, value):
+    pure, wrapped = backends["pure"], value % 2**64
+    for impl in backends.values():
+        for name, (args, (seed, _, _)) in _POSITIONS.items():
+            run = getattr(impl, name)
+            assert run(*_with(args, seed, value)) == getattr(pure, name)(*_with(args, seed, wrapped)), name
+        assert impl.grid_tally(*_with(_GRID_ARGS, 5, value)) == pure.grid_tally(*_with(_GRID_ARGS, 5, wrapped))
+    # run_campaign's start is a long long in the compiled kernel: one in
+    # [-2**63, 0) wraps as the pure kernel wraps it, one past it raises
+    # OverflowError; verify_clause passes starts below its sample count
+    expected = pure.run_campaign(*_with(_RUN_ARGS, 4, wrapped))
+    assert pure.run_campaign(*_with(_RUN_ARGS, 4, value)) == expected
+    if -(2**63) <= value < 0:
+        assert backends["compiled"].run_campaign(*_with(_RUN_ARGS, 4, value)) == expected
+    else:
+        with pytest.raises(OverflowError):
+            backends["compiled"].run_campaign(*_with(_RUN_ARGS, 4, value))
 
 
 def test_large_budgets_agree_in_both_backends(backends):

@@ -218,6 +218,26 @@ def test_non_finite_tolerance_rejected(tol):
         check_lemma1(joint, tol=tol)
 
 
+def test_decimal_tolerance_is_taken_as_the_equal_fraction():
+    # float arithmetic refuses a Decimal, so the confounder condition
+    # |bias| - tol once raised TypeError on a float joint; a Decimal now
+    # counts as the Fraction it equals, in both modes
+    joint, exact = build_joint(EXAMPLE_M1), table1_joint()
+    verdicts = set()
+    for text in ("0", "1e-9", "0.2", "0.2499999999999999", "0.3"):
+        report = classify_covariate(joint, tol=Decimal(text))
+        assert report == classify_covariate(joint, tol=F(text)), text
+        assert check_lemma1(joint, tol=Decimal(text)) is check_lemma1(joint, tol=F(text)), text
+        verdicts.add(report.verdict)
+    assert verdicts == {Verdict.CONFOUNDER, Verdict.IRRELEVANT}
+    # exact mode compares exactly: a zero Decimal is tol = 0, any other is rejected
+    assert classify_covariate(exact, tol=Decimal(0)) == classify_covariate(exact, tol=0)
+    assert check_lemma1(exact, tol=Decimal(0)) is check_lemma1(exact, tol=0)
+    for check in (classify_covariate, check_lemma1):
+        with pytest.raises(ParameterError, match="requires tol = 0"):
+            check(exact, tol=Decimal("1e-9"))
+
+
 @pytest.mark.parametrize("tol", ["0", 1j, None])
 def test_non_real_tolerance_rejected(tol):
     joint = build_joint(EXAMPLE_M1)

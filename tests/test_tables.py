@@ -446,6 +446,37 @@ def test_load_counts_empty_is_an_error():
         load_counts(io.StringIO("# only a comment\n"))
 
 
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        (io.BytesIO(b"type,exposure,stratum,count\n"), "BytesIO"),
+        ([["type", "exposure", "stratum", "count"]], "list"),
+        ([b"type,exposure,stratum,count\n"], "list"),
+        (None, "NoneType"),
+        (7, "int"),
+    ],
+)
+def test_load_counts_rejects_a_source_that_is_not_text(source, name):
+    # a binary stream or a list of rows once raised _csv.Error, a number
+    # TypeError
+    with pytest.raises(TableFormatError) as err:
+        load_counts(source)
+    assert str(err.value) == f"expected a CSV path or a text stream, got {name} (open the file in text mode)"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["type,exposure,stratum,count\n", b"doomed,e,0,1\n"], "line 2: iterator should return strings, not bytes"),
+        (["type,exposure,stratum,count\n", "# note\n", "doomed,e,0," + "9" * 200_000 + "\n"], "line 3: field larger than field limit"),
+    ],
+)
+def test_load_counts_csv_errors_carry_their_line(lines, message):
+    # the CSV reader's own errors once escaped as _csv.Error
+    with pytest.raises(TableFormatError, match=message):
+        load_counts(lines)
+
+
 def test_duplicate_row_rejected_with_line():
     text = "type,exposure,stratum,count\ndoomed,e,0,1\ndoomed,e,0,2\nimmune,ebar,0,1\n"
     with pytest.raises(TableFormatError) as err:
