@@ -460,7 +460,7 @@ struct codes {
 };
 
 /* Read the codes run_campaign() and grid_tally() share into *c, with the
-   checks of _pykernel._check_codes in its order: ValueError unless rep is
+   checks of _pykernel._read_codes in its order: ValueError unless rep is
    7 slot indices in 0..6, model is 1, 2 or 3 (True == 1, yet it is no
    model number), eq and conclusion are codes of this module and budget is
    non-negative, and unless under H1 or H5 rep leaves the solved slot s

@@ -29,6 +29,7 @@ maximum as a 320-bit pair either way and returns the same unreduced one.
 
 import fractions
 import operator
+import sys
 
 from . import errors
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
@@ -45,33 +46,80 @@ _GRID = 1000
 _DRAW_SLOTS = {m: tuple(j for j, f in enumerate(fields) if f) for m, fields in _SLOT_FIELDS.items()}
 
 
-def _check_codes(model, rep, eq, conclusion, budget):
-    """The H1/H5 member of code eq, or None under EQ_NONE.
+# _ckernel.c's argument readers, one per PyArg_ParseTuple format unit; each
+# reader here takes and refuses what its C namesake does, with the same
+# exception type, so no argument runs on one backend and fails on the other
+
+_REP_ERROR = "rep must be 7 slot indices in 0..6"
+_MODEL_ERROR = "model must be 1, 2 or 3"
+
+
+def _read_int(value, lo, hi, what):
+    """read_int: an __index__ object in [lo, hi] (hi None: no upper bound),
+    else ValueError(what); TypeError for any other object."""
+    value = operator.index(value)
+    if value < lo or (hi is not None and value > hi):
+        raise ValueError(what)
+    return value
+
+
+def _read_wrapped(value, fname, argno):
+    """read_wrapped ("K"): an int of any size, reduced modulo 2**64 where used."""
+    if not isinstance(value, int):
+        kind = "None" if value is None else type(value).__name__
+        raise TypeError(f"{fname}() argument {argno} must be int, not {kind}")
+    return value
+
+
+def _read_signed(value, bound, overflow):
+    """read_long_long ("L") and read_ssize ("n"): an __index__ object in
+    [-bound, bound), else OverflowError(overflow)."""
+    value = operator.index(value)
+    if not -bound <= value < bound:
+        raise OverflowError(overflow)
+    return value
+
+
+def _read_double(value):
+    """read_double ("d"): a float, or an object with __float__ or __index__."""
+    kind = type(value)
+    if not (hasattr(kind, "__float__") or hasattr(kind, "__index__")):
+        raise TypeError(f"must be real number, not {kind.__name__}")
+    return float(value)
+
+
+def _read_codes(model, rep, eq, conclusion, budget):
+    """read_codes: (model, rep, eq, conclusion, budget, member) as ints, and
+    the H1/H5 member of code eq, or None under EQ_NONE.
 
     Raises ValueError unless rep is 7 slot indices in 0..6, model is 1, 2 or
     3, eq and conclusion are codes of this module, budget is non-negative
     and no other position shares the solved slot's draw, and TypeError when
-    a code or the budget is not an int (the checks of _ckernel.c's
-    read_codes, in its order).
+    rep is no sequence or a code, a slot index or the budget has no
+    __index__, in _ckernel.c's order.
     """
-    # operator.index takes what _ckernel.c's read_int takes: an int, not a float
-    if len(rep) != 7 or not all(0 <= r <= 6 for r in rep):
-        raise ValueError("rep must be 7 slot indices in 0..6")
+    try:
+        rep = tuple(rep)
+    except TypeError:
+        raise TypeError("rep must be a sequence") from None
+    if len(rep) != 7:
+        raise ValueError(_REP_ERROR)
+    rep = tuple(_read_int(r, 0, 6, _REP_ERROR) for r in rep)
     # True == 1, yet it is no model number
-    if isinstance(model, bool) or operator.index(model) not in (1, 2, 3):
-        raise ValueError("model must be 1, 2 or 3")
-    if operator.index(eq) not in (EQ_NONE, EQ_H1, EQ_H5):
-        raise ValueError("eq must be EQ_NONE, EQ_H1 or EQ_H5")
-    if operator.index(conclusion) not in (IRRELEVANT, NO_CONFOUNDING):
-        raise ValueError("conclusion must be IRRELEVANT or NO_CONFOUNDING")
-    if operator.index(budget) < 0:
-        raise ValueError("budget must be non-negative")
+    if isinstance(model, bool):
+        raise ValueError(_MODEL_ERROR)
+    model = _read_int(model, 1, 3, _MODEL_ERROR)
+    eq = _read_int(eq, EQ_NONE, EQ_H5, "eq must be EQ_NONE, EQ_H1 or EQ_H5")
+    conclusion = _read_int(
+        conclusion, IRRELEVANT, NO_CONFOUNDING, "conclusion must be IRRELEVANT or NO_CONFOUNDING"
+    )
+    budget = _read_int(budget, 0, None, "budget must be non-negative")
     member = {EQ_H1: _H1, EQ_H5: _H5}.get(eq)
     if member is not None:
         solved = member._solves
-        if rep[solved] != solved or list(rep).count(solved) > 1:
+        if rep[solved] != solved or rep.count(solved) > 1:
             raise ValueError("rep must not tie the slot eq solves for")
-    return member
+    return model, rep, eq, conclusion, budget, member
 
 
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
@@ -82,13 +130,19 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     Returns (max_violation, failures, exhausted), where failures counts
     samples with violation > tol and exhausted counts samples whose
     equational solve never landed in [0, 1] within the redraw budget.
-    Raises ValueError unless rep is 7 slot indices in 0..6, model is 1, 2
-    or 3, eq and conclusion are codes of this module, budget is
-    non-negative and, under H1 or H5, rep leaves the solved slot untied
-    (rep[s] == s and no other position reads slot s); and TypeError when a
-    code or the budget is not an int.
+    Reads its arguments as _ckernel.c does: start and count are __index__
+    objects in the signed 64-bit range (OverflowError outside it), seed an
+    int of any size, tol a real number.  Raises ValueError unless rep is 7
+    slot indices in 0..6, model is 1, 2 or 3, eq and conclusion are codes
+    of this module, budget is non-negative and, under H1 or H5, rep leaves
+    the solved slot untied (rep[s] == s and no other position reads slot
+    s); and TypeError when an argument is of the wrong kind.
     """
-    member = _check_codes(model, rep, eq, conclusion, budget)
+    start = _read_signed(start, 1 << 63, "int too big to convert")
+    count = _read_signed(count, 1 << 63, "int too big to convert")
+    seed = _read_wrapped(seed, "run_campaign", 7)
+    tol = _read_double(tol)
+    model, rep, eq, conclusion, budget, member = _read_codes(model, rep, eq, conclusion, budget)
     solved = None if member is None else member._solves
     draw_slots = _DRAW_SLOTS[model]
     q = [0.0] * 7
@@ -151,10 +205,15 @@ def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
     nonzero violation, the first largest |violation| as the unreduced pair
     max_num / max_den, or (0, 1) when none fails, and the samples whose
     solve never landed in [0, 1].  Seed and sample index are reduced modulo
-    2**64.  Raises what ``run_campaign`` raises for its rep, codes and
-    budget, and ValueError for a negative count.
+    2**64.  Reads its arguments as _ckernel.c does: seed and start are ints
+    of any size, count an __index__ object within Py_ssize_t.  Raises what
+    ``run_campaign`` raises for its rep, codes and budget, and ValueError
+    for a negative count.
     """
-    member = _check_codes(model, rep, eq, conclusion, budget)
+    seed = _read_wrapped(seed, "grid_tally", 5)
+    start = _read_wrapped(start, "grid_tally", 6)
+    count = _read_signed(count, sys.maxsize + 1, "Python int too large to convert to C ssize_t")
+    model, rep, eq, conclusion, budget, member = _read_codes(model, rep, eq, conclusion, budget)
     if count < 0:
         raise ValueError("count must be non-negative")
     solved = None if member is None else member._solves

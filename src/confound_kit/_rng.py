@@ -7,6 +7,8 @@ campaign reductions independent of chunking, so threaded and single-threaded
 runs of the same seed return identical reports.
 """
 
+from .errors import ParameterError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0  # 2**-53
@@ -24,7 +26,10 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        try:
+            self._state = seed & _MASK64
+        except TypeError:
+            raise ParameterError(f"seed must be an int, got {type(seed).__name__}") from None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -41,4 +46,10 @@ def sample_stream(seed: int, index: int) -> SplitMix64:
     The origin is scrambled, so streams for distinct indices do not overlap
     as shifted copies of one another.
     """
-    return SplitMix64(_mix((seed + (index + 1) * _GOLDEN) & _MASK64))
+    try:
+        origin = (seed + (index + 1) * _GOLDEN) & _MASK64
+    except TypeError:
+        raise ParameterError(
+            f"seed and index must be ints, got {type(seed).__name__} and {type(index).__name__}"
+        ) from None
+    return SplitMix64(_mix(origin))

@@ -11,7 +11,6 @@ errors, a failed campaign or a stdout closed by its reader, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,14 +19,39 @@ from typing import Optional
 
 from . import __version__
 from .errors import ConfoundKitError, DegenerateEventError, ParameterError
-from .hypotheses import Hypothesis, holds_algebraic, holds_numeric
 from .joint import _num_to_text, _render_columns, build_joint, params_type
-from .measures import DEFAULT_FLOAT_TOL, classify_covariate
-from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
-from .theorems import _MIN_CHUNK, clause_lookup, verify_clause
 
 # each parameter class field once, in model then field order
 _ALL_PARAM_FLAGS = tuple(dict.fromkeys(f for m in (1, 2, 3) for f in params_type(m)._fields))
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser, which adds its arguments the first time it parses
+    or formats its usage or help, so a request builds only its own verb's.
+
+    The verb's arguments come from ``add_arguments(parser)``.
+    """
+
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def _complete(self) -> None:
+        add, self._add_arguments = self._add_arguments, None
+        if add is not None:
+            add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._complete()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._complete()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._complete()
+        return super().format_help()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,11 +62,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
+    for name, help_text, add_arguments, run in (
+        ("analyze", "classify the covariate of a stratified count table",
+         _analyze_arguments, _run_analyze),
+        ("classify", "classify the covariate of a parameterized model",
+         _classify_arguments, _run_classify),
+        ("verify", "campaign-check one catalog clause", _verify_arguments, _run_verify),
+        ("hypotheses", "list the hypotheses, or evaluate them on a model",
+         _hypotheses_arguments, _run_hypotheses),
+    ):
+        p = sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+        p.set_defaults(func=run, parser=p)
+    return parser
 
-    p = sub.add_parser(
-        "analyze", help="classify the covariate of a stratified count table"
-    )
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("table", help="CSV file with header type,exposure,stratum,count")
     p.add_argument(
         "--coarsen",
@@ -50,14 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="fold strata into binary groups first, e.g. '0=1,2,3;1=4'",
     )
     _add_format(p)
-    p.set_defaults(func=_run_analyze, parser=p)
 
-    p = sub.add_parser("classify", help="classify the covariate of a parameterized model")
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     _add_model_params(p)
     _add_format(p)
-    p.set_defaults(func=_run_classify, parser=p)
 
-    p = sub.add_parser("verify", help="campaign-check one catalog clause")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .theorems import _MIN_CHUNK
+
     p.add_argument("--theorem", required=True, metavar="T", help="T1..T5")
     p.add_argument("--clause", required=True, metavar="C", help="a..e")
     p.add_argument("--samples", type=_count, default=10000)
@@ -73,16 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
         "exact campaigns run on the calling thread and ignore it",
     )
     _add_format(p)
-    p.set_defaults(func=_run_verify, parser=p)
 
-    p = sub.add_parser(
-        "hypotheses", help="list the hypotheses, or evaluate them on a model"
-    )
+
+def _hypotheses_arguments(p: argparse.ArgumentParser) -> None:
     _add_model_params(p, params_required=False)
     _add_format(p)
-    p.set_defaults(func=_run_hypotheses, parser=p)
-
-    return parser
 
 
 def _tolerance(text: str) -> float:
@@ -166,17 +198,25 @@ def _resolved_tol(parser, args) -> object:
     _check_exact_tol(parser, args)
     if args.exact:
         return 0
-    return DEFAULT_FLOAT_TOL if args.tol is None else args.tol
+    if args.tol is None:
+        from .measures import DEFAULT_FLOAT_TOL
+
+        return DEFAULT_FLOAT_TOL
+    return args.tol
 
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload))
     else:
         print(text)
 
 
 def _run_analyze(parser, args) -> int:
+    from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
+
     counts = load_counts(args.table)
     if args.coarsen:
         counts = coarsen(counts, CoarseningMap.from_spec(args.coarsen))
@@ -186,6 +226,8 @@ def _run_analyze(parser, args) -> int:
 
 
 def _hypothesis_rows(params, tol):
+    from .hypotheses import Hypothesis, holds_algebraic, holds_numeric
+
     joint = build_joint(params) if params is not None else None
     rows = []
     for h in Hypothesis:
@@ -220,6 +262,8 @@ def _tri(value: Optional[bool]) -> str:
 
 
 def _run_classify(parser, args) -> int:
+    from .measures import classify_covariate
+
     params = _collect_params(parser, args)
     tol = _resolved_tol(parser, args)
     report = classify_covariate(build_joint(params), tol)
@@ -242,6 +286,8 @@ def _run_hypotheses(parser, args) -> int:
 
 
 def _run_verify(parser, args) -> int:
+    from .theorems import clause_lookup, verify_clause
+
     try:
         clause = clause_lookup(args.theorem, args.clause)
     except ParameterError as exc:

@@ -420,9 +420,13 @@ def random_params(model: int, rng: SplitMix64, *, exact: bool = False) -> ModelP
     kernels' streams draw for draw.
     """
     cls = params_type(model)
+    try:
+        draw = rng.next_u64 if exact else rng.next_float
+    except AttributeError:
+        raise ParameterError(f"rng must be a SplitMix64, got {type(rng).__name__}") from None
     if exact:
-        return cls(*[Fraction(10 + rng.next_u64() % 981, 1000) for _ in cls._fields])
-    return cls(*[0.01 + rng.next_float() * 0.98 for _ in cls._fields])
+        return cls(*[Fraction(10 + draw() % 981, 1000) for _ in cls._fields])
+    return cls(*[0.01 + draw() * 0.98 for _ in cls._fields])
 
 
 def _slot_values(params: ModelParams) -> list:

@@ -349,7 +349,10 @@ def params_from_dict(data: Mapping[str, object]) -> ModelParams:
     The three field sets are pairwise distinct, so the structure is inferred
     from the keys alone.
     """
-    keys = set(data)
+    try:
+        keys = set(data)
+    except TypeError:
+        raise ParameterError(f"expected a mapping of parameter fields, got {type(data).__name__}") from None
     for cls in (Model1Params, Model2Params, Model3Params):
         if keys == set(cls._fields):
             return cls.from_dict(data)

@@ -180,7 +180,11 @@ def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
     the same order as the per-measure functions.  Either is computed once
     per joint and kept on it (``_proportions``).
     """
-    if joint._numerators is not None:
+    try:
+        n = joint._numerators
+    except AttributeError:
+        raise _not_a_joint(joint) from None
+    if n is not None:
         return _pairs_summary(*_proportions(joint))
     return _proportions(joint)
 
@@ -328,7 +332,10 @@ def classify_covariate(
     are then built as ``Fraction``s.  The tests hold ``_classify`` on the
     ``Fraction`` measures as the oracle.
     """
-    n = joint._numerators
+    try:
+        n = joint._numerators
+    except AttributeError:
+        raise _not_a_joint(joint) from None
     if tol is None:
         tol = 0 if n is not None else DEFAULT_FLOAT_TOL
     _check_tolerance(tol)
@@ -357,7 +364,10 @@ def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0)
     cross-multiplication.
     """
     _check_tolerance(tol)
-    n = joint._numerators
+    try:
+        n = joint._numerators
+    except AttributeError:
+        raise _not_a_joint(joint) from None
     if n is None:
         summary = _proportions(joint)
         tol = _float_tolerance(tol)
@@ -369,6 +379,10 @@ def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0)
         irrelevant = s * od == o * sd
         confounder = abs(h * sd - s * hd) * od < abs(h * od - o * hd) * sd
     return not (irrelevant and confounder)
+
+
+def _not_a_joint(value) -> ParameterError:
+    return ParameterError(f"expected a JointDistribution, got {type(value).__name__}")
 
 
 def _float_tolerance(tol):

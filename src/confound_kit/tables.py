@@ -168,12 +168,19 @@ class CoarseningMap(_Frozen):
 
 def coarsen(counts: StratifiedCounts, mapping: CoarseningMap) -> StratifiedCounts:
     """Fold strata into the binary groups "0" and "1"."""
-    for stratum in counts.strata:
-        if stratum not in mapping.assignment:
+    try:
+        strata, assignment = counts.strata, mapping.assignment
+    except AttributeError:
+        raise ParameterError(
+            "coarsen needs a StratifiedCounts and a CoarseningMap, got "
+            f"{type(counts).__name__} and {type(mapping).__name__}"
+        ) from None
+    for stratum in strata:
+        if stratum not in assignment:
             raise ParameterError(f"stratum {stratum!r} missing from the coarsening map")
     merged: dict = {}
     for (rtype, exposure, stratum), n in counts.counts.items():
-        key = (rtype, exposure, str(mapping.assignment[stratum]))
+        key = (rtype, exposure, str(assignment[stratum]))
         merged[key] = merged.get(key, 0) + n
     return StratifiedCounts(strata=("0", "1"), counts=merged)
 
@@ -228,8 +235,9 @@ def load_counts(source) -> StratifiedCounts:
     The header must be exactly ``type,exposure,stratum,count``; ``#`` lines
     are skipped.  Errors carry the 1-based line number of the offending row.
     Raises TableFormatError for every bad source: a file that cannot be
-    read or is not UTF-8, a source that is not text (a binary stream, a
-    list of rows), a line the CSV reader rejects, and a bad row.
+    read or is not UTF-8, a stream its codec cannot decode, a source that is
+    not text (a binary stream, a list of rows), a line the CSV reader
+    rejects, and a bad row.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -239,7 +247,11 @@ def load_counts(source) -> StratifiedCounts:
             raise TableFormatError(f"cannot read {source}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise TableFormatError(f"cannot read {source}: not UTF-8 text ({exc.reason})") from None
-    return _parse_counts(source)
+    try:
+        return _parse_counts(source)
+    except UnicodeDecodeError as exc:  # a stream opened with a codec the file is not in
+        name = getattr(source, "name", "the stream")
+        raise TableFormatError(f"cannot read {name}: not {exc.encoding} text ({exc.reason})") from None
 
 
 def _parse_counts(source) -> StratifiedCounts:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import functools
 import json
 import os
 import subprocess
@@ -328,20 +329,93 @@ def test_verify_threads_flag_stable_output(capsys):
     assert one == four
 
 
+@functools.lru_cache(maxsize=None)
 def _loaded(code):
     """The modules a fresh interpreter has loaded after running ``code``."""
     env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
-    code += "; import sys; print(*sys.modules)"
+    code += "\nimport sys\nprint(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return frozenset(proc.stdout.split())
+
+
+def _added(code):
+    """The modules ``code`` loads beyond what the bare interpreter has."""
+    return _loaded(code) - _loaded("pass")
+
+
+def _verb_loads(*argv):
+    """The modules a fresh interpreter loads to run the CLI on ``argv``."""
+    return _added(
+        "import contextlib, io\n"
+        "from confound_kit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0"
+    )
+
+
+_TABLES = {"csv", "confound_kit.tables"}
+_CAMPAIGNS = {"confound_kit.theorems", "confound_kit.kernel", "confound_kit._pykernel"}
+
+
+def test_package_import_loads_no_submodule():
+    # every request pays for what `import confound_kit` loads; its names
+    # load their modules on first access
+    added = _added("import confound_kit")
+    assert "confound_kit" in added
+    assert not {m for m in added if m.startswith("confound_kit.")}
+    assert not added & (_TABLES | _CAMPAIGNS)
+
+
+def test_submodule_attribute_loads_the_submodule():
+    # the eager package loaded every submodule, so code that reached one as
+    # an attribute of the package keeps working
+    added = _added("import confound_kit\nconfound_kit.theorems.verify_clause")
+    assert "confound_kit.theorems" in added
+    assert not added & _TABLES
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (["classify", *MODEL1_FLAGS, "--format", "json"], {"confound_kit.measures"}, _TABLES | _CAMPAIGNS),
+        (["classify", *MODEL1_FLAGS], {"confound_kit.measures"}, _TABLES | _CAMPAIGNS | {"json"}),
+        (["hypotheses", *MODEL1_FLAGS, "--exact", "--format", "json"], {"confound_kit.hypotheses"},
+         _TABLES | _CAMPAIGNS | {"confound_kit.measures"}),
+        (["hypotheses", *MODEL1_FLAGS, "--format", "json"], {"confound_kit.hypotheses"}, _TABLES | _CAMPAIGNS),
+        (["analyze", "table1.csv", "--coarsen", "0=1,2,3;1=4", "--format", "json"], _TABLES,
+         _CAMPAIGNS | {"confound_kit.hypotheses"}),
+        (["verify", "--theorem", "T1", "--clause", "a", "--samples", "10", "--format", "json"],
+         _CAMPAIGNS, _TABLES),
+        (["verify", "--theorem", "T5", "--clause", "b", "--samples", "2", "--exact"],
+         _CAMPAIGNS, _TABLES),
+    ],
+    ids=["classify", "classify-text", "hypotheses-exact", "hypotheses", "analyze", "verify", "verify-exact"],
+)
+def test_each_verb_loads_only_its_modules(argv, loads, skips):
+    if argv[0] == "analyze":
+        argv = [argv[0], str(fixture_path(argv[1])), *argv[2:]]
+    added = _verb_loads(*argv)
+    assert loads <= added
+    assert not added & skips
+
+
+def test_every_export_resolves_and_star_import_binds_them():
+    namespace = {}
+    exec("from confound_kit import *", namespace)
+    for name in confound_kit.__all__:
+        assert namespace[name] is getattr(confound_kit, name)
+    for name in ("no_such_name", "__no_such_name__", "Verdicts"):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(confound_kit, name)
+    assert set(confound_kit.__all__) <= set(dir(confound_kit))
 
 
 def test_cli_import_loads_no_heavy_modules():
     # every CLI request pays for what the import loads: dataclasses pulls in
     # inspect (and ast, dis, tokenize), concurrent.futures pulls in logging,
     # and only a campaign that splits needs a thread pool
-    added = _loaded("import confound_kit.cli") - _loaded("pass")
+    added = _added("import confound_kit.cli")
     assert "confound_kit.cli" in added
     assert not added & {"dataclasses", "inspect", "concurrent.futures", "logging"}
 
@@ -472,6 +546,21 @@ def test_text_bytes_pinned(capsys, case):
         argv[1] = str(fixture_path(argv[1]))
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+PINNED_USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage_bytes.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_USAGE, ids=[c["args"] or "no-verb" for c in PINNED_USAGE])
+def test_help_and_usage_bytes_pinned(capsys, monkeypatch, case):
+    # recorded while every verb's parser was built with its arguments up
+    # front: --help of the program and of each verb, and the usage errors
+    # argparse and the verbs raise, at an 80-column terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(case["args"].split())
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_parser_program_name():

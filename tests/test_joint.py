@@ -1,6 +1,7 @@
 """Tests for the model parameterizations and the 8-cell joint distribution."""
 
 import copy
+import importlib
 import json
 import pickle
 import random
@@ -289,6 +290,37 @@ def test_integer_cells_checked_as_weights_are():
     assert joint == JointDistribution((F(1, 8),) * 8) and joint._numerators == (1,) * 8
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: confound_kit.SplitMix64(1.5), "seed must be an int, got float"),
+        (lambda: confound_kit.sample_stream(None, 0), "seed and index must be ints, got NoneType and int"),
+        (lambda: confound_kit.sample_stream(0, 1.5), "seed and index must be ints, got int and float"),
+        (lambda: params_from_dict(None), "expected a mapping of parameter fields, got NoneType"),
+        (lambda: classify_covariate(None), "expected a JointDistribution, got NoneType"),
+        (lambda: summary_from_joint(1.5), "expected a JointDistribution, got float"),
+        (lambda: check_lemma1("joint"), "expected a JointDistribution, got str"),
+        (lambda: confound_kit.random_params(1, None), "rng must be a SplitMix64, got NoneType"),
+        (lambda: confound_kit.random_params(1, 7, exact=True), "rng must be a SplitMix64, got int"),
+        (
+            lambda: confound_kit.coarsen(None, confound_kit.CoarseningMap({"a": 0, "b": 1})),
+            "coarsen needs a StratifiedCounts and a CoarseningMap, got NoneType and CoarseningMap",
+        ),
+        (
+            lambda: confound_kit.coarsen(confound_kit.load_counts(confound_kit.fixture_path("table1.csv")), {}),
+            "coarsen needs a StratifiedCounts and a CoarseningMap, got StratifiedCounts and dict",
+        ),
+    ],
+    ids=["rng-seed", "stream-seed", "stream-index", "params-from-dict", "classify", "summary", "lemma1",
+         "random-params", "random-params-exact", "coarsen-counts", "coarsen-map"],
+)
+def test_arguments_of_the_wrong_kind_are_parameter_errors(call, message):
+    # these once escaped as TypeError or AttributeError
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # --- values kept on a joint ------------------------------------------------
 
 EXACT_M2 = Model2Params(a=F(3, 7), c0=F(1, 4), c1=F(5, 6), b0=F(1, 10), b1=F(7, 10), u0=F(2, 9), u1=F(9, 10))
@@ -375,13 +407,25 @@ def test_swap_covariate_permutes_cells():
 
 
 def test_exports_are_the_public_names():
-    # a deleted function cannot linger in __all__, nor a new one be left out
+    # the package imports its names lazily from one table: __all__ is that
+    # table, each name is the object its module defines, and once every
+    # module has loaded, no public name of the package sits outside it (a
+    # name bound in __init__ itself, say); a deleted function cannot linger
+    exports = confound_kit._EXPORTS
+    assert confound_kit.__all__ == ["__version__", *exports]
+    for name, module in exports.items():
+        defined = vars(importlib.import_module(f"confound_kit.{module}"))
+        assert name in defined, f"{module} defines no {name}"
+        assert getattr(confound_kit, name) is defined[name]
+        if isinstance(defined[name], (type, types.FunctionType)):
+            # not a name the module only imports from another
+            assert defined[name].__module__ == f"confound_kit.{module}"
     public = {
         name
         for name, value in vars(confound_kit).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert sorted(confound_kit.__all__) == sorted(public | {"__version__"})
+    assert public <= set(exports)
 
 
 def test_model_number_and_params_type():

@@ -16,7 +16,7 @@ import pytest
 
 import algebra_oracle as oracle
 from confound_kit import CLAUSES, Conclusion, Hypothesis, TheoremClause, clause_lookup, kernel
-from confound_kit._rng import sample_stream
+from confound_kit._rng import _GOLDEN, sample_stream
 from confound_kit.hypotheses import random_params, substitution_reps
 from confound_kit.kernel import (
     BACKEND,
@@ -507,16 +507,80 @@ def test_seeds_and_starts_wrap_modulo_2_64(backends, value):
             run = getattr(impl, name)
             assert run(*_with(args, seed, value)) == getattr(pure, name)(*_with(args, seed, wrapped)), name
         assert impl.grid_tally(*_with(_GRID_ARGS, 5, value)) == pure.grid_tally(*_with(_GRID_ARGS, 5, wrapped))
-    # run_campaign's start is a long long in the compiled kernel: one in
-    # [-2**63, 0) wraps as the pure kernel wraps it, one past it raises
-    # OverflowError; verify_clause passes starts below its sample count
-    expected = pure.run_campaign(*_with(_RUN_ARGS, 4, wrapped))
-    assert pure.run_campaign(*_with(_RUN_ARGS, 4, value)) == expected
-    if -(2**63) <= value < 0:
-        assert backends["compiled"].run_campaign(*_with(_RUN_ARGS, 4, value)) == expected
+    # run_campaign's start is a long long in both kernels: one in
+    # [-2**63, 0) wraps, one past it raises OverflowError; verify_clause
+    # passes starts below its sample count.  Sample i of a seed is sample
+    # i - value of the seed shifted by value gammas, so the campaign from
+    # that start is the campaign from 0 of the shifted seed.
+    shifted = _with(_RUN_ARGS, 6, (_RUN_ARGS[6] + value * _GOLDEN) % 2**64)
+    for impl in backends.values():
+        if -(2**63) <= value < 0:
+            assert impl.run_campaign(*_with(_RUN_ARGS, 4, value)) == pure.run_campaign(*shifted)
+        else:
+            with pytest.raises(OverflowError):
+                impl.run_campaign(*_with(_RUN_ARGS, 4, value))
+
+
+class _Index:
+    """An integer that is no int: it has __index__ alone."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "name, position, value, expected",
+    [
+        # run_campaign's start and count are signed 64-bit in both kernels;
+        # the pure kernel once ran these (and a count of 2**63 for ever)
+        ("run_campaign", 4, 2**63, OverflowError),
+        ("run_campaign", 4, -(2**63) - 1, OverflowError),
+        ("run_campaign", 5, 2**63, OverflowError),
+        ("run_campaign", 5, -(2**63) - 1, OverflowError),
+        ("grid_tally", 6, 2**63, OverflowError),
+        ("grid_tally", 6, -(2**63) - 1, OverflowError),
+        # every count, start, code and slot index takes an __index__ object
+        # as its int, where the pure kernel once raised TypeError or, for eq
+        # and conclusion, ran another code; a seed (and grid_tally's start)
+        # must be an int
+        ("run_campaign", 0, _Index(2), 2),
+        ("run_campaign", 1, tuple(map(_Index, UNIT_REP)), UNIT_REP),
+        ("run_campaign", 2, _Index(EQ_H5), EQ_H5),
+        ("run_campaign", 3, _Index(IRRELEVANT), IRRELEVANT),
+        ("run_campaign", 4, _Index(3), 3),
+        ("run_campaign", 5, _Index(30), 30),
+        ("run_campaign", 6, _Index(7), TypeError),
+        ("run_campaign", 8, _Index(5), 5),
+        ("grid_tally", 0, _Index(3), 3),
+        ("grid_tally", 1, tuple(map(_Index, UNIT_REP)), UNIT_REP),
+        ("grid_tally", 5, _Index(0), TypeError),
+        ("grid_tally", 6, _Index(30), 30),
+        ("grid_tally", 7, _Index(5), 5),
+        # the tolerance is a real number, read as a double
+        ("run_campaign", 7, _Index(0), 0.0),
+        ("run_campaign", 7, Fraction(1, 10**12), 1e-12),
+        ("run_campaign", 7, "0.1", TypeError),
+        ("run_campaign", 1, None, TypeError),
+        ("run_campaign", 1, (0, 1, 2, 3, 4, 5, 6.0), TypeError),
+    ],
+)
+def test_backends_read_their_arguments_alike(backends, name, position, value, expected):
+    args, _ = _POSITIONS[name]
+    outcomes = []
+    for impl in backends.values():
+        try:
+            outcomes.append(getattr(impl, name)(*_with(args, position, value)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[1:] == outcomes[:-1], outcomes
+    if isinstance(expected, type):
+        assert outcomes[0][0] is expected
     else:
-        with pytest.raises(OverflowError):
-            backends["compiled"].run_campaign(*_with(_RUN_ARGS, 4, value))
+        # what the plain number gives
+        assert outcomes[0] == getattr(backends["pure"], name)(*_with(args, position, expected))
 
 
 def test_large_budgets_agree_in_both_backends(backends):

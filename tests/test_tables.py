@@ -464,6 +464,23 @@ def test_load_counts_rejects_a_source_that_is_not_text(source, name):
     assert str(err.value) == f"expected a CSV path or a text stream, got {name} (open the file in text mode)"
 
 
+def test_load_counts_stream_its_codec_cannot_decode(tmp_path):
+    # a path is opened as UTF-8 and its decode error was already a
+    # TableFormatError; a stream the caller opened raised UnicodeDecodeError
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("type,exposure,stratum,count\ndoomed,e,caf\xe9,1\nimmune,ebar,caf\xe9,1\n".encode("latin-1"))
+    with open(path, encoding="utf-8", newline="") as handle:
+        with pytest.raises(TableFormatError) as err:
+            load_counts(handle)
+    assert str(err.value) == f"cannot read {path}: not utf-8 text (invalid continuation byte)"
+    stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="ascii")
+    with pytest.raises(TableFormatError, match=r"^cannot read the stream: not ascii text \(ordinal not in range\(128\)\)$"):
+        load_counts(stream)
+    # the codec the file is in reads it
+    with open(path, encoding="latin-1", newline="") as handle:
+        assert load_counts(handle).strata == ("café",)
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
