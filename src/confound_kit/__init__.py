@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # each exported name, and the module that defines it
 _EXPORTS = {
-    "DEFAULT_FLOAT_TOL": "measures",
+    "DEFAULT_FLOAT_TOL": "joint",
     "SplitMix64": "_rng",
     "sample_stream": "_rng",
     "ConfoundKitError": "errors",

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import ConfoundKitError, DegenerateEventError, ParameterError
-from .joint import _num_to_text, _render_columns, build_joint, params_type
+from .joint import DEFAULT_FLOAT_TOL, _num_to_text, _render_columns, build_joint, params_type
 
 # each parameter class field once, in model then field order
 _ALL_PARAM_FLAGS = tuple(dict.fromkeys(f for m in (1, 2, 3) for f in params_type(m)._fields))
@@ -199,8 +199,6 @@ def _resolved_tol(parser, args) -> object:
     if args.exact:
         return 0
     if args.tol is None:
-        from .measures import DEFAULT_FLOAT_TOL
-
         return DEFAULT_FLOAT_TOL
     return args.tol
 

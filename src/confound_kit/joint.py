@@ -49,6 +49,10 @@ from .errors import DegenerateEventError, ParameterError
 Numeric = Union[int, float, Fraction]
 
 _SUM_TOL = 1e-12
+# the tolerance of a float verdict when none is given (``measures``); kept
+# here so a request that only reads it need not load ``measures``
+DEFAULT_FLOAT_TOL = 1e-9
+_EIGHT_FLOATS = (float,) * 8
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -389,6 +393,17 @@ class JointDistribution(_Frozen):
 
     def __init__(self, p) -> None:
         weights = tuple(p)
+        # One screen passes the common case, eight float weights that every
+        # check below accepts: a NaN weight makes min() or the sum NaN, and
+        # NaN fails both comparisons.  Anything else takes the checks, which
+        # give the message.
+        if (
+            tuple(map(type, weights)) == _EIGHT_FLOATS
+            and min(weights) >= 0
+            and abs(sum(weights) - 1) <= _SUM_TOL
+        ):
+            self.__dict__.update(p=weights, _numerators=None)
+            return
         if len(weights) != 8:
             raise ParameterError(f"joint needs exactly 8 cell weights, got {len(weights)}")
         for i, w in enumerate(weights):
@@ -493,6 +508,10 @@ class JointDistribution(_Frozen):
         return cls(tuple(_num_from_json(w) for w in weights))
 
 
+def _not_a_joint(value) -> ParameterError:
+    return ParameterError(f"expected a JointDistribution, got {type(value).__name__}")
+
+
 def _assignment_kwargs(assignment: Mapping[str, object]) -> dict:
     out = {}
     for key, value in assignment.items():
@@ -520,7 +539,11 @@ def conditional_prob(
     raises DegenerateEventError.
     """
     given_kw = _assignment_kwargs(given)
-    denominator = joint.prob(**given_kw)
+    try:
+        prob = joint.prob
+    except AttributeError:
+        raise _not_a_joint(joint) from None
+    denominator = prob(**given_kw)
     if denominator == 0:
         raise DegenerateEventError(f"conditioning event {dict(given)!r} has probability zero")
     merged = dict(given_kw)
@@ -528,7 +551,7 @@ def conditional_prob(
         if key in merged and merged[key] != value:
             return 0 * denominator  # impossible event; keeps the result's type
         merged[key] = value
-    return joint.prob(**merged) / denominator
+    return prob(**merged) / denominator
 
 
 def _masses(model: int, v, one) -> tuple:

@@ -47,25 +47,30 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import DegenerateEventError, ParameterError
 from .joint import (
+    DEFAULT_FLOAT_TOL,
     JointDistribution,
     ModelParams,
     Numeric,
     _Frozen,
     _check_tolerance,
     _masses,
+    _not_a_joint,
     _num_to_json,
     _num_to_text,
     _render_columns,
     _unit_values,
 )
 
-DEFAULT_FLOAT_TOL = 1e-9
-
 
 class Verdict(Enum):
     IRRELEVANT = "irrelevant"
     CONFOUNDER = "confounder"
     NEITHER = "neither"
+
+
+# the verdicts as plain module names, which the verdict path looks up
+# several times faster than an enum attribute
+_IRRELEVANT, _CONFOUNDER, _NEITHER = Verdict
 
 
 class MeasureSummary(NamedTuple):
@@ -91,14 +96,13 @@ class ClassificationReport(_Frozen):
         adjusted_gap: Numeric,
         verdict: Verdict,
     ) -> None:
-        self.__dict__.update(
-            hypothetical=hypothetical,
-            observed=observed,
-            standardized=standardized,
-            bias=bias,
-            adjusted_gap=adjusted_gap,
-            verdict=verdict,
-        )
+        fields = self.__dict__
+        fields["hypothetical"] = hypothetical
+        fields["observed"] = observed
+        fields["standardized"] = standardized
+        fields["bias"] = bias
+        fields["adjusted_gap"] = adjusted_gap
+        fields["verdict"] = verdict
 
     def to_dict(self) -> dict:
         return {
@@ -122,7 +126,10 @@ class ClassificationReport(_Frozen):
 
 def hypothetical_proportion(joint: JointDistribution) -> Numeric:
     """P(D_ebar=1 | E=e)."""
-    p = joint.p
+    try:
+        p = joint.p
+    except AttributeError:
+        raise _not_a_joint(joint) from None
     exposed = p[0] + p[1] + p[2] + p[3]
     if exposed == 0:
         raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
@@ -131,7 +138,10 @@ def hypothetical_proportion(joint: JointDistribution) -> Numeric:
 
 def observed_proportion(joint: JointDistribution) -> Numeric:
     """P(D_ebar=1 | E=ebar)."""
-    p = joint.p
+    try:
+        p = joint.p
+    except AttributeError:
+        raise _not_a_joint(joint) from None
     unexposed = p[4] + p[5] + p[6] + p[7]
     if unexposed == 0:
         raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
@@ -145,10 +155,19 @@ def standardized_proportion(joint: JointDistribution) -> Numeric:
     stratum with P(E=ebar, C=k) = 0 leaves the sum undefined and raises
     DegenerateEventError naming the stratum.
     """
-    p = joint.p
+    try:
+        p = joint.p
+    except AttributeError:
+        raise _not_a_joint(joint) from None
     exposed = p[0] + p[1] + p[2] + p[3]
     if exposed == 0:
         raise DegenerateEventError("P(E=e) = 0; the standardized proportion is undefined")
+    return _standardized(p, exposed)
+
+
+def _standardized(p: tuple, exposed) -> Numeric:
+    """The standardized proportion of cells ``p`` whose exposed mass
+    ``exposed`` is nonzero."""
     total = 0
     for k, (cases, stratum, weight) in enumerate(
         ((p[5], p[4] + p[5], p[0] + p[1]), (p[7], p[6] + p[7], p[2] + p[3]))
@@ -172,7 +191,8 @@ def confounding_bias(joint: JointDistribution) -> Numeric:
 def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
     """All four measures by summation over the joint's cells.
 
-    A float joint goes through the per-measure functions above.  A rational
+    A float joint adds its cells as the per-measure functions above do, on
+    one read of them (``_float_summary``).  A rational
     joint adds its integer numerators instead (see ``JointDistribution``)
     into one integer numerator and denominator per proportion
     (``_exact_pairs``), and each measure is one ``Fraction`` of those, with
@@ -200,19 +220,23 @@ def _proportions(joint: JointDistribution):
     kept = joint._proportions
     if kept is None:
         n = joint._numerators
-        if n is not None:
-            kept = _exact_pairs(n)
-        else:
-            hypothetical = hypothetical_proportion(joint)
-            observed = observed_proportion(joint)
-            kept = MeasureSummary(
-                hypothetical=hypothetical,
-                observed=observed,
-                standardized=standardized_proportion(joint),
-                bias=hypothetical - observed,
-            )
+        kept = _exact_pairs(n) if n is not None else _float_summary(joint.p)
         joint.__dict__["_proportions"] = kept
     return kept
+
+
+def _float_summary(p: tuple) -> MeasureSummary:
+    """The four measures of float cells ``p``: the per-measure functions'
+    sums, quotients and errors, in their order, on one read of the cells."""
+    exposed = p[0] + p[1] + p[2] + p[3]
+    if exposed == 0:
+        raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
+    unexposed = p[4] + p[5] + p[6] + p[7]
+    if unexposed == 0:
+        raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
+    hypothetical = (p[1] + p[3]) / exposed
+    observed = (p[5] + p[7]) / unexposed
+    return MeasureSummary(hypothetical, observed, _standardized(p, exposed), hypothetical - observed)
 
 
 def _exact_pairs(n: tuple) -> tuple:
@@ -251,10 +275,7 @@ def _exact_pairs(n: tuple) -> tuple:
 def _pairs_summary(h: int, hd: int, o: int, od: int, s: int, sd: int) -> MeasureSummary:
     """The four measures of integer ratios h/hd, o/od and s/sd."""
     return MeasureSummary(
-        hypothetical=Fraction(h, hd),
-        observed=Fraction(o, od),
-        standardized=Fraction(s, sd),
-        bias=Fraction(h * od - o * hd, hd * od),
+        Fraction(h, hd), Fraction(o, od), Fraction(s, sd), Fraction(h * od - o * hd, hd * od)
     )
 
 
@@ -289,30 +310,19 @@ def closed_form_summary(params: ModelParams) -> MeasureSummary:
         )
     hypothetical = exposed_cases / exposed
     observed = unexposed_cases / unexposed
-    return MeasureSummary(
-        hypothetical=hypothetical,
-        observed=observed,
-        standardized=standardized_cases / exposed,
-        bias=hypothetical - observed,
-    )
+    return MeasureSummary(hypothetical, observed, standardized_cases / exposed, hypothetical - observed)
 
 
 def _classify(summary: MeasureSummary, tol) -> ClassificationReport:
-    adjusted_gap = abs(summary.hypothetical - summary.standardized)
-    if abs(summary.standardized - summary.observed) <= tol:
-        verdict = Verdict.IRRELEVANT
-    elif adjusted_gap < abs(summary.bias) - tol:
-        verdict = Verdict.CONFOUNDER
+    hypothetical, observed, standardized, bias = summary
+    adjusted_gap = abs(hypothetical - standardized)
+    if abs(standardized - observed) <= tol:
+        verdict = _IRRELEVANT
+    elif adjusted_gap < abs(bias) - tol:
+        verdict = _CONFOUNDER
     else:
-        verdict = Verdict.NEITHER
-    return ClassificationReport(
-        hypothetical=summary.hypothetical,
-        observed=summary.observed,
-        standardized=summary.standardized,
-        bias=summary.bias,
-        adjusted_gap=adjusted_gap,
-        verdict=verdict,
-    )
+        verdict = _NEITHER
+    return ClassificationReport(hypothetical, observed, standardized, bias, adjusted_gap, verdict)
 
 
 def classify_covariate(
@@ -345,11 +355,11 @@ def classify_covariate(
     pairs = h, hd, o, od, s, sd = _proportions(joint)
     gap = abs(h * sd - s * hd)
     if s * od == o * sd:
-        verdict = Verdict.IRRELEVANT
+        verdict = _IRRELEVANT
     elif gap * od < abs(h * od - o * hd) * sd:
-        verdict = Verdict.CONFOUNDER
+        verdict = _CONFOUNDER
     else:
-        verdict = Verdict.NEITHER
+        verdict = _NEITHER
     return ClassificationReport(*_pairs_summary(*pairs), Fraction(gap, hd * sd), verdict)
 
 
@@ -379,10 +389,6 @@ def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0)
         irrelevant = s * od == o * sd
         confounder = abs(h * sd - s * hd) * od < abs(h * od - o * hd) * sd
     return not (irrelevant and confounder)
-
-
-def _not_a_joint(value) -> ParameterError:
-    return ParameterError(f"expected a JointDistribution, got {type(value).__name__}")
 
 
 def _float_tolerance(tol):

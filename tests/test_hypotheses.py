@@ -1,6 +1,9 @@
 """Tests for the seven independence hypotheses and constrained sampling."""
 
+import copy
+import enum
 import math
+import pickle
 import random
 import re
 from decimal import Decimal
@@ -52,6 +55,31 @@ def test_statement_numbering():
     assert H.H5.statement == "D_ebar ⊥ C"
     assert H.H6.statement == "D_ebar ⊥ C | E=ebar"
     assert H.H7.statement == "D_ebar ⊥ C | E=e"
+
+
+def test_hypothesis_behaves_as_a_plain_enum():
+    # Hypothesis iterates over a tuple of its members (a metaclass derived
+    # from EnumMeta, the name Python 3.10 has too); all else is Enum's own
+    members = [H.H1, H.H2, H.H3, H.H4, H.H5, H.H6, H.H7]
+    assert isinstance(H, enum.EnumMeta) and issubclass(H, enum.Enum)
+    assert list(H) == members and list(H) == members  # iterable again
+    assert [h.value for h in H] == ["H1", "H2", "H3", "H4", "H5", "H6", "H7"]
+    assert len(H) == 7
+    assert list(reversed(H)) == members[::-1]
+    assert H.H4 in H and all(h in H for h in H)
+    assert H("H3") is H.H3 and H["H4"] is H.H4 and H.H5.name == "H5"
+    assert list(H.__members__) == [h.name for h in members]
+    assert list(H.__members__.values()) == members
+    for h in H:
+        assert pickle.loads(pickle.dumps(h)) is h
+        assert copy.copy(h) is h and copy.deepcopy(h) is h
+    assert pickle.loads(pickle.dumps(H)) is H
+    with pytest.raises(ValueError):
+        H("H8")
+    with pytest.raises(KeyError):
+        H["H8"]
+    with pytest.raises(AttributeError):
+        H.H1 = "H1"
 
 
 def test_parse_hypothesis():

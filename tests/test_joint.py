@@ -300,6 +300,15 @@ def test_integer_cells_checked_as_weights_are():
         (lambda: classify_covariate(None), "expected a JointDistribution, got NoneType"),
         (lambda: summary_from_joint(1.5), "expected a JointDistribution, got float"),
         (lambda: check_lemma1("joint"), "expected a JointDistribution, got str"),
+        (
+            lambda: confound_kit.holds_numeric(None, confound_kit.Hypothesis.H1),
+            "expected a JointDistribution, got NoneType",
+        ),
+        (lambda: confound_kit.hypothetical_proportion(1.5), "expected a JointDistribution, got float"),
+        (lambda: confound_kit.observed_proportion("x"), "expected a JointDistribution, got str"),
+        (lambda: confound_kit.standardized_proportion(None), "expected a JointDistribution, got NoneType"),
+        (lambda: confound_kit.confounding_bias(1.5), "expected a JointDistribution, got float"),
+        (lambda: conditional_prob("x", {"D": 1}, {"E": "e"}), "expected a JointDistribution, got str"),
         (lambda: confound_kit.random_params(1, None), "rng must be a SplitMix64, got NoneType"),
         (lambda: confound_kit.random_params(1, 7, exact=True), "rng must be a SplitMix64, got int"),
         (
@@ -312,7 +321,8 @@ def test_integer_cells_checked_as_weights_are():
         ),
     ],
     ids=["rng-seed", "stream-seed", "stream-index", "params-from-dict", "classify", "summary", "lemma1",
-         "random-params", "random-params-exact", "coarsen-counts", "coarsen-map"],
+         "holds-numeric", "hypothetical", "observed", "standardized", "bias", "conditional-prob", "random-params",
+         "random-params-exact", "coarsen-counts", "coarsen-map"],
 )
 def test_arguments_of_the_wrong_kind_are_parameter_errors(call, message):
     # these once escaped as TypeError or AttributeError

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import confound_kit
 from confound_kit import (
     DEFAULT_FLOAT_TOL,
     DegenerateEventError,
@@ -178,6 +179,9 @@ def test_verdict_tolerance_defaults():
     noisy = build_joint(Model3Params(a=0.5, t=1 / 3, b0=0.2, b1=0.8, u0=0.4, u1=0.6))
     assert classify_covariate(noisy).verdict is Verdict.IRRELEVANT  # float default tol
     assert DEFAULT_FLOAT_TOL == 1e-9
+    # defined in joint, which every verb loads, and the same object in measures
+    assert DEFAULT_FLOAT_TOL is confound_kit.measures.DEFAULT_FLOAT_TOL
+    assert DEFAULT_FLOAT_TOL is confound_kit.joint.DEFAULT_FLOAT_TOL
 
 
 @pytest.mark.parametrize("tol", [1e-9, F(1, 10**6), 1])
