@@ -31,31 +31,51 @@
  * +0.0, which equals the start; +inf is kept as the reference keeps it.
  * The result converts back to the same double, bit for bit.
  *
- * A clause with an H1 or H5 member runs a second loop over a pool of up to
- * BATCH samples whose solve has not been accepted yet.  Each round tops the
- * pool up with fresh samples in index order, draws every entry's next
- * attempt from its own stream state, solves and evaluates the whole pool,
- * tallies the samples whose solve landed in [0, 1] and keeps the rejected
- * ones that have budget left for the next round.  So a redraw runs in a
- * full-width round beside fresh samples, and each sample's k-th attempt is
- * still the k-th round of its own stream, as in the reference loop.  The
- * round sorts its entries without a branch: each is written to the end of
- * both the accepted and the kept list, and only the list it belongs to
- * grows; the accepted list is then tallied as one batch.  Tallying the
- * whole pool instead, with the rejected entries' bits set to a NaN, was
- * measured: no faster on the AVX-512 clone, and the default clone ran the
- * H1 clauses 20-25% slower, so it is not used.  The maximum, failures and
- * exhausted count do not depend on the order samples are tallied in.
- * Clauses without such a member keep the plain loop, which has no pool to
- * keep.
+ * A clause with an H1 or H5 member redraws a sample while its solve lands
+ * outside [0, 1], at most budget times, so its samples take unequal numbers
+ * of attempts.  Such a campaign runs one of two loops, chosen once per
+ * campaign from the CPU (LANES_CPU()).  In both, a redraw runs in a
+ * full-width round beside other samples' attempts, and each sample's k-th
+ * attempt is still the k-th step of its own stream, as in the reference
+ * loop; the maximum, failures and exhausted count do not depend on the
+ * order samples are tallied in.
  *
- * On x86-64 with GCC and glibc the campaign loop is compiled twice, for
- * x86-64-v4 (AVX-512) and for the default target, and the loader picks the
- * clone the CPU can run.  Only AVX-512DQ has vector forms of the 64-bit
- * multiply and of the 64-bit integer to double conversion the draws need.
- * The clones give the same bits: -ffp-contract=off applies to both, so
- * neither fuses a multiply-add; vector multiplies and divides round as IEEE
- * scalar ones do; and z >> 11 < 2**53 converts to double exactly.
+ * Where the CPU runs x86-64-v4, fixed lanes (lane_campaign()): with lanes =
+ * min(count, BATCH), lane j runs samples j, j + lanes, j + 2 * lanes, ...
+ * and makes one attempt a round.  An accepted or exhausted sample moves its
+ * lane on to its next sample, with a fresh stream state and budget; a
+ * rejected one keeps its advanced state and one redraw less.  The tally is
+ * masked by acceptance in the same loop, so a round writes no running
+ * index and the whole step vectorizes with 64-bit vector multiplies.  Once
+ * half the lanes have passed count, the live ones are packed together, each
+ * keeping its stride; lanes run until all had passed count were 3-6%
+ * slower.  On the 2-vCPU AVX-512 Xeon it was tuned on, the lanes ran T2a,
+ * T4a and T5a 1.43-1.52x as fast as the pool.
+ *
+ * Elsewhere, a pool (pool_campaign()) of up to BATCH samples whose solve
+ * has not been accepted yet.  Each round tops the pool up with fresh
+ * samples in index order, draws, solves and evaluates every entry's next
+ * attempt, tallies the accepted samples and keeps the rejected ones that
+ * have budget left.  The round sorts its entries without a branch: each is
+ * written to the end of both the accepted and the kept list, and only the
+ * list it belongs to grows; the accepted list is then tallied as one
+ * batch.  Compiled for the default target, the lanes ran the H1 clauses at
+ * 0.72x the pool's speed: without vector 64-bit multiplies, their
+ * bookkeeping and the fresh states' mix() run scalar for every lane every
+ * round.  A masked tally over the whole pool, with the sort kept for the
+ * states, was measured before the lanes: no faster on the AVX-512 clone
+ * and 20-25% slower on the default one.  The lanes gain by dropping the
+ * sort's stores to running indices, which do not vectorize.
+ *
+ * On x86-64 with GCC and glibc the loop of clauses without an H1/H5 member
+ * (free_campaign()) is compiled twice, for x86-64-v4 (AVX-512) and for the
+ * default target, and the loader picks the clone the CPU can run; the lanes
+ * are compiled for x86-64-v4 alone and the pool for the default target.
+ * Only AVX-512DQ has vector forms of the 64-bit multiply and of the 64-bit
+ * integer to double conversion the draws need.  The loops give the same
+ * bits: -ffp-contract=off applies to every target, so none fuses a
+ * multiply-add; vector multiplies and divides round as IEEE scalar ones do;
+ * and z >> 11 < 2**53 converts to double exactly.
  *
  * Exact campaigns run on the thousandths grid.  grid_tally() runs a whole
  * exact campaign, as _pykernel.grid_tally does in Python integers, here in
@@ -344,113 +364,20 @@ draw_stage(const struct draws *d, int nb, double q[7][BATCH], uint64_t state[BAT
         state[j] += d->advance;
 }
 
-/* The x86-64-v4 and default clones of campaign(), picked once at load time
-   through a glibc ifunc.  Other compilers and platforms (GCC before 11
-   knows no x86-64-v4) compile the loop once, for the default target. */
+/* The x86-64-v4 and default clones of free_campaign(), picked once at load
+   time through a glibc ifunc, and lane_campaign(), compiled for x86-64-v4
+   alone and run where LANES_CPU() finds that the CPU can run it.  Other
+   compilers and platforms (GCC before 11 knows no x86-64-v4) compile the
+   free loop once, for the default target, and run the pool. */
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 11
 #define CAMPAIGN_CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
+#define LANES_TARGET __attribute__((target("arch=x86-64-v4")))
+#define LANES_CPU() __builtin_cpu_supports("x86-64-v4")
 #else
 #define CAMPAIGN_CLONES
+#define LANES_TARGET
+#define LANES_CPU() 0
 #endif
-
-/* Add the n signed violations x[0 .. n-1] to the campaign's failures and to
-   the bit pattern of its maximum, as the header says.  GCC vectorizes this
-   loop on signed patterns, not on unsigned ones. */
-ALWAYS_INLINE void
-tally_batch(int n, const double *x, double tol, int64_t *max_bits, long long *failures)
-{
-    long long failed = 0;
-    int64_t m = *max_bits;
-    for (int j = 0; j < n; j++) {
-        failed += fabs(x[j]) > tol;
-        int64_t b;
-        memcpy(&b, &x[j], sizeof b);
-        b &= INT64_MAX; /* |x| */
-        if (b > INF_BITS) /* a NaN */
-            b = 0;
-        if (b > m)
-            m = b;
-    }
-    *failures += failed;
-    *max_bits = m;
-}
-
-/* The campaign loop, run with the GIL released: its (max_violation,
-   failures, exhausted) go to out. */
-CAMPAIGN_CLONES static void
-campaign(int model, const int rep[7], int eq, int no_confounding, uint64_t start,
-         long long count, uint64_t seed, double tol, long long budget, double *max_out,
-         long long *failures_out, long long *exhausted_out)
-{
-    /* q[s][j]: slot s of sample j; a slot that is not drawn stays 0.0 */
-    double q[7][BATCH] = {{0.0}};
-    uint64_t state[BATCH];
-    double violation[BATCH];
-    /* drawn[k]: the row slot k takes its value from; v: the same, with the
-       solved slot's row in place of its drawn one */
-    const double *drawn[7], *v[7];
-    for (int k = 0; k < 7; k++)
-        drawn[k] = q[rep[k]];
-    memcpy(v, drawn, sizeof v);
-    struct draws d = plan_draws(model, rep, eq);
-    int64_t max_bits = 0; /* +0.0 */
-    long long failures = 0;
-    long long exhausted = 0;
-    if (eq == EQ_NONE) {
-        for (long long base = 0; base < count; base += BATCH) {
-            int nb = count - base < BATCH ? (int)(count - base) : BATCH;
-            /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
-            uint64_t first = start + (uint64_t)base;
-            for (int j = 0; j < nb; j++)
-                state[j] = mix(seed + (first + (uint64_t)j + 1) * GOLDEN);
-            draw_stage(&d, nb, q, state);
-            DISPATCH(violation_batch, model, no_confounding, nb, v, violation);
-            tally_batch(nb, violation, tol, &max_bits, &failures);
-        }
-    } else {
-        /* the pool (see the header): entry j has stream state state[j] and
-           left[j] redraws left */
-        double solved[BATCH], tallied[BATCH];
-        long long left[BATCH];
-        if (eq == EQ_H1)
-            v[6] = solved;
-        else
-            v[5] = solved;
-        int npool = 0;
-        long long next = 0; /* the first sample not yet in the pool */
-        while (next < count || npool > 0) {
-            int fresh = count - next < BATCH - npool ? (int)(count - next) : BATCH - npool;
-            for (int j = 0; j < fresh; j++) {
-                /* sample index i = start + next + j, wrapping like & _MASK64 */
-                state[npool + j] = mix(seed + (start + (uint64_t)(next + j) + 1) * GOLDEN);
-                left[npool + j] = budget;
-            }
-            npool += fresh;
-            next += fresh;
-            draw_stage(&d, npool, q, state);
-            DISPATCH(solve_batch, model, eq == EQ_H1, npool, drawn, solved);
-            DISPATCH(violation_batch, model, no_confounding, npool, v, violation);
-            /* the branch-free sort of the header; kept <= j, so no write
-               lands on an entry not yet read */
-            int nacc = 0, kept = 0;
-            for (int j = 0; j < npool; j++) {
-                int accepted = (0.0 <= solved[j]) & (solved[j] <= 1.0);
-                int retry = !accepted & (left[j] > 0);
-                tallied[nacc] = violation[j];
-                nacc += accepted;
-                state[kept] = state[j];
-                left[kept] = left[j] - 1;
-                kept += retry;
-                exhausted += !accepted & !retry;
-            }
-            tally_batch(nacc, tallied, tol, &max_bits, &failures);
-            npool = kept;
-        }
-    }
-    memcpy(max_out, &max_bits, sizeof *max_out);
-    *failures_out = failures;
-    *exhausted_out = exhausted;
-}
 
 /* A campaign's codes, read and checked by read_codes(). */
 struct codes {
@@ -458,6 +385,221 @@ struct codes {
     int model, eq, no_confounding;
     long long budget;
 };
+
+/* A float campaign's running tally: the bit pattern of its maximum (see
+   the header; it starts at 0, +0.0), its failures and its exhausted
+   samples. */
+struct tally {
+    int64_t max_bits;
+    long long failures, exhausted;
+};
+
+/* The bit pattern of |x| that the tally compares, as the header says: the
+   sign cleared, and a NaN mapped to 0 so that it never wins. */
+ALWAYS_INLINE int64_t
+abs_bits(double x)
+{
+    int64_t b;
+    memcpy(&b, &x, sizeof b);
+    b &= INT64_MAX;
+    return b > INF_BITS ? 0 : b;
+}
+
+/* Add the n signed violations x[0 .. n-1] to the tally.  GCC vectorizes
+   this loop on signed patterns, not on unsigned ones. */
+ALWAYS_INLINE void
+tally_batch(int n, const double *x, double tol, struct tally *t)
+{
+    long long failed = 0;
+    int64_t m = t->max_bits;
+    for (int j = 0; j < n; j++) {
+        failed += fabs(x[j]) > tol;
+        int64_t b = abs_bits(x[j]);
+        if (b > m)
+            m = b;
+    }
+    t->failures += failed;
+    t->max_bits = m;
+}
+
+/* The rows of a campaign's batch: q[s][j] is slot s of sample j, and a slot
+   that is not drawn stays 0.0.  drawn[k] is the row position k takes its
+   value from, and v the same with the solved slot's row, solved, in place
+   of its drawn one. */
+struct rows {
+    double q[7][BATCH];
+    double solved[BATCH];
+    const double *drawn[7], *v[7];
+    struct draws d;
+};
+
+ALWAYS_INLINE void
+init_rows(struct rows *r, const struct codes *c)
+{
+    memset(r->q, 0, sizeof r->q);
+    for (int k = 0; k < 7; k++)
+        r->drawn[k] = r->v[k] = r->q[c->rep[k]];
+    int s = solved_slot(c->eq);
+    if (s >= 0)
+        r->v[s] = r->solved;
+    r->d = plan_draws(c->model, c->rep, c->eq);
+}
+
+/* The loop of a clause without an H1/H5 member: samples BATCH at a time. */
+CAMPAIGN_CLONES static struct tally
+free_campaign(const struct codes *c, uint64_t start, long long count, uint64_t seed, double tol)
+{
+    struct rows r;
+    init_rows(&r, c);
+    uint64_t state[BATCH];
+    double violation[BATCH];
+    struct tally t = {0, 0, 0};
+    for (long long base = 0; base < count; base += BATCH) {
+        int nb = count - base < BATCH ? (int)(count - base) : BATCH;
+        /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
+        uint64_t first = start + (uint64_t)base;
+        for (int j = 0; j < nb; j++)
+            state[j] = mix(seed + (first + (uint64_t)j + 1) * GOLDEN);
+        draw_stage(&r.d, nb, r.q, state);
+        DISPATCH(violation_batch, c->model, c->no_confounding, nb, r.v, violation);
+        tally_batch(nb, violation, tol, &t);
+    }
+    return t;
+}
+
+/* Draw, solve and evaluate the next attempt of the n samples whose stream
+   states are state[0 .. n-1]. */
+ALWAYS_INLINE void
+attempt_stage(const struct codes *c, struct rows *r, int n, uint64_t state[BATCH],
+              double violation[BATCH])
+{
+    draw_stage(&r->d, n, r->q, state);
+    DISPATCH(solve_batch, c->model, c->eq == EQ_H1, n, r->drawn, r->solved);
+    DISPATCH(violation_batch, c->model, c->no_confounding, n, r->v, violation);
+}
+
+/* The H1/H5 loop over a pool (see the header): entry j has stream state
+   state[j] and left[j] redraws left. */
+static struct tally
+pool_campaign(const struct codes *c, uint64_t start, long long count, uint64_t seed, double tol)
+{
+    struct rows r;
+    init_rows(&r, c);
+    uint64_t state[BATCH];
+    double violation[BATCH], tallied[BATCH];
+    long long left[BATCH];
+    struct tally t = {0, 0, 0};
+    int npool = 0;
+    long long next = 0, exhausted = 0; /* next: the first sample not yet in the pool */
+    while (next < count || npool > 0) {
+        int fresh = count - next < BATCH - npool ? (int)(count - next) : BATCH - npool;
+        for (int j = 0; j < fresh; j++) {
+            /* sample index i = start + next + j, wrapping like & _MASK64 */
+            state[npool + j] = mix(seed + (start + (uint64_t)(next + j) + 1) * GOLDEN);
+            left[npool + j] = c->budget;
+        }
+        npool += fresh;
+        next += fresh;
+        attempt_stage(c, &r, npool, state, violation);
+        /* the branch-free sort of the header; kept <= j, so no write lands
+           on an entry not yet read */
+        int nacc = 0, kept = 0;
+        for (int j = 0; j < npool; j++) {
+            int accepted = (0.0 <= r.solved[j]) & (r.solved[j] <= 1.0);
+            int retry = !accepted & (left[j] > 0);
+            tallied[nacc] = violation[j];
+            nacc += accepted;
+            state[kept] = state[j];
+            left[kept] = left[j] - 1;
+            kept += retry;
+            exhausted += !accepted & !retry;
+        }
+        tally_batch(nacc, tallied, tol, &t);
+        npool = kept;
+    }
+    t.exhausted = exhausted;
+    return t;
+}
+
+/* The H1/H5 loop over fixed lanes (see the header): lane j runs sample
+   sample[j] of the campaign, whose stream state is state[j], with left[j]
+   redraws left; key[j] is the key its stream state was mixed from, seed +
+   (start + sample[j] + 1) * GOLDEN. */
+LANES_TARGET static struct tally
+lane_campaign(const struct codes *c, uint64_t start, long long count, uint64_t seed, double tol)
+{
+    struct rows r;
+    init_rows(&r, c);
+    uint64_t state[BATCH], key[BATCH], sample[BATCH];
+    double violation[BATCH];
+    long long left[BATCH];
+    const long long budget = c->budget;
+    int lanes = count < BATCH ? (int)count : BATCH;
+    /* a lane steps over stride samples, and its key over jump */
+    const uint64_t stride = (uint64_t)lanes, jump = stride * GOLDEN, total = (uint64_t)count;
+    for (int j = 0; j < lanes; j++) {
+        sample[j] = (uint64_t)j;
+        /* sample index i = start + j, wrapping like & _MASK64 */
+        key[j] = seed + (start + (uint64_t)j + 1) * GOLDEN;
+        state[j] = mix(key[j]);
+        left[j] = budget;
+    }
+    int64_t m = 0;
+    long long failed = 0, exhausted = 0;
+    while (lanes > 0) {
+        attempt_stage(c, &r, lanes, state, violation);
+        /* tally the accepted attempts of lanes still within count, and move
+           on every lane whose sample is done; no branch, no running index */
+        int passed = 0;
+        for (int j = 0; j < lanes; j++) {
+            int live = sample[j] < total;
+            int accepted = (0.0 <= r.solved[j]) & (r.solved[j] <= 1.0);
+            int spent = !accepted & (left[j] == 0);
+            int done = accepted | spent;
+            int counted = accepted & live;
+            failed += counted & (fabs(violation[j]) > tol);
+            int64_t b = abs_bits(violation[j]) & -(int64_t)counted;
+            if (b > m)
+                m = b;
+            exhausted += spent & live;
+            uint64_t moved = -(uint64_t)done; /* all ones when done */
+            sample[j] += stride & moved;
+            key[j] += jump & moved;
+            state[j] = done ? mix(key[j]) : state[j];
+            left[j] = done ? budget : left[j] - 1;
+            passed += sample[j] >= total;
+        }
+        /* once half the lanes have passed count, keep the live ones */
+        if (2 * passed >= lanes) {
+            int kept = 0;
+            for (int j = 0; j < lanes; j++) {
+                if (sample[j] < total) {
+                    sample[kept] = sample[j];
+                    key[kept] = key[j];
+                    state[kept] = state[j];
+                    left[kept] = left[j];
+                    kept++;
+                }
+            }
+            lanes = kept;
+        }
+    }
+    return (struct tally){m, failed, exhausted};
+}
+
+/* The campaign, run with the GIL released: its (max_violation, failures,
+   exhausted) go to out. */
+static void
+campaign(const struct codes *c, uint64_t start, long long count, uint64_t seed, double tol,
+         double *max_out, long long *failures_out, long long *exhausted_out)
+{
+    struct tally t = c->eq == EQ_NONE ? free_campaign(c, start, count, seed, tol)
+                     : LANES_CPU()     ? lane_campaign(c, start, count, seed, tol)
+                                       : pool_campaign(c, start, count, seed, tol);
+    memcpy(max_out, &t.max_bits, sizeof *max_out);
+    *failures_out = t.failures;
+    *exhausted_out = t.exhausted;
+}
 
 /* Read the codes run_campaign() and grid_tally() share into *c, with the
    checks of _pykernel._read_codes in its order: ValueError unless rep is
@@ -592,8 +734,7 @@ run_campaign(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     double max_violation;
     long long failures, exhausted;
     Py_BEGIN_ALLOW_THREADS
-    campaign(c.model, c.rep, c.eq, c.no_confounding, (uint64_t)start, count, seed, tol, c.budget,
-             &max_violation, &failures, &exhausted);
+    campaign(&c, (uint64_t)start, count, seed, tol, &max_violation, &failures, &exhausted);
     Py_END_ALLOW_THREADS
 
     return tuple_of(3, (PyObject *[]){PyFloat_FromDouble(max_violation),

@@ -512,9 +512,17 @@ def _not_a_joint(value) -> ParameterError:
     return ParameterError(f"expected a JointDistribution, got {type(value).__name__}")
 
 
-def _assignment_kwargs(assignment: Mapping[str, object]) -> dict:
+def _assignment_kwargs(assignment: Mapping[str, object], name: str) -> dict:
+    """``assignment``'s variables as ``prob`` keywords; ``name`` is the
+    argument it came in, for the ParameterError when it is no mapping."""
+    try:
+        items = assignment.items()
+    except AttributeError:
+        raise ParameterError(
+            f"{name} must be a mapping of 'E', 'C' and 'D' to values, got {type(assignment).__name__}"
+        ) from None
     out = {}
-    for key, value in assignment.items():
+    for key, value in items:
         if key == "E":
             out["e"] = value
         elif key == "C":
@@ -538,7 +546,7 @@ def conditional_prob(
     impossible, so the result is 0.  Conditioning on a zero-probability event
     raises DegenerateEventError.
     """
-    given_kw = _assignment_kwargs(given)
+    given_kw = _assignment_kwargs(given, "given")
     try:
         prob = joint.prob
     except AttributeError:
@@ -547,7 +555,7 @@ def conditional_prob(
     if denominator == 0:
         raise DegenerateEventError(f"conditioning event {dict(given)!r} has probability zero")
     merged = dict(given_kw)
-    for key, value in _assignment_kwargs(event).items():
+    for key, value in _assignment_kwargs(event, "event").items():
         if key in merged and merged[key] != value:
             return 0 * denominator  # impossible event; keeps the result's type
         merged[key] = value

@@ -185,6 +185,15 @@ def coarsen(counts: StratifiedCounts, mapping: CoarseningMap) -> StratifiedCount
     return StratifiedCounts(strata=("0", "1"), counts=merged)
 
 
+def _strata(counts: StratifiedCounts, name: str) -> tuple:
+    """``counts.strata``; ParameterError, naming the function ``name``,
+    unless ``counts`` is a table."""
+    try:
+        return counts.strata
+    except AttributeError:
+        raise ParameterError(f"{name} needs a StratifiedCounts, got {type(counts).__name__}") from None
+
+
 def analyze_counts(counts: StratifiedCounts) -> ClassificationReport:
     """Exact classification of a binary-stratum table.
 
@@ -195,12 +204,13 @@ def analyze_counts(counts: StratifiedCounts) -> ClassificationReport:
     unexposed individuals in every stratum that has exposed ones; that
     error names the stratum's label.
     """
-    if len(counts.strata) != 2:
+    strata = _strata(counts, "analyze_counts")
+    if len(strata) != 2:
         raise ParameterError(
-            f"binary analysis needs exactly 2 strata, got {len(counts.strata)}; "
+            f"binary analysis needs exactly 2 strata, got {len(strata)}; "
             "coarsen the table first"
         )
-    for stratum in counts.strata:
+    for stratum in strata:
         exposed = counts.stratum_total(Exposure.EXPOSED, stratum)
         if exposed and counts.stratum_total(Exposure.UNEXPOSED, stratum) == 0:
             raise DegenerateEventError(
@@ -215,16 +225,15 @@ def counts_to_joint(counts: StratifiedCounts) -> JointDistribution:
 
     The cells are the integer counts over the table's total.
     """
-    if len(counts.strata) != 2:
+    strata = _strata(counts, "counts_to_joint")
+    if len(strata) != 2:
         raise ParameterError(
             f"the joint over a binary covariate needs exactly 2 strata, "
-            f"got {len(counts.strata)}; coarsen the table first"
+            f"got {len(strata)}; coarsen the table first"
         )
     cells = [0] * 8
     for (rtype, exposure, stratum), n in counts.counts.items():
-        index = JointDistribution.index(
-            exposure, counts.strata.index(stratum), rtype.diseased_if_unexposed
-        )
+        index = JointDistribution.index(exposure, strata.index(stratum), rtype.diseased_if_unexposed)
         cells[index] += n
     return JointDistribution._from_numerators(tuple(cells), counts.total())
 
@@ -325,12 +334,13 @@ def _parse_counts(source) -> StratifiedCounts:
 
 def dump_counts(counts: StratifiedCounts) -> str:
     """Render a table back to its CSV form (deterministic row order)."""
+    strata = _strata(counts, "dump_counts")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["type", "exposure", "stratum", "count"])
     for rtype in ResponseType:
         for exposure in Exposure:
-            for stratum in counts.strata:
+            for stratum in strata:
                 n = counts.count(rtype, exposure, stratum)
                 if n:
                     writer.writerow([rtype.name.lower(), exposure.value, stratum, n])

@@ -40,8 +40,16 @@ def _build_ckernel(out: Path, root: Path = ROOT):
     warnings = re.findall(r"^.*_ckernel\.c:\d+:\d+: warning: .*$", proc.stdout + proc.stderr, re.M)
     assert not warnings, "\n".join(warnings)
     spec = importlib.util.spec_from_file_location("confound_kit._ckernel", built)
+    installed = sys.modules.get(spec.name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # loading a single-phase extension module puts it in sys.modules; put
+    # back what was there, so that available_backends() never returns a
+    # build of this session, such as the default clone, as the installed one
+    if installed is None:
+        sys.modules.pop(spec.name, None)
+    else:
+        sys.modules[spec.name] = installed
     return module
 
 
@@ -60,17 +68,25 @@ def backends(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def default_clone(tmp_path_factory):
-    """The compiled kernel built for the default target alone.
+    """The compiled kernel built for the default target, running the H1/H5
+    loop that the installed build does not.
 
     On an AVX-512 host the loader always picks the x86-64-v4 clone of the
-    campaign loop, so the other clone would go untested.  This builds a copy
-    of _ckernel.c with its target_clones attribute removed, with setup.py as
-    it is, which leaves one loop for the default target.
+    free campaign loop and runs H1/H5 campaigns in lanes; elsewhere it runs
+    them in the pool.  This builds a copy of _ckernel.c with its
+    target_clones attribute removed, the lanes built for the default target
+    and the CPU check that picks between lanes and pool negated, with
+    setup.py as it is.  So on every host both H1/H5 loops are checked, and
+    on an AVX-512 host both clones of the free loop too.
     """
     root = tmp_path_factory.mktemp("default_clone")
     source = (ROOT / "src" / "confound_kit" / "_ckernel.c").read_text()
     source, found = re.subn(r"__attribute__\(\(target_clones\([^()]*\)\)\)", "", source)
     assert found == 1, "_ckernel.c no longer names its clones in one target_clones attribute"
+    source, found = re.subn(r"(#define LANES_TARGET) __attribute__\(\(target\([^()]*\)\)\)", r"\1", source)
+    assert found == 1, "_ckernel.c no longer builds its lanes for one target"
+    source, found = re.subn(r"\bLANES_CPU\(\)(\s*\?)", r"!LANES_CPU()\1", source)
+    assert found == 1, "_ckernel.c no longer picks the H1/H5 loop with one CPU check"
     (root / "src" / "confound_kit").mkdir(parents=True)
     (root / "src" / "confound_kit" / "_ckernel.c").write_text(source)
     shutil.copy(ROOT / "setup.py", root)

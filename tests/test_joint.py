@@ -290,6 +290,10 @@ def test_integer_cells_checked_as_weights_are():
     assert joint == JointDistribution((F(1, 8),) * 8) and joint._numerators == (1,) * 8
 
 
+UNIFORM = JointDistribution((F(1, 8),) * 8)
+_NO_MAPPING = "{} must be a mapping of 'E', 'C' and 'D' to values, got {}"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -309,6 +313,13 @@ def test_integer_cells_checked_as_weights_are():
         (lambda: confound_kit.standardized_proportion(None), "expected a JointDistribution, got NoneType"),
         (lambda: confound_kit.confounding_bias(1.5), "expected a JointDistribution, got float"),
         (lambda: conditional_prob("x", {"D": 1}, {"E": "e"}), "expected a JointDistribution, got str"),
+        (lambda: conditional_prob(UNIFORM, None, {"E": "e"}), _NO_MAPPING.format("event", "NoneType")),
+        (lambda: conditional_prob(UNIFORM, "D", {"E": "e"}), _NO_MAPPING.format("event", "str")),
+        (lambda: conditional_prob(UNIFORM, {"D": 1}, None), _NO_MAPPING.format("given", "NoneType")),
+        (lambda: conditional_prob(UNIFORM, {"D": 1}, "D"), _NO_MAPPING.format("given", "str")),
+        (lambda: confound_kit.analyze_counts(None), "analyze_counts needs a StratifiedCounts, got NoneType"),
+        (lambda: confound_kit.counts_to_joint(1.5), "counts_to_joint needs a StratifiedCounts, got float"),
+        (lambda: confound_kit.dump_counts("x"), "dump_counts needs a StratifiedCounts, got str"),
         (lambda: confound_kit.random_params(1, None), "rng must be a SplitMix64, got NoneType"),
         (lambda: confound_kit.random_params(1, 7, exact=True), "rng must be a SplitMix64, got int"),
         (
@@ -321,7 +332,9 @@ def test_integer_cells_checked_as_weights_are():
         ),
     ],
     ids=["rng-seed", "stream-seed", "stream-index", "params-from-dict", "classify", "summary", "lemma1",
-         "holds-numeric", "hypothetical", "observed", "standardized", "bias", "conditional-prob", "random-params",
+         "holds-numeric", "hypothetical", "observed", "standardized", "bias", "conditional-prob",
+         "conditional-prob-event-none", "conditional-prob-event-str", "conditional-prob-given-none",
+         "conditional-prob-given-str", "analyze-counts", "counts-to-joint", "dump-counts", "random-params",
          "random-params-exact", "coarsen-counts", "coarsen-map"],
 )
 def test_arguments_of_the_wrong_kind_are_parameter_errors(call, message):

@@ -4,13 +4,18 @@ When the compiled kernel is not installed (a source checkout on PYTHONPATH),
 the ``backends`` fixture (conftest.py) builds _ckernel.c with setup.py into a
 temporary directory, so the parity tests run wherever a C compiler exists.
 Each test that takes ``backends`` runs twice: on the compiled kernel as the
-loader picks its clone, and on the ``default_clone`` build (conftest.py).
+loader picks its clone and H1/H5 loop, and on the ``default_clone`` build
+(conftest.py), which runs the other H1/H5 loop.
 """
 
+import functools
 import itertools
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,10 +42,20 @@ UNIT_REP = (0, 1, 2, 3, 4, 5, 6)
 
 
 @pytest.fixture(params=["compiled", "default clone"])
-def backends(request, backends, default_clone):
+def build(request):
+    """The compiled kernel a test runs on: the one the loader picks, or the
+    default clone.  The parameter is this fixture's, not ``backends``': a
+    parameter named ``backends`` would key conftest's session fixture too,
+    which pytest would then set up again on each switch."""
+    return request.param
+
+
+@pytest.fixture
+def backends(build, backends, default_clone):
     """conftest's backends, with the default-target build as "compiled" in
-    the second run, so both clones of the campaign loop give the pure bits."""
-    if request.param == "compiled":
+    the second run, so both H1/H5 loops, and on an AVX-512 host both clones
+    of the free loop, give the pure bits."""
+    if build == "compiled":
         return backends
     return {**backends, "compiled": default_clone}
 
@@ -250,23 +265,47 @@ def test_parity_on_wrapping_seeds_and_indices(backends):
         assert backends["pure"].run_campaign(*args) == backends["compiled"].run_campaign(*args)
 
 
+@functools.lru_cache(maxsize=None)
+def _pure_campaign(*args):
+    """The pure kernel's result, kept across the runs on both builds."""
+    return available_backends()["pure"].run_campaign(*args)
+
+
 def test_parity_across_batch_boundaries(backends):
-    # the compiled kernel takes samples 64 at a time; under H1 or H5 it keeps
-    # the samples whose solve failed in a pool that later rounds top up with
-    # fresh samples, so a redraw can run in a later batch than its sample's
-    # first attempt.  Counts and starts that cut batches anywhere, and
-    # budgets of 0, 1 and 2 that exhaust samples mid-campaign and leave some
-    # in the pool at its end, must still match the one-sample-at-a-time
-    # loop.  No catalog clause has an H5 member, so H5 runs in each model.
+    # the compiled kernel takes samples 64 at a time.  Under H1 or H5 it
+    # runs them in up to 64 lanes, each stepping over every 64th sample,
+    # and narrows the lanes once half of them have passed the count; or it
+    # keeps the samples whose solve failed in a pool that later rounds top
+    # up with fresh samples.  One of the two builds runs each.  Either way a
+    # redraw can run in a later round than its sample's first attempt.
+    # Counts and starts that cut batches anywhere, and budgets of 0, 1 and
+    # 2 that exhaust samples mid-campaign and leave some in the pool at its
+    # end, must still match the one-sample-at-a-time loop.  No catalog
+    # clause has an H5 member, so H5 runs in each model.
     cases = [(c.theorem + c.clause, *_campaign_codes(c)) for c in CLAUSES]
     cases += [(f"model {m} H5", m, UNIT_REP, EQ_H5, c) for m in (1, 2, 3) for c in (IRRELEVANT, NO_CONFOUNDING)]
-    for label, model, rep, eq, conclusion in cases:
-        for start, count, budget in ((0, 1, 1000), (5, 63, 1000), (64, 65, 0), (100, 129, 1), (7, 640, 2)):
-            args = (model, rep, eq, conclusion, start, count, 2024, 1e-10, budget)
-            pure = backends["pure"].run_campaign(*args)
-            compiled = backends["compiled"].run_campaign(*args)
-            assert pure == compiled, (label, start, count, budget)
-            assert pure[0].hex() == compiled[0].hex()
+    runs = [
+        (case, start, count, budget)
+        for case in cases
+        for start, count, budget in ((0, 1, 1000), (5, 63, 1000), (64, 65, 0), (100, 129, 1), (7, 640, 2))
+    ]
+    # campaigns long enough that lanes get unequal sample counts and the
+    # narrowing fires again and again; start -70 is 2**64 - 70 modulo
+    # 2**64, so the sample index wraps mid-campaign
+    runs += [
+        (case, start, count, budget)
+        for case in _per_sample_cases()
+        if case[3] != EQ_NONE
+        for start in (0, -70)
+        for count in (1000, 4097, 10_000)
+        for budget in (0, 2, 1000)
+    ]
+    for (label, model, rep, eq, conclusion), start, count, budget in runs:
+        args = (model, rep, eq, conclusion, start, count, 2024, 1e-10, budget)
+        pure = _pure_campaign(*args)
+        compiled = backends["compiled"].run_campaign(*args)
+        assert pure == compiled, (label, start, count, budget)
+        assert pure[0].hex() == compiled[0].hex()
 
 
 def test_parity_over_every_rep(backends):
@@ -591,6 +630,27 @@ def test_large_budgets_agree_in_both_backends(backends):
         for budget in (2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**100):
             for impl in backends.values():
                 assert impl.run_campaign(model, UNIT_REP, eq, NO_CONFOUNDING, 0, 200, 5, 1e-10, budget) == expected, budget
+
+
+def test_kernel_ab_prints_one_row_per_clause(default_clone):
+    # a smoke run of the A/B script with one build on both sides: it loads
+    # the file twice under two package names, finds the results equal and
+    # prints a row for every catalog clause; its timings are not checked.
+    # The script runs any build alike, so one build is enough.
+    path = default_clone.__file__
+    script = Path(__file__).resolve().parent.parent / "tools" / "kernel_ab.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), path, path, "--rounds", "2", "--count", "100"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("clause"))
+    rows = [line.split() for line in lines[header + 1 :]]
+    assert [row[0] for row in rows] == [c.theorem + c.clause for c in CLAUSES]
+    assert all(len(row) == 7 and row[6].endswith("/2") for row in rows), rows
 
 
 def test_chunks_merge_to_whole():
