@@ -11,6 +11,7 @@ errors, a failed campaign or a stdout closed by its reader, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -333,5 +334,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """The program entry: ``main()`` on the command line's arguments, then
+    ``gc.freeze()``, even when argparse exits for ``--help``, ``--version``
+    or a usage error.
+
+    Freezing moves every object the request left to the collector's
+    permanent generation, which the interpreter's final collections skip;
+    the process frees them at exit anyway.  ``atexit`` handlers, the flush
+    of stdout and stderr and module teardown still run.  ``main(argv)``
+    leaves the collector alone, for tests and library callers.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

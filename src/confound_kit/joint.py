@@ -392,7 +392,10 @@ class JointDistribution(_Frozen):
     _proportions = None
 
     def __init__(self, p) -> None:
-        weights = tuple(p)
+        try:
+            weights = tuple(p)
+        except TypeError:
+            raise ParameterError(f"joint needs a sequence of 8 cell weights, got {type(p).__name__}") from None
         # One screen passes the common case, eight float weights that every
         # check below accepts: a NaN weight makes min() or the sum NaN, and
         # NaN fails both comparisons.  Anything else takes the checks, which

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import functools
+import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,14 @@ MODEL1_FLAGS = [
     "--model", "1", "--t", "0.4", "--a0", "0.2", "--a1", "0.6",
     "--b0", "0.1", "--b1", "0.7", "--u0", "0.3", "--u1", "0.9",
 ]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _process_env(**extra):
+    """The environment of a fresh interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent), **extra)
 
 
 def run(capsys, *argv):
@@ -332,9 +342,8 @@ def test_verify_threads_flag_stable_output(capsys):
 @functools.lru_cache(maxsize=None)
 def _loaded(code):
     """The modules a fresh interpreter has loaded after running ``code``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
     code += "\nimport sys\nprint(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=_process_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return frozenset(proc.stdout.split())
 
@@ -430,7 +439,7 @@ def test_closed_stdout_exits_quietly():
     # line, and the CLI exits without a BrokenPipeError traceback.  Whether
     # the rest of the listing was written before the reader left is a race,
     # so a pipe closed before the first write pins the exit code at 1.
-    env = dict(os.environ, PYTHONPATH=str(Path(confound_kit.__file__).parent.parent))
+    env = _process_env()
     argv = [sys.executable, "-m", "confound_kit.cli", "hypotheses"]
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == b"id  statement\n"
@@ -570,3 +579,111 @@ def test_help_and_usage_bytes_pinned(capsys, monkeypatch, case):
 
 def test_parser_program_name():
     assert build_parser().prog == "confound-kit"
+
+
+def _pinned(cases, args):
+    case = next(case for case in cases if case["args"] == args)
+    return pytest.param(case, id=args or "no-verb")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _pinned(PINNED_JSON, "classify --model 3 --a 9/20 --t 7/10 --b0 1/5 --b1 3/5 --u0 1/2 --u1 4/5 --exact --format json"),
+        _pinned(PINNED_JSON, "hypotheses --model 3 --a 9/20 --t 7/10 --b0 1/5 --b1 3/5 --u0 1/2 --u1 4/5 --exact --format json"),
+        _pinned(PINNED_JSON, "analyze table1.csv --coarsen 0=1,2,3;1=4 --format json"),
+        _pinned(PINNED_JSON, "verify --theorem T1 --clause a --samples 300 --seed 31337 --exact --format json"),
+        _pinned(PINNED_TEXT, "classify --model 1 --t 0.4 --a0 0.2 --a1 0.6 --b0 0.3 --b1 0.7 --u0 0.3 --u1 0.9"),
+        _pinned(PINNED_TEXT, "hypotheses"),
+        _pinned(PINNED_TEXT, "analyze table2_coarse.csv"),
+        _pinned(PINNED_TEXT, "verify --theorem T2 --clause e --samples 2000 --seed 11 --tol 0"),
+        _pinned(PINNED_USAGE, "--help"),
+        _pinned(PINNED_USAGE, "verify --help"),
+        _pinned(PINNED_USAGE, ""),
+        _pinned(PINNED_USAGE, "classify --model 1"),
+    ],
+)
+def test_pinned_bytes_from_a_process_of_its_own(case):
+    # the pins above run in process through main(); a request runs as
+    # `python -m confound_kit.cli`, whose exit must leave its output, exit
+    # code and stderr as main() gives them: each verb, a failed campaign
+    # (exit 1), usage errors (exit 2) and --help
+    argv = case["args"].split()
+    if argv and argv[0] == "analyze":
+        argv[1] = str(fixture_path(argv[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "confound_kit.cli", *argv],
+        env=_process_env(COLUMNS="80"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    expected = (case.get("exit", 0), case["stdout"], case.get("stderr", ""))
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+# --- the program entry ------------------------------------------------------
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the program entry freezes: tests and library callers that call
+    # main() keep their collector as it was
+    before = gc.get_freeze_count()
+    assert main(["hypotheses"]) == 0
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [(["hypotheses"], 0), (["--version"], 0), (["bogus"], 2)],
+    ids=["request", "version", "usage-error"],
+)
+def test_program_entry_freezes_even_when_argparse_exits(argv, exit_code):
+    # `python -m confound_kit.cli` in a process of its own, since the freeze
+    # would change this one's collector
+    code = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['confound-kit', *{argv!r}]\n"
+        "before, status = gc.get_freeze_count(), None\n"
+        "try:\n"
+        "    runpy.run_module('confound_kit.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(status, before, gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_process_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, before, after = proc.stderr.split()[-3:]
+    assert (status, before) == (str(exit_code), "0")
+    assert int(after) > 0
+
+
+def test_installed_script_is_the_program_entry():
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["confound-kit", "=", '"confound_kit.cli:console_main"']
+
+
+def test_cli_ab_prints_one_row_per_kind(tmp_path):
+    # a smoke run of the cold-start A/B script with one tree on both sides:
+    # it finds the outputs equal and prints a row for every request kind;
+    # its timings are not checked.  The tree is a copy, since the script
+    # lets its processes write byte-compiled files into it.
+    shutil.copytree(
+        Path(confound_kit.__file__).parent, tmp_path / "confound_kit", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_ab.py"), str(tmp_path), str(tmp_path), "--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("kind"))
+    rows = [line.split() for line in lines[header + 1 :]]
+    kinds = ["classify", "classify-exact", "hypotheses", "analyze-table1", "analyze-table2", "verify", "verify-exact"]
+    assert [row[0] for row in rows] == kinds
+    assert all(len(row) == 7 and row[6].endswith("/1") for row in rows), rows

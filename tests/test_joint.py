@@ -301,6 +301,8 @@ _NO_MAPPING = "{} must be a mapping of 'E', 'C' and 'D' to values, got {}"
         (lambda: confound_kit.sample_stream(None, 0), "seed and index must be ints, got NoneType and int"),
         (lambda: confound_kit.sample_stream(0, 1.5), "seed and index must be ints, got int and float"),
         (lambda: params_from_dict(None), "expected a mapping of parameter fields, got NoneType"),
+        (lambda: JointDistribution(None), "joint needs a sequence of 8 cell weights, got NoneType"),
+        (lambda: JointDistribution(1.5), "joint needs a sequence of 8 cell weights, got float"),
         (lambda: classify_covariate(None), "expected a JointDistribution, got NoneType"),
         (lambda: summary_from_joint(1.5), "expected a JointDistribution, got float"),
         (lambda: check_lemma1("joint"), "expected a JointDistribution, got str"),
@@ -331,8 +333,8 @@ _NO_MAPPING = "{} must be a mapping of 'E', 'C' and 'D' to values, got {}"
             "coarsen needs a StratifiedCounts and a CoarseningMap, got StratifiedCounts and dict",
         ),
     ],
-    ids=["rng-seed", "stream-seed", "stream-index", "params-from-dict", "classify", "summary", "lemma1",
-         "holds-numeric", "hypothetical", "observed", "standardized", "bias", "conditional-prob",
+    ids=["rng-seed", "stream-seed", "stream-index", "params-from-dict", "joint-none", "joint-float", "classify",
+         "summary", "lemma1", "holds-numeric", "hypothetical", "observed", "standardized", "bias", "conditional-prob",
          "conditional-prob-event-none", "conditional-prob-event-str", "conditional-prob-given-none",
          "conditional-prob-given-str", "analyze-counts", "counts-to-joint", "dump-counts", "random-params",
          "random-params-exact", "coarsen-counts", "coarsen-map"],

@@ -22,11 +22,12 @@ Run it from a checkout whose ``src`` holds the catalog (the script puts
 import argparse
 import importlib.machinery
 import importlib.util
-import os
 import statistics
 import sys
 import time
 from pathlib import Path
+
+from ab_stats import pin, quartiles
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -49,15 +50,6 @@ def load(path: str, package: str):
     return module
 
 
-def pin():
-    """Run this process on the first CPU it may use, and name it."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    cpu = min(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
-    return cpu
-
-
 def best_ns(run, args):
     """(fastest of REPEAT calls in ns, the result)."""
     best = None
@@ -67,11 +59,6 @@ def best_ns(run, args):
         elapsed = time.perf_counter_ns() - t0
         best = elapsed if best is None else min(best, elapsed)
     return best, result
-
-
-def quartiles(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return q1, q2, q3
 
 
 def main(argv=None) -> int:
