@@ -3,8 +3,8 @@
 splitmix64, chosen because it is trivial to reproduce exactly in both the
 compiled and the pure-Python campaign kernels, and because cheap per-sample
 substreams can be derived from (seed, sample index).  Substreams make the
-campaign reductions independent of chunking, so threaded and single-threaded
-runs of the same seed return identical reports.
+campaign reductions independent of chunking, so chunks of a campaign merge
+to the report of the whole.
 """
 
 from .errors import ParameterError

@@ -94,22 +94,12 @@ def _classify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from .theorems import _MIN_CHUNK
-
     p.add_argument("--theorem", required=True, metavar="T", help="T1..T5")
     p.add_argument("--clause", required=True, metavar="C", help="a..e")
     p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10 (0 when --exact)")
     p.add_argument("--exact", action="store_true", help="rational arithmetic campaign")
-    p.add_argument(
-        "--threads",
-        type=_count,
-        default=None,
-        help="upper bound on float campaign threads (default: every usable CPU); "
-        f"a campaign splits only into chunks of at least {_MIN_CHUNK:,} samples; "
-        "exact campaigns run on the calling thread and ignore it",
-    )
     _add_format(p)
 
 
@@ -132,7 +122,7 @@ def _tolerance(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """--samples/--threads parser: an integer of at least 1."""
+    """--samples parser: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -298,7 +288,6 @@ def _run_verify(parser, args) -> int:
         seed=args.seed,
         tol=args.tol,
         exact=args.exact,
-        threads=args.threads,
     )
     text = _render_columns([
         ("theorem", clause.theorem),

@@ -104,7 +104,7 @@ HypothesisSet = FrozenSet[Hypothesis]
 
 
 def hypothesis_set(*hypotheses: Hypothesis) -> HypothesisSet:
-    return frozenset(hypotheses)
+    return _frozen(hypotheses)
 
 
 def parse_hypothesis(name: str) -> Hypothesis:

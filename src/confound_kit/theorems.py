@@ -10,9 +10,8 @@ Every entry is checked by brute force rather than symbolically: a campaign
 draws interior parameters, imposes the clause's hypothesis set exactly (see
 ``hypotheses.impose``), expands the joint, and evaluates the conclusion's
 defining quantity, whose magnitude is the sample's violation.  Float
-campaigns run on the selected kernel backend and are reproducible bit for
-bit from (seed, samples) alone, independent of chunking or thread count;
-``_float_campaign`` alone decides how one is split over threads.
+campaigns run whole in one ``kernel.run_campaign`` call on the calling
+thread and are reproducible bit for bit from (seed, samples) alone.
 Exact campaigns rerun the same algorithm on the thousandths grid, where a
 sound clause yields violations of exactly zero, in integer arithmetic over
 a common denominator; their draws are the stream ``random_params(exact=True)``
@@ -50,7 +49,6 @@ it restates bias zero, so counting it would leave no witness anywhere.
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -81,12 +79,6 @@ from .joint import (
 from .measures import Verdict, classify_covariate
 
 CAMPAIGN_FLOAT_TOL = 1e-10
-# Fewest samples a thread must get before a float campaign splits: a thread
-# costs more than a small chunk saves.  Latest measurement (2-vCPU VM, AVX-512
-# clone): two threads ran 0.94-0.99x as fast as one from 2 x 65,536 to
-# 2 x 4,194,304 samples and 0.67-0.70x at 10,000, so the VM placed no
-# crossover and the value stays.
-_MIN_CHUNK = 131_072
 # Samples a campaign may have: the compiled kernels count them in a C
 # `long long` (float) or `Py_ssize_t` (exact).
 _SAMPLES_LIMIT = 2**63
@@ -205,19 +197,6 @@ class VerificationReport(_Frozen):
         }
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the affinity mask, else the CPU count.
-
-    More threads than this cannot speed up the GIL-free kernel (under taskset
-    or a cpuset they would time-slice the CPUs allowed), and each one is a
-    real OS thread.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _campaign_codes(clause: TheoremClause) -> tuple:
     """(model, rep, eq, conclusion) kernel arguments for one clause.
 
@@ -275,36 +254,6 @@ def _derive_codes(clause: TheoremClause) -> tuple:
     return clause.model, rep, eq, conclusion
 
 
-def _float_campaign(clause: TheoremClause, samples, seed, tol, threads):
-    model, rep, eq, conclusion = _campaign_codes(clause)
-    # the one place the split is decided: a thread per chunk of at least
-    # _MIN_CHUNK samples, at most `threads` (None: no cap) and the usable CPUs;
-    # the pure kernel holds the GIL, so it runs one chunk
-    chunks = 1 if kernel.BACKEND == "pure" else samples // _MIN_CHUNK
-    if chunks > 1:
-        chunks = min(chunks, _usable_cpus(), chunks if threads is None else threads)
-    if chunks <= 1:
-        return kernel.run_campaign(
-            model, rep, eq, conclusion, 0, samples, seed, tol, _REDRAW_BUDGET
-        )
-    from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
-
-    def chunk(bounds):
-        start, stop = bounds
-        return kernel.run_campaign(
-            model, rep, eq, conclusion, start, stop - start, seed, tol, _REDRAW_BUDGET
-        )
-
-    # the last chunk takes the remainder
-    edges = [t * (samples // chunks) for t in range(chunks)] + [samples]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        results = list(pool.map(chunk, zip(edges, edges[1:])))
-    max_violation = max(r[0] for r in results)
-    failures = sum(r[1] for r in results)
-    exhausted = sum(r[2] for r in results)
-    return max_violation, failures, exhausted
-
-
 def verify_clause(
     clause: TheoremClause,
     samples: int,
@@ -317,13 +266,8 @@ def verify_clause(
     """Campaign-check one clause: impose its conditions, measure its conclusion.
 
     ``tol`` defaults to 1e-10 in float mode and must be 0 in exact mode; a
-    sample fails when its violation exceeds it.  Float campaigns may be chunked
-    over worker threads without changing the report.  ``_float_campaign``
-    decides the split: every CPU this process may run on, at most
-    ``threads`` when it is given, in chunks of at least ``_MIN_CHUNK``
-    samples, so smaller campaigns, and every campaign on the pure kernel,
-    run on the calling thread.  Exact campaigns always run on the calling
-    thread and ignore ``threads``, though it is still checked.
+    sample fails when its violation exceeds it.  ``threads`` is accepted and
+    checked; every campaign runs on the calling thread.
 
     A clause's campaign set-up, its kernel arguments, is computed once and
     kept on it (see ``_campaign_codes``), so repeated campaigns on one
@@ -348,9 +292,9 @@ def verify_clause(
         _check_integer("thread count", threads)
         if threads < 1:
             raise ParameterError(f"thread count must be at least 1, got {threads}")
+    # the kept codes go straight to the kernel (module docstring)
+    model, rep, eq, conclusion = getattr(clause, "_codes", None) or _campaign_codes(clause)
     if exact:
-        # the kept codes go straight to the selected backend (module docstring)
-        model, rep, eq, conclusion = getattr(clause, "_codes", None) or _campaign_codes(clause)
         failures, max_num, max_den, exhausted = kernel._impl.grid_tally(
             model, rep, eq, conclusion, seed, 0, samples, _REDRAW_BUDGET
         )
@@ -358,8 +302,8 @@ def verify_clause(
             raise _exhausted(equational_member(clause.conditions), _REDRAW_BUDGET)
         max_violation = Fraction(max_num, max_den) if max_num else 0
     else:
-        max_violation, failures, exhausted = _float_campaign(
-            clause, samples, seed, float(tol), threads
+        max_violation, failures, exhausted = kernel.run_campaign(
+            model, rep, eq, conclusion, 0, samples, seed, float(tol), _REDRAW_BUDGET
         )
         if exhausted:  # only a clause with an H1/H5 member redraws
             raise ConstraintError(

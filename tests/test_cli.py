@@ -188,8 +188,10 @@ def test_classify_usage_errors(capsys):
             ["verify", "--theorem", "T1", "--clause", "a", "--samples", "abc"],
             "argument --samples: invalid int value: 'abc'",
         ),
+        # campaigns run on the calling thread; the flag that capped their threads is gone
+        (["verify", "--theorem", "T1", "--clause", "a", "--threads", "2"], "unrecognized arguments: --threads 2"),
     ],
-    ids=["flags-without-model", "model-without-flags", "exact-model-without-flags", "tol", "samples"],
+    ids=["flags-without-model", "model-without-flags", "exact-model-without-flags", "tol", "samples", "threads"],
 )
 def test_unparsable_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
@@ -281,7 +283,7 @@ def test_exact_with_nonzero_tolerance_is_usage_error(capsys, verb):
     assert "--exact requires --tol 0, got 0.5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--threads"])
+@pytest.mark.parametrize("flag", ["--samples"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_verify_counts_below_one_are_usage_errors(capsys, flag, value):
     with pytest.raises(SystemExit) as exit_info:
@@ -329,14 +331,6 @@ def test_usage_errors_after_parsing_show_the_verb_usage(capsys, argv):
         main(argv)
     assert exit_info.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: confound-kit {argv[0]} ")
-
-
-def test_verify_threads_flag_stable_output(capsys):
-    base = ("verify", "--theorem", "T5", "--clause", "a", "--samples", "4000",
-            "--seed", "11", "--format", "json")
-    _, one, _ = run(capsys, *base, "--threads", "1")
-    _, four, _ = run(capsys, *base, "--threads", "4")
-    assert one == four
 
 
 @functools.lru_cache(maxsize=None)
@@ -427,8 +421,7 @@ def test_every_export_resolves_and_star_import_binds_them():
 
 def test_cli_import_loads_no_heavy_modules():
     # every CLI request pays for what the import loads: dataclasses pulls in
-    # inspect (and ast, dis, tokenize), concurrent.futures pulls in logging,
-    # and only a campaign that splits needs a thread pool
+    # inspect (and ast, dis, tokenize), and concurrent.futures pulls in logging
     added = _added("import confound_kit.cli")
     assert "confound_kit.cli" in added
     assert not added & {"dataclasses", "inspect", "concurrent.futures", "logging"}

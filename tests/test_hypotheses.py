@@ -519,7 +519,9 @@ def test_impose_rejects_members_that_are_not_hypotheses(members):
         substitution_reps(1, members)
 
 
-@pytest.mark.parametrize("hypotheses", [None, 5, [[H.H4]]], ids=["None", "int", "nested"])
+@pytest.mark.parametrize(
+    "hypotheses", [None, 5, [[H.H4]], ([1],), ({},)], ids=["None", "int", "nested", "list-member", "dict-member"]
+)
 def test_impose_rejects_hypotheses_that_are_not_an_iterable_of_members(hypotheses):
     # each once escaped as a bare TypeError from frozenset()
     message = re.escape(f"hypotheses must be an iterable of Hypothesis members, got {hypotheses!r}")
@@ -527,6 +529,9 @@ def test_impose_rejects_hypotheses_that_are_not_an_iterable_of_members(hypothese
         impose(EXAMPLE_M1, hypotheses, SplitMix64(3))
     with pytest.raises(ParameterError, match=message):
         substitution_reps(1, hypotheses)
+    if type(hypotheses) is tuple:  # hypothesis_set's own arguments
+        with pytest.raises(ParameterError, match=message):
+            hypothesis_set(*hypotheses)
 
 
 @pytest.mark.parametrize(

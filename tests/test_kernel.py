@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import algebra_oracle as oracle
-from confound_kit import CLAUSES, Conclusion, Hypothesis, TheoremClause, clause_lookup, kernel
+from confound_kit import CLAUSES, Conclusion, Hypothesis, TheoremClause, clause_lookup
 from confound_kit._rng import _GOLDEN, sample_stream
 from confound_kit.hypotheses import random_params, substitution_reps
 from confound_kit.kernel import (
@@ -98,7 +98,6 @@ def test_grid_tally_continues_the_sample_stream(backends):
     # sample_stream(seed, index): its first attempt's draws and, when the
     # solve is rejected, the draws that follow them on the same stream, as
     # the exact campaign's numerators over 1000 with the equalities applied
-    impls = {**backends, "kernel.grid_tally": kernel}
     shown = redrawn = 0
     for label, model, conditions, conclusion in _STREAM_CLAUSES:
         conditions = frozenset(conditions)
@@ -112,7 +111,7 @@ def test_grid_tally_continues_the_sample_stream(backends):
                 gap = summary.bias if conclusion == NO_CONFOUNDING else summary.standardized - summary.observed
                 shown += gap != 0
                 redrawn += backends["pure"].grid_tally(model, rep, eq, conclusion, seed, index, 1, 0)[3]
-                for name, impl in impls.items():
+                for name, impl in backends.items():
                     failures, num, den, exhausted = impl.grid_tally(model, rep, eq, conclusion, seed, index, 1, 1000)
                     got = (failures, Fraction(num, den), exhausted)
                     assert got == (int(gap != 0), abs(gap), 0), (name, label, seed, index)
@@ -155,13 +154,12 @@ def test_grid_tally_parity(backends, cases, failing):
     # the cells in int128 and the pairs in 320-bit limbs.  Both keep the
     # maximum in 320-bit limbs and compare maxima in 640 bits.  It must
     # return the pure kernel's unreduced pair.
-    impls = {**backends, "kernel.grid_tally": kernel}
     failed = set()
     for label, model, rep, eq, conclusion in cases():
         for seed in (0, 7, -3, 2**64 + 3):
             for start, count in ((0, 0), (0, 1), (5, 300), (2**64 - 1, 3)):
                 expected = backends["pure"].grid_tally(model, rep, eq, conclusion, seed, start, count, 1000)
-                for name, impl in impls.items():
+                for name, impl in backends.items():
                     got = impl.grid_tally(model, rep, eq, conclusion, seed, start, count, 1000)
                     assert got == expected, (name, label, seed, start, count)
                     assert all(type(v) is int for v in got)
@@ -229,7 +227,7 @@ def test_grid_tally_chunks_merge_to_whole(backends):
 
 
 def test_grid_tally_rejects_a_negative_count(backends):
-    for impl in (*backends.values(), kernel):
+    for impl in backends.values():
         with pytest.raises(ValueError, match="count must be non-negative"):
             impl.grid_tally(1, UNIT_REP, EQ_NONE, IRRELEVANT, 0, 0, -1, 1000)
 
@@ -440,7 +438,7 @@ def test_bad_rep_raises_in_both_backends(backends, rep, eq, message):
     for impl in backends.values():
         with pytest.raises(ValueError, match=message):
             impl.run_campaign(1, rep, eq, IRRELEVANT, 0, 10, 0, 1e-10, 1000)
-    for impl in (*backends.values(), kernel):
+    for impl in backends.values():
         with pytest.raises(ValueError, match=message):
             impl.grid_tally(1, rep, eq, IRRELEVANT, 0, 0, 10, 1000)
         # in a list too
@@ -488,7 +486,7 @@ def test_bad_codes_raise_in_both_backends(backends, name, value):
         with pytest.raises(error, match=message):
             impl.run_campaign(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 10, 0, 1e-10, args["budget"])
     messages = set()
-    for impl in (*backends.values(), kernel):
+    for impl in backends.values():
         with pytest.raises(error, match=message) as raised:
             impl.grid_tally(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 0, 10, args["budget"])
         messages.add(str(raised.value))

@@ -1,8 +1,8 @@
 """Tests for the clause catalog, verification campaigns, and converse search."""
 
-import concurrent.futures
 import copy
 import json
+import os
 import pickle
 import re
 from decimal import Decimal
@@ -148,108 +148,48 @@ def _use_backend(monkeypatch, backends, name):
     monkeypatch.setattr(kernel, "BACKEND", name)
 
 
-def _record_chunks(monkeypatch):
-    """(start, count) of every kernel call a campaign makes."""
-    chunks = []
-    run = kernel.run_campaign
+def test_float_campaign_is_one_kernel_call(monkeypatch):
+    # a campaign large enough to fill two chunks of 131,072 samples, on four
+    # usable CPUs: whatever the backend and thread count, the kernel runs it
+    # whole in one call (the stub samples nothing)
+    calls = []
 
     def recording(*args):
-        chunks.append(args[4:6])
-        return run(*args)
+        calls.append(args[4:6])
+        return 0.0, 0, 0
 
     monkeypatch.setattr(kernel, "run_campaign", recording)
-    return chunks
-
-
-def _recording_executor(created):
-    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
-
-    class Recorder:
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return Recorder
-
-
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def test_thread_count_does_not_change_results(monkeypatch, backends):
-    _usable_cpus(monkeypatch, 4)
-    monkeypatch.setattr(theorems, "_MIN_CHUNK", 500)
-    clause = clause_lookup("T4", "a")
-    expected_chunks = {
-        # four real threads, the remainder on the last chunk
-        "compiled": [(0, 500), (500, 500), (1000, 500), (1500, 503)],
-        # the pure kernel holds the GIL, so it never splits
-        "pure": [(0, 2003)],
-    }
-    chunks = _record_chunks(monkeypatch)
-    for backend, expected in expected_chunks.items():
-        _use_backend(monkeypatch, backends, backend)
-        one = verify_clause(clause, samples=2003, seed=21, threads=1)
-        chunks.clear()
-        four = verify_clause(clause, samples=2003, seed=21, threads=4)
-        assert one.max_violation == four.max_violation, backend
-        assert one.failures == four.failures, backend
-        assert sorted(chunks) == expected, backend
-
-
-def test_thread_count_clamped_to_cpu_count(monkeypatch, backends):
-    # no thread starts: the executor is replaced by a serial recorder
-    created = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
-    monkeypatch.setattr(theorems, "_MIN_CHUNK", 100)
-    _use_backend(monkeypatch, backends, "compiled")
-    _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)  # affinity wins, as under taskset
-    clause = clause_lookup("T4", "a")
-    many = verify_clause(clause, samples=1000, seed=21, threads=10**6)
-    assert created == [3]
-    monkeypatch.delattr(theorems.os, "sched_getaffinity", raising=False)  # no affinity call
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
-    assert verify_clause(clause, samples=1000, seed=21, threads=10**6) == many
-    assert created == [3, 3]
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)  # unknown: one thread
-    assert verify_clause(clause, samples=1000, seed=21, threads=10**6) == many
-    assert created == [3, 3]
-    assert verify_clause(clause, samples=1000, seed=21, threads=1) == many
-
-
-def test_campaign_splits_only_when_chunks_repay_a_thread(monkeypatch, backends):
-    created = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
-    _use_backend(monkeypatch, backends, "compiled")
-    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     clause = clause_lookup("T2", "e")
-    verify_clause(clause, samples=10_000, seed=7, threads=2)  # the CLI default size
-    verify_clause(clause, samples=2 * theorems._MIN_CHUNK - 1, seed=7, threads=2)
-    assert created == []
-    verify_clause(clause, samples=2 * theorems._MIN_CHUNK, seed=7, threads=2)
-    assert created == [2]
+    samples = 2 * 131_072 + 1
+    for backend in ("compiled", "pure"):
+        monkeypatch.setattr(kernel, "BACKEND", backend)
+        for threads in ({}, {"threads": 1}, {"threads": 4}):
+            calls.clear()
+            report = verify_clause(clause, samples, seed=7, **threads)
+            assert calls == [(0, samples)], (backend, threads)
+            assert (report.samples, report.failures) == (samples, 0)
 
 
-def test_default_thread_count_is_the_usable_cpus(monkeypatch, backends):
-    # no thread starts: the executor is replaced by a serial recorder
-    created = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(created))
-    _use_backend(monkeypatch, backends, "compiled")
-    _usable_cpus(monkeypatch, 2)
-    clause = clause_lookup("T2", "e")
-    verify_clause(clause, samples=10_000, seed=7)
-    assert created == []
-    verify_clause(clause, samples=2 * theorems._MIN_CHUNK, seed=7)
-    assert created == [2]
+def _one_drop_mutants():
+    """Each catalog clause with one of its conditions dropped."""
+    return [
+        TheoremClause(c.theorem, f"{c.clause}-{h.value}", c.model, c.conditions - {h}, c.conclusion)
+        for c in CLAUSES
+        for h in c.conditions
+    ]
+
+
+def test_every_one_drop_mutant_fails_a_small_campaign(monkeypatch, backends):
+    # no catalog condition is redundant, and a false clause shows within
+    # 100 samples in either mode on either kernel
+    mutants = _one_drop_mutants()
+    assert len(mutants) == 42
+    for name, impl in backends.items():
+        monkeypatch.setattr(kernel, "_impl", impl)
+        for mutant in mutants:
+            for exact in (False, True):
+                assert not verify_clause(mutant, 100, seed=1, exact=exact).passed, (name, mutant, exact)
 
 
 def test_single_sample_report():
