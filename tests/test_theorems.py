@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import re
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -148,6 +149,63 @@ def _use_backend(monkeypatch, backends, name):
     monkeypatch.setattr(kernel, "BACKEND", name)
 
 
+def _record_chunks(monkeypatch):
+    """(start, count, thread id) of every kernel call a campaign makes."""
+    chunks = []
+    run = kernel.run_campaign
+
+    def recording(*args):
+        chunks.append((*args[4:6], threading.get_ident()))
+        return run(*args)
+
+    monkeypatch.setattr(kernel, "run_campaign", recording)
+    return chunks
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_thread_count_does_not_change_results(monkeypatch, backends):
+    _usable_cpus(monkeypatch, 4)
+    clause = clause_lookup("T4", "a")
+    chunks = _record_chunks(monkeypatch)
+    for backend in backends:
+        _use_backend(monkeypatch, backends, backend)
+        chunks.clear()
+        one = verify_clause(clause, samples=2003, seed=21, threads=1)
+        four = verify_clause(clause, samples=2003, seed=21, threads=4)
+        assert one == four, backend
+        # every campaign is one kernel call on the calling thread
+        assert chunks == [(0, 2003, threading.get_ident())] * 2, backend
+
+
+def test_thread_count_clamped_to_cpu_count(monkeypatch, backends):
+    # a count far above the usable CPUs is accepted, and no thread starts
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a campaign started a thread"))
+    _use_backend(monkeypatch, backends, "compiled")
+    _usable_cpus(monkeypatch, 3)
+    clause = clause_lookup("T4", "a")
+    chunks = _record_chunks(monkeypatch)
+    many = verify_clause(clause, samples=1000, seed=21, threads=10**6)
+    assert verify_clause(clause, samples=1000, seed=21, threads=1) == many
+    assert chunks == [(0, 1000, threading.get_ident())] * 2
+
+
+def test_campaign_splits_only_when_chunks_repay_a_thread(monkeypatch, backends):
+    # none does: the CLI default size and both sides of the old split
+    # threshold of 2 x 131,072 samples run whole (the stub samples nothing)
+    calls = []
+    monkeypatch.setattr(kernel, "run_campaign", lambda *args: calls.append(args[4:6]) or (0.0, 0, 0))
+    _use_backend(monkeypatch, backends, "compiled")
+    _usable_cpus(monkeypatch, 2)
+    clause = clause_lookup("T2", "e")
+    sizes = (10_000, 2 * 131_072 - 1, 2 * 131_072)
+    for samples in sizes:
+        verify_clause(clause, samples=samples, seed=7, threads=2)
+    assert calls == [(0, samples) for samples in sizes]
+
+
 def test_float_campaign_is_one_kernel_call(monkeypatch):
     # a campaign large enough to fill two chunks of 131,072 samples, on four
     # usable CPUs: whatever the backend and thread count, the kernel runs it
@@ -159,7 +217,7 @@ def test_float_campaign_is_one_kernel_call(monkeypatch):
         return 0.0, 0, 0
 
     monkeypatch.setattr(kernel, "run_campaign", recording)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    _usable_cpus(monkeypatch, 4)
     clause = clause_lookup("T2", "e")
     samples = 2 * 131_072 + 1
     for backend in ("compiled", "pure"):
