@@ -7,7 +7,7 @@ campaign reductions independent of chunking, so chunks of a campaign merge
 to the report of the whole.
 """
 
-from .errors import ParameterError
+from .joint import _check_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -26,10 +26,8 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        try:
-            self._state = seed & _MASK64
-        except TypeError:
-            raise ParameterError(f"seed must be an int, got {type(seed).__name__}") from None
+        _check_integer("seed", seed)
+        self._state = seed & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -46,10 +44,6 @@ def sample_stream(seed: int, index: int) -> SplitMix64:
     The origin is scrambled, so streams for distinct indices do not overlap
     as shifted copies of one another.
     """
-    try:
-        origin = (seed + (index + 1) * _GOLDEN) & _MASK64
-    except TypeError:
-        raise ParameterError(
-            f"seed and index must be ints, got {type(seed).__name__} and {type(index).__name__}"
-        ) from None
-    return SplitMix64(_mix(origin))
+    _check_integer("seed", seed)
+    _check_integer("index", index)
+    return SplitMix64(_mix((seed + (index + 1) * _GOLDEN) & _MASK64))

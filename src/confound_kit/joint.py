@@ -38,11 +38,12 @@ import math
 import numbers
 import operator
 import sys
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import DegenerateEventError, ParameterError
 
@@ -81,16 +82,34 @@ def _is_exact(values) -> bool:
     return all(isinstance(v, numbers.Rational) for v in values)
 
 
+# _check_number's messages (NaN, then kind) for a parameter field and a joint cell
+_FIELD = ("parameter {} is NaN", "parameter {} = {!r} is not a real number")
+_CELL = ("cell {} weight is NaN", "cell {} weight {!r} is not a real number")
+
+
+def _check_number(value, key, messages) -> None:
+    """Reject a number that is not an int, a float or a ``numbers.Rational``,
+    or is a bool or NaN; a ``Decimal`` may only be a tolerance.  The common
+    types pass on their class, and a message is built only when raising."""
+    cls = value.__class__
+    if cls is int or cls is Fraction:
+        return
+    if cls is not float and (cls is bool or not isinstance(value, (float, numbers.Rational))):
+        raise ParameterError(messages[1].format(key, value))
+    if value != value:
+        raise ParameterError(messages[0].format(key))
+
+
+def _check_mapping(value, message: str, *args) -> None:
+    """Reject a value that is not a mapping: ParameterError with ``message``,
+    formatted with ``args``, and the value's type."""
+    if not isinstance(value, Mapping):
+        raise ParameterError(f"{message.format(*args)}, got {type(value).__name__}")
+
+
 def _check_unit(name: str, value: Numeric) -> None:
-    if isinstance(value, float) and value != value:
-        raise ParameterError(f"parameter {name} is NaN")
-    if isinstance(value, bool):
-        raise ParameterError(f"parameter {name} = {value!r} is not a real number")
-    try:
-        inside = 0 <= value <= 1
-    except TypeError:
-        raise ParameterError(f"parameter {name} = {value!r} is not a real number") from None
-    if not inside:
+    _check_number(value, name, _FIELD)
+    if not 0 <= value <= 1:
         raise ParameterError(f"parameter {name} = {value!r} outside [0, 1]")
 
 
@@ -278,6 +297,7 @@ class _ParamsBase(_Frozen):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]):
+        _check_mapping(data, "expected a mapping of parameter fields")
         names = list(cls._fields)
         if set(data) != set(names):
             raise ParameterError(
@@ -317,9 +337,8 @@ class Model3Params(_ParamsBase):
 
 ModelParams = Union[Model1Params, Model2Params, Model3Params]
 
-_MODEL_NUMBERS = {Model1Params: 1, Model2Params: 2, Model3Params: 3}
 _PARAMS_TYPES = {1: Model1Params, 2: Model2Params, 3: Model3Params}
-for _cls, _model in _MODEL_NUMBERS.items():
+for _model, _cls in _PARAMS_TYPES.items():
     _cls._model = _model
     _cls._field_values = attrgetter(*_cls._fields)  # a tuple in field order
 del _cls, _model
@@ -327,10 +346,7 @@ del _cls, _model
 
 def model_number(params: ModelParams) -> int:
     """1, 2, or 3 for the structure a parameter set belongs to."""
-    try:
-        return _MODEL_NUMBERS[type(params)]
-    except KeyError:
-        raise ParameterError(f"not a model parameter set: {params!r}") from None
+    return _unit_values(params)[0]
 
 
 def params_type(model: int):
@@ -353,10 +369,8 @@ def params_from_dict(data: Mapping[str, object]) -> ModelParams:
     The three field sets are pairwise distinct, so the structure is inferred
     from the keys alone.
     """
-    try:
-        keys = set(data)
-    except TypeError:
-        raise ParameterError(f"expected a mapping of parameter fields, got {type(data).__name__}") from None
+    _check_mapping(data, "expected a mapping of parameter fields")
+    keys = set(data)
     for cls in (Model1Params, Model2Params, Model3Params):
         if keys == set(cls._fields):
             return cls.from_dict(data)
@@ -410,15 +424,8 @@ class JointDistribution(_Frozen):
         if len(weights) != 8:
             raise ParameterError(f"joint needs exactly 8 cell weights, got {len(weights)}")
         for i, w in enumerate(weights):
-            if isinstance(w, float) and w != w:
-                raise ParameterError(f"cell {i} weight is NaN")
-            if isinstance(w, bool):
-                raise ParameterError(f"cell {i} weight {w!r} is not a real number")
-            try:
-                negative = w < 0
-            except TypeError:
-                raise ParameterError(f"cell {i} weight {w!r} is not a real number") from None
-            if negative:
+            _check_number(w, i, _CELL)
+            if w < 0:
                 raise ParameterError(f"cell {i} weight {w!r} is negative")
         numerators = None
         if _is_exact(weights):
@@ -503,6 +510,7 @@ class JointDistribution(_Frozen):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "JointDistribution":
+        _check_mapping(data, "expected a mapping with the field 'p'")
         if set(data) != {"p"}:
             raise ParameterError(f"expected exactly the field ['p'], got {sorted(data)}")
         weights = data["p"]
@@ -518,14 +526,9 @@ def _not_a_joint(value) -> ParameterError:
 def _assignment_kwargs(assignment: Mapping[str, object], name: str) -> dict:
     """``assignment``'s variables as ``prob`` keywords; ``name`` is the
     argument it came in, for the ParameterError when it is no mapping."""
-    try:
-        items = assignment.items()
-    except AttributeError:
-        raise ParameterError(
-            f"{name} must be a mapping of 'E', 'C' and 'D' to values, got {type(assignment).__name__}"
-        ) from None
+    _check_mapping(assignment, "{} must be a mapping of 'E', 'C' and 'D' to values", name)
     out = {}
-    for key, value in items:
+    for key, value in assignment.items():
         if key == "E":
             out["e"] = value
         elif key == "C":

@@ -29,7 +29,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import DegenerateEventError, ParameterError, TableFormatError
-from .joint import Exposure, JointDistribution, _Frozen
+from .joint import Exposure, JointDistribution, _check_mapping, _Frozen
 from .measures import ClassificationReport, classify_covariate
 
 
@@ -64,14 +64,17 @@ class StratifiedCounts(_Frozen):
     _fields = ("strata", "counts")
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strata, (tuple, list)):
+            raise ParameterError(f"strata must be a tuple or list, got {type(self.strata).__name__}")
         strata = tuple(self.strata)
         if not strata:
             raise ParameterError("a table needs at least one stratum")
         if len(set(strata)) != len(strata):
             raise ParameterError(f"duplicate stratum labels in {strata!r}")
+        _check_mapping(self.counts, "counts must be a mapping of (type, exposure, stratum) keys to counts")
         cleaned = {}
-        for key, value in dict(self.counts).items():
-            rtype, exposure, stratum = key
+        for key, value in self.counts.items():
+            rtype, exposure, stratum = key if isinstance(key, tuple) and len(key) == 3 else (None,) * 3
             if not isinstance(rtype, ResponseType) or not isinstance(exposure, Exposure):
                 raise ParameterError(f"malformed count key {key!r}")
             if stratum not in strata:
@@ -123,6 +126,7 @@ class CoarseningMap(_Frozen):
     _fields = ("assignment",)
 
     def __post_init__(self) -> None:
+        _check_mapping(self.assignment, "assignment must be a mapping of stratum labels to groups 0 and 1")
         cleaned = dict(self.assignment)
         for stratum, group in cleaned.items():
             # True == 1 and 1.0 == 1, yet coarsen names the group str(group)
@@ -142,6 +146,8 @@ class CoarseningMap(_Frozen):
     @classmethod
     def from_spec(cls, spec: str) -> "CoarseningMap":
         """Parse a spec like ``0=1,2,3;1=4`` (group=comma-separated strata)."""
+        if not isinstance(spec, str):
+            raise ParameterError(f"a coarsening spec must be a str, got {type(spec).__name__}")
         assignment = {}
         for part in spec.split(";"):
             part = part.strip()

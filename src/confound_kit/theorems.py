@@ -60,6 +60,7 @@ from .hypotheses import (
     Hypothesis,
     _REDRAW_BUDGET,
     _exhausted,
+    _frozen,
     _solved_slot,
     equational_member,
     holds_algebraic,
@@ -234,12 +235,7 @@ def _derive_codes(clause: TheoremClause) -> tuple:
             f"{clause.conclusion!r} is not a Conclusion; Conclusion(name) turns a name into one"
         )
     params_type(clause.model)
-    try:
-        conditions = frozenset(clause.conditions)
-    except TypeError:
-        raise ParameterError(
-            f"clause conditions must be an iterable of hypotheses, got {clause.conditions!r}"
-        ) from None
+    conditions = _frozen(clause.conditions)
     rep = substitution_reps(clause.model, conditions)
     eq_member = equational_member(conditions)
     eq = kernel.EQ_NONE

@@ -87,13 +87,45 @@ def test_analyze_missing_file_is_domain_error(capsys):
     assert "error:" in err
 
 
-def test_analyze_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
-    # the decode error once ended the CLI in a UnicodeDecodeError traceback
-    path = tmp_path / "latin1.csv"
-    path.write_bytes("type,exposure,stratum,count\ndoomed,e,caf\xe9,1\n".encode("latin-1"))
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # the decode error once ended the CLI in a UnicodeDecodeError traceback
+        (
+            lambda path: path.write_bytes("type,exposure,stratum,count\ndoomed,e,caf\xe9,1\n".encode("latin-1")),
+            "cannot read {}: not UTF-8 text (invalid continuation byte)",
+        ),
+        (lambda path: path.mkdir(), "cannot read {}: Is a directory"),
+        (lambda path: path.write_bytes(b""), "empty source: no header line found"),
+        (lambda path: None, "cannot read {}: No such file or directory"),
+        (lambda path: path.write_bytes(bytes(range(256))), "cannot read {}: not UTF-8 text (invalid start byte)"),
+    ],
+    ids=["not-utf8", "directory", "empty", "missing", "binary"],
+)
+def test_analyze_hostile_file_is_one_error_line(capsys, tmp_path, make, message):
+    path = tmp_path / "table.csv"
+    make(path)
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: cannot read {path}: not UTF-8 text (invalid continuation byte)\n"
+    assert err == f"error: {message.format(path)}\n"
+
+
+def test_analyze_counts_past_the_machine_integers_exactly(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    big = 10**23
+    path.write_text(
+        f"type,exposure,stratum,count\ndoomed,e,0,{big}\nimmune,e,1,3\ncausative,ebar,0,2\npreventive,ebar,1,{big}\n"
+    )
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "hypothetical": f"{big}/{big + 3}",
+        "observed": f"{big // 2}/{big // 2 + 1}",
+        "standardized": f"3/{big + 3}",
+        "bias": f"-{big // 2}/{(big + 3) * (big // 2 + 1)}",
+        "adjusted_gap": f"{big - 3}/{big + 3}",
+        "verdict": "neither",
+    }
 
 
 def test_analyze_four_level_without_coarsen_fails(capsys):

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import types
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -220,9 +221,20 @@ _UNIFORM = JointDistribution((0.125,) * 8)
         (lambda: Model1Params(t=0.5, a0=True, a1=0.5, b0=0.1, b1=0.2, u0=0.3, u1=0.4),
          "parameter a0 = True is not a real number"),
         (lambda: JointDistribution((True, 0, 0, 0, 0, 0, 0, 0)), "cell 0 weight True is not a real number"),
+        # a Decimal is a tolerance only: Decimal("NaN") escaped as
+        # decimal.InvalidOperation, and a Decimal field was accepted and
+        # broke build_joint
+        (lambda: Model1Params(t=0.5, a0=0.5, a1=0.5, b0=0.1, b1=Decimal("0.5"), u0=0.3, u1=0.4),
+         "parameter b1 = Decimal('0.5') is not a real number"),
+        (lambda: Model3Params(a=0.5, t=Decimal("NaN"), b0=0.1, b1=0.7, u0=0.3, u1=0.9),
+         "parameter t = Decimal('NaN') is not a real number"),
+        (lambda: JointDistribution((F(1, 8),) * 7 + (Decimal("0.125"),)),
+         "cell 7 weight Decimal('0.125') is not a real number"),
+        (lambda: JointDistribution((Decimal("NaN"),) + (0.125,) * 7), "cell 0 weight Decimal('NaN') is not a real number"),
     ],
     ids=["nan-param", "nan-weight", "index", "prob", "from-dict-key", "from-dict-cells",
-         "conditional-variable", "model-number", "build-joint", "bool-param", "bool-weight"],
+         "conditional-variable", "model-number", "build-joint", "bool-param", "bool-weight",
+         "decimal-param", "decimal-nan-param", "decimal-weight", "decimal-nan-weight"],
 )
 def test_invalid_values_rejected(call, message):
     with pytest.raises(ParameterError) as info:
@@ -297,10 +309,13 @@ _NO_MAPPING = "{} must be a mapping of 'E', 'C' and 'D' to values, got {}"
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: confound_kit.SplitMix64(1.5), "seed must be an int, got float"),
-        (lambda: confound_kit.sample_stream(None, 0), "seed and index must be ints, got NoneType and int"),
-        (lambda: confound_kit.sample_stream(0, 1.5), "seed and index must be ints, got int and float"),
+        (lambda: confound_kit.SplitMix64(1.5), "seed must be an integer, got 1.5"),
+        (lambda: confound_kit.SplitMix64(True), "seed must be an integer, got True"),
+        (lambda: confound_kit.sample_stream(None, 0), "seed must be an integer, got None"),
+        (lambda: confound_kit.sample_stream(0, 1.5), "index must be an integer, got 1.5"),
         (lambda: params_from_dict(None), "expected a mapping of parameter fields, got NoneType"),
+        (lambda: Model1Params.from_dict(None), "expected a mapping of parameter fields, got NoneType"),
+        (lambda: JointDistribution.from_dict(None), "expected a mapping with the field 'p', got NoneType"),
         (lambda: JointDistribution(None), "joint needs a sequence of 8 cell weights, got NoneType"),
         (lambda: JointDistribution(1.5), "joint needs a sequence of 8 cell weights, got float"),
         (lambda: classify_covariate(None), "expected a JointDistribution, got NoneType"),
@@ -333,7 +348,8 @@ _NO_MAPPING = "{} must be a mapping of 'E', 'C' and 'D' to values, got {}"
             "coarsen needs a StratifiedCounts and a CoarseningMap, got StratifiedCounts and dict",
         ),
     ],
-    ids=["rng-seed", "stream-seed", "stream-index", "params-from-dict", "joint-none", "joint-float", "classify",
+    ids=["rng-seed", "rng-seed-bool", "stream-seed", "stream-index", "params-from-dict", "params-class-from-dict",
+         "joint-from-dict", "joint-none", "joint-float", "classify",
          "summary", "lemma1", "holds-numeric", "hypothetical", "observed", "standardized", "bias", "conditional-prob",
          "conditional-prob-event-none", "conditional-prob-event-str", "conditional-prob-given-none",
          "conditional-prob-given-str", "analyze-counts", "counts-to-joint", "dump-counts", "random-params",

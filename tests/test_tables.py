@@ -111,6 +111,28 @@ def _three_strata():
             ParameterError,
             "stratum 'a' assigned to group 1.0; groups are 0 and 1",
         ),
+        # tables of the wrong kind once escaped as TypeError, ValueError or
+        # AttributeError
+        *(
+            (lambda strata=strata: StratifiedCounts(strata, {}), ParameterError,
+             f"strata must be a tuple or list, got {type(strata).__name__}")
+            for strata in (None, 1, "ab")
+        ),
+        *(
+            (lambda counts=counts: StratifiedCounts(("0",), counts), ParameterError,
+             f"counts must be a mapping of (type, exposure, stratum) keys to counts, got {type(counts).__name__}")
+            for counts in (None, [((RT.DOOMED, E.EXPOSED, "0"), 1)])
+        ),
+        *(
+            (lambda key=key: StratifiedCounts(("0",), {key: 1}), ParameterError, f"malformed count key {key!r}")
+            for key in ("x", (1, 2), None)
+        ),
+        *(
+            (lambda assignment=assignment: CoarseningMap(assignment), ParameterError,
+             f"assignment must be a mapping of stratum labels to groups 0 and 1, got {type(assignment).__name__}")
+            for assignment in (None, "x")
+        ),
+        (lambda: CoarseningMap.from_spec(None), ParameterError, "a coarsening spec must be a str, got NoneType"),
         (lambda: CoarseningMap.from_spec("x=1"), ParameterError, "bad coarsening group 'x' in 'x=1'"),
         (lambda: CoarseningMap.from_spec(";"), ParameterError, "empty coarsening spec ';'"),
         (
@@ -129,8 +151,10 @@ def _three_strata():
             "line 2: count '1.5' is not an integer",
         ),
     ],
-    ids=["no-strata", "str-response-type", "map-group", "map-group-bool", "map-group-float", "spec-group",
-         "spec-empty", "three-strata", "csv-exposure", "csv-count"],
+    ids=["no-strata", "str-response-type", "map-group", "map-group-bool", "map-group-float", "strata-none",
+         "strata-int", "strata-str", "counts-none", "counts-list", "count-key-str", "count-key-pair",
+         "count-key-none", "map-none", "map-str", "spec-none", "spec-group", "spec-empty", "three-strata",
+         "csv-exposure", "csv-count"],
 )
 def test_malformed_tables_rejected(call, error, message):
     with pytest.raises(error) as info:

@@ -284,7 +284,7 @@ def test_verify_rejects_bad_thread_counts(exact, threads, message):
         # string conditions would otherwise run an unconstrained campaign
         (frozenset({"H4"}), "'H4' is not a Hypothesis"),
         *(
-            (bad, f"clause conditions must be an iterable of hypotheses, got {bad!r}")
+            (bad, f"hypotheses must be an iterable of Hypothesis members, got {bad!r}")
             for bad in (None, 4, [[H.H4]])
         ),
     ],
