@@ -35,11 +35,8 @@ from . import errors
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
 from .hypotheses import _H1, _H5, _SLOT_FIELDS, _solve
 from .joint import _cells
+from .kernel import EQ_H1, EQ_H5, EQ_NONE, IRRELEVANT, NO_CONFOUNDING
 
-# equational-constraint codes
-EQ_NONE, EQ_H1, EQ_H5 = 0, 1, 2
-# conclusion codes
-IRRELEVANT, NO_CONFOUNDING = 0, 1
 # exact draws are numerators over this denominator
 _GRID = 1000
 # each model's drawn slots in draw order: those with a field (model 3 has no slot 2)

@@ -3,7 +3,9 @@
 Verbs: analyze a stratified count table, classify a parameterized model,
 verify a catalog clause by campaign, and list or evaluate the hypotheses.
 All verbs take --format text|json; JSON output is exactly the module
-serializers' dictionaries, so identical invocations print identical bytes.
+serializers' dictionaries, written by ``_json`` byte for byte as
+``json.dumps`` writes them, so identical invocations print identical bytes
+and no request loads ``json``.
 Exit codes: 0 success (for verify, a campaign with zero failures), 1 domain
 errors, a failed campaign or a stdout closed by its reader, 2 usage errors.
 """
@@ -194,13 +196,63 @@ def _resolved_tol(parser, args) -> object:
     return args.tol
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        import json
+# the escapes json.dumps writes for a quote, a backslash and five controls
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 
-        print(json.dumps(payload))
-    else:
-        print(text)
+
+def _json_char(c: str) -> str:
+    """A character outside printable ASCII, a quote or a backslash, escaped
+    as ``json.dumps`` escapes it: an astral one as a surrogate pair."""
+    escape = _JSON_ESCAPES.get(c)
+    if escape is not None:
+        return escape
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _json_str(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(c if " " <= c <= "~" and c != '"' and c != "\\" else _json_char(c) for c in s) + '"'
+
+
+def _json(value) -> str:
+    """``json.dumps(value)``, byte for byte, without loading ``json``.
+
+    ``value`` is what the verbs emit: dicts with str keys, lists, str, int,
+    float, bool and None, each of exactly that type.  Anything else raises
+    TypeError rather than risk bytes ``json.dumps`` would not write.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if kind is list:
+        return "[" + ", ".join([_json(item) for item in value]) + "]"
+    if kind is dict:
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_json_str(key) + ": " + _json(item))
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _emit(args, payload: dict, text: str) -> None:
+    print(_json(payload) if args.format == "json" else text)
 
 
 def _run_analyze(parser, args) -> int:

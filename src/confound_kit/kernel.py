@@ -5,23 +5,27 @@ available) is used when it imports, and the pure-Python reference kernel
 otherwise.  Both backends implement the same stream and arithmetic, so
 campaign reports do not depend on which one ran; ``available_backends``
 reaches both for parity tests and benchmarks.
+
+Importing this module loads the selected backend alone: ``_pykernel`` loads
+only when ``_ckernel`` does not import, or when ``available_backends`` is
+called.  The kernel argument codes are defined here, before the backend
+import, and ``_pykernel`` reads them from here, so either module may be
+imported first.
 """
 
-from . import _pykernel
+# equational-constraint codes
+EQ_NONE, EQ_H1, EQ_H5 = 0, 1, 2
+# conclusion codes
+IRRELEVANT, NO_CONFOUNDING = 0, 1
 
 try:
     from . import _ckernel as _impl
 
     BACKEND = "compiled"
 except ImportError:
-    _impl = _pykernel
-    BACKEND = "pure"
+    from . import _pykernel as _impl
 
-EQ_NONE = _pykernel.EQ_NONE
-EQ_H1 = _pykernel.EQ_H1
-EQ_H5 = _pykernel.EQ_H5
-IRRELEVANT = _pykernel.IRRELEVANT
-NO_CONFOUNDING = _pykernel.NO_CONFOUNDING
+    BACKEND = "pure"
 
 
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
@@ -34,6 +38,8 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
 
 def available_backends() -> dict:
     """Importable kernel modules by name, for benchmarks and parity tests."""
+    from . import _pykernel
+
     backends = {"pure": _pykernel}
     try:
         from . import _ckernel

@@ -69,6 +69,11 @@ class StratifiedCounts(_Frozen):
         strata = tuple(self.strata)
         if not strata:
             raise ParameterError("a table needs at least one stratum")
+        for label in strata:
+            try:
+                hash(label)
+            except TypeError:
+                raise ParameterError(f"stratum label {label!r} is not hashable") from None
         if len(set(strata)) != len(strata):
             raise ParameterError(f"duplicate stratum labels in {strata!r}")
         _check_mapping(self.counts, "counts must be a mapping of (type, exposure, stratum) keys to counts")

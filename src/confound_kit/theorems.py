@@ -45,6 +45,10 @@ confounding where H1 does.  ``falsify_converse`` builds from that an exact
 point where a conclusion holds but none of the catalog's condition sets for
 it does, or returns None.  For no_confounding the set {H1} is skipped there:
 it restates bias zero, so counting it would leave no witness anywhere.
+
+Importing this module loads ``hypotheses``, ``joint`` and ``kernel`` with
+the kernel backend it selects.  ``measures`` loads on the first
+``falsify_converse`` call, its only user here, so a campaign never loads it.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ from .joint import (
     build_joint,
     params_type,
 )
-from .measures import Verdict, classify_covariate
 
 CAMPAIGN_FLOAT_TOL = 1e-10
 # Samples a campaign may have: the compiled kernels count them in a C
@@ -340,6 +343,8 @@ def falsify_converse(model: int, conclusion: Conclusion) -> Optional[ModelParams
     the conclusion and ``holds_algebraic`` at tol 0 rejects a member of
     every catalog set.  The {H1} set of no_confounding is not counted.
     """
+    from .measures import Verdict, classify_covariate
+
     try:
         conclusion = Conclusion(conclusion)
     except ValueError:

@@ -10,8 +10,10 @@ error for error.
 
 ``_solve_h1`` and ``_solve_h5`` are the H1/H5 solves as plain quotients,
 kept verbatim from before the library cleared their divisions into one
-(num, den) pair (``hypotheses._solve``), and ``impose`` is the library's
-imposition solving through them.
+(num, den) pair (``hypotheses._solve``), except model 3's H5 solve: its
+int-only term divided to a float and made a Fraction solve a float, so it is
+one quotient now.  ``impose`` is the library's imposition solving through
+them.
 """
 
 from confound_kit import (
@@ -233,7 +235,9 @@ def _solve_h5(model: int, v) -> object:
         mass0 = (1 - c1) * a + (1 - c0) * (1 - a)
         return (target * mass0 - b0 * (1 - c0) * (1 - a)) / ((1 - c1) * a)
     a, b0, b1, u1 = v[0], v[3], v[4], v[6]
-    return u1 + (b1 - b0) * (1 - a) / a
+    # one quotient: (b1 - b0) * (1 - a) / a alone would divide bare ints to a
+    # float and turn a Fraction u1 into a float
+    return (u1 * a + (b1 - b0) * (1 - a)) / a
 
 
 def impose(base: ModelParams, hypotheses, rng, *, budget: int = 1000) -> ModelParams:

@@ -1,19 +1,24 @@
 """End-to-end tests for the command-line interface."""
 
+import enum
 import functools
 import gc
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import confound_kit
 from confound_kit import fixture_path, kernel
-from confound_kit.cli import build_parser, main
+from confound_kit.cli import _json, build_parser, main
 
 MODEL1_FLAGS = [
     "--model", "1", "--t", "0.4", "--a0", "0.2", "--a1", "0.6",
@@ -368,31 +373,53 @@ def test_usage_errors_after_parsing_show_the_verb_usage(capsys, argv):
 
 
 @functools.lru_cache(maxsize=None)
-def _loaded(code):
-    """The modules a fresh interpreter has loaded after running ``code``."""
+def _loaded(code, tree=None):
+    """The modules a fresh interpreter has loaded after running ``code``,
+    with ``tree`` (default: this package's) on PYTHONPATH."""
     code += "\nimport sys\nprint(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=_process_env(), capture_output=True, text=True, timeout=60)
+    env = _process_env() if tree is None else dict(os.environ, PYTHONPATH=tree)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return frozenset(proc.stdout.split())
 
 
-def _added(code):
+def _added(code, tree=None):
     """The modules ``code`` loads beyond what the bare interpreter has."""
-    return _loaded(code) - _loaded("pass")
+    return _loaded(code, tree) - _loaded("pass", tree)
 
 
-def _verb_loads(*argv):
+def _verb_loads(*argv, tree=None):
     """The modules a fresh interpreter loads to run the CLI on ``argv``."""
     return _added(
         "import contextlib, io\n"
         "from confound_kit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({list(argv)!r}) == 0"
+        f"    assert main({list(argv)!r}) == 0",
+        tree,
     )
 
 
+@pytest.fixture(scope="module")
+def compiled_tree(backends, tmp_path_factory):
+    """A copy of the package with the compiled kernel in it, so that a fresh
+    interpreter on it selects that kernel, wherever this one's came from."""
+    tree = tmp_path_factory.mktemp("compiled_tree")
+    shutil.copytree(
+        Path(confound_kit.__file__).parent,
+        tree / "confound_kit",
+        ignore=shutil.ignore_patterns("__pycache__", "_ckernel*.so"),
+    )
+    shutil.copy(backends["compiled"].__file__, tree / "confound_kit")
+    return str(tree)
+
+
 _TABLES = {"csv", "confound_kit.tables"}
-_CAMPAIGNS = {"confound_kit.theorems", "confound_kit.kernel", "confound_kit._pykernel"}
+_CAMPAIGNS = {"confound_kit.theorems", "confound_kit.kernel"}
+_KERNELS = {"confound_kit._pykernel", "confound_kit._ckernel"}
+# the backend kernel.py selects here, and so in a fresh interpreter on this package
+_SELECTED = {"pure": "confound_kit._pykernel", "compiled": "confound_kit._ckernel"}[kernel.BACKEND]
+# the CLI writes JSON itself
+_JSON = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
 
 
 def test_package_import_loads_no_submodule():
@@ -401,7 +428,7 @@ def test_package_import_loads_no_submodule():
     added = _added("import confound_kit")
     assert "confound_kit" in added
     assert not {m for m in added if m.startswith("confound_kit.")}
-    assert not added & (_TABLES | _CAMPAIGNS)
+    assert not added & (_TABLES | _CAMPAIGNS | _KERNELS)
 
 
 def test_submodule_attribute_loads_the_submodule():
@@ -415,21 +442,25 @@ def test_submodule_attribute_loads_the_submodule():
 @pytest.mark.parametrize(
     "argv, loads, skips",
     [
-        (["classify", *MODEL1_FLAGS, "--format", "json"], {"confound_kit.measures"}, _TABLES | _CAMPAIGNS),
-        (["classify", *MODEL1_FLAGS], {"confound_kit.measures"}, _TABLES | _CAMPAIGNS | {"json"}),
+        (["classify", *MODEL1_FLAGS, "--format", "json"], {"confound_kit.measures"},
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON),
+        (["classify", *MODEL1_FLAGS], {"confound_kit.measures"}, _TABLES | _CAMPAIGNS | _KERNELS | _JSON),
         (["hypotheses", *MODEL1_FLAGS, "--exact", "--format", "json"], {"confound_kit.hypotheses"},
-         _TABLES | _CAMPAIGNS | {"confound_kit.measures"}),
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.measures"}),
         # the float default tolerance is read from joint, so no request of
         # this verb loads measures
         (["hypotheses", *MODEL1_FLAGS, "--format", "json"], {"confound_kit.hypotheses"},
-         _TABLES | _CAMPAIGNS | {"confound_kit.measures"}),
-        (["hypotheses"], {"confound_kit.hypotheses"}, _TABLES | _CAMPAIGNS | {"confound_kit.measures"}),
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.measures"}),
+        (["hypotheses"], {"confound_kit.hypotheses"},
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.measures"}),
         (["analyze", "table1.csv", "--coarsen", "0=1,2,3;1=4", "--format", "json"], _TABLES,
-         _CAMPAIGNS | {"confound_kit.hypotheses"}),
+         _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.hypotheses"}),
+        # a campaign loads the selected kernel alone, and measures serves
+        # only falsify_converse
         (["verify", "--theorem", "T1", "--clause", "a", "--samples", "10", "--format", "json"],
-         _CAMPAIGNS, _TABLES),
+         _CAMPAIGNS | {_SELECTED}, _TABLES | (_KERNELS - {_SELECTED}) | _JSON | {"confound_kit.measures"}),
         (["verify", "--theorem", "T5", "--clause", "b", "--samples", "2", "--exact"],
-         _CAMPAIGNS, _TABLES),
+         _CAMPAIGNS | {_SELECTED}, _TABLES | (_KERNELS - {_SELECTED}) | _JSON | {"confound_kit.measures"}),
     ],
     ids=["classify", "classify-text", "hypotheses-exact", "hypotheses", "hypotheses-listing", "analyze", "verify",
          "verify-exact"],
@@ -440,6 +471,45 @@ def test_each_verb_loads_only_its_modules(argv, loads, skips):
     added = _verb_loads(*argv)
     assert loads <= added
     assert not added & skips
+
+
+def test_verify_on_the_compiled_kernel_loads_no_pure_kernel(compiled_tree):
+    added = _verb_loads("verify", "--theorem", "T2", "--clause", "a", "--samples", "10", "--format", "json",
+                        tree=compiled_tree)
+    assert _CAMPAIGNS | {"confound_kit._ckernel"} <= added
+    assert not added & ({"confound_kit._pykernel", "confound_kit.measures"} | _JSON)
+
+
+@pytest.mark.parametrize("first", ["kernel", "_pykernel"])
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "pure"])
+def test_kernel_backends_in_either_import_order(compiled_tree, first, compiled):
+    # kernel.py defines the codes _pykernel reads before it imports a
+    # backend, so the cycle resolves whichever module is imported first;
+    # available_backends() still returns both after a compiled-only import
+    code = (
+        "import sys\n"
+        f"import confound_kit.{first}\n"
+        "from confound_kit import kernel\n"
+        "pure_loaded = 'confound_kit._pykernel' in sys.modules\n"
+        "backends = kernel.available_backends()\n"
+        "pure = backends['pure']\n"
+        "assert (pure.EQ_NONE, pure.EQ_H1, pure.EQ_H5) == (kernel.EQ_NONE, kernel.EQ_H1, kernel.EQ_H5) == (0, 1, 2)\n"
+        "assert (pure.IRRELEVANT, pure.NO_CONFOUNDING) == (kernel.IRRELEVANT, kernel.NO_CONFOUNDING) == (0, 1)\n"
+        "args = (1, (0, 1, 2, 3, 4, 5, 6), kernel.EQ_NONE, kernel.IRRELEVANT, 0, 64, 7, 1e-10, 1000)\n"
+        "results = {name: b.run_campaign(*args) for name, b in backends.items()}\n"
+        "assert len(set(results.values())) == 1 and kernel.run_campaign(*args) == results['pure'], results\n"
+        "print(kernel.BACKEND, pure_loaded, *sorted(backends))"
+    )
+    tree = compiled_tree if compiled else str(Path(confound_kit.__file__).parent.parent)
+    if not compiled:
+        code = "import sys\nsys.modules['confound_kit._ckernel'] = None\n" + code  # the import fails
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=tree),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if compiled:
+        assert proc.stdout.split() == ["compiled", str(first == "_pykernel"), "compiled", "pure"]
+    else:
+        assert proc.stdout.split() == ["pure", "True", "pure"]
 
 
 def test_every_export_resolves_and_star_import_binds_them():
@@ -649,6 +719,56 @@ def test_pinned_bytes_from_a_process_of_its_own(case):
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
+# --- the JSON writer --------------------------------------------------------
+
+# the whole code-point range, lone surrogates included
+_any_text = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()))
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    _any_text,
+    st.sampled_from(["\x7f", "\x00", "\x1f", "\"", "\\", "\U0001F600", "\ud800", "\udfff", "\u2028"]),
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(_any_text, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_json_payloads)
+@example({})
+@example([])
+@example({"": [], "[]": {}})
+@example("".join(map(chr, range(0x80))))
+@example(["\x7f", "\U0001F600", "\U0010FFFF", "\ud800", "\udfff", "\udbff\udc00", "\u00e9\u2028\uffff"])
+@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1.7976931348623157e308])
+@example([2**64, -(2**64) - 1, 10**100, True, False, None, 0, 1])
+def test_json_writer_equals_json_dumps(payload):
+    assert _json(payload) == json.dumps(payload)
+
+
+class _Color(enum.Enum):
+    RED = "red"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [(1, 2), {1: "x"}, {("a",): 1}, Fraction(1, 3), _Color.RED, [{"a": (1,)}]],
+    ids=["tuple", "int-key", "tuple-key", "fraction", "enum-member", "nested-tuple"],
+)
+def test_json_writer_refuses_values_outside_the_payload_grammar(payload):
+    # json.dumps would write some of these; the writer keeps to the grammar
+    # the verbs emit, so a payload that leaves it fails here, not in bytes
+    with pytest.raises(TypeError):
+        _json(payload)
+
+
 # --- the program entry ------------------------------------------------------
 
 
@@ -695,8 +815,8 @@ def test_installed_script_is_the_program_entry():
 
 def test_cli_ab_prints_one_row_per_kind(tmp_path):
     # a smoke run of the cold-start A/B script with one tree on both sides:
-    # it finds the outputs equal and prints a row for every request kind;
-    # its timings are not checked.  The tree is a copy, since the script
+    # it finds the outputs and the loaded modules equal and prints a row for
+    # every request kind; its timings are not checked.  The tree is a copy, since the script
     # lets its processes write byte-compiled files into it.
     shutil.copytree(
         Path(confound_kit.__file__).parent, tmp_path / "confound_kit", ignore=shutil.ignore_patterns("__pycache__")
@@ -712,5 +832,6 @@ def test_cli_ab_prints_one_row_per_kind(tmp_path):
     header = next(i for i, line in enumerate(lines) if line.startswith("kind"))
     rows = [line.split() for line in lines[header + 1 :]]
     kinds = ["classify", "classify-exact", "hypotheses", "analyze-table1", "analyze-table2", "verify", "verify-exact"]
+    assert lines[header - len(kinds) : header] == [f"{kind}: same modules" for kind in kinds]
     assert [row[0] for row in rows] == kinds
     assert all(len(row) == 7 and row[6].endswith("/1") for row in rows), rows

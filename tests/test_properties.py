@@ -348,6 +348,9 @@ def integer_slots(draw):
 
 @PROPERTY
 @given(solves, seven(st.one_of(st.sampled_from([0, 1]), fraction_values)))
+# a Fraction u1 beside bare ints: the oracle's int-only term once divided to
+# a float and made the whole quotient one
+@example((3, Hypothesis.H5), [1, 0, 0, 0, 0, 0, Fraction(0, 1)])
 def test_solve_matches_quotients_on_rationals(solve, v):
     model, eq = solve
     num, den = _solve(model, eq, v, 1)
@@ -358,7 +361,9 @@ def test_solve_matches_quotients_on_rationals(solve, v):
         return
     assert den != 0
     got = num / den
-    # bare ints alone divide to a float on both routes
+    # arithmetic follows the inputs: a Fraction among the slots the solve
+    # reads makes the solved value a Fraction, and bare ints alone divide to
+    # a float, on both routes
     assert type(got) is type(expected) and got == expected
 
 

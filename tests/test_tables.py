@@ -118,6 +118,12 @@ def _three_strata():
              f"strata must be a tuple or list, got {type(strata).__name__}")
             for strata in (None, 1, "ab")
         ),
+        # an unhashable label once escaped from set(strata) as TypeError
+        *(
+            (lambda strata=strata: StratifiedCounts(strata, {}), ParameterError,
+             f"stratum label {strata[0]!r} is not hashable")
+            for strata in ([[1]], [{}])
+        ),
         *(
             (lambda counts=counts: StratifiedCounts(("0",), counts), ParameterError,
              f"counts must be a mapping of (type, exposure, stratum) keys to counts, got {type(counts).__name__}")
@@ -152,7 +158,7 @@ def _three_strata():
         ),
     ],
     ids=["no-strata", "str-response-type", "map-group", "map-group-bool", "map-group-float", "strata-none",
-         "strata-int", "strata-str", "counts-none", "counts-list", "count-key-str", "count-key-pair",
+         "strata-int", "strata-str", "strata-label-list", "strata-label-dict", "counts-none", "counts-list", "count-key-str", "count-key-pair",
          "count-key-none", "map-none", "map-str", "spec-none", "spec-group", "spec-empty", "three-strata",
          "csv-exposure", "csv-count"],
 )

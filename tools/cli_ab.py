@@ -11,7 +11,9 @@ untimed first round lets each tree write its byte-compiled files (the
 processes run without ``PYTHONDONTWRITEBYTECODE``), so the timed ones load
 them, as an installed package would.  Both sides must print the same stdout,
 byte for byte, and exit with the same code, or the script stops with
-status 1.
+status 1.  In that round an untimed probe of each request collects the
+modules each side has loaded at exit: per kind the script prints the
+modules one side loads and the other does not, or ``same modules``.
 
 Per kind it prints each side's median in ms, the median of the paired ratios
 A/B (above 1 when B is faster) with its quartiles, and how many rounds B won:
@@ -50,14 +52,42 @@ REQUESTS = {
 }
 
 
-def spawn(tree, argv):
-    """(wall ms of one CLI process on ``argv``, its exit code and stdout)."""
+def _env(tree):
     env = dict(os.environ, PYTHONPATH=tree)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def spawn(tree, argv):
+    """(wall ms of one CLI process on ``argv``, its exit code and stdout)."""
     t0 = time.perf_counter_ns()
     proc = subprocess.run([sys.executable, "-m", "confound_kit.cli", *argv, "--format", "json"],
-                          env=env, capture_output=True, timeout=120)
+                          env=_env(tree), capture_output=True, timeout=120)
     return (time.perf_counter_ns() - t0) / 1e6, (proc.returncode, proc.stdout)
+
+
+# runs the CLI as ``-m`` does and, at exit, lists the loaded modules on stderr
+_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('confound_kit.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+def loaded_modules(tree, argv):
+    """The modules one CLI process on ``argv`` has loaded when it exits.
+
+    ``sys.modules`` rather than ``-X importtime``, which does not list a
+    module loaded by ``from . import name``."""
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv, "--format", "json"],
+                          env=_env(tree), capture_output=True, text=True, timeout=120)
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def module_difference(kind, a, b):
+    """One line naming the modules only one side loads for ``kind``."""
+    parts = [f"{side} alone loads {', '.join(sorted(only))}" for side, only in (("A", a - b), ("B", b - a)) if only]
+    return f"{kind}: {'; '.join(parts) or 'same modules'}"
 
 
 def main(argv=None) -> int:
@@ -77,6 +107,7 @@ def main(argv=None) -> int:
     print(f"A {trees[0]}\nB {trees[1]}")
     print(f"cpu {cpu}, {args.rounds} rounds of one process per side and kind")
     times = {kind: ([], []) for kind in REQUESTS}
+    modules = {}
     for r in range(-1, args.rounds):  # round -1 warms up and is not timed
         for kind, request in REQUESTS.items():
             results = [None, None]
@@ -87,6 +118,10 @@ def main(argv=None) -> int:
             if results[0] != results[1]:
                 print(f"{kind}: A gave {results[0]}, B gave {results[1]} for {request}")
                 return 1
+            if r < 0:
+                modules[kind] = [loaded_modules(tree, request) for tree in trees]
+    for kind, (a, b) in modules.items():
+        print(module_difference(kind, a, b))
     print(f"{'kind':<15} {'A ms':>7} {'B ms':>7} {'A/B':>6} {'q1':>6} {'q3':>6} {'B won':>7}")
     for kind, (a, b) in times.items():
         q1, median, q3 = quartiles([x / y for x, y in zip(a, b)])
