@@ -3,7 +3,9 @@
  * Returns what _pykernel.run_campaign returns, bit for bit.  The pure kernel
  * runs the library's helpers, so this file transliterates them with the same
  * operand order: MODEL_ALGEBRA is joint._masses and hypotheses._solve over
- * their unit one, and violation_at() and exact_violation() use joint._cells.
+ * their unit one, violation_at() is joint._cells and the proportions of
+ * joint._float_proportions, and exact_violation() is joint._cells and the
+ * cross-multiplied proportions of joint._exact_pairs.
  * setup.py compiles it with -ffp-contract=off, because a fused multiply-add
  * would round differently from Python's separate multiply and add.
  *
@@ -247,7 +249,10 @@ MODEL_ALGEBRA(double, float)
 MODEL_ALGEBRA(int64_t, exact)
 
 /* The signed violation of the conclusion (no confounding, else irrelevance)
-   on the cells of joint._cells. */
+   on the cells of joint._cells: the hypothetical, else the standardized,
+   minus the observed proportion of joint._float_proportions.  Every stratum
+   and weight is positive in a campaign, so the standardized sum skips no
+   stratum, and its leading 0 + x is x. */
 ALWAYS_INLINE double
 violation_at(int model, int no_confounding, double v0, double v1, double v2,
              double v3, double v4, double v5, double v6)
@@ -757,8 +762,11 @@ grid_row(const struct draws *d, const int rep[7], uint64_t state, int64_t row[7]
 
 /* The signed violation *num / *den of the conclusion (the bias, else the
    standardized minus the observed proportion) on a grid row n with no
-   solved slot: joint._cells over one = GRID and _pykernel._exact_violation,
-   in fixed-width integers.  The bounds that make them exact:
+   solved slot: joint._cells over one = GRID and joint._exact_pairs, as
+   _pykernel.grid_tally cross-multiplies them, in fixed-width integers:
+   h * od - o * hd over hd * od, else s * od - o * sd over sd * od, where
+   sd = stratum0 * stratum1 * pe and s = p5 * weight0 * stratum1 +
+   p7 * weight1 * stratum0.  The bounds that make them exact:
    - each mass is in [0, 10**6] (MODEL_ALGEBRA) and each outcome factor in
      [0, 1000], so each cell is in [0, 10**9]: int64.  The masses sum to
      1000**2 and each mass's two cells to the mass times 1000, so the cells

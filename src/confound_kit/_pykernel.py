@@ -2,29 +2,31 @@
 
 ``run_campaign`` runs float campaigns.  A sample is the library route in a
 plain loop: the draws of ``random_params``, the substitution and the H1/H5
-solve of ``impose`` (``hypotheses._solve``, divided once) and the cells of
-``build_joint`` (``joint._cells``), so sample i equals that route bit for
-bit.  The compiled kernel in _ckernel.c transliterates the same helpers, in
-the same operand order, over batches of samples; ``_masses`` and ``_solve``
-are one C definition over the unit ``one``, which both of its campaign modes
-use.  Both kernels must produce bit-identical results, so a change to one of
-those helpers has to be mirrored there; the extension is compiled with FMA
-contraction disabled for the same reason.  This loop draws every slot of
-every attempt; the compiled kernel skips the draws no position reads (slots
-an equality ties to another, and the one the H1/H5 solve overwrites).  The
-bits still match: a draw advances the stream by a fixed gamma, so each
-slot's draw is the same function of the attempt's starting state whether or
-not the slots before it were drawn.
+solve of ``impose`` (``hypotheses._solve``, divided once), the cells of
+``build_joint`` (``joint._cells``) and the proportions the verdict path
+compares (``joint._float_proportions``), so sample i equals that route bit
+for bit.  The compiled kernel in _ckernel.c transliterates the same helpers,
+in the same operand order, over batches of samples; ``_masses`` and
+``_solve`` are one C definition over the unit ``one``, which both of its
+campaign modes use.  Both kernels must produce bit-identical results, so a
+change to one of those helpers has to be mirrored there; the extension is
+compiled with FMA contraction disabled for the same reason.  This loop draws
+every slot of every attempt; the compiled kernel skips the draws no
+position reads (slots an equality ties to another, and the one the H1/H5
+solve overwrites).  The bits still match: a draw advances the stream by a
+fixed gamma, so each slot's draw is the same function of the attempt's
+starting state whether or not the slots before it were drawn.
 
 ``grid_tally`` runs exact campaigns, on the thousandths grid in Python
 integers: the draws, the H1/H5 solve and its redraws, the cells of
-``joint._cells`` and the conclusion pair of ``_exact_violation``.  A row
-with a solve is scaled to the common denominator q = 1000 * den of its
-solved slot, and the cells are divided by den**2, which every one of them
-carries, so they stay over 1000**2 * q; without a solve den = 1.  The
-compiled kernel runs the same tally in fixed-width integers (64 and 128
-bits without a solve, 128-bit cells and 320-bit pairs with one), keeps the
-maximum as a 320-bit pair either way and returns the same unreduced one.
+``joint._cells`` and the integer proportions of ``joint._exact_pairs`` that
+the exact verdict cross-multiplies.  A row with a solve is scaled to the
+common denominator q = 1000 * den of its solved slot, and the cells are
+divided by den**2, which every one of them carries, so they stay over
+1000**2 * q; without a solve den = 1.  The compiled kernel runs the same
+tally in fixed-width integers (64 and 128 bits without a solve, 128-bit
+cells and 320-bit pairs with one), keeps the maximum as a 320-bit pair
+either way and returns the same unreduced one.
 """
 
 import fractions
@@ -34,7 +36,7 @@ import sys
 from . import errors
 from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
 from .hypotheses import _H1, _H5, _SLOT_FIELDS, _solve
-from .joint import _cells
+from .joint import _cells, _exact_pairs, _float_proportions
 from .kernel import EQ_H1, EQ_H5, EQ_NONE, IRRELEVANT, NO_CONFOUNDING
 
 # exact draws are numerators over this denominator
@@ -141,6 +143,7 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     tol = _read_double(tol)
     model, rep, eq, conclusion, budget, member = _read_codes(model, rep, eq, conclusion, budget)
     solved = None if member is None else member._solves
+    no_confounding = conclusion == NO_CONFOUNDING
     draw_slots = _DRAW_SLOTS[model]
     q = [0.0] * 7
     max_violation = 0.0
@@ -163,18 +166,8 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
         else:
             exhausted += 1
             continue
-        p0, p1, p2, p3, p4, p5, p6, p7 = _cells(model, v, 1)
-        pe = p0 + p1 + p2 + p3
-        pu = p4 + p5 + p6 + p7
-        obs = (p5 + p7) / pu
-        if conclusion == NO_CONFOUNDING:
-            violation = (p1 + p3) / pe - obs
-        else:
-            violation = (
-                (p5 / (p4 + p5)) * ((p0 + p1) / pe)
-                + (p7 / (p6 + p7)) * ((p2 + p3) / pe)
-                - obs
-            )
+        hypothetical, observed, standardized = _float_proportions(_cells(model, v, 1))
+        violation = (hypothetical if no_confounding else standardized) - observed
         if violation < 0.0:
             violation = -violation
         if violation > tol:
@@ -195,8 +188,12 @@ def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
     solve of the row gives the solved slot as num / den, and the sample
     redraws, at most ``budget`` times, while not (den and 0 <= num <= den).
     Every slot is then scaled to the common denominator q = _GRID * den
-    (den = 1 without a solve), and the violation is ``_exact_violation`` on
-    the row's ``joint._cells`` over q, divided by den**2.
+    (den = 1 without a solve), and the row's ``joint._cells`` over q,
+    divided by den**2, give the proportions h/hd, o/od and s/sd of
+    ``joint._exact_pairs``; the violation is the unreduced difference
+    (h·od − o·hd) / (hd·od) for no confounding, else (s·od − o·sd) / (sd·od).
+    Every drawn slot lies strictly inside (0, 1) and a solved slot enters no
+    margin, so every stratum has mass and no denominator is zero.
 
     Returns (failures, max_num, max_den, exhausted): the samples with a
     nonzero violation, the first largest |violation| as the unreduced pair
@@ -205,7 +202,8 @@ def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
     2**64.  Reads its arguments as _ckernel.c does: seed and start are ints
     of any size, count an __index__ object within Py_ssize_t.  Raises what
     ``run_campaign`` raises for its rep, codes and budget, and ValueError
-    for a negative count.
+    for a negative count, and ParameterError should the cells not sum to
+    one or carry den**2.
     """
     seed = _read_wrapped(seed, "grid_tally", 5)
     start = _read_wrapped(start, "grid_tally", 6)
@@ -240,7 +238,21 @@ def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
             exhausted += 1
             continue
         q = _GRID * scale
-        num, den = _exact_violation(_cells(model, x, q), q, scale * scale, irrelevant)
+        cells = _cells(model, x, q)
+        scale *= scale
+        # the division below is exact only on cells that pass this check
+        if sum(cells) != q * q * q or (scale != 1 and any(c % scale for c in cells)):
+            total = fractions.Fraction(sum(cells), q * q * q)
+            raise errors.ParameterError(
+                f"exact cell weights sum to {total}, not 1, or are not all multiples of {scale}"
+            )
+        if scale != 1:
+            cells = [c // scale for c in cells]
+        h, hd, o, od, s, sd = _exact_pairs(cells)
+        if irrelevant:
+            num, den = s * od - o * sd, sd * od
+        else:
+            num, den = h * od - o * hd, hd * od
         if num:
             failures += 1  # exact mode compares at tol = 0
             if num < 0:
@@ -248,36 +260,3 @@ def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
             if num * max_den > max_num * den:
                 max_num, max_den = num, den
     return failures, max_num, max_den, exhausted
-
-
-def _exact_violation(cells, one, scale, irrelevant):
-    """(num, den): the signed violation num / den of the conclusion (the
-    standardized minus the observed proportion, else the bias) on the
-    integer cells of ``joint._cells`` over ``one``**3, each divided by
-    ``scale`` exactly, unreduced.
-
-    Every drawn slot lies strictly inside (0, 1) and a solved slot enters no
-    margin, so P(E=e), P(E=ebar) and all four (E, C) strata are positive:
-    no measure is undefined and no stratum is skipped.  Raises
-    ParameterError unless the cells sum to one**3 and each is a multiple of
-    scale.
-    """
-    p0, p1, p2, p3, p4, p5, p6, p7 = cells
-    pe = p0 + p1 + p2 + p3
-    pu = p4 + p5 + p6 + p7
-    if pe + pu != one * one * one or (scale != 1 and any(c % scale for c in cells)):
-        total = fractions.Fraction(pe + pu, one**3)
-        raise errors.ParameterError(
-            f"exact cell weights sum to {total}, not 1, or are not all multiples of {scale}"
-        )
-    if scale != 1:
-        p0, p1, p2, p3, p4, p5, p6, p7 = (c // scale for c in cells)
-        pe //= scale
-        pu //= scale
-    if irrelevant:
-        stratum0, stratum1 = p4 + p5, p6 + p7
-        num = (p5 * (p0 + p1) * stratum1 + p7 * (p2 + p3) * stratum0) * pu - (
-            p5 + p7
-        ) * pe * stratum0 * stratum1
-        return num, pe * pu * stratum0 * stratum1
-    return (p1 + p3) * pu - (p5 + p7) * pe, pe * pu

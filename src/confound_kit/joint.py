@@ -499,11 +499,6 @@ class JointDistribution(_Frozen):
             total = total + w
         return total
 
-    def swap_covariate(self) -> "JointDistribution":
-        """The same distribution with the covariate labels 0 and 1 exchanged."""
-        p = self.p
-        return JointDistribution((p[2], p[3], p[0], p[1], p[6], p[7], p[4], p[5]))
-
     def to_dict(self) -> dict:
         """Serialize as {"p": [...]} in canonical cell order."""
         return {"p": [_num_to_json(w) for w in self.p]}
@@ -604,6 +599,73 @@ def _cells(model: int, v, one) -> tuple:
         unexposed1 * (one - b1),
         unexposed1 * b1,
     )
+
+
+# The proportions of the cells, which the verdict path (``measures``) and
+# the pure campaign kernel both read; kept here so the kernel need not load
+# ``measures``.
+def _float_proportions(p: tuple) -> tuple:
+    """(hypothetical, observed, standardized) of float cells ``p``: the
+    per-measure functions' sums, quotients and errors, in their order, on
+    one read of the cells."""
+    exposed = p[0] + p[1] + p[2] + p[3]
+    if exposed == 0:
+        raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
+    unexposed = p[4] + p[5] + p[6] + p[7]
+    if unexposed == 0:
+        raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
+    return (p[1] + p[3]) / exposed, (p[5] + p[7]) / unexposed, _standardized(p, exposed)
+
+
+def _standardized(p: tuple, exposed) -> Numeric:
+    """The standardized proportion of cells ``p`` whose exposed mass
+    ``exposed`` is nonzero."""
+    total = 0
+    for k, (cases, stratum, weight) in enumerate(
+        ((p[5], p[4] + p[5], p[0] + p[1]), (p[7], p[6] + p[7], p[2] + p[3]))
+    ):
+        if weight == 0:
+            continue
+        if stratum == 0:
+            raise DegenerateEventError(
+                f"P(E=ebar, C={k}) = 0 while P(C={k} | E=e) > 0; "
+                "the standardized proportion is undefined"
+            )
+        total = total + (cases / stratum) * (weight / exposed)
+    return total
+
+
+def _exact_pairs(n: tuple) -> tuple:
+    """(h, hd, o, od, s, sd): the hypothetical, observed and standardized
+    proportions of a rational joint as integer ratios h/hd, o/od and s/sd.
+
+    ``n`` is the joint's integer numerators over any common denominator.
+    Every denominator is positive, so comparisons of the proportions can be
+    cross-multiplied.  Raises the per-measure functions' errors in their
+    order.
+    """
+    exposed = n[0] + n[1] + n[2] + n[3]
+    if exposed == 0:
+        raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
+    unexposed = n[4] + n[5] + n[6] + n[7]
+    if unexposed == 0:
+        raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
+    # standardized = (sum_k cases_k * weight_k / stratum_k) / exposed over the
+    # strata with weight_k > 0, summed as numerator / denominator
+    numerator, denominator = 0, 1
+    for k, (cases, stratum, weight) in enumerate(
+        ((n[5], n[4] + n[5], n[0] + n[1]), (n[7], n[6] + n[7], n[2] + n[3]))
+    ):
+        if weight == 0:
+            continue
+        if stratum == 0:
+            raise DegenerateEventError(
+                f"P(E=ebar, C={k}) = 0 while P(C={k} | E=e) > 0; "
+                "the standardized proportion is undefined"
+            )
+        numerator = numerator * stratum + cases * weight * denominator
+        denominator *= stratum
+    return n[1] + n[3], exposed, n[5] + n[7], unexposed, numerator, denominator * exposed
 
 
 def _unit_values(params: ModelParams) -> tuple:

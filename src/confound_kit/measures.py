@@ -32,10 +32,13 @@ strictly helping).
 All quantities follow the joint's arithmetic: rational joints give exact
 rational answers, and in that mode the classification tolerance must be 0.
 On a rational joint the three proportions are integer ratios of the
-joint's cell numerators (``_exact_pairs``); the verdict and Lemma 1 compare
-them by integer cross-multiplication, and ``Fraction``s are built only for
-the values a caller receives.  Each joint computes its proportions, float
-or exact, once and keeps them (``_proportions``).
+joint's cell numerators (``joint._exact_pairs``); the verdict and Lemma 1
+compare them by integer cross-multiplication, and ``Fraction``s are built
+only for the values a caller receives.  Each joint computes its proportions,
+float or exact, once and keeps them (``_proportions``).  The proportions
+come from ``joint._float_proportions`` and ``joint._exact_pairs``, the
+helpers the pure campaign kernel evaluates each conclusion with, so a
+campaign and a verdict decide a conclusion by the same code.
 """
 
 from __future__ import annotations
@@ -53,11 +56,14 @@ from .joint import (
     Numeric,
     _Frozen,
     _check_tolerance,
+    _exact_pairs,
+    _float_proportions,
     _masses,
     _not_a_joint,
     _num_to_json,
     _num_to_text,
     _render_columns,
+    _standardized,
     _unit_values,
 )
 
@@ -165,24 +171,6 @@ def standardized_proportion(joint: JointDistribution) -> Numeric:
     return _standardized(p, exposed)
 
 
-def _standardized(p: tuple, exposed) -> Numeric:
-    """The standardized proportion of cells ``p`` whose exposed mass
-    ``exposed`` is nonzero."""
-    total = 0
-    for k, (cases, stratum, weight) in enumerate(
-        ((p[5], p[4] + p[5], p[0] + p[1]), (p[7], p[6] + p[7], p[2] + p[3]))
-    ):
-        if weight == 0:
-            continue
-        if stratum == 0:
-            raise DegenerateEventError(
-                f"P(E=ebar, C={k}) = 0 while P(C={k} | E=e) > 0; "
-                "the standardized proportion is undefined"
-            )
-        total = total + (cases / stratum) * (weight / exposed)
-    return total
-
-
 def confounding_bias(joint: JointDistribution) -> Numeric:
     """hypothetical - observed; zero exactly when there is no confounding."""
     return hypothetical_proportion(joint) - observed_proportion(joint)
@@ -192,7 +180,7 @@ def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
     """All four measures by summation over the joint's cells.
 
     A float joint adds its cells as the per-measure functions above do, on
-    one read of them (``_float_summary``).  A rational
+    one read of them (``_float_proportions``).  A rational
     joint adds its integer numerators instead (see ``JointDistribution``)
     into one integer numerator and denominator per proportion
     (``_exact_pairs``), and each measure is one ``Fraction`` of those, with
@@ -210,7 +198,8 @@ def summary_from_joint(joint: JointDistribution) -> MeasureSummary:
 
 
 def _proportions(joint: JointDistribution):
-    """The float ``MeasureSummary`` of a float joint, or the integer pairs of
+    """The float ``MeasureSummary`` of a float joint, the three proportions
+    of ``_float_proportions`` and their bias, or the integer pairs of
     ``_exact_pairs`` of a rational one, kept on the joint once computed.
 
     ``summary_from_joint``, ``classify_covariate`` and ``check_lemma1`` on
@@ -220,56 +209,13 @@ def _proportions(joint: JointDistribution):
     kept = joint._proportions
     if kept is None:
         n = joint._numerators
-        kept = _exact_pairs(n) if n is not None else _float_summary(joint.p)
+        if n is None:
+            hypothetical, observed, standardized = _float_proportions(joint.p)
+            kept = MeasureSummary(hypothetical, observed, standardized, hypothetical - observed)
+        else:
+            kept = _exact_pairs(n)
         joint.__dict__["_proportions"] = kept
     return kept
-
-
-def _float_summary(p: tuple) -> MeasureSummary:
-    """The four measures of float cells ``p``: the per-measure functions'
-    sums, quotients and errors, in their order, on one read of the cells."""
-    exposed = p[0] + p[1] + p[2] + p[3]
-    if exposed == 0:
-        raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
-    unexposed = p[4] + p[5] + p[6] + p[7]
-    if unexposed == 0:
-        raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
-    hypothetical = (p[1] + p[3]) / exposed
-    observed = (p[5] + p[7]) / unexposed
-    return MeasureSummary(hypothetical, observed, _standardized(p, exposed), hypothetical - observed)
-
-
-def _exact_pairs(n: tuple) -> tuple:
-    """(h, hd, o, od, s, sd): the hypothetical, observed and standardized
-    proportions of a rational joint as integer ratios h/hd, o/od and s/sd.
-
-    ``n`` is the joint's integer numerators over any common denominator.
-    Every denominator is positive, so comparisons of the proportions can be
-    cross-multiplied.  Raises the per-measure functions' errors in their
-    order.
-    """
-    exposed = n[0] + n[1] + n[2] + n[3]
-    if exposed == 0:
-        raise DegenerateEventError("P(E=e) = 0; the hypothetical proportion is undefined")
-    unexposed = n[4] + n[5] + n[6] + n[7]
-    if unexposed == 0:
-        raise DegenerateEventError("P(E=ebar) = 0; the observed proportion is undefined")
-    # standardized = (sum_k cases_k * weight_k / stratum_k) / exposed over the
-    # strata with weight_k > 0, summed as numerator / denominator
-    numerator, denominator = 0, 1
-    for k, (cases, stratum, weight) in enumerate(
-        ((n[5], n[4] + n[5], n[0] + n[1]), (n[7], n[6] + n[7], n[2] + n[3]))
-    ):
-        if weight == 0:
-            continue
-        if stratum == 0:
-            raise DegenerateEventError(
-                f"P(E=ebar, C={k}) = 0 while P(C={k} | E=e) > 0; "
-                "the standardized proportion is undefined"
-            )
-        numerator = numerator * stratum + cases * weight * denominator
-        denominator *= stratum
-    return n[1] + n[3], exposed, n[5] + n[7], unexposed, numerator, denominator * exposed
 
 
 def _pairs_summary(h: int, hd: int, o: int, od: int, s: int, sd: int) -> MeasureSummary:

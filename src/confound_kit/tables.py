@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -50,6 +51,11 @@ class ResponseType(Enum):
 
 _TYPE_NAMES = {t.name.lower(): t for t in ResponseType}
 _EXPOSURE_NAMES = {"e": Exposure.EXPOSED, "ebar": Exposure.UNEXPOSED}
+# a count in ASCII digits, as ``int`` reads it without its other forms
+# ("1_0", non-ASCII digits)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# the groups of a coarsening spec, written exactly
+_GROUPS = {"0": 0, "1": 1}
 
 
 class StratifiedCounts(_Frozen):
@@ -116,14 +122,6 @@ class StratifiedCounts(_Frozen):
             n for (_, e, s), n in self.counts.items() if e is exposure and s == stratum
         )
 
-    def potential_cases(self, exposure: Exposure, stratum: str) -> int:
-        """Individuals with D_ebar = 1 in one (exposure, stratum) cell."""
-        return sum(
-            n
-            for (t, e, s), n in self.counts.items()
-            if e is exposure and s == stratum and t.diseased_if_unexposed
-        )
-
 
 class CoarseningMap(_Frozen):
     """Assignment of each stratum label to binary group 0 or 1."""
@@ -159,12 +157,9 @@ class CoarseningMap(_Frozen):
             if not part:
                 continue
             group_text, _, strata_text = part.partition("=")
-            try:
-                group = int(group_text.strip())
-            except ValueError:
-                raise ParameterError(f"bad coarsening group {group_text!r} in {spec!r}") from None
-            if group not in (0, 1):
-                raise ParameterError(f"coarsening group must be 0 or 1, got {group}")
+            group = _GROUPS.get(group_text.strip())
+            if group is None:
+                raise ParameterError(f"bad coarsening group {group_text!r} in {spec!r}")
             labels = [s.strip() for s in strata_text.split(",") if s.strip()]
             if not labels:
                 raise ParameterError(f"no strata listed for group {group} in {spec!r}")
@@ -319,12 +314,9 @@ def _parse_counts(source) -> StratifiedCounts:
                 raise TableFormatError(
                     f"line {line_no}: unknown exposure {exposure_text!r}; expected 'e' or 'ebar'"
                 )
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise TableFormatError(
-                    f"line {line_no}: count {count_text!r} is not an integer"
-                ) from None
+            if not _INTEGER.fullmatch(count_text):
+                raise TableFormatError(f"line {line_no}: count {count_text!r} is not an integer")
+            count = int(count_text)
             if count < 0:
                 raise TableFormatError(f"line {line_no}: count {count} is negative")
             if stratum not in strata:

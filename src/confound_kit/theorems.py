@@ -21,12 +21,13 @@ selected backend, ``kernel._impl``, with no Python frame between them, and
 turns the unreduced maximum it returns into the report's ``Fraction`` (int 0
 when every violation is zero).  The pure kernel tallies in Python integers,
 the compiled one in fixed-width integers.  The pure kernel's H1/H5 solve is
-``hypotheses._solve`` and its cells are ``joint._cells``, the code
-``impose`` and ``build_joint`` run, so the tests check exact campaigns
-against a Fraction route that shares none of this code: draws from
-``sample_stream``, parameters imposed through the plain H1/H5 quotients
-and joints from the plain ``Fraction`` products, both kept in the tests'
-oracle module, then ``summary_from_joint``.
+``hypotheses._solve``, its cells are ``joint._cells`` and its conclusions
+the proportions of ``joint._float_proportions`` and ``joint._exact_pairs``,
+the code ``impose``, ``build_joint`` and ``classify_covariate`` run, so
+the tests check campaigns against a route that shares none of this code:
+draws from ``sample_stream``, parameters imposed through the plain H1/H5
+quotients, joints from the plain products and the conclusion as plain
+quotients, all kept in the tests' oracle module.
 
 A clause, and a campaign's PASS, speak about the open box, where all four
 (E, C) strata have positive mass; campaigns draw strictly inside it.  On

@@ -8,6 +8,11 @@ share no code with the library's ``_masses`` expansion, and the property
 tests compare the library against them value for value, type for type and
 error for error.
 
+``conclusion_gap`` is a campaign conclusion as the kernels once wrote it
+out, in the cells' operand order: bit for bit the float kernels' violation,
+and exact on ``Fraction`` cells, sharing no code with ``joint``'s
+proportions, which the verdict path and the pure kernel both read.
+
 ``_solve_h1`` and ``_solve_h5`` are the H1/H5 solves as plain quotients,
 kept verbatim from before the library cleared their divisions into one
 (num, den) pair (``hypotheses._solve``), except model 3's H5 solve: its
@@ -203,6 +208,20 @@ def closed_form_summary(params: ModelParams) -> MeasureSummary:
         standardized=standardized,
         bias=hypothetical - observed,
     )
+
+
+def conclusion_gap(joint: JointDistribution, no_confounding: bool):
+    """The signed violation of a campaign conclusion on ``joint``'s cells:
+    the hypothetical minus the observed proportion for no confounding,
+    else the standardized minus the observed one.  Every stratum must have
+    mass, as in a campaign."""
+    p0, p1, p2, p3, p4, p5, p6, p7 = joint.p
+    pe = p0 + p1 + p2 + p3
+    pu = p4 + p5 + p6 + p7
+    observed = (p5 + p7) / pu
+    if no_confounding:
+        return (p1 + p3) / pe - observed
+    return (p5 / (p4 + p5)) * ((p0 + p1) / pe) + (p7 / (p6 + p7)) * ((p2 + p3) / pe) - observed
 
 
 def _solve_h1(model: int, v) -> object:

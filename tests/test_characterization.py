@@ -2,21 +2,24 @@
 
 Each conclusion's numerator is built from the library's own algebra on
 symbols: ``joint._cells`` gives the eight cells as polynomials in the model's
-parameters, and ``measures._exact_pairs`` the proportions that the exact
-``classify_covariate`` compares, so the numerator is what that comparison
-cross-multiplies.  Factored over the rationals, every factor must be a slot,
-a slot minus 1 (both nonzero in the open unit box), or ± the
-``_algebraic_sides`` residual of a hypothesis the table lists, and every
-listed residual must occur.
+parameters, and ``joint._exact_pairs`` the proportions that the exact
+``classify_covariate`` compares and the pure kernel's exact campaigns
+cross-multiply, so the numerator is what both compute.  Factored over the
+rationals, every factor must be a slot, a slot minus 1 (both nonzero in the
+open unit box), or ± the ``_algebraic_sides`` residual of a hypothesis the
+table lists, and every listed residual must occur.
+
+The H1/H5 solve that campaigns impose (``hypotheses._solve``) is proved
+against the same sides: with its num/den in the solved slot, each residual
+simplifies to 0.
 """
 
 import pytest
 import sympy
 
 from confound_kit import Conclusion, Hypothesis as H, params_type
-from confound_kit.hypotheses import _algebraic_sides
-from confound_kit.joint import _cells
-from confound_kit.measures import _exact_pairs
+from confound_kit.hypotheses import _algebraic_sides, _solve
+from confound_kit.joint import _cells, _exact_pairs
 from confound_kit.theorems import _VANISHING_FACTORS
 
 
@@ -68,3 +71,19 @@ def test_a_changed_table_entry_fails():
     ]:
         with pytest.raises(AssertionError):
             assert set(_named_factors(model, conclusion, listed)) == set(listed)
+
+
+@pytest.mark.parametrize("model", [1, 2, 3])
+@pytest.mark.parametrize("hypothesis", [H.H1, H.H5])
+def test_solve_makes_the_sides_equal(model, hypothesis):
+    # _solve reads seven slots (model 3 has no slot 2); the sides read the
+    # model's own values, six in model 3
+    fields = params_type(model)._fields
+    slots = list(sympy.symbols(fields))
+    if model == 3:
+        slots.insert(2, 0)
+    num, den = _solve(model, hypothesis, slots, 1)
+    slots[hypothesis._solves] = num / den
+    values = [x for j, x in enumerate(slots) if model != 3 or j != 2]
+    assert len(values) == len(fields)
+    assert sympy.cancel(_residual(model, values, hypothesis)) == 0

@@ -434,17 +434,7 @@ def test_degenerate_joint_raises_on_every_call(exact):
     assert joint._proportions is None
 
 
-# --- swap and dispatch ---------------------------------------------------
-
-
-def test_swap_covariate_permutes_cells():
-    joint = build_joint(EXAMPLE_M1)
-    swapped = joint.swap_covariate()
-    for e in ("e", "ebar"):
-        for c in (0, 1):
-            for d in (0, 1):
-                assert swapped.p[JointDistribution.index(e, 1 - c, d)] == joint.p[JointDistribution.index(e, c, d)]
-    assert swapped.swap_covariate().p == joint.p
+# --- dispatch ------------------------------------------------------------
 
 
 def test_exports_are_the_public_names():

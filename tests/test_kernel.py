@@ -33,7 +33,6 @@ from confound_kit.kernel import (
     available_backends,
     run_campaign,
 )
-from confound_kit.measures import summary_from_joint
 from confound_kit.theorems import _campaign_codes
 from test_theorems import _false_clauses
 
@@ -107,8 +106,7 @@ def test_grid_tally_continues_the_sample_stream(backends):
             for index in (0, 1, 2, 3, 2**64 - 1, 2**64, 2**64 + 1):
                 rng = sample_stream(seed, index)
                 params = oracle.impose(random_params(model, rng, exact=True), conditions, rng, budget=1000)
-                summary = summary_from_joint(oracle.build_joint(params))
-                gap = summary.bias if conclusion == NO_CONFOUNDING else summary.standardized - summary.observed
+                gap = oracle.conclusion_gap(oracle.build_joint(params), conclusion == NO_CONFOUNDING)
                 shown += gap != 0
                 redrawn += backends["pure"].grid_tally(model, rep, eq, conclusion, seed, index, 1, 0)[3]
                 for name, impl in backends.items():
@@ -631,24 +629,27 @@ def test_large_budgets_agree_in_both_backends(backends):
 
 
 def test_kernel_ab_prints_one_row_per_clause(default_clone):
-    # a smoke run of the A/B script with one build on both sides: it loads
-    # the file twice under two package names, finds the results equal and
-    # prints a row for every catalog clause; its timings are not checked.
-    # The script runs any build alike, so one build is enough.
+    # a smoke run of the A/B script with one build on both sides, on float
+    # campaigns and on exact ones (--exact): it loads the file twice under
+    # two package names, finds the results equal and prints a row for every
+    # catalog clause; its timings are not checked.  The script runs any
+    # build alike, so one build is enough.
     path = default_clone.__file__
     script = Path(__file__).resolve().parent.parent / "tools" / "kernel_ab.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), path, path, "--rounds", "2", "--count", "100"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.startswith("clause"))
-    rows = [line.split() for line in lines[header + 1 :]]
-    assert [row[0] for row in rows] == [c.theorem + c.clause for c in CLAUSES]
-    assert all(len(row) == 7 and row[6].endswith("/2") for row in rows), rows
+    for mode in ((), ("--exact",)):
+        proc = subprocess.run(
+            [sys.executable, str(script), path, path, "--rounds", "2", "--count", "100", *mode],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert f"-sample {'exact' if mode else 'float'} campaigns" in proc.stdout, lines
+        header = next(i for i, line in enumerate(lines) if line.startswith("clause"))
+        rows = [line.split() for line in lines[header + 1 :]]
+        assert [row[0] for row in rows] == [c.theorem + c.clause for c in CLAUSES]
+        assert all(len(row) == 7 and row[6].endswith("/2") for row in rows), rows
 
 
 def test_chunks_merge_to_whole():

@@ -156,11 +156,26 @@ def _three_strata():
             TableFormatError,
             "line 2: count '1.5' is not an integer",
         ),
+        # int() reads these as 10, 3 and 10; a count is ASCII digits
+        *(
+            (lambda count=count: load_counts(_csv(f"doomed,e,0,{count}")), TableFormatError,
+             f"line 2: count {count!r} is not an integer")
+            for count in ("1_0", "\u0663", "\uff11\uff10")
+        ),
+        (lambda: load_counts(_csv("doomed,e,0,-3")), TableFormatError, "line 2: count -3 is negative"),
+        # int() reads these groups as 0 or 1; a group is exactly 0 or 1
+        *(
+            (lambda spec=spec: CoarseningMap.from_spec(spec), ParameterError,
+             f"bad coarsening group {spec.partition('=')[0]!r} in {spec!r}")
+            for spec in ("\u0660=a;\uff11=b", "0_0=a", "00=a;1=b", "+1=a", "2=a")
+        ),
     ],
     ids=["no-strata", "str-response-type", "map-group", "map-group-bool", "map-group-float", "strata-none",
          "strata-int", "strata-str", "strata-label-list", "strata-label-dict", "counts-none", "counts-list", "count-key-str", "count-key-pair",
          "count-key-none", "map-none", "map-str", "spec-none", "spec-group", "spec-empty", "three-strata",
-         "csv-exposure", "csv-count"],
+         "csv-exposure", "csv-count", "csv-count-underscore", "csv-count-arabic-indic", "csv-count-fullwidth",
+         "csv-count-negative", "spec-group-arabic-indic", "spec-group-underscore", "spec-group-zero-padded",
+         "spec-group-signed", "spec-group-two"],
 )
 def test_malformed_tables_rejected(call, error, message):
     with pytest.raises(error) as info:
@@ -179,7 +194,6 @@ def test_counts_drop_zero_cells_and_total():
     assert counts.total() == 10
     assert counts.exposure_total(E.EXPOSED) == 3
     assert counts.stratum_total(E.UNEXPOSED, "0") == 7
-    assert counts.potential_cases(E.EXPOSED, "0") == 3  # doomed count as D_ebar=1
 
 
 # --- coarsening ------------------------------------------------------------
@@ -445,7 +459,7 @@ def test_load_counts_accepts_all_types_and_comments():
     assert counts.count(RT.CAUSATIVE, E.EXPOSED, "0") == 2
     assert counts.count(RT.PREVENTIVE, E.UNEXPOSED, "1") == 4
     # preventive individuals carry D_ebar = 1
-    assert counts.potential_cases(E.UNEXPOSED, "1") == 4
+    assert counts_to_joint(counts).prob(e="ebar", c=1, d=1) == Fraction(4, 10)
 
 
 def test_load_counts_error_line_numbers():

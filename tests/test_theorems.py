@@ -540,21 +540,21 @@ def test_exact_campaigns_have_zero_violation():
 
 
 def _violation(clause, params):
-    # the joint from the plain Fraction products, not the library's expansion
-    # that the campaign shares
-    summary = summary_from_joint(oracle.build_joint(params))
-    if clause.conclusion is Conclusion.NO_CONFOUNDING:
-        return abs(summary.bias)
-    return abs(summary.standardized - summary.observed)
+    # the joint from the plain products and the conclusion as plain
+    # quotients, not the library's expansion and proportions that the
+    # campaign shares
+    no_confounding = clause.conclusion is Conclusion.NO_CONFOUNDING
+    return abs(oracle.conclusion_gap(oracle.build_joint(params), no_confounding))
 
 
 def _fraction_campaign(clause, samples, seed):
     """The exact campaign on the joint -> measures route, in Fractions.
 
     The reference the integer campaign in ``theorems`` must reproduce.  It
-    shares neither the solve nor the cells with the campaign: parameters are
-    imposed through ``algebra_oracle``'s plain H1/H5 quotients and joints
-    come from its products."""
+    shares neither the solve, the cells nor the conclusion with the
+    campaign: parameters are imposed through ``algebra_oracle``'s plain
+    H1/H5 quotients, joints come from its products and violations from its
+    ``conclusion_gap``."""
     max_violation = 0
     failures = 0
     for i in range(samples):
@@ -717,7 +717,7 @@ _SOLVE_CLAUSES = tuple(
 def test_float_kernel_replays_library_route(backends, seed):
     # sample i of a campaign on either kernel equals, bit for bit, the same
     # stream run through random_params -> impose -> the oracle's products ->
-    # summary_from_joint
+    # the oracle's conclusion
     for clause in CLAUSES + _SOLVE_CLAUSES:
         codes = _campaign_codes(clause)
         for i in (*range(40), 1000):
