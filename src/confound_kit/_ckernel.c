@@ -92,13 +92,14 @@
  *
  * Both entry points are METH_FASTCALL functions: they read their argument
  * vector in place, with no tuple to parse and no format string, and build
- * their result tuple directly.  Each argument gets the conversion its
- * PyArg_ParseTuple format unit gave it, with the same checks, messages and
- * exception types (check_nargs() and the read_* helpers), and in the same
- * order: the numbers first, then the codes (read_codes()).  The seed, and
- * grid_tally()'s start, are any int reduced modulo 2**64 ("K"); the counts
- * and run_campaign()'s start take an __index__ object within their C type
- * ("L", "n"), and the tolerance a real number ("d").
+ * their result tuple directly.  They share one calling convention: (model,
+ * rep, eq, conclusion, start, count, seed), then run_campaign()'s tolerance,
+ * then the budget.  Each argument is read by one rule in both, as
+ * _pykernel reads it, numbers first (read_samples(), read_double()), then
+ * the codes (read_codes()): start and seed are any integer (an object with
+ * __index__) reduced modulo 2**64, count an integer in [0, 2**63), the
+ * tolerance a real number.  A wrong type raises the TypeError of Python's
+ * own conversion, so neither backend copies the other's message.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -137,6 +138,14 @@ mix(uint64_t z)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
+}
+
+/* The state sample index's stream starts from, as _rng._sample_state; the
+   arithmetic is unsigned, so seed and index wrap modulo 2**64. */
+static inline uint64_t
+sample_state(uint64_t seed, uint64_t index)
+{
+    return mix(seed + (index + 1) * GOLDEN);
 }
 
 /* Read o, an int, into *out; raise ValueError with message what unless
@@ -461,10 +470,9 @@ free_campaign(const struct codes *c, uint64_t start, long long count, uint64_t s
     struct tally t = {0, 0, 0};
     for (long long base = 0; base < count; base += BATCH) {
         int nb = count - base < BATCH ? (int)(count - base) : BATCH;
-        /* sample index i = start + base + j; unsigned, so it wraps like & _MASK64 */
         uint64_t first = start + (uint64_t)base;
         for (int j = 0; j < nb; j++)
-            state[j] = mix(seed + (first + (uint64_t)j + 1) * GOLDEN);
+            state[j] = sample_state(seed, first + (uint64_t)j);
         draw_stage(&r.d, nb, r.q, state);
         DISPATCH(violation_batch, c->model, c->no_confounding, nb, r.v, violation);
         tally_batch(nb, violation, tol, &t);
@@ -499,8 +507,7 @@ pool_campaign(const struct codes *c, uint64_t start, long long count, uint64_t s
     while (next < count || npool > 0) {
         int fresh = count - next < BATCH - npool ? (int)(count - next) : BATCH - npool;
         for (int j = 0; j < fresh; j++) {
-            /* sample index i = start + next + j, wrapping like & _MASK64 */
-            state[npool + j] = mix(seed + (start + (uint64_t)(next + j) + 1) * GOLDEN);
+            state[npool + j] = sample_state(seed, start + (uint64_t)(next + j));
             left[npool + j] = c->budget;
         }
         npool += fresh;
@@ -528,8 +535,8 @@ pool_campaign(const struct codes *c, uint64_t start, long long count, uint64_t s
 
 /* The H1/H5 loop over fixed lanes (see the header): lane j runs sample
    sample[j] of the campaign, whose stream state is state[j], with left[j]
-   redraws left; key[j] is the key its stream state was mixed from, seed +
-   (start + sample[j] + 1) * GOLDEN. */
+   redraws left; key[j] is the key its stream state was mixed from, the
+   argument sample_state() gives mix() for sample start + sample[j]. */
 LANES_TARGET static struct tally
 lane_campaign(const struct codes *c, uint64_t start, long long count, uint64_t seed, double tol)
 {
@@ -544,7 +551,6 @@ lane_campaign(const struct codes *c, uint64_t start, long long count, uint64_t s
     const uint64_t stride = (uint64_t)lanes, jump = stride * GOLDEN, total = (uint64_t)count;
     for (int j = 0; j < lanes; j++) {
         sample[j] = (uint64_t)j;
-        /* sample index i = start + j, wrapping like & _MASK64 */
         key[j] = seed + (start + (uint64_t)j + 1) * GOLDEN;
         state[j] = mix(key[j]);
         left[j] = budget;
@@ -646,8 +652,7 @@ read_codes(PyObject *model_obj, PyObject *rep_obj, PyObject *eq_obj, PyObject *c
     return 0;
 }
 
-/* The entry points' argument readers, one per PyArg_ParseTuple format unit
-   (see the header): */
+/* The entry points' argument readers (see the header): */
 
 /* - the argument count; */
 static int
@@ -660,40 +665,33 @@ check_nargs(const char *fname, Py_ssize_t nargs, Py_ssize_t expected)
     return -1;
 }
 
-/* - "K": an int reduced modulo 2**64, like & _MASK64 (argno counts from 1); */
+/* - start and seed: any integer, reduced modulo 2**64; */
 static int
-read_wrapped(PyObject *o, const char *fname, int argno, uint64_t *out)
+read_wrapped(PyObject *o, uint64_t *out)
 {
-    if (!PyLong_Check(o)) {
-        PyErr_Format(PyExc_TypeError, "%s() argument %d must be int, not %.50s", fname, argno,
-                     o == Py_None ? "None" : Py_TYPE(o)->tp_name);
-        return -1;
-    }
     *out = PyLong_AsUnsignedLongLongMask(o);
     return *out == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* - "L": an object with __index__, as a long long (OverflowError outside it); */
+/* - start, count and seed, args[4 .. 6] of both entry points: count is an
+     integer in [0, 2**63), OverflowError outside the signed 64-bit range
+     and ValueError below 0; */
 static int
-read_long_long(PyObject *o, long long *out)
+read_samples(PyObject *const *args, uint64_t *start, long long *count, uint64_t *seed)
 {
-    *out = PyLong_AsLongLong(o);
-    return *out == -1 && PyErr_Occurred() ? -1 : 0;
-}
-
-/* - "n": the same, as a Py_ssize_t; */
-static int
-read_ssize(PyObject *o, Py_ssize_t *out)
-{
-    PyObject *index = PyNumber_Index(o);
-    if (index == NULL)
+    if (read_wrapped(args[4], start) < 0)
         return -1;
-    *out = PyLong_AsSsize_t(index);
-    Py_DECREF(index);
-    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+    *count = PyLong_AsLongLong(args[5]);
+    if (*count == -1 && PyErr_Occurred())
+        return -1;
+    if (*count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be non-negative");
+        return -1;
+    }
+    return read_wrapped(args[6], seed);
 }
 
-/* - "d": a real number, as a double. */
+/* - the tolerance: a real number, as a double. */
 static int
 read_double(PyObject *o, double *out)
 {
@@ -726,12 +724,11 @@ PyDoc_STRVAR(run_campaign_doc,
 static PyObject *
 run_campaign(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long long start, count;
-    uint64_t seed;
+    uint64_t start, seed;
+    long long count;
     double tol;
     struct codes c;
-    if (check_nargs("run_campaign", nargs, 9) < 0 || read_long_long(args[4], &start) < 0
-        || read_long_long(args[5], &count) < 0 || read_wrapped(args[6], "run_campaign", 7, &seed) < 0
+    if (check_nargs("run_campaign", nargs, 9) < 0 || read_samples(args, &start, &count, &seed) < 0
         || read_double(args[7], &tol) < 0
         || read_codes(args[0], args[1], args[2], args[3], args[8], &c) < 0)
         return NULL;
@@ -739,7 +736,7 @@ run_campaign(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     double max_violation;
     long long failures, exhausted;
     Py_BEGIN_ALLOW_THREADS
-    campaign(&c, (uint64_t)start, count, seed, tol, &max_violation, &failures, &exhausted);
+    campaign(&c, start, count, seed, tol, &max_violation, &failures, &exhausted);
     Py_END_ALLOW_THREADS
 
     return tuple_of(3, (PyObject *[]){PyFloat_FromDouble(max_violation),
@@ -979,7 +976,7 @@ solved_violation(int model, int h1, int irrelevant, const int64_t n[7], int64_t 
    no H1/H5 member in 64- and 128-bit integers, any other through
    solved_violation(); the maximum is a wide pair in both. */
 static void
-tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t count,
+tally_grid(const struct codes *c, uint64_t start, long long count, uint64_t seed,
            long long *failures_out, wide *max_num, wide *max_den, long long *exhausted_out)
 {
     struct draws d = plan_draws(c->model, c->rep, c->eq);
@@ -987,11 +984,10 @@ tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t coun
     long long failures = 0, exhausted = 0;
     wide best_num = {{0}}, best_den = {{1}};
     if (c->eq == EQ_NONE) {
-        for (Py_ssize_t k = 0; k < count; k++) {
+        for (long long k = 0; k < count; k++) {
             int64_t n[7];
             i128 num, den;
-            /* sample index start + k, wrapping like & _MASK64 */
-            grid_row(&d, c->rep, mix(seed + (start + (uint64_t)k + 1) * GOLDEN), n);
+            grid_row(&d, c->rep, sample_state(seed, start + (uint64_t)k), n);
             exact_violation(c->model, irrelevant, n, &num, &den);
             if (num != 0)
                 tally_pair(wide_from((u128)(num < 0 ? -num : num)), wide_from((u128)den),
@@ -999,8 +995,8 @@ tally_grid(const struct codes *c, uint64_t seed, uint64_t start, Py_ssize_t coun
         }
     } else {
         int h1 = c->eq == EQ_H1;
-        for (Py_ssize_t k = 0; k < count; k++) {
-            uint64_t state = mix(seed + (start + (uint64_t)k + 1) * GOLDEN);
+        for (long long k = 0; k < count; k++) {
+            uint64_t state = sample_state(seed, start + (uint64_t)k);
             int64_t n[7], num = 0, den = 0;
             int accepted = 0;
             for (long long attempt = 0; !accepted && attempt <= c->budget; attempt++) {
@@ -1045,27 +1041,22 @@ long_from_wide(const wide *x)
 }
 
 PyDoc_STRVAR(grid_tally_doc,
-"grid_tally(model, rep, eq, conclusion, seed, start, count, budget)\n\n"
+"grid_tally(model, rep, eq, conclusion, start, count, seed, budget)\n\n"
 "See _pykernel.grid_tally; identical contract and results.");
 
 static PyObject *
 grid_tally(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    uint64_t seed, start;
-    Py_ssize_t count;
+    uint64_t start, seed;
+    long long count;
     struct codes c;
-    if (check_nargs("grid_tally", nargs, 8) < 0 || read_wrapped(args[4], "grid_tally", 5, &seed) < 0
-        || read_wrapped(args[5], "grid_tally", 6, &start) < 0 || read_ssize(args[6], &count) < 0
+    if (check_nargs("grid_tally", nargs, 8) < 0 || read_samples(args, &start, &count, &seed) < 0
         || read_codes(args[0], args[1], args[2], args[3], args[7], &c) < 0)
         return NULL;
-    if (count < 0) {
-        PyErr_SetString(PyExc_ValueError, "count must be non-negative");
-        return NULL;
-    }
     long long failures, exhausted;
     wide max_num, max_den;
     Py_BEGIN_ALLOW_THREADS
-    tally_grid(&c, seed, start, count, &failures, &max_num, &max_den, &exhausted);
+    tally_grid(&c, start, count, seed, &failures, &max_num, &max_den, &exhausted);
     Py_END_ALLOW_THREADS
 
     return tuple_of(4, (PyObject *[]){PyLong_FromLongLong(failures), long_from_wide(&max_num),

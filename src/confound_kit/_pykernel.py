@@ -31,10 +31,9 @@ either way and returns the same unreduced one.
 
 import fractions
 import operator
-import sys
 
 from . import errors
-from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix
+from ._rng import _DOUBLE_SCALE, _GOLDEN, _MASK64, _mix, _sample_state
 from .hypotheses import _H1, _H5, _SLOT_FIELDS, _solve
 from .joint import _cells, _exact_pairs, _float_proportions
 from .kernel import EQ_H1, EQ_H5, EQ_NONE, IRRELEVANT, NO_CONFOUNDING
@@ -45,9 +44,11 @@ _GRID = 1000
 _DRAW_SLOTS = {m: tuple(j for j, f in enumerate(fields) if f) for m, fields in _SLOT_FIELDS.items()}
 
 
-# _ckernel.c's argument readers, one per PyArg_ParseTuple format unit; each
-# reader here takes and refuses what its C namesake does, with the same
-# exception type, so no argument runs on one backend and fails on the other
+# _ckernel.c's argument readers: each reader here takes and refuses what its
+# C namesake does, with the same exception type, so no argument runs on one
+# backend and fails on the other.  Where an argument has the wrong type, both
+# raise the TypeError of Python's own conversion (operator.index here,
+# __index__ in C), with the same message.
 
 _REP_ERROR = "rep must be 7 slot indices in 0..6"
 _MODEL_ERROR = "model must be 1, 2 or 3"
@@ -62,25 +63,21 @@ def _read_int(value, lo, hi, what):
     return value
 
 
-def _read_wrapped(value, fname, argno):
-    """read_wrapped ("K"): an int of any size, reduced modulo 2**64 where used."""
-    if not isinstance(value, int):
-        kind = "None" if value is None else type(value).__name__
-        raise TypeError(f"{fname}() argument {argno} must be int, not {kind}")
-    return value
-
-
-def _read_signed(value, bound, overflow):
-    """read_long_long ("L") and read_ssize ("n"): an __index__ object in
-    [-bound, bound), else OverflowError(overflow)."""
-    value = operator.index(value)
-    if not -bound <= value < bound:
-        raise OverflowError(overflow)
-    return value
+def _read_samples(start, count, seed):
+    """read_samples: (start, count, seed), start and seed any integer
+    reduced modulo 2**64, count an integer in [0, 2**63); OverflowError for a
+    count outside the signed 64-bit range, ValueError for a negative one."""
+    start = operator.index(start) & _MASK64
+    count = operator.index(count)
+    if not -(1 << 63) <= count < 1 << 63:
+        raise OverflowError("int too big to convert")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    return start, count, operator.index(seed) & _MASK64
 
 
 def _read_double(value):
-    """read_double ("d"): a float, or an object with __float__ or __index__."""
+    """read_double: a float, or an object with __float__ or __index__."""
     kind = type(value)
     if not (hasattr(kind, "__float__") or hasattr(kind, "__index__")):
         raise TypeError(f"must be real number, not {kind.__name__}")
@@ -129,17 +126,17 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     Returns (max_violation, failures, exhausted), where failures counts
     samples with violation > tol and exhausted counts samples whose
     equational solve never landed in [0, 1] within the redraw budget.
-    Reads its arguments as _ckernel.c does: start and count are __index__
-    objects in the signed 64-bit range (OverflowError outside it), seed an
-    int of any size, tol a real number.  Raises ValueError unless rep is 7
-    slot indices in 0..6, model is 1, 2 or 3, eq and conclusion are codes
-    of this module, budget is non-negative and, under H1 or H5, rep leaves
-    the solved slot untied (rep[s] == s and no other position reads slot
-    s); and TypeError when an argument is of the wrong kind.
+    Takes start, count and seed as ``grid_tally`` does, at the same
+    positions and by the same rules: start and seed are any integers,
+    reduced modulo 2**64, and count an integer in [0, 2**63)
+    (OverflowError outside the signed 64-bit range, ValueError below 0);
+    tol is a real number.  Raises ValueError unless rep is 7 slot indices
+    in 0..6, model is 1, 2 or 3, eq and conclusion are codes of this
+    module, budget is non-negative and, under H1 or H5, rep leaves the
+    solved slot untied (rep[s] == s and no other position reads slot s);
+    and TypeError when an argument is of the wrong kind.
     """
-    start = _read_signed(start, 1 << 63, "int too big to convert")
-    count = _read_signed(count, 1 << 63, "int too big to convert")
-    seed = _read_wrapped(seed, "run_campaign", 7)
+    start, count, seed = _read_samples(start, count, seed)
     tol = _read_double(tol)
     model, rep, eq, conclusion, budget, member = _read_codes(model, rep, eq, conclusion, budget)
     solved = None if member is None else member._solves
@@ -150,7 +147,7 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     failures = 0
     exhausted = 0
     for i in range(start, start + count):
-        state = _mix((seed + (i + 1) * _GOLDEN) & _MASK64)
+        state = _sample_state(seed, i)
         for _ in range(budget + 1):
             for j in draw_slots:
                 state = (state + _GOLDEN) & _MASK64
@@ -177,7 +174,7 @@ def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
     return max_violation, failures, exhausted
 
 
-def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
+def grid_tally(model, rep, eq, conclusion, start, count, seed, budget):
     """Tally the exact violations of samples [start, start+count) on the grid.
 
     A sample's row holds its draws as numerators over ``_GRID`` in
@@ -198,26 +195,19 @@ def grid_tally(model, rep, eq, conclusion, seed, start, count, budget):
     Returns (failures, max_num, max_den, exhausted): the samples with a
     nonzero violation, the first largest |violation| as the unreduced pair
     max_num / max_den, or (0, 1) when none fails, and the samples whose
-    solve never landed in [0, 1].  Seed and sample index are reduced modulo
-    2**64.  Reads its arguments as _ckernel.c does: seed and start are ints
-    of any size, count an __index__ object within Py_ssize_t.  Raises what
-    ``run_campaign`` raises for its rep, codes and budget, and ValueError
-    for a negative count, and ParameterError should the cells not sum to
-    one or carry den**2.
+    solve never landed in [0, 1].  Takes and reads start, count, seed and
+    its codes as ``run_campaign`` does, and raises what it raises for them,
+    and ParameterError should the cells not sum to one or carry den**2.
     """
-    seed = _read_wrapped(seed, "grid_tally", 5)
-    start = _read_wrapped(start, "grid_tally", 6)
-    count = _read_signed(count, sys.maxsize + 1, "Python int too large to convert to C ssize_t")
+    start, count, seed = _read_samples(start, count, seed)
     model, rep, eq, conclusion, budget, member = _read_codes(model, rep, eq, conclusion, budget)
-    if count < 0:
-        raise ValueError("count must be non-negative")
     solved = None if member is None else member._solves
     irrelevant = conclusion == IRRELEVANT
     draw_slots = _DRAW_SLOTS[model]
     n = [0] * 7
     failures, max_num, max_den, exhausted = 0, 0, 1, 0
     for i in range(start, start + count):
-        state = _mix((seed + (i + 1) * _GOLDEN) & _MASK64)
+        state = _sample_state(seed, i)
         for _ in range(budget + 1):
             for j in draw_slots:
                 # _mix inlined

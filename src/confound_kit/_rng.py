@@ -38,6 +38,12 @@ class SplitMix64:
         return (self.next_u64() >> 11) * _DOUBLE_SCALE
 
 
+def _sample_state(seed: int, index: int) -> int:
+    """The state sample ``index``'s stream starts from, seed and index
+    reduced modulo 2**64; both campaign kernels start each sample here."""
+    return _mix((seed + (index + 1) * _GOLDEN) & _MASK64)
+
+
 def sample_stream(seed: int, index: int) -> SplitMix64:
     """Substream for one sample of a campaign.
 
@@ -46,4 +52,4 @@ def sample_stream(seed: int, index: int) -> SplitMix64:
     """
     _check_integer("seed", seed)
     _check_integer("index", index)
-    return SplitMix64(_mix((seed + (index + 1) * _GOLDEN) & _MASK64))
+    return SplitMix64(_sample_state(seed, index))

@@ -29,9 +29,13 @@ except ImportError:
 
 
 def run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget):
-    """Dispatch one campaign chunk to the selected backend.
+    """Run one float campaign, samples [start, start+count), on the selected
+    backend.
 
-    Both backends reduce the seed modulo 2**64 themselves.
+    ``theorems.verify_clause`` calls the backend, ``_impl``, directly; this
+    entry is kept for callers outside the package, such as perfbench, which
+    call it positionally.  Both backends read start, count and seed alike
+    (see ``_pykernel.run_campaign``).
     """
     return _impl.run_campaign(model, rep, eq, conclusion, start, count, seed, tol, budget)
 

@@ -10,17 +10,20 @@ Every entry is checked by brute force rather than symbolically: a campaign
 draws interior parameters, imposes the clause's hypothesis set exactly (see
 ``hypotheses.impose``), expands the joint, and evaluates the conclusion's
 defining quantity, whose magnitude is the sample's violation.  Float
-campaigns run whole in one ``kernel.run_campaign`` call on the calling
-thread and are reproducible bit for bit from (seed, samples) alone.
-Exact campaigns rerun the same algorithm on the thousandths grid, where a
-sound clause yields violations of exactly zero, in integer arithmetic over
-a common denominator; their draws are the stream ``random_params(exact=True)``
-reads.  Every clause runs whole in one ``grid_tally`` call: ``verify_clause``
-passes the clause's kept codes (``_campaign_codes``) straight to the
-selected backend, ``kernel._impl``, with no Python frame between them, and
-turns the unreduced maximum it returns into the report's ``Fraction`` (int 0
-when every violation is zero).  The pure kernel tallies in Python integers,
-the compiled one in fixed-width integers.  The pure kernel's H1/H5 solve is
+campaigns are reproducible bit for bit from (seed, samples) alone.  Exact
+campaigns rerun the same algorithm on the thousandths grid, where a sound
+clause yields violations of exactly zero, in integer arithmetic over a
+common denominator; their draws are the stream ``random_params(exact=True)``
+reads.  Every campaign runs whole, on the calling thread, in one call to the
+selected backend, ``kernel._impl``: ``run_campaign`` in float mode,
+``grid_tally`` in exact mode, both called the same way.  ``verify_clause``
+passes the clause's kept codes (``_campaign_codes``) straight to it, with no
+Python frame between them, then (start, count, seed) = (0, samples, seed)
+and the redraw budget.  It raises one ``ConstraintError`` for samples that
+exhausted the budget, in either mode, and turns an exact campaign's
+unreduced maximum into the report's ``Fraction`` (int 0 when every
+violation is zero).  The pure kernel tallies in Python integers, the
+compiled one in fixed-width integers.  The pure kernel's H1/H5 solve is
 ``hypotheses._solve``, its cells are ``joint._cells`` and its conclusions
 the proportions of ``joint._float_proportions`` and ``joint._exact_pairs``,
 the code ``impose``, ``build_joint`` and ``classify_covariate`` run, so
@@ -64,7 +67,6 @@ from .errors import ConstraintError, ParameterError
 from .hypotheses import (
     Hypothesis,
     _REDRAW_BUDGET,
-    _exhausted,
     _frozen,
     _solved_slot,
     equational_member,
@@ -84,8 +86,8 @@ from .joint import (
 )
 
 CAMPAIGN_FLOAT_TOL = 1e-10
-# Samples a campaign may have: the compiled kernels count them in a C
-# `long long` (float) or `Py_ssize_t` (exact).
+# Samples a campaign may have: both kernels take a count in [0, 2**63), a
+# signed 64-bit value.
 _SAMPLES_LIMIT = 2**63
 
 
@@ -273,7 +275,9 @@ def verify_clause(
     kept on it (see ``_campaign_codes``), so repeated campaigns on one
     clause go straight to the kernel.  A bad argument, the clause included,
     raises ``ParameterError`` before any kernel call; so does a sample
-    count of 2**63 or more, which the compiled kernels cannot count.
+    count of 2**63 or more, which the kernels cannot count.  A sample whose
+    H1/H5 solve never lands in [0, 1] within the redraw budget raises
+    ``ConstraintError``.
     """
     if type(samples) is not int or type(seed) is not int:
         _check_integer("samples", samples)
@@ -296,21 +300,19 @@ def verify_clause(
     model, rep, eq, conclusion = getattr(clause, "_codes", None) or _campaign_codes(clause)
     if exact:
         failures, max_num, max_den, exhausted = kernel._impl.grid_tally(
-            model, rep, eq, conclusion, seed, 0, samples, _REDRAW_BUDGET
+            model, rep, eq, conclusion, 0, samples, seed, _REDRAW_BUDGET
         )
-        if exhausted:
-            raise _exhausted(equational_member(clause.conditions), _REDRAW_BUDGET)
         max_violation = Fraction(max_num, max_den) if max_num else 0
     else:
-        max_violation, failures, exhausted = kernel.run_campaign(
+        max_violation, failures, exhausted = kernel._impl.run_campaign(
             model, rep, eq, conclusion, 0, samples, seed, float(tol), _REDRAW_BUDGET
         )
-        if exhausted:  # only a clause with an H1/H5 member redraws
-            raise ConstraintError(
-                f"{exhausted} samples exhausted the redraw budget solving "
-                f"{equational_member(clause.conditions).value} "
-                f"for {clause.theorem}({clause.clause})"
-            )
+    if exhausted:  # only a clause with an H1/H5 member redraws
+        raise ConstraintError(
+            f"{exhausted} samples exhausted the redraw budget solving "
+            f"{equational_member(clause.conditions).value} "
+            f"for {clause.theorem}({clause.clause})"
+        )
     return VerificationReport(clause, samples, max_violation, failures, seed)
 
 

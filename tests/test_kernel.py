@@ -108,9 +108,9 @@ def test_grid_tally_continues_the_sample_stream(backends):
                 params = oracle.impose(random_params(model, rng, exact=True), conditions, rng, budget=1000)
                 gap = oracle.conclusion_gap(oracle.build_joint(params), conclusion == NO_CONFOUNDING)
                 shown += gap != 0
-                redrawn += backends["pure"].grid_tally(model, rep, eq, conclusion, seed, index, 1, 0)[3]
+                redrawn += backends["pure"].grid_tally(model, rep, eq, conclusion, index, 1, seed, 0)[3]
                 for name, impl in backends.items():
-                    failures, num, den, exhausted = impl.grid_tally(model, rep, eq, conclusion, seed, index, 1, 1000)
+                    failures, num, den, exhausted = impl.grid_tally(model, rep, eq, conclusion, index, 1, seed, 1000)
                     got = (failures, Fraction(num, den), exhausted)
                     assert got == (int(gap != 0), abs(gap), 0), (name, label, seed, index)
     # nearly every sample's draws show in its violation, and the first
@@ -156,9 +156,9 @@ def test_grid_tally_parity(backends, cases, failing):
     for label, model, rep, eq, conclusion in cases():
         for seed in (0, 7, -3, 2**64 + 3):
             for start, count in ((0, 0), (0, 1), (5, 300), (2**64 - 1, 3)):
-                expected = backends["pure"].grid_tally(model, rep, eq, conclusion, seed, start, count, 1000)
+                expected = backends["pure"].grid_tally(model, rep, eq, conclusion, start, count, seed, 1000)
                 for name, impl in backends.items():
-                    got = impl.grid_tally(model, rep, eq, conclusion, seed, start, count, 1000)
+                    got = impl.grid_tally(model, rep, eq, conclusion, start, count, seed, 1000)
                     assert got == expected, (name, label, seed, start, count)
                     assert all(type(v) is int for v in got)
                 if count == 0:
@@ -175,9 +175,9 @@ def test_grid_tally_parity_on_many_violations(backends):
     # pairs of about 110 bits, and under model 1's H1 solve in 320-bit limbs,
     # with pairs past 300 bits
     for eq, bits in ((EQ_NONE, 100), (EQ_H1, 300)):
-        expected = backends["pure"].grid_tally(1, UNIT_REP, eq, IRRELEVANT, 99, 0, 20_000, 1000)
+        expected = backends["pure"].grid_tally(1, UNIT_REP, eq, IRRELEVANT, 0, 20_000, 99, 1000)
         assert expected[0] > 19_900 and expected[2].bit_length() > bits
-        assert backends["compiled"].grid_tally(1, UNIT_REP, eq, IRRELEVANT, 99, 0, 20_000, 1000) == expected
+        assert backends["compiled"].grid_tally(1, UNIT_REP, eq, IRRELEVANT, 0, 20_000, 99, 1000) == expected
 
 
 @pytest.mark.parametrize("eq", [EQ_NONE, EQ_H5])
@@ -191,7 +191,7 @@ def test_grid_tally_keeps_the_first_of_equal_maxima(backends, eq):
     # compared in 640 bits.
     rep = (0, 1, 2, 1, 2, 5, 6)
     pure, compiled = backends["pure"].grid_tally, backends["compiled"].grid_tally
-    singles = [pure(2, rep, eq, IRRELEVANT, 3, i, 1, 1000) for i in range(20_001)]
+    singles = [pure(2, rep, eq, IRRELEVANT, i, 1, 3, 1000) for i in range(20_001)]
     ties = [
         i
         for i, (a, b) in enumerate(zip(singles, singles[1:]))
@@ -200,9 +200,9 @@ def test_grid_tally_keeps_the_first_of_equal_maxima(backends, eq):
     assert len(ties) >= 20
     assert min(singles[i][2].bit_length() for i in ties) > (280 if eq == EQ_H5 else 100)
     for i in ties:
-        expected = pure(2, rep, eq, IRRELEVANT, 3, i, 2, 1000)
+        expected = pure(2, rep, eq, IRRELEVANT, i, 2, 3, 1000)
         assert expected == (2, *singles[i][1:])
-        assert compiled(2, rep, eq, IRRELEVANT, 3, i, 2, 1000) == expected, i
+        assert compiled(2, rep, eq, IRRELEVANT, i, 2, 3, 1000) == expected, i
 
 
 def test_grid_tally_chunks_merge_to_whole(backends):
@@ -213,21 +213,15 @@ def test_grid_tally_chunks_merge_to_whole(backends):
     for label, model, rep, eq, conclusion in (*_free_cases(), *_solved_cases()):
         for name, impl in backends.items():
             for budget in (1000, 0):
-                whole = impl.grid_tally(model, rep, eq, conclusion, 11, 0, 150, budget)
+                whole = impl.grid_tally(model, rep, eq, conclusion, 0, 150, 11, budget)
                 for k in (0, 1, 64, 149, 150):
-                    left = impl.grid_tally(model, rep, eq, conclusion, 11, 0, k, budget)
-                    right = impl.grid_tally(model, rep, eq, conclusion, 11, k, 150 - k, budget)
+                    left = impl.grid_tally(model, rep, eq, conclusion, 0, k, 11, budget)
+                    right = impl.grid_tally(model, rep, eq, conclusion, k, 150 - k, 11, budget)
                     larger = right if Fraction(right[1], right[2]) > Fraction(left[1], left[2]) else left
                     merged = (left[0] + right[0], *larger[1:3], left[3] + right[3])
                     assert merged == whole, (name, label, budget, k)
                 if eq != EQ_NONE and budget == 0:
                     assert whole[3] > 0, (name, label)
-
-
-def test_grid_tally_rejects_a_negative_count(backends):
-    for impl in backends.values():
-        with pytest.raises(ValueError, match="count must be non-negative"):
-            impl.grid_tally(1, UNIT_REP, EQ_NONE, IRRELEVANT, 0, 0, -1, 1000)
 
 
 def test_parity_across_full_catalog(backends):
@@ -438,10 +432,10 @@ def test_bad_rep_raises_in_both_backends(backends, rep, eq, message):
             impl.run_campaign(1, rep, eq, IRRELEVANT, 0, 10, 0, 1e-10, 1000)
     for impl in backends.values():
         with pytest.raises(ValueError, match=message):
-            impl.grid_tally(1, rep, eq, IRRELEVANT, 0, 0, 10, 1000)
+            impl.grid_tally(1, rep, eq, IRRELEVANT, 0, 10, 0, 1000)
         # in a list too
         with pytest.raises(ValueError, match=message):
-            impl.grid_tally(1, list(rep), eq, IRRELEVANT, 0, 0, 10, 1000)
+            impl.grid_tally(1, list(rep), eq, IRRELEVANT, 0, 10, 0, 1000)
 
 
 _CODE_ERRORS = {
@@ -486,17 +480,20 @@ def test_bad_codes_raise_in_both_backends(backends, name, value):
     messages = set()
     for impl in backends.values():
         with pytest.raises(error, match=message) as raised:
-            impl.grid_tally(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 0, 10, args["budget"])
+            impl.grid_tally(args["model"], UNIT_REP, args["eq"], args["conclusion"], 0, 10, 0, args["budget"])
         messages.add(str(raised.value))
     assert len(messages) == 1, messages
 
 
 # --- calling convention ------------------------------------------------------
 
-_RUN_ARGS = (1, UNIT_REP, EQ_H1, NO_CONFOUNDING, 0, 40, 7, 1e-10, 1000)
-_GRID_ARGS = (1, UNIT_REP, EQ_H1, NO_CONFOUNDING, 7, 0, 40, 1000)
-# the positions of (seed, start, count) in each entry point's arguments
-_POSITIONS = {"run_campaign": (_RUN_ARGS, (6, 4, 5)), "grid_tally": (_GRID_ARGS, (4, 5, 6))}
+# each entry point's arguments: both take (start, count, seed) at positions
+# 4, 5 and 6, and read each of them by one rule
+_ARGS = {
+    "run_campaign": (1, UNIT_REP, EQ_H1, NO_CONFOUNDING, 0, 40, 7, 1e-10, 1000),
+    "grid_tally": (1, UNIT_REP, EQ_H1, NO_CONFOUNDING, 0, 40, 7, 1000),
+}
+_START, _COUNT, _SEED = 4, 5, 6
 
 
 def _with(args, position, value):
@@ -505,7 +502,7 @@ def _with(args, position, value):
 
 def test_wrong_argument_count_raises_type_error(backends):
     for impl in backends.values():
-        for name, (args, _) in _POSITIONS.items():
+        for name, args in _ARGS.items():
             for n in (0, len(args) - 1, len(args) + 1):
                 with pytest.raises(TypeError):
                     getattr(impl, name)(*(args + args)[:n])
@@ -513,47 +510,47 @@ def test_wrong_argument_count_raises_type_error(backends):
     # messages PyArg_ParseTuple gave
     compiled = backends["compiled"]
     with pytest.raises(TypeError, match=re.escape("run_campaign() takes exactly 9 arguments (8 given)")):
-        compiled.run_campaign(*_RUN_ARGS[:8])
+        compiled.run_campaign(*_ARGS["run_campaign"][:8])
     with pytest.raises(TypeError, match=re.escape("grid_tally() takes exactly 8 arguments (9 given)")):
-        compiled.grid_tally(*_GRID_ARGS, 0)
+        compiled.grid_tally(*_ARGS["grid_tally"], 0)
 
 
 @pytest.mark.parametrize("value", [1.0, "1", None])
 def test_non_integer_seed_start_or_count_raises_type_error(backends, value):
+    # both backends convert with __index__, so both raise Python's own message
+    message = f"'{type(value).__name__}' object cannot be interpreted as an integer"
     for impl in backends.values():
-        for name, (args, positions) in _POSITIONS.items():
-            for position in positions:
-                with pytest.raises(TypeError):
+        for name, args in _ARGS.items():
+            for position in (_START, _COUNT, _SEED):
+                with pytest.raises(TypeError, match=re.escape(message)):
                     getattr(impl, name)(*_with(args, position, value))
-    # a seed, and grid_tally's start, must be an int, whatever its size
-    kind = "None" if value is None else type(value).__name__
-    compiled = backends["compiled"]
-    with pytest.raises(TypeError, match=re.escape(f"run_campaign() argument 7 must be int, not {kind}")):
-        compiled.run_campaign(*_with(_RUN_ARGS, 6, value))
-    with pytest.raises(TypeError, match=re.escape(f"grid_tally() argument 6 must be int, not {kind}")):
-        compiled.grid_tally(*_with(_GRID_ARGS, 5, value))
+
+
+def test_negative_count_raises_in_both_entry_points(backends):
+    # run_campaign once returned a zero tally for a negative count, which
+    # reads as a pass
+    for impl in backends.values():
+        for name, args in _ARGS.items():
+            for count in (-1, -5, -(2**63)):
+                with pytest.raises(ValueError, match="count must be non-negative"):
+                    getattr(impl, name)(*_with(args, _COUNT, count))
 
 
 @pytest.mark.parametrize("value", [2**64, 2**64 + 5, 2**100 + 3, -1, -(2**63), -(2**64) - 9])
 def test_seeds_and_starts_wrap_modulo_2_64(backends, value):
+    # a seed and a start of any size are reduced modulo 2**64 in both entry
+    # points.  Sample i of a seed is sample i - value of the seed shifted by
+    # value gammas, so the campaign from start value is the campaign from 0
+    # of the shifted seed.
     pure, wrapped = backends["pure"], value % 2**64
-    for impl in backends.values():
-        for name, (args, (seed, _, _)) in _POSITIONS.items():
+    for name, args in _ARGS.items():
+        expected = getattr(pure, name)
+        shifted = _with(args, _SEED, (args[_SEED] + value * _GOLDEN) % 2**64)
+        for impl in backends.values():
             run = getattr(impl, name)
-            assert run(*_with(args, seed, value)) == getattr(pure, name)(*_with(args, seed, wrapped)), name
-        assert impl.grid_tally(*_with(_GRID_ARGS, 5, value)) == pure.grid_tally(*_with(_GRID_ARGS, 5, wrapped))
-    # run_campaign's start is a long long in both kernels: one in
-    # [-2**63, 0) wraps, one past it raises OverflowError; verify_clause
-    # passes starts below its sample count.  Sample i of a seed is sample
-    # i - value of the seed shifted by value gammas, so the campaign from
-    # that start is the campaign from 0 of the shifted seed.
-    shifted = _with(_RUN_ARGS, 6, (_RUN_ARGS[6] + value * _GOLDEN) % 2**64)
-    for impl in backends.values():
-        if -(2**63) <= value < 0:
-            assert impl.run_campaign(*_with(_RUN_ARGS, 4, value)) == pure.run_campaign(*shifted)
-        else:
-            with pytest.raises(OverflowError):
-                impl.run_campaign(*_with(_RUN_ARGS, 4, value))
+            for position in (_START, _SEED):
+                assert run(*_with(args, position, value)) == expected(*_with(args, position, wrapped)), (name, position)
+            assert run(*_with(args, _START, value)) == expected(*shifted), name
 
 
 class _Index:
@@ -569,30 +566,30 @@ class _Index:
 @pytest.mark.parametrize(
     "name, position, value, expected",
     [
-        # run_campaign's start and count are signed 64-bit in both kernels;
-        # the pure kernel once ran these (and a count of 2**63 for ever)
-        ("run_campaign", 4, 2**63, OverflowError),
-        ("run_campaign", 4, -(2**63) - 1, OverflowError),
+        # a start of any size wraps modulo 2**64; a count outside the signed
+        # 64-bit range raises OverflowError in both kernels (the pure kernel
+        # once ran a count of 2**63 for ever)
+        ("run_campaign", 4, 2**63, -(2**63)),
+        ("run_campaign", 4, -(2**63) - 1, 2**63 - 1),
         ("run_campaign", 5, 2**63, OverflowError),
         ("run_campaign", 5, -(2**63) - 1, OverflowError),
-        ("grid_tally", 6, 2**63, OverflowError),
-        ("grid_tally", 6, -(2**63) - 1, OverflowError),
-        # every count, start, code and slot index takes an __index__ object
-        # as its int, where the pure kernel once raised TypeError or, for eq
-        # and conclusion, ran another code; a seed (and grid_tally's start)
-        # must be an int
+        ("grid_tally", 5, 2**63, OverflowError),
+        ("grid_tally", 5, -(2**63) - 1, OverflowError),
+        # every start, count, seed, code and slot index takes an __index__
+        # object as its int, where the pure kernel once raised TypeError or,
+        # for eq and conclusion, ran another code
         ("run_campaign", 0, _Index(2), 2),
         ("run_campaign", 1, tuple(map(_Index, UNIT_REP)), UNIT_REP),
         ("run_campaign", 2, _Index(EQ_H5), EQ_H5),
         ("run_campaign", 3, _Index(IRRELEVANT), IRRELEVANT),
         ("run_campaign", 4, _Index(3), 3),
         ("run_campaign", 5, _Index(30), 30),
-        ("run_campaign", 6, _Index(7), TypeError),
+        ("run_campaign", 6, _Index(9), 9),
         ("run_campaign", 8, _Index(5), 5),
         ("grid_tally", 0, _Index(3), 3),
         ("grid_tally", 1, tuple(map(_Index, UNIT_REP)), UNIT_REP),
-        ("grid_tally", 5, _Index(0), TypeError),
-        ("grid_tally", 6, _Index(30), 30),
+        ("grid_tally", 4, _Index(3), 3),
+        ("grid_tally", 5, _Index(30), 30),
         ("grid_tally", 7, _Index(5), 5),
         # the tolerance is a real number, read as a double
         ("run_campaign", 7, _Index(0), 0.0),
@@ -600,10 +597,13 @@ class _Index:
         ("run_campaign", 7, "0.1", TypeError),
         ("run_campaign", 1, None, TypeError),
         ("run_campaign", 1, (0, 1, 2, 3, 4, 5, 6.0), TypeError),
+        ("grid_tally", 6, _Index(9), 9),
+        ("grid_tally", 4, 2**63, -(2**63)),
+        ("grid_tally", 4, -(2**63) - 1, 2**63 - 1),
     ],
 )
 def test_backends_read_their_arguments_alike(backends, name, position, value, expected):
-    args, _ = _POSITIONS[name]
+    args = _ARGS[name]
     outcomes = []
     for impl in backends.values():
         try:

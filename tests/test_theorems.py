@@ -2,7 +2,6 @@
 
 import copy
 import json
-import os
 import pickle
 import re
 import threading
@@ -149,84 +148,37 @@ def _use_backend(monkeypatch, backends, name):
     monkeypatch.setattr(kernel, "BACKEND", name)
 
 
-def _record_chunks(monkeypatch):
-    """(start, count, thread id) of every kernel call a campaign makes."""
-    chunks = []
-    run = kernel.run_campaign
+class _SamplesNothing:
+    """A kernel backend whose campaigns sample nothing and report no failure."""
 
-    def recording(*args):
-        chunks.append((*args[4:6], threading.get_ident()))
-        return run(*args)
-
-    monkeypatch.setattr(kernel, "run_campaign", recording)
-    return chunks
-
-
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def test_thread_count_does_not_change_results(monkeypatch, backends):
-    _usable_cpus(monkeypatch, 4)
-    clause = clause_lookup("T4", "a")
-    chunks = _record_chunks(monkeypatch)
-    for backend in backends:
-        _use_backend(monkeypatch, backends, backend)
-        chunks.clear()
-        one = verify_clause(clause, samples=2003, seed=21, threads=1)
-        four = verify_clause(clause, samples=2003, seed=21, threads=4)
-        assert one == four, backend
-        # every campaign is one kernel call on the calling thread
-        assert chunks == [(0, 2003, threading.get_ident())] * 2, backend
-
-
-def test_thread_count_clamped_to_cpu_count(monkeypatch, backends):
-    # a count far above the usable CPUs is accepted, and no thread starts
-    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a campaign started a thread"))
-    _use_backend(monkeypatch, backends, "compiled")
-    _usable_cpus(monkeypatch, 3)
-    clause = clause_lookup("T4", "a")
-    chunks = _record_chunks(monkeypatch)
-    many = verify_clause(clause, samples=1000, seed=21, threads=10**6)
-    assert verify_clause(clause, samples=1000, seed=21, threads=1) == many
-    assert chunks == [(0, 1000, threading.get_ident())] * 2
-
-
-def test_campaign_splits_only_when_chunks_repay_a_thread(monkeypatch, backends):
-    # none does: the CLI default size and both sides of the old split
-    # threshold of 2 x 131,072 samples run whole (the stub samples nothing)
-    calls = []
-    monkeypatch.setattr(kernel, "run_campaign", lambda *args: calls.append(args[4:6]) or (0.0, 0, 0))
-    _use_backend(monkeypatch, backends, "compiled")
-    _usable_cpus(monkeypatch, 2)
-    clause = clause_lookup("T2", "e")
-    sizes = (10_000, 2 * 131_072 - 1, 2 * 131_072)
-    for samples in sizes:
-        verify_clause(clause, samples=samples, seed=7, threads=2)
-    assert calls == [(0, samples) for samples in sizes]
-
-
-def test_float_campaign_is_one_kernel_call(monkeypatch):
-    # a campaign large enough to fill two chunks of 131,072 samples, on four
-    # usable CPUs: whatever the backend and thread count, the kernel runs it
-    # whole in one call (the stub samples nothing)
-    calls = []
-
-    def recording(*args):
-        calls.append(args[4:6])
+    def run_campaign(self, *args):
         return 0.0, 0, 0
 
-    monkeypatch.setattr(kernel, "run_campaign", recording)
-    _usable_cpus(monkeypatch, 4)
-    clause = clause_lookup("T2", "e")
-    samples = 2 * 131_072 + 1
-    for backend in ("compiled", "pure"):
-        monkeypatch.setattr(kernel, "BACKEND", backend)
-        for threads in ({}, {"threads": 1}, {"threads": 4}):
-            calls.clear()
-            report = verify_clause(clause, samples, seed=7, **threads)
-            assert calls == [(0, samples)], (backend, threads)
-            assert (report.samples, report.failures) == (samples, 0)
+    def grid_tally(self, *args):
+        return 0, 0, 1, 0
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_every_campaign_is_one_kernel_call_on_the_calling_thread(monkeypatch, backends, backend, exact):
+    # whatever the thread count, a campaign is one kernel call from sample
+    # 0 with the campaign's seed, on the calling thread, with the same
+    # report: the CLI default size and both sides of the old split threshold
+    # of 2 x 131,072 samples too, which go to a stub that samples nothing
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a campaign started a thread"))
+    clause = clause_lookup("T4", "a")
+    name = "grid_tally" if exact else "run_campaign"
+    for samples in (2003, 10_000, 2 * 131_072 - 1, 2 * 131_072, 2 * 131_072 + 1):
+        impl = backends[backend] if samples == 2003 else _SamplesNothing()
+        calls = []
+        monkeypatch.setattr(kernel, "_impl", _recording_backend(calls, impl))
+        reports = [
+            verify_clause(clause, samples, seed=21, exact=exact, **threads)
+            for threads in ({}, {"threads": 1}, {"threads": 4}, {"threads": 10**6})
+        ]
+        assert reports == reports[:1] * 4, (samples, reports)
+        assert [(called, args[4:7]) for called, args in calls] == [(name, (0, samples, 21))] * 4, samples
+        assert reports[0].samples == samples
 
 
 def _one_drop_mutants():
@@ -331,9 +283,9 @@ def _recording_backend(calls, impl=None):
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_verify_rejects_sample_counts_the_kernels_cannot_count(monkeypatch, exact, backend):
-    # the compiled kernels count samples in a long long / Py_ssize_t, and
-    # the pure kernel would start a campaign it never finishes; the check
-    # comes before any kernel call, so no kernel call may be made
+    # both kernels take a count below 2**63, a signed 64-bit value, and
+    # raise OverflowError past it; verify_clause checks the count before
+    # any kernel call, so no kernel call may be made
     calls = []
     monkeypatch.setattr(kernel, "_impl", _recording_backend(calls))
     monkeypatch.setattr(kernel, "BACKEND", backend)
@@ -610,51 +562,34 @@ def test_exact_h1_campaign_chunks_join_to_the_fraction_route(backends):
         expected = _fraction_campaign(clause, 30, 24)
         codes = _campaign_codes(clause)
         for name, impl in backends.items():
-            whole = impl.grid_tally(*codes, 24, 0, 30, theorems._REDRAW_BUDGET)
+            whole = impl.grid_tally(*codes, 0, 30, 24, theorems._REDRAW_BUDGET)
             assert ((Fraction(*whole[1:3]) if whole[1] else 0), whole[0], whole[3]) == (*expected, 0), (name, clause)
             for k in (0, 1, 7, 19, 20, 29, 30):
-                left = impl.grid_tally(*codes, 24, 0, k, theorems._REDRAW_BUDGET)
-                right = impl.grid_tally(*codes, 24, k, 30 - k, theorems._REDRAW_BUDGET)
+                left = impl.grid_tally(*codes, 0, k, 24, theorems._REDRAW_BUDGET)
+                right = impl.grid_tally(*codes, k, 30 - k, 24, theorems._REDRAW_BUDGET)
                 larger = right if Fraction(*right[1:3]) > Fraction(*left[1:3]) else left
                 assert (left[0] + right[0], *larger[1:3], left[3] + right[3]) == whole, (name, clause, k)
     assert expected[1] == 29 and isinstance(expected[0], Fraction)
 
 
-def test_exact_campaign_redraw_exhaustion_matches_impose(monkeypatch, backends):
-    monkeypatch.setattr(theorems, "_REDRAW_BUDGET", 0)
-    clause = clause_lookup("T2", "a")
-    for seed in range(100):
-        try:
-            _fraction_campaign(clause, 1, seed)
-        except ConstraintError as exc:
-            expected = str(exc)
-            break
-    else:
-        pytest.fail("no seed in 0..99 rejects the first H1 draw")
-    assert expected == "no parameters satisfying H1 found within 0 redraws"
-    for impl in backends.values():
-        monkeypatch.setattr(kernel, "_impl", impl)
-        with pytest.raises(ConstraintError) as raised:
-            verify_clause(clause, samples=1, seed=seed, exact=True)
-        assert str(raised.value) == expected
-
-
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_float_campaign_redraw_exhaustion_is_reported(monkeypatch, backends, backend):
+def test_campaign_redraw_exhaustion_is_reported(monkeypatch, backends, backend, exact):
     # with no redraws, each sample whose first H1 solve leaves [0, 1] runs
-    # out of budget; impose on the same stream counts which
+    # out of budget; impose on the same streams counts which, and both
+    # modes report the count in one message
     monkeypatch.setattr(theorems, "_REDRAW_BUDGET", 0)
     _use_backend(monkeypatch, backends, backend)
     exhausted = 0
     for i in range(200):
         rng = sample_stream(5, i)
         try:
-            impose(random_params(1, rng), hypothesis_set(H.H1), rng, budget=0)
+            impose(random_params(1, rng, exact=exact), hypothesis_set(H.H1), rng, budget=0)
         except ConstraintError:
             exhausted += 1
     assert 0 < exhausted < 200
     with pytest.raises(ConstraintError) as raised:
-        verify_clause(clause_lookup("T2", "a"), samples=200, seed=5)
+        verify_clause(clause_lookup("T2", "a"), samples=200, seed=5, exact=exact)
     assert str(raised.value) == f"{exhausted} samples exhausted the redraw budget solving H1 for T2(a)"
 
 

@@ -19,6 +19,11 @@ B won.  Build the two files with setup.py, for example from two checkouts:
 
 Run it from a checkout whose ``src`` holds the catalog (the script puts
 ``src`` on ``sys.path``); the kernels are only called, never imported by name.
+Both entry points are called one way, (model, rep, eq, conclusion, start,
+count, seed), then the tolerance for ``run_campaign`` and the budget.  Builds
+whose ``grid_tally`` still took (seed, start, count) at positions 4-6 read
+that call differently, so ``--exact`` pairs only two builds that both take
+(start, count, seed) there.
 """
 
 import argparse
@@ -85,10 +90,7 @@ def main(argv=None) -> int:
         codes = _campaign_codes(clause)
         times = ([], [])
         for r in range(args.rounds):
-            if args.exact:
-                call = codes + (SEED, r * args.count, args.count, BUDGET)
-            else:
-                call = codes + (r * args.count, args.count, SEED, TOL, BUDGET)
+            call = codes + (r * args.count, args.count, SEED) + ((BUDGET,) if args.exact else (TOL, BUDGET))
             results = [None, None]
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 ns, results[side] = best_ns(runs[side], call)
