@@ -148,6 +148,48 @@ def _use_backend(monkeypatch, backends, name):
     monkeypatch.setattr(kernel, "BACKEND", name)
 
 
+def _campaign_calls(monkeypatch, impl, clause, samples, seed, thread_counts):
+    """Reports of one campaign per thread count in each mode, with the
+    (name, start, count, seed) of every kernel call the campaigns make;
+    a campaign that starts a thread fails the test."""
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a campaign started a thread"))
+    found = {}
+    for exact in (False, True):
+        calls = []
+        monkeypatch.setattr(kernel, "_impl", _recording_backend(calls, impl))
+        reports = [verify_clause(clause, samples, seed=seed, exact=exact, **threads) for threads in thread_counts]
+        found[exact] = reports, [(name, *args[4:7]) for name, args in calls]
+    return found
+
+
+def _one_call_each(samples, seed, runs):
+    return {
+        exact: [(name, 0, samples, seed)] * runs
+        for exact, name in ((False, "run_campaign"), (True, "grid_tally"))
+    }
+
+
+def test_thread_count_does_not_change_results(monkeypatch, backends):
+    # every campaign is one kernel call from sample 0 on the calling thread
+    clause = clause_lookup("T4", "a")
+    thread_counts = ({}, {"threads": 1}, {"threads": 4})
+    for backend, impl in backends.items():
+        found = _campaign_calls(monkeypatch, impl, clause, 2003, 21, thread_counts)
+        for exact, (reports, _) in found.items():
+            assert reports == reports[:1] * 3, (backend, exact)
+            assert reports[0].samples == 2003
+        assert {exact: calls for exact, (_, calls) in found.items()} == _one_call_each(2003, 21, 3), backend
+
+
+def test_thread_count_clamped_to_cpu_count(monkeypatch, backends):
+    # a count far above the usable CPUs is accepted, and no thread starts
+    clause = clause_lookup("T4", "a")
+    found = _campaign_calls(monkeypatch, backends["compiled"], clause, 1000, 21, ({"threads": 10**6}, {"threads": 1}))
+    for exact, (reports, _) in found.items():
+        assert reports[0] == reports[1], exact
+    assert {exact: calls for exact, (_, calls) in found.items()} == _one_call_each(1000, 21, 2)
+
+
 class _SamplesNothing:
     """A kernel backend whose campaigns sample nothing and report no failure."""
 
@@ -158,27 +200,28 @@ class _SamplesNothing:
         return 0, 0, 1, 0
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_every_campaign_is_one_kernel_call_on_the_calling_thread(monkeypatch, backends, backend, exact):
-    # whatever the thread count, a campaign is one kernel call from sample
-    # 0 with the campaign's seed, on the calling thread, with the same
-    # report: the CLI default size and both sides of the old split threshold
-    # of 2 x 131,072 samples too, which go to a stub that samples nothing
-    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a campaign started a thread"))
-    clause = clause_lookup("T4", "a")
-    name = "grid_tally" if exact else "run_campaign"
-    for samples in (2003, 10_000, 2 * 131_072 - 1, 2 * 131_072, 2 * 131_072 + 1):
-        impl = backends[backend] if samples == 2003 else _SamplesNothing()
-        calls = []
-        monkeypatch.setattr(kernel, "_impl", _recording_backend(calls, impl))
-        reports = [
-            verify_clause(clause, samples, seed=21, exact=exact, **threads)
-            for threads in ({}, {"threads": 1}, {"threads": 4}, {"threads": 10**6})
-        ]
-        assert reports == reports[:1] * 4, (samples, reports)
-        assert [(called, args[4:7]) for called, args in calls] == [(name, (0, samples, 21))] * 4, samples
-        assert reports[0].samples == samples
+def test_campaign_splits_only_when_chunks_repay_a_thread(monkeypatch):
+    # none does: the CLI default size and both sides of the old split
+    # threshold of 2 x 131,072 samples run whole (the stub samples nothing)
+    clause = clause_lookup("T2", "e")
+    for samples in (10_000, 2 * 131_072 - 1, 2 * 131_072):
+        found = _campaign_calls(monkeypatch, _SamplesNothing(), clause, samples, 7, ({"threads": 2},))
+        assert {exact: calls for exact, (_, calls) in found.items()} == _one_call_each(samples, 7, 1), samples
+
+
+def test_float_campaign_is_one_kernel_call(monkeypatch):
+    # a campaign large enough to fill two chunks of 131,072 samples: whatever
+    # the backend and thread count, the kernel runs it whole in one call, in
+    # either mode (the stub samples nothing)
+    clause = clause_lookup("T2", "e")
+    samples = 2 * 131_072 + 1
+    thread_counts = ({}, {"threads": 1}, {"threads": 4})
+    for backend in ("compiled", "pure"):
+        monkeypatch.setattr(kernel, "BACKEND", backend)
+        found = _campaign_calls(monkeypatch, _SamplesNothing(), clause, samples, 7, thread_counts)
+        for exact, (reports, _) in found.items():
+            assert [(r.samples, r.failures) for r in reports] == [(samples, 0)] * 3, (backend, exact)
+        assert {exact: calls for exact, (_, calls) in found.items()} == _one_call_each(samples, 7, 3), backend
 
 
 def _one_drop_mutants():
