@@ -6,108 +6,48 @@ All verbs take --format text|json; JSON output is exactly the module
 serializers' dictionaries, written by ``_json`` byte for byte as
 ``json.dumps`` writes them, so identical invocations print identical bytes
 and no request loads ``json``.
+A well-formed request is parsed by ``_screen``, which never imports
+``argparse``: exact verb and flag names, each flag at most once, with a
+value that converts.  Anything else (help, --version, an abbreviated flag,
+``--flag=value``, a usage error) goes to the argparse parser of
+``build_parser``, so help and error output stay argparse's.  Both read one
+declaration of each verb's arguments.
 Exit codes: 0 success (for verify, a campaign with zero failures), 1 domain
 errors, a failed campaign or a stdout closed by its reader, 2 usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .errors import ConfoundKitError, DegenerateEventError, ParameterError
 from .joint import DEFAULT_FLOAT_TOL, _num_to_text, _render_columns, build_joint, params_type
 
+if TYPE_CHECKING:
+    import argparse
+
 # each parameter class field once, in model then field order
 _ALL_PARAM_FLAGS = tuple(dict.fromkeys(f for m in (1, 2, 3) for f in params_type(m)._fields))
 
 
-class _VerbParser(argparse.ArgumentParser):
-    """A verb's parser, which adds its arguments the first time it parses
-    or formats its usage or help, so a request builds only its own verb's.
-
-    The verb's arguments come from ``add_arguments(parser)``.
-    """
-
-    def __init__(self, *args, add_arguments, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-
-    def _complete(self) -> None:
-        add, self._add_arguments = self._add_arguments, None
-        if add is not None:
-            add(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._complete()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._complete()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._complete()
-        return super().format_help()
+class _UsageError(Exception):
+    """A usage error a verb finds after parsing; ``main`` reports it through
+    the verb's argparse parser, so it shows that verb's usage line."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="confound-kit",
-        description="Confounding analysis for three binary-variable causal structures.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
-    for name, help_text, add_arguments, run in (
-        ("analyze", "classify the covariate of a stratified count table",
-         _analyze_arguments, _run_analyze),
-        ("classify", "classify the covariate of a parameterized model",
-         _classify_arguments, _run_classify),
-        ("verify", "campaign-check one catalog clause", _verify_arguments, _run_verify),
-        ("hypotheses", "list the hypotheses, or evaluate them on a model",
-         _hypotheses_arguments, _run_hypotheses),
-    ):
-        p = sub.add_parser(name, help=help_text, add_arguments=add_arguments)
-        p.set_defaults(func=run, parser=p)
-    return parser
+def _type_error(message: str) -> Exception:
+    """The error a converter raises for a value argparse is to refuse with
+    ``message``; argparse is imported here only, once a value fails."""
+    import argparse
 
-
-def _analyze_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("table", help="CSV file with header type,exposure,stratum,count")
-    p.add_argument(
-        "--coarsen",
-        metavar="SPEC",
-        help="fold strata into binary groups first, e.g. '0=1,2,3;1=4'",
-    )
-    _add_format(p)
-
-
-def _classify_arguments(p: argparse.ArgumentParser) -> None:
-    _add_model_params(p)
-    _add_format(p)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theorem", required=True, metavar="T", help="T1..T5")
-    p.add_argument("--clause", required=True, metavar="C", help="a..e")
-    p.add_argument("--samples", type=_count, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10 (0 when --exact)")
-    p.add_argument("--exact", action="store_true", help="rational arithmetic campaign")
-    _add_format(p)
-
-
-def _hypotheses_arguments(p: argparse.ArgumentParser) -> None:
-    _add_model_params(p, params_required=False)
-    _add_format(p)
+    return argparse.ArgumentTypeError(message)
 
 
 def _tolerance(text: str) -> float:
@@ -115,11 +55,11 @@ def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise _type_error(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text!r}")
+        raise _type_error(f"tolerance must be finite, got {text!r}")
     if value < 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be nonnegative, got {text!r}")
+        raise _type_error(f"tolerance must be nonnegative, got {text!r}")
     return value
 
 
@@ -128,27 +68,102 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _type_error(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+        raise _type_error(f"must be at least 1, got {text!r}")
     return value
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+# Each verb's arguments, in the order its help lists them, as argparse's
+# ``add_argument`` name and keywords.  The verb's argparse parser adds them
+# as they are; ``_screen`` reads the same keywords (action, type, choices,
+# default, required), so the two parse one grammar.
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 
 
-def _add_model_params(p: argparse.ArgumentParser, params_required: bool = True) -> None:
-    p.add_argument("--model", type=int, choices=(1, 2, 3), required=params_required)
-    for name in _ALL_PARAM_FLAGS:
-        p.add_argument(f"--{name}", metavar="P", default=None)
-    p.add_argument(
-        "--tol", type=_tolerance, default=None, help="default 1e-9 (0 when --exact)"
+def _model_arguments(params_required: bool) -> tuple:
+    return (
+        ("--model", {"type": int, "choices": (1, 2, 3), "required": params_required}),
+        *((f"--{name}", {"metavar": "P", "default": None}) for name in _ALL_PARAM_FLAGS),
+        ("--tol", {"type": _tolerance, "default": None, "help": "default 1e-9 (0 when --exact)"}),
+        ("--exact", {"action": "store_true", "default": False, "help": "parse parameters as exact rationals"}),
+        _FORMAT,
     )
-    p.add_argument("--exact", action="store_true", help="parse parameters as exact rationals")
 
 
-def _collect_params(parser, args, required: bool = True):
+_ANALYZE_ARGUMENTS = (
+    ("table", {"help": "CSV file with header type,exposure,stratum,count"}),
+    ("--coarsen", {"metavar": "SPEC", "help": "fold strata into binary groups first, e.g. '0=1,2,3;1=4'"}),
+    _FORMAT,
+)
+_VERIFY_ARGUMENTS = (
+    ("--theorem", {"required": True, "metavar": "T", "help": "T1..T5"}),
+    ("--clause", {"required": True, "metavar": "C", "help": "a..e"}),
+    ("--samples", {"type": _count, "default": 10000}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--tol", {"type": _tolerance, "default": None, "help": "default 1e-10 (0 when --exact)"}),
+    ("--exact", {"action": "store_true", "default": False, "help": "rational arithmetic campaign"}),
+    _FORMAT,
+)
+
+
+def _screen(argv) -> Optional[SimpleNamespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, built
+    without argparse for a well-formed request: an exact verb name, exact
+    ``--flag value`` pairs and switches, each at most once, and the verb's
+    positional argument.  None for anything else: help, --version, an
+    abbreviated flag, ``--flag=value``, a repeated flag, a value that starts
+    with '-', a missing value, a value that does not convert or is not one of
+    the choices, or a missing required argument.  argparse then parses the
+    request, so its help, usage lines and error messages stay its own."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    verb = argv[0]
+    _, run, arguments = _VERBS[verb]
+    declared = dict(arguments)
+    positionals = [name for name in declared if not name.startswith("-")]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            name, text = positionals.pop(0), token
+        elif token not in declared or token in given:
+            return None
+        elif declared[token].get("action") == "store_true":
+            given[token] = True
+            continue
+        else:
+            name, text = token, next(tokens, "-")  # a missing value reads as "-"
+            if text.startswith("-"):
+                return None
+        keywords = declared[name]
+        convert = keywords.get("type")
+        if convert is not None:
+            try:
+                value = convert(text)
+            except Exception:  # argparse parses the request again and reports the error, or raises it
+                return None
+        else:
+            value = text
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[name] = value
+    namespace = SimpleNamespace(command=verb, func=run)
+    for name, keywords in arguments:
+        if name in given:
+            value = given[name]
+        elif keywords.get("required") or not name.startswith("-"):
+            return None
+        else:
+            value = keywords.get("default")
+        setattr(namespace, name.lstrip("-"), value)
+    return namespace
+
+
+def _collect_params(args, required: bool = True):
     given = {
         name: getattr(args, name)
         for name in _ALL_PARAM_FLAGS
@@ -157,16 +172,16 @@ def _collect_params(parser, args, required: bool = True):
     if not given and not required and args.model is None:
         return None
     if args.model is None:
-        parser.error("parameter flags need --model to be interpreted")
+        raise _UsageError("parameter flags need --model to be interpreted")
     needed = params_type(args.model)._fields
     missing = [n for n in needed if n not in given]
     extra = sorted(set(given) - set(needed))
     if missing:
-        parser.error(
+        raise _UsageError(
             f"model {args.model} needs " + " ".join(f"--{n}" for n in missing)
         )
     if extra:
-        parser.error(
+        raise _UsageError(
             f"model {args.model} does not take " + " ".join(f"--{n}" for n in extra)
         )
     values = {}
@@ -175,20 +190,20 @@ def _collect_params(parser, args, required: bool = True):
             value = Fraction(given[name])
             values[name] = value if args.exact else float(value)
         except (ValueError, ZeroDivisionError, OverflowError):
-            parser.error(f"--{name} {given[name]!r} is not a number")
+            raise _UsageError(f"--{name} {given[name]!r} is not a number") from None
     try:
         return params_type(args.model)(**values)
     except ConfoundKitError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from None
 
 
-def _check_exact_tol(parser, args) -> None:
+def _check_exact_tol(args) -> None:
     if args.exact and args.tol not in (None, 0):
-        parser.error(f"--exact requires --tol 0, got {args.tol}")
+        raise _UsageError(f"--exact requires --tol 0, got {args.tol}")
 
 
-def _resolved_tol(parser, args) -> object:
-    _check_exact_tol(parser, args)
+def _resolved_tol(args) -> object:
+    _check_exact_tol(args)
     if args.exact:
         return 0
     if args.tol is None:
@@ -255,11 +270,11 @@ def _emit(args, payload: dict, text: str) -> None:
     print(_json(payload) if args.format == "json" else text)
 
 
-def _run_analyze(parser, args) -> int:
+def _run_analyze(args) -> int:
     from .tables import CoarseningMap, analyze_counts, coarsen, load_counts
 
     counts = load_counts(args.table)
-    if args.coarsen:
+    if args.coarsen is not None:
         counts = coarsen(counts, CoarseningMap.from_spec(args.coarsen))
     report = analyze_counts(counts)
     _emit(args, report.to_dict(), report.render_text())
@@ -302,11 +317,11 @@ def _tri(value: Optional[bool]) -> str:
     return "undefined" if value is None else ("true" if value else "false")
 
 
-def _run_classify(parser, args) -> int:
+def _run_classify(args) -> int:
     from .measures import classify_covariate
 
-    params = _collect_params(parser, args)
-    tol = _resolved_tol(parser, args)
+    params = _collect_params(args)
+    tol = _resolved_tol(args)
     report = classify_covariate(build_joint(params), tol)
     rows = _hypothesis_rows(params, tol)
     payload = {
@@ -318,22 +333,22 @@ def _run_classify(parser, args) -> int:
     return 0
 
 
-def _run_hypotheses(parser, args) -> int:
-    params = _collect_params(parser, args, required=False)
-    tol = _resolved_tol(parser, args)
+def _run_hypotheses(args) -> int:
+    params = _collect_params(args, required=False)
+    tol = _resolved_tol(args)
     rows = _hypothesis_rows(params, tol)
     _emit(args, {"hypotheses": rows}, _render_hypothesis_rows(rows))
     return 0
 
 
-def _run_verify(parser, args) -> int:
+def _run_verify(args) -> int:
     from .theorems import clause_lookup, verify_clause
 
     try:
         clause = clause_lookup(args.theorem, args.clause)
     except ParameterError as exc:
-        parser.error(str(exc))
-    _check_exact_tol(parser, args)
+        raise _UsageError(str(exc)) from None
+    _check_exact_tol(args)
     report = verify_clause(
         clause,
         samples=args.samples,
@@ -357,13 +372,77 @@ def _run_verify(parser, args) -> int:
     return 0 if report.passed else 1
 
 
+# each verb's help line, handler and arguments, in the order the help lists them
+_VERBS = {
+    "analyze": ("classify the covariate of a stratified count table", _run_analyze, _ANALYZE_ARGUMENTS),
+    "classify": ("classify the covariate of a parameterized model", _run_classify, _model_arguments(True)),
+    "verify": ("campaign-check one catalog clause", _run_verify, _VERIFY_ARGUMENTS),
+    "hypotheses": ("list the hypotheses, or evaluate them on a model", _run_hypotheses, _model_arguments(False)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The program's argparse parser, which parses what ``_screen``
+    declines: it prints help and usage errors."""
+    return _parsers()[0]
+
+
+def _parsers():
+    """The program's argparse parser and its verb parsers by name.  Importing
+    cli does not load argparse, so the class of a verb's parser is made here."""
+    import argparse
+
+    class _VerbParser(argparse.ArgumentParser):
+        """A verb's parser, which adds its arguments the first time it parses
+        or formats its usage or help, so a request builds only its own verb's."""
+
+        def __init__(self, *args, arguments, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._arguments = arguments
+
+        def _complete(self) -> None:
+            arguments, self._arguments = self._arguments, ()
+            for name, keywords in arguments:
+                self.add_argument(name, **keywords)
+
+        def parse_known_args(self, args=None, namespace=None):
+            self._complete()
+            return super().parse_known_args(args, namespace)
+
+        def format_usage(self) -> str:
+            self._complete()
+            return super().format_usage()
+
+        def format_help(self) -> str:
+            self._complete()
+            return super().format_help()
+
+    parser = argparse.ArgumentParser(
+        prog="confound-kit",
+        description="Confounding analysis for three binary-variable causal structures.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
+    for name, (help_text, run, arguments) in _VERBS.items():
+        sub.add_parser(name, help=help_text, arguments=arguments).set_defaults(func=run)
+    return parser, sub.choices
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _screen(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
-        # the verb's own parser, so that its usage errors show its usage line
-        code = args.func(args.parser, args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
+    except _UsageError as exc:
+        # the verb's own parser, so that the error shows its usage line
+        _parsers()[1][args.command].error(str(exc))
     except ConfoundKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

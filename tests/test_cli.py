@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import confound_kit
 from confound_kit import fixture_path, kernel
-from confound_kit.cli import _json, build_parser, main
+from confound_kit.cli import _ALL_PARAM_FLAGS, _json, _screen, build_parser, main
 
 MODEL1_FLAGS = [
     "--model", "1", "--t", "0.4", "--a0", "0.2", "--a1", "0.6",
@@ -372,6 +372,159 @@ def test_usage_errors_after_parsing_show_the_verb_usage(capsys, argv):
     assert capsys.readouterr().err.startswith(f"usage: confound-kit {argv[0]} ")
 
 
+def test_empty_coarsening_spec_is_a_domain_error(capsys):
+    # an empty --coarsen once printed the uncoarsened analysis and exited 0
+    argv = ["analyze", str(fixture_path("table1_coarse.csv")), "--coarsen", ""]
+    assert _screen(argv) is not None
+    assert run(capsys, *argv) == (1, "", "error: empty coarsening spec ''\n")
+
+
+# --- the screen --------------------------------------------------------------
+
+# values for each argument, well-formed for the parser; the model and clause
+# values need not name a real model or clause, since the verbs check those
+_PARAM_VALUES = st.sampled_from(["0.4", "1/2", "7", "abc", "", " 0.3", "1e400"])
+_VALUES = {
+    "table": st.sampled_from(["table1.csv", "x.csv", "", "a b"]),
+    "--coarsen": st.sampled_from(["0=1,2,3;1=4", "", "0=1"]),
+    "--format": st.sampled_from(["text", "json"]),
+    "--model": st.sampled_from(["1", "2", "3", "03", " 2"]),
+    "--tol": st.sampled_from(["0", "1e-9", "0.5", "1E3", " 0.1"]),
+    "--theorem": st.sampled_from(["T1", "T5", "T9", ""]),
+    "--clause": st.sampled_from(["a", "e", "z"]),
+    "--samples": st.sampled_from(["1", "10", "99999999999999999999999", "1_000"]),
+    "--seed": st.sampled_from(["0", "7", "12345678901234567890", " 3"]),
+    **{f"--{name}": _PARAM_VALUES for name in _ALL_PARAM_FLAGS},
+}
+_REQUIRED = {"analyze": {"table"}, "classify": {"--model"}, "verify": {"--theorem", "--clause"}, "hypotheses": set()}
+_OPTIONAL = {
+    "analyze": ["--coarsen", "--format"],
+    "classify": ["--model", *(f"--{name}" for name in _ALL_PARAM_FLAGS), "--tol", "--exact", "--format"],
+    "verify": ["--samples", "--seed", "--tol", "--exact", "--format"],
+}
+_OPTIONAL["hypotheses"] = _OPTIONAL["classify"]
+# tokens argparse reads in ways the screen declines, values some converter
+# or choice refuses, and stray ones
+_ODD_TOKENS = st.sampled_from([
+    "-h", "--help", "--version", "--", "-", "-5", "--seed=-5", "--format=json", "--samp", "--form", "--mod",
+    "--ex", "--exact", "--threads", "--nope", "", "json", "xml", "4", "0", "1.5", "nan", "0x10", "T1",
+    "classify", "table1.csv",
+])
+
+
+@st.composite
+def _well_formed(draw):
+    """A request the screen must take: a verb, its required arguments and
+    some of its optional ones, each once, in any order, with the verb's
+    positional argument anywhere between them."""
+    verb = draw(st.sampled_from(sorted(_REQUIRED)))
+    chosen = draw(st.lists(st.sampled_from(_OPTIONAL[verb]), unique=True))
+    pairs = [
+        [name] if name == "--exact" else [name, draw(_VALUES[name])]
+        for name in draw(st.permutations(sorted(_REQUIRED[verb] - {"table"} | set(chosen))))
+    ]
+    if verb == "analyze":
+        pairs.insert(draw(st.integers(0, len(pairs))), [draw(_VALUES["table"])])
+    return [verb, *(token for pair in pairs for token in pair)]
+
+
+@st.composite
+def _any_request(draw):
+    """A well-formed request with tokens inserted, replaced or dropped, or a
+    list of odd tokens after a verb."""
+    argv = draw(_well_formed())
+    if draw(st.integers(0, 3)) == 0:
+        argv = [argv[0], *draw(st.lists(_ODD_TOKENS | st.sampled_from(argv[1:] or [""]), max_size=8))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        change = draw(st.sampled_from(["insert", "replace", "drop"]))
+        token = draw(_ODD_TOKENS | st.sampled_from(sorted(_VALUES)) | st.one_of(*_VALUES.values()))
+        if change == "insert":
+            argv.insert(at, token)
+        elif at < len(argv):
+            argv[at : at + 1] = [token] if change == "replace" else []
+    return argv
+
+
+def _parsed(argv):
+    return vars(build_parser().parse_args(argv))
+
+
+def _screened(argv):
+    screened = _screen(argv)
+    return None if screened is None else vars(screened)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_well_formed())
+@example(["hypotheses"])
+@example(["analyze", "t.csv"])
+@example(["analyze", "--format", "json", "t.csv", "--coarsen", "0=1"])
+@example(["verify", "--exact", "--clause", "a", "--tol", "0", "--theorem", "T1", "--seed", "12345678901234567890"])
+@example(["classify", "--model", "3", "--exact", "--a", "", "--format", "json"])
+def test_screen_takes_every_well_formed_request_as_argparse_does(argv):
+    # the screen parses it, and into argparse's namespace: every attribute,
+    # default and handler
+    assert _screened(argv) == _parsed(argv)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_any_request())
+def test_screen_declines_or_agrees_with_argparse(argv):
+    screened = _screened(argv)
+    if screened is not None:
+        assert screened == _parsed(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["--version"],
+        ["bogus"],
+        ["ver", "--theorem", "T1", "--clause", "a"],
+        ["verify", "--help"],
+        ["verify", "-h", "--theorem", "T1", "--clause", "a"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--version"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--samp", "5"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--format=json"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--seed", "1", "--seed", "2"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--exact", "--exact"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--seed", "-5"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--tol", "-1"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--samples", ""],
+        ["verify", "--theorem", "T1", "--clause", "a", "--samples", "0"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--seed", "1.5"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--tol", "nan"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--threads", "2"],
+        ["verify", "--theorem", "T1", "--clause"],
+        ["verify", "--theorem", "T1", "--clause", "--seed", "1"],
+        ["verify", "--theorem", "T1"],
+        ["verify", "--theorem", "T1", "--clause", "a", "extra"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--", "--seed", "1"],
+        ["verify", "--theorem", "T1", "--clause", "a", "--format", "xml"],
+        ["classify", "--model", "4"],
+        ["classify", "--model", "one"],
+        ["classify", "--t", "0.4"],
+        ["hypotheses", "--t", "-0.4"],
+        ["analyze"],
+        ["analyze", "a.csv", "b.csv"],
+        ["analyze", "-"],
+        ["analyze", "a.csv", "--coarsen"],
+    ],
+)
+def test_screen_declines_what_only_argparse_answers(argv):
+    assert _screen(argv) is None
+
+
+def test_abbreviated_flag_prints_what_the_full_flag_prints(capsys):
+    # argparse parses what the screen declines, to the same request
+    argv = ["verify", "--theorem", "T1", "--clause", "a", "--seed", "3", "--format", "json"]
+    assert run(capsys, *argv, "--samp", "10") == run(capsys, *argv, "--samples", "10")
+
+
 @functools.lru_cache(maxsize=None)
 def _loaded(code, tree=None):
     """The modules a fresh interpreter has loaded after running ``code``,
@@ -420,6 +573,8 @@ _KERNELS = {"confound_kit._pykernel", "confound_kit._ckernel"}
 _SELECTED = {"pure": "confound_kit._pykernel", "compiled": "confound_kit._ckernel"}[kernel.BACKEND]
 # the CLI writes JSON itself
 _JSON = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+# argparse, and what it loads, serve only the requests the screen declines
+_ARGPARSE = {"argparse", "gettext", "locale", "_locale"}
 
 
 def test_package_import_loads_no_submodule():
@@ -443,27 +598,30 @@ def test_submodule_attribute_loads_the_submodule():
     "argv, loads, skips",
     [
         (["classify", *MODEL1_FLAGS, "--format", "json"], {"confound_kit.measures"},
-         _TABLES | _CAMPAIGNS | _KERNELS | _JSON),
-        (["classify", *MODEL1_FLAGS], {"confound_kit.measures"}, _TABLES | _CAMPAIGNS | _KERNELS | _JSON),
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | _ARGPARSE),
+        (["classify", *MODEL1_FLAGS], {"confound_kit.measures"}, _TABLES | _CAMPAIGNS | _KERNELS | _JSON | _ARGPARSE),
         (["hypotheses", *MODEL1_FLAGS, "--exact", "--format", "json"], {"confound_kit.hypotheses"},
-         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.measures"}),
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | _ARGPARSE | {"confound_kit.measures"}),
         # the float default tolerance is read from joint, so no request of
         # this verb loads measures
         (["hypotheses", *MODEL1_FLAGS, "--format", "json"], {"confound_kit.hypotheses"},
-         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.measures"}),
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | _ARGPARSE | {"confound_kit.measures"}),
         (["hypotheses"], {"confound_kit.hypotheses"},
-         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.measures"}),
+         _TABLES | _CAMPAIGNS | _KERNELS | _JSON | _ARGPARSE | {"confound_kit.measures"}),
         (["analyze", "table1.csv", "--coarsen", "0=1,2,3;1=4", "--format", "json"], _TABLES,
-         _CAMPAIGNS | _KERNELS | _JSON | {"confound_kit.hypotheses"}),
+         _CAMPAIGNS | _KERNELS | _JSON | _ARGPARSE | {"confound_kit.hypotheses"}),
         # a campaign loads the selected kernel alone, and measures serves
         # only falsify_converse
         (["verify", "--theorem", "T1", "--clause", "a", "--samples", "10", "--format", "json"],
-         _CAMPAIGNS | {_SELECTED}, _TABLES | (_KERNELS - {_SELECTED}) | _JSON | {"confound_kit.measures"}),
+         _CAMPAIGNS | {_SELECTED}, _TABLES | (_KERNELS - {_SELECTED}) | _JSON | _ARGPARSE | {"confound_kit.measures"}),
         (["verify", "--theorem", "T5", "--clause", "b", "--samples", "2", "--exact"],
-         _CAMPAIGNS | {_SELECTED}, _TABLES | (_KERNELS - {_SELECTED}) | _JSON | {"confound_kit.measures"}),
+         _CAMPAIGNS | {_SELECTED}, _TABLES | (_KERNELS - {_SELECTED}) | _JSON | _ARGPARSE | {"confound_kit.measures"}),
+        # an abbreviated flag is argparse's to parse
+        (["verify", "--theorem", "T1", "--clause", "a", "--samp", "10", "--format", "json"],
+         _CAMPAIGNS | {_SELECTED, "argparse"}, _TABLES | (_KERNELS - {_SELECTED}) | _JSON | {"confound_kit.measures"}),
     ],
     ids=["classify", "classify-text", "hypotheses-exact", "hypotheses", "hypotheses-listing", "analyze", "verify",
-         "verify-exact"],
+         "verify-exact", "verify-abbreviated"],
 )
 def test_each_verb_loads_only_its_modules(argv, loads, skips):
     if argv[0] == "analyze":
@@ -525,10 +683,11 @@ def test_every_export_resolves_and_star_import_binds_them():
 
 def test_cli_import_loads_no_heavy_modules():
     # every CLI request pays for what the import loads: dataclasses pulls in
-    # inspect (and ast, dis, tokenize), and concurrent.futures pulls in logging
+    # inspect (and ast, dis, tokenize), concurrent.futures pulls in logging,
+    # and argparse pulls in gettext and locale
     added = _added("import confound_kit.cli")
     assert "confound_kit.cli" in added
-    assert not added & {"dataclasses", "inspect", "concurrent.futures", "logging"}
+    assert not added & {"dataclasses", "inspect", "concurrent.futures", "logging", "argparse"}
 
 
 def test_closed_stdout_exits_quietly():
@@ -814,21 +973,31 @@ def test_installed_script_is_the_program_entry():
 
 
 def test_cli_ab_prints_one_row_per_kind(tmp_path):
-    # a smoke run of the cold-start A/B script with one tree on both sides:
-    # it finds the outputs and the loaded modules equal and prints a row for
-    # every request kind; its timings are not checked.  The tree is a copy, since the script
-    # lets its processes write byte-compiled files into it.
+    # a smoke run of the cold-start A/B script with the base taken from a
+    # throwaway repository whose one commit holds this package, and its
+    # checkout as the B tree: the script finds the outputs and the loaded
+    # modules equal and prints a row for every request kind; its timings are
+    # not checked.  The package is a copy, since the script lets its processes
+    # write byte-compiled files into the trees.
+    repo = tmp_path / "repo"
     shutil.copytree(
-        Path(confound_kit.__file__).parent, tmp_path / "confound_kit", ignore=shutil.ignore_patterns("__pycache__")
+        Path(confound_kit.__file__).parent, repo / "src" / "confound_kit", ignore=shutil.ignore_patterns("__pycache__")
     )
+    for git in (["init", "-q"], ["add", "src"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "base"]):
+        subprocess.run(["git", *git], cwd=repo, check=True, capture_output=True, timeout=60)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "cli_ab.py"), str(tmp_path), str(tmp_path), "--rounds", "1"],
+        [sys.executable, str(ROOT / "tools" / "cli_ab.py"), "--base", "HEAD", "src", "--rounds", "1"],
+        cwd=repo,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
+    base = Path(lines[0].removeprefix("A "))
+    assert base.name == "src" and base.parent.name.startswith("cli_ab_base_")
+    assert not base.exists()  # the unpacked base is removed at exit
+    assert Path(lines[1].removeprefix("B ")) == (repo / "src").resolve()
     header = next(i for i, line in enumerate(lines) if line.startswith("kind"))
     rows = [line.split() for line in lines[header + 1 :]]
     kinds = ["classify", "classify-exact", "hypotheses", "analyze-table1", "analyze-table2", "verify", "verify-exact"]

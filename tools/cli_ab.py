@@ -18,18 +18,25 @@ modules one side loads and the other does not, or ``same modules``.
 Per kind it prints each side's median in ms, the median of the paired ratios
 A/B (above 1 when B is faster) with its quartiles, and how many rounds B won:
 
-    git archive <parent> | tar -x -C /tmp/parent
     python3 tools/cli_ab.py /tmp/parent/src src --rounds 31
+    python3 tools/cli_ab.py --base HEAD~1 src --rounds 31
+
+With ``--base REF`` the A tree is the ``src`` of ``git archive REF``, taken
+from the git repository of the current directory and unpacked into a
+temporary directory that is removed at exit.
 
 The tables the ``analyze`` requests read come from the checkout that holds
 this script, so both sides read the same bytes.
 """
 
 import argparse
+import io
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -90,25 +97,46 @@ def module_difference(kind, a, b):
     return f"{kind}: {'; '.join(parts) or 'same modules'}"
 
 
+def unpack(ref, into):
+    """Unpack the ``src`` of ``git archive ref``, from the current
+    directory's repository, into the directory ``into``."""
+    proc = subprocess.run(["git", "archive", "--format=tar", ref, "src"], capture_output=True, timeout=120)
+    if proc.returncode != 0:
+        raise SystemExit(f"git archive {ref} failed: {proc.stderr.decode(errors='replace').strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
+        archive.extractall(into, filter="data")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("a", help="the A tree: a directory that holds confound_kit")
-    parser.add_argument("b", help="the B tree")
+    parser.add_argument("trees", nargs="+", metavar="TREE",
+                        help="the A and B trees, each a directory that holds confound_kit; with --base, B alone")
+    parser.add_argument("--base", metavar="REF", help="take the A tree from git archive REF")
     parser.add_argument("--rounds", type=int, default=31)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be positive")
-    trees = tuple(str(Path(tree).resolve()) for tree in (args.a, args.b))
-    for tree in trees:
-        if not (Path(tree) / "confound_kit" / "cli.py").is_file():
-            parser.error(f"{tree} holds no confound_kit package")
+    if len(args.trees) != (1 if args.base else 2):
+        parser.error("give the A and B trees, or --base REF and the B tree")
+    with tempfile.TemporaryDirectory(prefix="cli_ab_base_") as base:
+        if args.base:
+            unpack(args.base, base)
+            args.trees.insert(0, str(Path(base) / "src"))
+        trees = tuple(str(Path(tree).resolve()) for tree in args.trees)
+        for tree in trees:
+            if not (Path(tree) / "confound_kit" / "cli.py").is_file():
+                parser.error(f"{tree} holds no confound_kit package")
+        return compare(trees, args.rounds)
 
+
+def compare(trees, rounds) -> int:
+    """Time every request kind on the two trees and print a row for each."""
     cpu = pin()
     print(f"A {trees[0]}\nB {trees[1]}")
-    print(f"cpu {cpu}, {args.rounds} rounds of one process per side and kind")
+    print(f"cpu {cpu}, {rounds} rounds of one process per side and kind")
     times = {kind: ([], []) for kind in REQUESTS}
     modules = {}
-    for r in range(-1, args.rounds):  # round -1 warms up and is not timed
+    for r in range(-1, rounds):  # round -1 warms up and is not timed
         for kind, request in REQUESTS.items():
             results = [None, None]
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
@@ -128,7 +156,7 @@ def main(argv=None) -> int:
         won = sum(x > y for x, y in zip(a, b))
         print(
             f"{kind:<15} {statistics.median(a):7.2f} {statistics.median(b):7.2f}"
-            f" {median:6.3f} {q1:6.3f} {q3:6.3f} {won:>3}/{args.rounds}"
+            f" {median:6.3f} {q1:6.3f} {q3:6.3f} {won:>3}/{rounds}"
         )
     return 0
 
