@@ -191,10 +191,10 @@ class _Frozen:
     Instances are equal when their classes are identical and their field
     tuples are equal, hash as that tuple, print as ``Name(field=value, ...)``
     and refuse assignment and deletion.  Plain attributes outside
-    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``, ``_codes``)
-    take no part in any of these.  The constructor binds the fields
-    positionally or by keyword, with Python's own messages for a bad call,
-    then runs ``__post_init__``; classes on hot paths define their own
+    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``, ``_codes``,
+    ``_pending``) take no part in any of these.  The constructor binds the
+    fields positionally or by keyword, with Python's own messages for a bad
+    call, then runs ``__post_init__``; classes on hot paths define their own
     ``__init__`` instead.
     """
 
@@ -519,17 +519,19 @@ def _not_a_joint(value) -> ParameterError:
 
 
 def _assignment_kwargs(assignment: Mapping[str, object], name: str) -> dict:
-    """``assignment``'s variables as ``prob`` keywords; ``name`` is the
-    argument it came in, for the ParameterError when it is no mapping."""
+    """``assignment``'s variables as ``prob`` keywords, each value as
+    ``prob`` reads it: an ``Exposure`` for E, 0 or 1 for C and D.  ``name``
+    is the argument it came in, for the ParameterError when it is no
+    mapping."""
     _check_mapping(assignment, "{} must be a mapping of 'E', 'C' and 'D' to values", name)
     out = {}
     for key, value in assignment.items():
         if key == "E":
-            out["e"] = value
+            out["e"] = _as_exposure(value)
         elif key == "C":
-            out["c"] = value
+            out["c"] = _as_bit("C", value)
         elif key == "D":
-            out["d"] = value
+            out["d"] = _as_bit("D", value)
         else:
             raise ParameterError(f"unknown variable {key!r}; expected 'E', 'C', or 'D'")
     return out
@@ -555,6 +557,9 @@ def conditional_prob(
     denominator = prob(**given_kw)
     if denominator == 0:
         raise DegenerateEventError(f"conditioning event {dict(given)!r} has probability zero")
+    # both sides hold their values as prob reads them, so "e" meets
+    # Exposure.EXPOSED, and an invalid value has raised before it could
+    # pass for a conflict
     merged = dict(given_kw)
     for key, value in _assignment_kwargs(event, "event").items():
         if key in merged and merged[key] != value:

@@ -33,12 +33,13 @@ All quantities follow the joint's arithmetic: rational joints give exact
 rational answers, and in that mode the classification tolerance must be 0.
 On a rational joint the three proportions are integer ratios of the
 joint's cell numerators (``joint._exact_pairs``); the verdict and Lemma 1
-compare them by integer cross-multiplication, and ``Fraction``s are built
-only for the values a caller receives.  Each joint computes its proportions,
-float or exact, once and keeps them (``_proportions``).  The proportions
-come from ``joint._float_proportions`` and ``joint._exact_pairs``, the
-helpers the pure campaign kernel evaluates each conclusion with, so a
-campaign and a verdict decide a conclusion by the same code.
+compare them by integer cross-multiplication.  An exact report keeps those
+ratios and builds its five ``Fraction``s the first time a caller reads one
+of them.  Each joint computes its proportions, float or exact, once and
+keeps them (``_proportions``).  The proportions come from
+``joint._float_proportions`` and ``joint._exact_pairs``, the helpers the
+pure campaign kernel evaluates each conclusion with, so a campaign and a
+verdict decide a conclusion by the same code.
 """
 
 from __future__ import annotations
@@ -89,7 +90,16 @@ class MeasureSummary(NamedTuple):
 
 
 class ClassificationReport(_Frozen):
-    """Measures plus verdict for one joint distribution."""
+    """Measures plus verdict for one joint distribution.
+
+    An exact ``classify_covariate`` call builds its report with
+    ``_from_pairs``: the report holds the verdict and, pending, the integer
+    ratios and gap its other five fields come from, and builds all five
+    ``Fraction``s the first time any one of them is read.  The pending
+    ratios are a plain attribute, not a field: equality, hashing, ``repr``,
+    ``to_dict``, copies and pickles see the six fields alone, whether or not
+    they were read before.
+    """
 
     _fields = ("hypothetical", "observed", "standardized", "bias", "adjusted_gap", "verdict")
 
@@ -109,6 +119,44 @@ class ClassificationReport(_Frozen):
         fields["bias"] = bias
         fields["adjusted_gap"] = adjusted_gap
         fields["verdict"] = verdict
+
+    @classmethod
+    def _from_pairs(cls, pairs: tuple, gap: int, verdict: Verdict) -> "ClassificationReport":
+        """The report of the integer ratios ``pairs`` = (h, hd, o, od, s, sd),
+        with adjusted gap ``gap``/(hd·sd): the fields ``_pairs_summary`` and
+        that gap give, built on first read."""
+        report = object.__new__(cls)
+        fields = report.__dict__
+        fields["verdict"] = verdict
+        fields["_pending"] = (pairs, gap)
+        return report
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks: a field still pending,
+        # or no attribute at all, which builds nothing
+        if name in self._fields:
+            fields = self.__dict__
+            pending = fields.get("_pending")
+            if pending is not None:
+                pairs, gap = pending
+                (
+                    fields["hypothetical"],
+                    fields["observed"],
+                    fields["standardized"],
+                    fields["bias"],
+                ) = _pairs_summary(*pairs)
+                fields["adjusted_gap"] = Fraction(gap, pairs[1] * pairs[5])
+                # the fields are stored before the ratios go, so a thread
+                # reading meanwhile finds one or the other
+                fields.pop("_pending", None)
+            if name in fields:
+                return fields[name]
+        raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        # the six fields in field order, so that a report whose Fractions are
+        # pending pickles and copies as an eagerly built one, byte for byte
+        return {name: getattr(self, name) for name in self._fields}
 
     def to_dict(self) -> dict:
         return {
@@ -284,9 +332,10 @@ def classify_covariate(
     rational joint decides the verdict on the integer ratios h/hd, o/od and
     s/sd of ``_exact_pairs`` by cross-multiplication, with no ``Fraction``:
     irrelevant when s·od = o·sd, confounder when
-    |h·sd − s·hd|·od < |h·od − o·hd|·sd.  Only the five reported values
-    are then built as ``Fraction``s.  The tests hold ``_classify`` on the
-    ``Fraction`` measures as the oracle.
+    |h·sd − s·hd|·od < |h·od − o·hd|·sd.  The report keeps those ratios
+    and builds its five ``Fraction``s the first time any one is read, so a
+    caller that reads only the verdict never builds them.  The tests hold
+    ``_classify`` on the ``Fraction`` measures as the oracle.
     """
     try:
         n = joint._numerators
@@ -306,7 +355,7 @@ def classify_covariate(
         verdict = _CONFOUNDER
     else:
         verdict = _NEITHER
-    return ClassificationReport(*_pairs_summary(*pairs), Fraction(gap, hd * sd), verdict)
+    return ClassificationReport._from_pairs(pairs, gap, verdict)
 
 
 def check_lemma1(joint: JointDistribution, tol: Union[int, float, Fraction] = 0) -> bool:

@@ -153,6 +153,32 @@ def test_conditional_conflicting_assignment_is_zero():
     assert conditional_prob(joint, {"E": "e"}, {"E": "ebar"}) == 0.0
 
 
+def test_conditional_reads_both_spellings_of_exposure_as_one_value():
+    exact = Model1Params(t=F(2, 5), a0=F(1, 5), a1=F(3, 5), b0=F(1, 10), b1=F(7, 10), u0=F(3, 10), u1=F(9, 10))
+    joint = build_joint(exact)
+    assert conditional_prob(joint, {"E": "e"}, {"E": Exposure.EXPOSED}) == 1
+    assert conditional_prob(joint, {"E": Exposure.UNEXPOSED}, {"E": "ebar"}) == 1
+    observed = conditional_prob(joint, {"D": 1}, {"E": "ebar"})
+    assert observed == F(1, 4)
+    assert conditional_prob(joint, {"D": 1, "E": "ebar"}, {"E": Exposure.UNEXPOSED}) == observed
+    assert conditional_prob(joint, {"D": 1, "E": Exposure.UNEXPOSED}, {"E": "ebar"}) == observed
+
+
+@pytest.mark.parametrize(
+    "event, given, message",
+    [
+        ({"C": 7}, {"C": 0}, "invalid C value 7; expected 0 or 1"),
+        ({"E": "x"}, {"E": "e"}, "invalid exposure value 'x'; expected 'e' or 'ebar'"),
+        ({"D": "yes"}, {"D": 1}, "invalid D value 'yes'; expected 0 or 1"),
+    ],
+)
+def test_conditional_invalid_event_value_raises_beside_a_given_one(event, given, message):
+    # an invalid value is no conflicting one: it must not read as probability 0
+    with pytest.raises(ParameterError) as info:
+        conditional_prob(build_joint(uniform_m1()), event, given)
+    assert str(info.value) == message
+
+
 def test_conditional_zero_mass_event_raises():
     joint = build_joint(Model1Params(t=0.0, a0=0.5, a1=0.5, b0=0.5, b1=0.5, u0=0.5, u1=0.5))
     with pytest.raises(DegenerateEventError):

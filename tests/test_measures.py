@@ -1,7 +1,11 @@
 """Tests for bias, standardized proportion, and the verdict rules."""
 
+import shutil
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +348,75 @@ def test_report_serialization_and_text():
     assert "standardized" in text
     assert "119/200" in text
     assert "neither" in text
+
+
+# --- the verdict path's A/B script ---------------------------------------
+
+
+VERDICT_AB = Path(__file__).resolve().parent.parent / "tools" / "verdict_ab.py"
+
+
+def _copy_package(into: Path) -> Path:
+    package = Path(confound_kit.__file__).parent
+    shutil.copytree(package, into / "confound_kit", ignore=shutil.ignore_patterns("__pycache__"))
+    return into
+
+
+def test_verdict_ab_prints_one_row_per_layer(tmp_path):
+    # a smoke run of the verdict path's A/B script with the base taken from a
+    # throwaway repository whose one commit holds this package, and its
+    # checkout as the B tree: the script finds the two sides' results equal
+    # and prints a row for every layer and the whole path; its timings are
+    # not checked.  The package is a copy, since the processes may write
+    # byte-compiled files into the trees.
+    repo = tmp_path / "repo"
+    _copy_package(repo / "src")
+    for git in (["init", "-q"], ["add", "src"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "base"]):
+        subprocess.run(["git", *git], cwd=repo, check=True, capture_output=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, str(VERDICT_AB), "--base", "HEAD", "src", "--rounds", "1"],
+        cwd=repo,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    base = Path(lines[0].removeprefix("A "))
+    assert base.name == "src" and base.parent.name.startswith("verdict_ab_base_")
+    assert not base.exists()  # the unpacked base is removed at exit
+    assert Path(lines[1].removeprefix("B ")) == (repo / "src").resolve()
+    header = next(i for i, line in enumerate(lines) if line.startswith("layer"))
+    rows = [line.split() for line in lines[header + 1 :]]
+    layers = [
+        "build_joint",
+        "classify_covariate",
+        "check_lemma1",
+        "holds_numeric",
+        "holds_algebraic",
+        "closed_form_summary",
+    ]
+    assert [row[0] for row in rows] == [f"{layer}.{mode}" for mode in ("float", "exact") for layer in layers] + ["path"]
+    assert all(len(row) == 7 and row[6] in ("0/1", "1/1") for row in rows), rows
+
+
+def test_verdict_ab_stops_when_the_results_differ(tmp_path):
+    # B swaps the irrelevant and confounder verdicts, which only the
+    # classify_covariate layers return
+    a = _copy_package(tmp_path / "a")
+    b = _copy_package(tmp_path / "b")
+    measures = b / "confound_kit" / "measures.py"
+    text = measures.read_text()
+    assert text.count("_IRRELEVANT, _CONFOUNDER, _NEITHER = Verdict") == 1
+    swapped = "_CONFOUNDER, _IRRELEVANT, _NEITHER = Verdict"
+    measures.write_text(text.replace("_IRRELEVANT, _CONFOUNDER, _NEITHER = Verdict", swapped))
+    proc = subprocess.run(
+        [sys.executable, str(VERDICT_AB), str(a), str(b), "--rounds", "1", "--points", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "A and B give different results for classify_covariate.float, classify_covariate.exact"
+    )

@@ -3,9 +3,14 @@
 The nine classes compare, hash and print by their fields, refuse assignment
 and deletion, and bind constructor arguments like a Python signature.  The
 repr strings and TypeError messages below were recorded when the classes
-were still frozen dataclasses and must not change.
+were still frozen dataclasses and must not change; the exact report's repr
+was recorded while it still built its ``Fraction``s at once.
 """
 
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -67,6 +72,14 @@ VALUES = {
         lambda: classify_covariate(build_joint(Model1Params(*V))),
         "ClassificationReport(hypothetical=0.8125, observed=0.1875, standardized=0.3125, bias=0.625, "
         "adjusted_gap=0.5, verdict=<Verdict.CONFOUNDER: 'confounder'>)",
+    ),
+    # a fresh exact report holds its integer ratios; its Fractions are built
+    # on first read, so each test below gets one whose fields were never read
+    "ClassificationReport exact": (
+        lambda: classify_covariate(build_joint(Model3Params(**EXACT3))),
+        "ClassificationReport(hypothetical=Fraction(7, 16), observed=Fraction(19, 32), "
+        "standardized=Fraction(19, 32), bias=Fraction(-5, 32), adjusted_gap=Fraction(5, 32), "
+        "verdict=<Verdict.IRRELEVANT: 'irrelevant'>)",
     ),
     "TheoremClause": (
         lambda: TheoremClause("T1", "a", 1, frozenset({Hypothesis.H4}), Conclusion.IRRELEVANT_FACTOR),
@@ -214,3 +227,78 @@ def test_plain_attributes_stay_out_of_equality_hash_and_repr():
     params = Model3Params(**EXACT3)
     assert "_unit" not in repr(params)
     assert params == Model3Params(**EXACT3)
+
+
+def _unread_exact_report():
+    report = VALUES["ClassificationReport exact"][0]()
+    assert "_pending" in vars(report) and "hypothetical" not in vars(report)
+    return report
+
+
+def test_reading_an_exact_report_does_not_change_it():
+    read = _unread_exact_report()
+    assert read.bias == Fraction(-5, 32)  # builds all five Fractions
+    assert "_pending" not in vars(read)
+    assert all(type(vars(read)[name]) is Fraction for name in read._fields[:-1])
+    assert read.bias is read.bias  # built once
+    assert pickle.dumps(_unread_exact_report()) == pickle.dumps(read)
+    assert pickle.dumps(read) == pickle.dumps(ClassificationReport(*_fields(read)))
+    for restored in (
+        pickle.loads(pickle.dumps(_unread_exact_report())),
+        copy.copy(_unread_exact_report()),
+        copy.deepcopy(_unread_exact_report()),
+    ):
+        assert restored == read and repr(restored) == repr(read)
+        assert "_pending" not in vars(restored)
+    assert _unread_exact_report().to_dict() == read.to_dict()
+    assert _unread_exact_report().render_text() == read.render_text()
+
+
+def test_pending_ratios_stay_out_of_repr_equality_and_hash():
+    # the same joint over two common denominators gives the same fields from
+    # different integer ratios
+    from_params = build_joint(Model3Params(**EXACT3))
+    a = classify_covariate(from_params)
+    b = classify_covariate(JointDistribution(from_params.p))
+    assert vars(a)["_pending"] != vars(b)["_pending"]
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    eager = ClassificationReport(*_fields(_unread_exact_report()))
+    assert _unread_exact_report() == eager and hash(_unread_exact_report()) == hash(eager)
+    assert "_pending" not in repr(_unread_exact_report())
+
+
+def test_an_unknown_name_on_an_exact_report_builds_nothing():
+    report = _unread_exact_report()
+    for name in ("not_a_field", "_pending_", "__setstate__"):
+        with pytest.raises(AttributeError, match=f"'ClassificationReport' object has no attribute '{name}'"):
+            getattr(report, name)
+    assert not hasattr(report, "_numerators")
+    assert report.verdict.value == "irrelevant"  # the verdict is no pending field
+    assert "_pending" in vars(report) and "hypothetical" not in vars(report)
+
+
+def test_threads_reading_one_exact_report_see_its_fields():
+    # more threads than cores, switching often, all reading one unread
+    # report: each must find every field, whichever thread builds them
+    expected = _fields(_unread_exact_report())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            report = _unread_exact_report()
+            barrier = threading.Barrier(8, timeout=10)
+            seen = []
+
+            def read():
+                barrier.wait()
+                seen.append(tuple(getattr(report, name) for name in reversed(report._fields))[::-1])
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)

@@ -30,17 +30,15 @@ this script, so both sides read the same bytes.
 """
 
 import argparse
-import io
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-from ab_stats import pin, quartiles
+from ab_stats import pin, quartiles, unpack
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "confound_kit" / "data"
 MODEL1 = ["--model", "1", "--t", "0.4", "--a0", "0.2", "--a1", "0.6",
@@ -95,16 +93,6 @@ def module_difference(kind, a, b):
     """One line naming the modules only one side loads for ``kind``."""
     parts = [f"{side} alone loads {', '.join(sorted(only))}" for side, only in (("A", a - b), ("B", b - a)) if only]
     return f"{kind}: {'; '.join(parts) or 'same modules'}"
-
-
-def unpack(ref, into):
-    """Unpack the ``src`` of ``git archive ref``, from the current
-    directory's repository, into the directory ``into``."""
-    proc = subprocess.run(["git", "archive", "--format=tar", ref, "src"], capture_output=True, timeout=120)
-    if proc.returncode != 0:
-        raise SystemExit(f"git archive {ref} failed: {proc.stderr.decode(errors='replace').strip()}")
-    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
-        archive.extractall(into, filter="data")
 
 
 def main(argv=None) -> int:
