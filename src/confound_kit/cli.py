@@ -9,9 +9,11 @@ and no request loads ``json``.
 A well-formed request is parsed by ``_screen``, which never imports
 ``argparse``: exact verb and flag names, each flag at most once, with a
 value that converts.  Anything else (help, --version, an abbreviated flag,
-``--flag=value``, a usage error) goes to the argparse parser of
-``build_parser``, so help and error output stay argparse's.  Both read one
-declaration of each verb's arguments.
+``--flag=value``, a usage error) goes to the plain argparse parser of
+``build_parser``, with every verb's arguments, so help and error output stay
+argparse's.  Both read one declaration of each verb's arguments.  A verb
+imports the modules it runs when it runs, and the program entry
+``console_main`` freezes the collector at exit (``gc.freeze``).
 Exit codes: 0 success (for verify, a campaign with zero failures), 1 domain
 errors, a failed campaign or a stdout closed by its reader, 2 usage errors.
 """
@@ -389,33 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parsers():
     """The program's argparse parser and its verb parsers by name.  Importing
-    cli does not load argparse, so the class of a verb's parser is made here."""
+    cli does not load argparse; only a request ``_screen`` declines does."""
     import argparse
-
-    class _VerbParser(argparse.ArgumentParser):
-        """A verb's parser, which adds its arguments the first time it parses
-        or formats its usage or help, so a request builds only its own verb's."""
-
-        def __init__(self, *args, arguments, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._arguments = arguments
-
-        def _complete(self) -> None:
-            arguments, self._arguments = self._arguments, ()
-            for name, keywords in arguments:
-                self.add_argument(name, **keywords)
-
-        def parse_known_args(self, args=None, namespace=None):
-            self._complete()
-            return super().parse_known_args(args, namespace)
-
-        def format_usage(self) -> str:
-            self._complete()
-            return super().format_usage()
-
-        def format_help(self) -> str:
-            self._complete()
-            return super().format_help()
 
     parser = argparse.ArgumentParser(
         prog="confound-kit",
@@ -424,9 +401,12 @@ def _parsers():
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, run, arguments) in _VERBS.items():
-        sub.add_parser(name, help=help_text, arguments=arguments).set_defaults(func=run)
+        verb = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            verb.add_argument(flag, **keywords)
+        verb.set_defaults(func=run)
     return parser, sub.choices
 
 

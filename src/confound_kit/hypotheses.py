@@ -356,8 +356,10 @@ def substitution_reps(model: int, hypotheses: Iterable[Hypothesis]) -> tuple:
 
 @lru_cache(maxsize=None)
 def _substitution_reps(model: int, hypotheses: HypothesisSet) -> tuple:
-    # memoised: impose calls this for every sample it constrains, and there are
-    # only 3 models x 2**7 hypothesis sets
+    # memoised: theorems._derive_codes calls this once per clause, but impose
+    # on every call (falsify_converse's redraws, the traced impose layer),
+    # where the memo saves about a tenth of its time; there are only
+    # 3 models x 2**7 hypothesis sets
     # rep[j] labels slot j's class by its lowest slot; each pair merges two
     # classes by relabeling the higher label to the lower, so the order of
     # the merges does not matter
@@ -384,7 +386,7 @@ def equational_member(hypotheses: HypothesisSet) -> Optional[Hypothesis]:
     designated parameter would in general break the other.
     """
     # identity tests over the members: a set lookup would hash H1 and H5
-    # through Enum.__hash__, a Python-level call, for every campaign
+    # through Enum.__hash__, a Python-level call, on every impose call
     eq = None
     for h in hypotheses:
         if h is _H1 or h is _H5:

@@ -190,12 +190,14 @@ class _Frozen:
 
     Instances are equal when their classes are identical and their field
     tuples are equal, hash as that tuple, print as ``Name(field=value, ...)``
-    and refuse assignment and deletion.  Plain attributes outside
-    ``_fields`` (``_unit``, ``_numerators``, ``_proportions``, ``_codes``,
-    ``_pending``) take no part in any of these.  The constructor binds the
-    fields positionally or by keyword, with Python's own messages for a bad
-    call, then runs ``__post_init__``; classes on hot paths define their own
-    ``__init__`` instead.
+    and refuse assignment and deletion.  Copies and pickles are rebuilt by
+    the constructor from the field tuple (``__reduce__``).  Plain attributes
+    outside ``_fields`` (``_unit``, ``_numerators``, ``_proportions``,
+    ``_codes``, ``_pending``) take no part in any of these: they are never
+    copied or pickled, and a copy has what its constructor gives it.  The
+    constructor binds the fields positionally or by keyword, with Python's
+    own messages for a bad call, then runs ``__post_init__``; classes on hot
+    paths define their own ``__init__`` instead.
     """
 
     _fields: tuple = ()
@@ -211,6 +213,10 @@ class _Frozen:
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor from the fields
+        return type(self), self._astuple()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -393,13 +399,15 @@ class JointDistribution(_Frozen):
     over L**3 straight through ``_from_numerators``, and ``p`` is built from
     them, one ``Fraction`` per cell over their sum, on first access: the
     exact verdict path never reads it.  ``_numerators`` is a plain
-    attribute, not a field: equality, hashing, ``repr``, ``to_dict``, copies
-    and pickles see ``p`` alone, whether or not it was read before.
+    attribute, not a field: equality, hashing, ``repr`` and ``to_dict`` see
+    ``p`` alone, whether or not it was read before.  Copies and pickles are
+    rebuilt from ``p``, so theirs are over the cells' least common
+    denominator.
 
     ``_proportions`` keeps what ``measures`` derives from the cells once it
     is computed (see ``measures._proportions``); it is None until then.  A
     joint is frozen, so the kept value cannot go stale, and it is not
-    pickled.
+    copied or pickled.
     """
 
     _fields = ("p",)
@@ -465,9 +473,6 @@ class JointDistribution(_Frozen):
         numerators = self._numerators
         denominator = sum(numerators)
         return tuple([Fraction(n, denominator) for n in numerators])
-
-    def __getstate__(self) -> dict:
-        return {"p": self.p, "_numerators": self._numerators}
 
     @staticmethod
     def index(e: object, c: object, d: object) -> int:

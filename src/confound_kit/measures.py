@@ -89,19 +89,39 @@ class MeasureSummary(NamedTuple):
     bias: Numeric
 
 
+class _Pending:
+    """A number field of an exact report, which its first read builds with
+    the other four from ``_pending`` and stores on the report, shadowing
+    this descriptor.  ``_pending`` stays, so a thread reading meanwhile
+    builds equal values rather than miss them."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        pairs, gap = report._pending
+        values = (*_pairs_summary(*pairs), Fraction(gap, pairs[1] * pairs[5]))
+        report.__dict__.update(zip(ClassificationReport._fields, values))
+        return values[self.index]
+
+
 class ClassificationReport(_Frozen):
     """Measures plus verdict for one joint distribution.
 
     An exact ``classify_covariate`` call builds its report with
-    ``_from_pairs``: the report holds the verdict and, pending, the integer
-    ratios and gap its other five fields come from, and builds all five
-    ``Fraction``s the first time any one of them is read.  The pending
-    ratios are a plain attribute, not a field: equality, hashing, ``repr``,
-    ``to_dict``, copies and pickles see the six fields alone, whether or not
-    they were read before.
+    ``_from_pairs``: the report holds the verdict and, in ``_pending``, the
+    integer ratios and gap its other five fields come from, and builds all
+    five ``Fraction``s the first time any one of them is read (``_Pending``).
+    ``_pending`` is a plain attribute, not a field: equality, hashing,
+    ``repr`` and ``to_dict`` see the six fields alone, whether or not they
+    were read before, and copies and pickles are rebuilt by the constructor
+    from the six fields, so they hold no ``_pending``.
     """
 
     _fields = ("hypothetical", "observed", "standardized", "bias", "adjusted_gap", "verdict")
+    hypothetical, observed, standardized, bias, adjusted_gap = map(_Pending, range(5))
 
     def __init__(
         self,
@@ -130,33 +150,6 @@ class ClassificationReport(_Frozen):
         fields["verdict"] = verdict
         fields["_pending"] = (pairs, gap)
         return report
-
-    def __getattr__(self, name):
-        # reached only for a name the instance lacks: a field still pending,
-        # or no attribute at all, which builds nothing
-        if name in self._fields:
-            fields = self.__dict__
-            pending = fields.get("_pending")
-            if pending is not None:
-                pairs, gap = pending
-                (
-                    fields["hypothetical"],
-                    fields["observed"],
-                    fields["standardized"],
-                    fields["bias"],
-                ) = _pairs_summary(*pairs)
-                fields["adjusted_gap"] = Fraction(gap, pairs[1] * pairs[5])
-                # the fields are stored before the ratios go, so a thread
-                # reading meanwhile finds one or the other
-                fields.pop("_pending", None)
-            if name in fields:
-                return fields[name]
-        raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
-
-    def __getstate__(self) -> dict:
-        # the six fields in field order, so that a report whose Fractions are
-        # pending pickles and copies as an eagerly built one, byte for byte
-        return {name: getattr(self, name) for name in self._fields}
 
     def to_dict(self) -> dict:
         return {

@@ -103,14 +103,11 @@ class TheoremClause(_Frozen):
     ``_campaign_codes`` derives, once they are derived; it is None until
     then.  Like ``_unit`` on parameter sets it is a plain attribute, not a
     field, so equality, hashing, ``repr`` and ``to_dict`` see the fields
-    alone, and copies and pickles leave it out.
+    alone; copies and pickles are rebuilt by the constructor without it.
     """
 
     _fields = ("theorem", "clause", "model", "conditions", "conclusion")
     _codes = None
-
-    def __getstate__(self) -> dict:
-        return {name: self.__dict__[name] for name in self._fields}
 
     def to_dict(self) -> dict:
         return {

@@ -238,7 +238,7 @@ def _unread_exact_report():
 def test_reading_an_exact_report_does_not_change_it():
     read = _unread_exact_report()
     assert read.bias == Fraction(-5, 32)  # builds all five Fractions
-    assert "_pending" not in vars(read)
+    assert "_pending" in vars(read)  # kept, for a thread reading meanwhile
     assert all(type(vars(read)[name]) is Fraction for name in read._fields[:-1])
     assert read.bias is read.bias  # built once
     assert pickle.dumps(_unread_exact_report()) == pickle.dumps(read)
@@ -267,7 +267,16 @@ def test_pending_ratios_stay_out_of_repr_equality_and_hash():
     assert "_pending" not in repr(_unread_exact_report())
 
 
-def test_an_unknown_name_on_an_exact_report_builds_nothing():
+def test_an_unknown_name_on_an_exact_report_builds_nothing(monkeypatch):
+    # every Fraction is counted, those arithmetic returns included
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     report = _unread_exact_report()
     for name in ("not_a_field", "_pending_", "__setstate__"):
         with pytest.raises(AttributeError, match=f"'ClassificationReport' object has no attribute '{name}'"):
@@ -275,6 +284,9 @@ def test_an_unknown_name_on_an_exact_report_builds_nothing():
     assert not hasattr(report, "_numerators")
     assert report.verdict.value == "irrelevant"  # the verdict is no pending field
     assert "_pending" in vars(report) and "hypothetical" not in vars(report)
+    assert built == []
+    report.observed
+    assert len(built) == 5  # the first read builds the five fields
 
 
 def test_threads_reading_one_exact_report_see_its_fields():

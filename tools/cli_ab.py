@@ -31,14 +31,13 @@ this script, so both sides read the same bytes.
 
 import argparse
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from ab_stats import pin, quartiles, unpack
+from ab_stats import pin, print_table, unpack
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "confound_kit" / "data"
 MODEL1 = ["--model", "1", "--t", "0.4", "--a0", "0.2", "--a1", "0.6",
@@ -138,14 +137,7 @@ def compare(trees, rounds) -> int:
                 modules[kind] = [loaded_modules(tree, request) for tree in trees]
     for kind, (a, b) in modules.items():
         print(module_difference(kind, a, b))
-    print(f"{'kind':<15} {'A ms':>7} {'B ms':>7} {'A/B':>6} {'q1':>6} {'q3':>6} {'B won':>7}")
-    for kind, (a, b) in times.items():
-        q1, median, q3 = quartiles([x / y for x, y in zip(a, b)])
-        won = sum(x > y for x, y in zip(a, b))
-        print(
-            f"{kind:<15} {statistics.median(a):7.2f} {statistics.median(b):7.2f}"
-            f" {median:6.3f} {q1:6.3f} {q3:6.3f} {won:>3}/{rounds}"
-        )
+    print_table("kind", "ms", times)
     return 0
 
 

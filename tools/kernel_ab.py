@@ -29,12 +29,11 @@ that call differently, so ``--exact`` pairs only two builds that both take
 import argparse
 import importlib.machinery
 import importlib.util
-import statistics
 import sys
 import time
 from pathlib import Path
 
-from ab_stats import pin, quartiles
+from ab_stats import pin, print_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -85,30 +84,24 @@ def main(argv=None) -> int:
     print(f"A {args.a}\nB {args.b}")
     mode = "exact" if args.exact else "float"
     print(f"cpu {cpu}, {args.rounds} rounds of {args.count}-sample {mode} campaigns, fastest of {REPEAT} calls")
-    print(f"{'clause':<8} {'A ns':>8} {'B ns':>8} {'A/B':>6} {'q1':>6} {'q3':>6} {'B won':>7}")
+    times = {}
     for clause in CLAUSES:
         codes = _campaign_codes(clause)
-        times = ([], [])
+        label = clause.theorem + clause.clause
+        times[label] = sides = ([], [])
         for r in range(args.rounds):
             call = codes + (r * args.count, args.count, SEED) + ((BUDGET,) if args.exact else (TOL, BUDGET))
             results = [None, None]
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 ns, results[side] = best_ns(runs[side], call)
-                times[side].append(ns / args.count)
+                sides[side].append(ns / args.count)
             a, b = results
             if not args.exact:  # a float's bits, not its value
                 a, b = (a[0].hex(), *a[1:]), (b[0].hex(), *b[1:])
             if a != b:
-                print(f"{clause.theorem}{clause.clause}: A gave {a}, B gave {b} for {call}")
+                print(f"{label}: A gave {a}, B gave {b} for {call}")
                 return 1
-        ratios = [x / y for x, y in zip(*times)]
-        q1, median, q3 = quartiles(ratios)
-        won = sum(x > y for x, y in zip(*times))
-        label = clause.theorem + clause.clause
-        print(
-            f"{label:<8} {statistics.median(times[0]):8.2f} {statistics.median(times[1]):8.2f}"
-            f" {median:6.3f} {q1:6.3f} {q3:6.3f} {won:>3}/{args.rounds}"
-        )
+    print_table("clause", "ns", times)
     return 0
 
 
